@@ -8,6 +8,9 @@ Subcommands:
     verify INSTANCE SCHEDULE [--json]
     oracle INSTANCE [--json]
 
+``solve``, ``decide`` and ``resilience`` solve the instance scaled to
+integers (see ``exact``) and print the answer of the instance as given.
+
 Exit codes: 0 success / YES / PASS, 1 infeasible / NO / FAIL, 2 usage
 errors, malformed input, or a refused exact search, 3 an internal error
 (a solver's answer failed its own verification).  Output is
@@ -24,7 +27,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import fault_line, multi_line, reductions, ring, single_robot
-from .exact import INFINITY, decimal_str, format_number, parse_number
+from .exact import INFINITY, common_denominator, decimal_str, format_number, parse_number, scale
 from .instance import (
     FIXED,
     FREE,
@@ -61,6 +64,14 @@ def _caps_from(args, topology) -> Caps:
         max_k=args.max_k if args.max_k is not None else default.max_k,
         max_f=default.max_f,
     )
+
+
+def _in_integers(spec: ProblemSpec, delta=None) -> tuple:
+    """(spec, delta, c): both multiplied by the least c that makes every
+    number an integer.  Answers scale with c, and the DP loops run several
+    times faster on ints than on Fractions."""
+    c = common_denominator(spec.numbers() + (() if delta is None else (delta,)))
+    return spec.scaled(c), None if delta is None else scale(delta, c), c
 
 
 def _route_solve(spec: ProblemSpec, caps: Caps) -> Verdict:
@@ -113,7 +124,8 @@ def _route_decide(spec: ProblemSpec, delta, caps: Caps) -> bool:
 
 def cmd_solve(args) -> int:
     spec = parse_instance(_read(args.instance))
-    verdict = _route_solve(spec, _caps_from(args, spec.topology))
+    lowered, _, c = _in_integers(spec)
+    verdict = _route_solve(lowered, _caps_from(args, spec.topology)).scaled(Fraction(1, c))
     if verdict.feasible and verdict.schedule is None:
         raise RuntimeError("internal error: a feasible verdict came without a schedule")
     if verdict.feasible and spec.bound is not None and verdict.optimum > spec.bound:
@@ -144,7 +156,8 @@ def cmd_decide(args) -> int:
     if delta is None:
         print("decide needs --delta or a delta field in the instance", file=sys.stderr)
         return USAGE_ERROR
-    answer = _route_decide(spec, delta, _caps_from(args, spec.topology))
+    lowered, delta, _ = _in_integers(spec, delta)
+    answer = _route_decide(lowered, delta, _caps_from(args, spec.topology))
     if args.json:
         print(json.dumps({"answer": "YES" if answer else "NO"}))
     else:
@@ -158,7 +171,8 @@ def cmd_resilience(args) -> int:
     if delta is None:
         print("resilience needs --delta or a delta field in the instance", file=sys.stderr)
         return USAGE_ERROR
-    value = fault_line.resilience(spec, delta, _caps_from(args, spec.topology))
+    lowered, delta, _ = _in_integers(spec, delta)
+    value = fault_line.resilience(lowered, delta, _caps_from(args, spec.topology))
     if args.json:
         print(json.dumps({"resilience": value}))
     else:

@@ -7,12 +7,20 @@ sentinel that compares greater than every finite value and absorbs
 addition; it doubles as "no deadline" and "unreachable".
 
 Integral values are kept as ints where convenient.  ``Fraction``
-interoperates exactly with ints, and integer-weight instances (the common
-case) stay fast in the hot DP loops.
+interoperates exactly with ints, so the library solvers take either.
+The solvers only add, subtract and compare numbers (and count whole
+laps, floor(x / circumference)), so multiplying all numbers of an
+instance by c > 0 multiplies every time in the answer by c and changes
+nothing else, ties included.  The CLI uses that: ``solve``, ``decide``
+and ``resilience`` scale the instance (and the time bound) by the least
+common denominator of its numbers, solve in ints, which are several
+times faster than Fractions in the DP loops, and divide the answer back
+exactly.  ``verify`` and ``oracle`` run on the numbers as given.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Union
 
@@ -143,6 +151,22 @@ def decimal_str(x: ExactNumber, digits: int = 6) -> str:
         return str(int(x))  # magnitude beyond float range: integer digits suffice
 
 
+def common_denominator(values) -> int:
+    """Least c >= 1 such that c * v is an integer for every finite v."""
+    c = 1
+    for v in values:
+        if isinstance(v, Fraction):
+            c = math.lcm(c, v.denominator)
+    return c
+
+
+def scale(x: ExactNumber, factor: Union[int, Fraction]) -> ExactNumber:
+    """x times a positive factor; INFINITY stays INFINITY."""
+    if x is INFINITY:
+        return INFINITY
+    return simplify(x * factor)
+
+
 def halve(x: ExactNumber) -> ExactNumber:
     """Exact division by two."""
     if x is INFINITY:
@@ -150,11 +174,3 @@ def halve(x: ExactNumber) -> ExactNumber:
     if isinstance(x, int):
         return x // 2 if x % 2 == 0 else Fraction(x, 2)
     return simplify(x / 2)
-
-
-def exact_min(*values: ExactNumber) -> ExactNumber:
-    return min(values)
-
-
-def exact_max(*values: ExactNumber) -> ExactNumber:
-    return max(values)

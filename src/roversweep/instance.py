@@ -25,11 +25,11 @@ Numbers are decimal strings or "p/q" ratios, parsed exactly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from typing import Optional, Union
 
-from .exact import ExactNumber, INFINITY, format_number, parse_number
+from .exact import ExactNumber, INFINITY, format_number, parse_number, scale
 
 FIXED = "fixed"
 FREE = "free"
@@ -89,6 +89,10 @@ class LineInstance:
         """Same line with every deadline capped at ``delta``."""
         return replace(self, deadlines=tuple(min(d, delta) for d in self.deadlines))
 
+    def scaled(self, c) -> "LineInstance":
+        """Same line with every coordinate and deadline multiplied by c > 0."""
+        return _scaled(self, c)
+
 
 @dataclass(frozen=True)
 class RingInstance:
@@ -135,6 +139,9 @@ class RingInstance:
     def capped(self, delta: ExactNumber) -> "RingInstance":
         return replace(self, deadlines=tuple(min(d, delta) for d in self.deadlines))
 
+    def scaled(self, c) -> "RingInstance":
+        return _scaled(self, c)
+
 
 @dataclass(frozen=True)
 class StarInstance:
@@ -173,8 +180,28 @@ class StarInstance:
             min(self.center_deadline, delta),
         )
 
+    def scaled(self, c) -> "StarInstance":
+        return _scaled(self, c)
+
 
 Topology = Union[LineInstance, RingInstance, StarInstance]
+
+
+def _numbers(topology: Topology) -> tuple:
+    """Every field of a topology holds a number or a tuple of numbers."""
+    out = ()
+    for f in fields(topology):
+        value = getattr(topology, f.name)
+        out += value if isinstance(value, tuple) else (value,)
+    return out
+
+
+def _scaled(topology: Topology, c) -> Topology:
+    values = (getattr(topology, f.name) for f in fields(topology))
+    return type(topology)(*(
+        tuple(scale(v, c) for v in value) if isinstance(value, tuple) else scale(value, c)
+        for value in values
+    ))
 
 
 def node_count(topology: Topology) -> int:
@@ -249,6 +276,18 @@ class ProblemSpec:
     @property
     def k(self) -> int:
         return self.placement.robots
+
+    def numbers(self) -> tuple:
+        """Every number of the problem (INFINITY included); node indices are not numbers."""
+        return _numbers(self.topology) + (() if self.bound is None else (self.bound,))
+
+    def scaled(self, c) -> "ProblemSpec":
+        """The same problem with every number multiplied by c > 0: every
+        time of every answer is multiplied by c, nothing else changes."""
+        if c == 1:
+            return self
+        bound = None if self.bound is None else scale(self.bound, c)
+        return replace(self, topology=self.topology.scaled(c), bound=bound)
 
 
 # --------------------------------------------------------------------------

@@ -43,7 +43,6 @@ from .instance import FREE, ProblemSpec, RingInstance, RobotPlacement
 from .oracle import Caps, verify_schedule
 from .schedule import RobotTrack, Schedule, Verdict
 from .single_robot import (
-    TimeLabels,
     best_target,
     extract_trajectory,
     init_start,
@@ -59,10 +58,6 @@ def _segment_inside(n: int, i: int, j: int, lo: int, hi: int) -> bool:
     oi = (i - lo) % n
     oj = (j - lo) % n
     return 1 <= oi <= oj <= room
-
-
-def _track_from_ring_labels(labels: TimeLabels, target: int) -> RobotTrack:
-    return RobotTrack(extract_trajectory(labels, target))
 
 
 # --------------------------------------------------------------------------
@@ -102,7 +97,7 @@ def solve_ring_fixed(
             optimum=best_time,
             schedule=Schedule(
                 kind="ring",
-                tracks=(_track_from_ring_labels(labels, best_uid),),
+                tracks=(RobotTrack(extract_trajectory(labels, best_uid)),),
                 circumference=ring.total,
             ),
             candidates=candidates,
@@ -179,7 +174,7 @@ def solve_ring_fixed(
     idle = [(cut, (cut + 1) % n)]
     for robot, i, j in segments:
         labels = forests[robot][0]
-        tracks[robot] = _track_from_ring_labels(labels, best_target(labels, i, j))
+        tracks[robot] = RobotTrack(extract_trajectory(labels, best_target(labels, i, j)))
         if i != (cut + 1) % n:
             idle.append(((i - 1) % n, i))
     return Verdict(
@@ -279,7 +274,7 @@ class RingFreeSolve:
             return
         if r == 1:
             target = best_target(self.labels, i, (i + ell) % n)
-            out.append(_track_from_ring_labels(self.labels, target))
+            out.append(RobotTrack(extract_trajectory(self.labels, target)))
             return
         r1, r2 = self.parts[r]
         a = self.tables[r1]
@@ -331,7 +326,7 @@ def solve_ring_free(ring: RingInstance, k: int, collect_candidates: bool = False
             optimum=best_time,
             schedule=Schedule(
                 kind="ring",
-                tracks=(_track_from_ring_labels(solver.labels, best_uid),),
+                tracks=(RobotTrack(extract_trajectory(solver.labels, best_uid)),),
                 circumference=ring.total,
             ),
             candidates=candidates,

@@ -26,7 +26,7 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
-from .exact import ExactNumber, INFINITY, format_number, parse_number
+from .exact import ExactNumber, INFINITY, format_number, parse_number, scale
 
 
 class ScheduleError(ValueError):
@@ -81,6 +81,17 @@ class Schedule:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2) + "\n"
+
+    def scaled(self, c) -> "Schedule":
+        """Every time and coordinate multiplied by c > 0 (star nodes stay)."""
+        tracks = tuple(
+            RobotTrack(tuple(
+                (scale(t, c), x if self.kind == "star" else scale(x, c)) for t, x in tr.waypoints
+            ))
+            for tr in self.tracks
+        )
+        circumference = None if self.circumference is None else scale(self.circumference, c)
+        return Schedule(kind=self.kind, tracks=tracks, circumference=circumference)
 
 
 def schedule_from_dict(doc: dict) -> Schedule:
@@ -137,6 +148,22 @@ class Verdict:
 
     def __bool__(self):
         return self.feasible
+
+    def scaled(self, c) -> "Verdict":
+        """The verdict of the problem with every number multiplied by c > 0."""
+        if c == 1:
+            return self
+        return Verdict(
+            feasible=self.feasible,
+            optimum=None if self.optimum is None else scale(self.optimum, c),
+            schedule=None if self.schedule is None else self.schedule.scaled(c),
+            witness=None if self.witness is None else {
+                node: tuple((robot, scale(t, c)) for robot, t in visits)
+                for node, visits in self.witness.items()
+            },
+            idle_edges=self.idle_edges,
+            candidates=None if self.candidates is None else tuple(scale(v, c) for v in self.candidates),
+        )
 
 
 INFEASIBLE = Verdict(feasible=False, optimum=INFINITY)

@@ -1,18 +1,22 @@
 """Single-robot exploration on a line by label propagation.
 
-One ascending pass over the state graph computes, for every explored
+One pass over the layers of the state graph computes, for every explored
 stretch and robot end, the fastest deadline-respecting way to reach that
-state from any permitted starting node.  Labels that would arrive after
-the newly visited node's deadline stay at INFINITY.  The recorded parent
+state from any permitted starting node.  It is a pull recurrence: the
+label of stretch [i, j] with the robot at i is the better of [i+1, j]
+with the robot at either end plus the walk to i, and likewise at j:
+the O(n^2) line-with-deadlines dynamic program of Tsitsiklis (Networks,
+1992) and Psaraftis et al. (1990).  Labels that would arrive after the
+newly visited node's deadline stay at INFINITY.  The recorded parent
 links form a forest from which optimal trajectories are read back.
 
-Ties are broken by keeping the first-found parent under the graph's
-fixed relaxation order (layer-major, left index ascending, L before R),
-which makes extracted trajectories deterministic.
+Ties go to the predecessor with the robot at the left end, the one
+with the smaller id, which makes extracted trajectories deterministic.
 """
 
 from __future__ import annotations
 
+import math
 from array import array
 from typing import Iterable, Optional, Sequence
 
@@ -58,72 +62,42 @@ def propagate(
     deadlines: Sequence[ExactNumber],
     window: Optional[tuple] = None,
 ) -> TimeLabels:
-    """Relax every arc once, in layer order.
+    """Set every state's label from its two predecessors, layer by layer.
 
-    ``deadlines`` is indexed by instance node; a label is only accepted
-    if its time is at or before the deadline of the node first visited on
-    arrival (a visit exactly at the deadline is on time).  ``window``
-    optionally restricts the pass to states strictly inside the open node
-    interval (lo, hi) -- on rings the interval is read counterclockwise.
+    A state's label is the smaller of its predecessors' labels plus the
+    arc weights, kept only if it is at or before the deadline of the node
+    first visited on arrival (a visit exactly at the deadline is on
+    time); a tie goes to the predecessor with the smaller id, the one at
+    the left end.  This is the first-found parent of relaxing every arc
+    once in id order, clockwise before counterclockwise.  ``deadlines``
+    is indexed by instance node.  ``window`` optionally restricts the
+    walks to states strictly inside the open node interval (lo, hi) --
+    on rings the interval is read counterclockwise; the states one step
+    outside it are labelled too.  ``labels`` comes from ``init_start``.
     """
     time = labels.time
     parent = labels.parent
-    out_start = graph.out_start
-    out_to = graph.out_to
-    out_w = graph.out_w
-    new_node = graph.new_node
     inf = INFINITY
-
-    if window is None:
-        node_iter = range(graph.node_count)
-    else:
-        node_iter = _window_ids(graph, window)
-
-    for u in node_iter:
-        tu = time[u]
-        if tu is inf:
-            continue
-        for a in range(out_start[u], out_start[u + 1]):
-            v = out_to[a]
-            t = tu + out_w[a]
-            dl = deadlines[new_node[v]]
-            if (dl is inf or t <= dl):
-                tv = time[v]
-                if tv is inf or t < tv:
-                    time[v] = t
-                    parent[v] = u
-    return labels
-
-
-def _window_ids(graph: StateGraph, window: tuple):
-    """Ids of states whose stretch lies strictly inside the open interval."""
-    lo, hi = window
-    n = graph.n
-    if graph.kind == "line":
-        for layer in range(n):
-            base = graph._layer_offsets[layer]
-            first = max(lo + 1, 0)
-            last = min(hi - 1 - layer, n - 1 - layer)
-            if layer == 0:
-                for i in range(first, last + 1):
-                    yield base + i
+    # compared only, never added: a float infinity is exact against ints and Fractions
+    dls = [math.inf if d is inf else d for d in deadlines]
+    for batch in graph.pulls(dls, window):
+        for v, a, b, wa, wb, dl in zip(*batch):
+            ta = time[a]
+            tb = time[b]
+            if ta is inf:
+                if tb is inf:
+                    continue
+                t, a = tb + wb, b
             else:
-                for i in range(first, last + 1):
-                    yield base + 2 * i
-                    yield base + 2 * i + 1
-    else:
-        room = (hi - lo - 1) % n  # nodes strictly inside the ccw interval
-        for layer in range(n - 1):  # windows never include full coverage
-            if layer + 1 > room:
-                break
-            base = graph._layer_offsets[layer]
-            for off in range(1, room - layer + 1):
-                i = (lo + off) % n
-                if layer == 0:
-                    yield base + i
-                else:
-                    yield base + 2 * i
-                    yield base + 2 * i + 1
+                t = ta + wa
+                if tb is not inf:
+                    t2 = tb + wb
+                    if t2 < t:
+                        t, a = t2, b
+            if t <= dl:
+                time[v] = t
+                parent[v] = a
+    return labels
 
 
 def state_time(labels: TimeLabels, i: int, j: int, side: int) -> ExactNumber:

@@ -1,24 +1,30 @@
-"""Layered DAG of exploration states for lines and rings.
+"""Layered state space of single-robot exploration on lines and rings.
 
 A state records the contiguous stretch of nodes a single robot has
 visited so far plus which end of the stretch the robot currently
 occupies.  Each arc visits one new node, either adjacent to the robot's
 end (weight: one edge) or on the far end of the stretch (weight: the
 whole traverse plus one edge).  States with j - i = layer sit in layer
-order, so a single ascending pass relaxes every arc exactly once.
+order, so every arc joins one layer to the next.
 
 States are packed into dense integer ids laid out layer-major with the
-left index ascending and L before R, which fixes the deterministic
-relaxation order used throughout the solvers.  Arcs are materialized
-once (CSR arrays); the built graph is immutable and may be shared by
-concurrently running label computations.
+left index ascending and L before R.  No arc is stored: each state of
+layer >= 1 has exactly two predecessors, the same stretch without its
+newly visited node with the robot at either end (``pulls`` lists them
+layer by layer, with arc weights read off the coordinates), and
+``arcs_from`` rebuilds a state's out-arcs on demand.  A ring's
+full-coverage state for robot position p is the one exception: the two
+predecessors (p+1, p-1, L/R) each reach it both clockwise and
+counterclockwise (for n = 2, the single state p+1 twice).  The graph is
+immutable and may be shared by concurrently running label computations.
 """
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_right
-from typing import Iterator, NamedTuple
+from itertools import accumulate, chain
+from operator import sub
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .exact import ExactNumber, format_number
 from .instance import LineInstance, RingInstance
@@ -36,14 +42,36 @@ class State(NamedTuple):
         return f"({self.left},{self.right},{'L' if self.side == LEFT else 'R'})"
 
 
+class Pull(NamedTuple):
+    """A batch of states and, aligned with them, what sets their labels.
+
+    ``first`` and ``second`` are the two predecessors in id order and
+    ``w_first``/``w_second`` the arc weights from them; ``deadlines``
+    holds the deadline of the node each state visits on arrival.
+    """
+
+    to: Sequence[int]
+    first: Sequence[int]
+    second: Sequence[int]
+    w_first: Sequence
+    w_second: Sequence
+    deadlines: Sequence
+
+
+def _run(base: int, stride: int, first: int, count: int, n: int):
+    """Ids base + stride * i for i = first, first + 1, ... read mod n."""
+    first %= n
+    head = min(count, n - first)
+    ids = range(base + stride * first, base + stride * (first + head), stride)
+    if head == count:
+        return ids
+    return chain(ids, range(base, base + stride * (count - head), stride))
+
+
 class StateGraph:
     """Immutable layered graph; build via ``from_line`` or ``from_ring``."""
 
-    __slots__ = (
-        "kind", "n", "node_count", "_layer_offsets",
-        "out_start", "out_to", "out_w", "out_dir", "new_node",
-        "_positions",
-    )
+    __slots__ = ("kind", "n", "node_count", "_layer_offsets", "_positions", "_weights")
 
     def __init__(self):
         raise TypeError("use StateGraph.from_line or StateGraph.from_ring")
@@ -53,15 +81,9 @@ class StateGraph:
     # ------------------------------------------------------------------
 
     @classmethod
-    def _blank(cls) -> "StateGraph":
-        self = object.__new__(cls)
-        return self
-
-    @classmethod
     def from_line(cls, line: LineInstance) -> "StateGraph":
-        self = cls._blank()
+        self = object.__new__(cls)
         n = line.n
-        x = line.coordinates
         self.kind = "line"
         self.n = n
         # layer 0 holds n single-node states; layer j >= 1 holds 2(n-j).
@@ -70,60 +92,16 @@ class StateGraph:
             offsets.append(offsets[-1] + 2 * (n - layer))
         self._layer_offsets = offsets
         self.node_count = offsets[-1]
-        self._positions = x
-
-        new_node = array("q", bytes(8 * self.node_count))
-        out_start = array("q", bytes(8 * (self.node_count + 1)))
-        total = 0
-        uid = 0
-        for layer in range(n):
-            for i in range(n - layer):
-                j = i + layer
-                sides = (RIGHT,) if layer == 0 else (LEFT, RIGHT)
-                for side in sides:
-                    new_node[uid] = i if (layer > 0 and side == LEFT) else j
-                    out_start[uid] = total
-                    total += (1 if i > 0 else 0) + (1 if j < n - 1 else 0)
-                    uid += 1
-        out_start[self.node_count] = total
-
-        out_to = array("q", bytes(8 * total))
-        out_dir = array("b", bytes(total))
-        out_w: list = [0] * total
-        pos = 0
-        for layer in range(n):
-            base_next = offsets[layer + 1] if layer + 1 < n + 1 else None
-            for i in range(n - layer):
-                j = i + layer
-                sides = (RIGHT,) if layer == 0 else (LEFT, RIGHT)
-                for side in sides:
-                    here = x[i] if (layer > 0 and side == LEFT) else x[j]
-                    # extend left first, then right (canonical arc order)
-                    if i > 0:
-                        out_to[pos] = base_next + 2 * (i - 1) + LEFT
-                        out_w[pos] = here - x[i - 1]
-                        out_dir[pos] = -1
-                        pos += 1
-                    if j < n - 1:
-                        out_to[pos] = base_next + 2 * i + RIGHT
-                        out_w[pos] = x[j + 1] - here
-                        out_dir[pos] = 1
-                        pos += 1
-        self.out_start = out_start
-        self.out_to = out_to
-        self.out_w = out_w
-        self.out_dir = out_dir
-        self.new_node = new_node
+        self._positions = line.coordinates
+        self._weights = None
         return self
 
     @classmethod
     def from_ring(cls, ring: RingInstance) -> "StateGraph":
-        self = cls._blank()
+        self = object.__new__(cls)
         n = ring.n
-        w = ring.edge_weights
         self.kind = "ring"
         self.n = n
-        self._positions = ring.arc_positions()
         # layer 0: n single-node states; layers 1..n-2: 2n states each;
         # layer n-1: n full-coverage states, one per final robot position
         # (the L and R writings of a full stretch describe the same
@@ -134,71 +112,8 @@ class StateGraph:
         offsets.append(offsets[-1] + n)
         self._layer_offsets = offsets
         self.node_count = offsets[-1]
-
-        total_len = ring.total
-        pos_of = self._positions
-
-        def ccw(a: int, b: int) -> ExactNumber:
-            if b >= a:
-                return pos_of[b] - pos_of[a]
-            return total_len - (pos_of[a] - pos_of[b])
-
-        new_node = array("q", bytes(8 * self.node_count))
-        arcs_to: list = []
-        arcs_w: list = []
-        arcs_dir: list = []
-        out_start = array("q", bytes(8 * (self.node_count + 1)))
-
-        def terminal_id(robot_at: int) -> int:
-            return offsets[n - 1] + robot_at
-
-        uid = 0
-        for layer in range(n):
-            for i in range(n):
-                if layer == 0:
-                    states = ((i, i, RIGHT),)
-                elif layer == n - 1:
-                    # canonical full state with robot at node i
-                    states = (((i + 1) % n, i, RIGHT),)
-                else:
-                    j = (i + layer) % n
-                    states = ((i, j, LEFT), (i, j, RIGHT))
-                for (si, sj, side) in states:
-                    out_start[uid] = len(arcs_to)
-                    if layer == 0:
-                        new_node[uid] = i
-                    elif layer == n - 1:
-                        new_node[uid] = sj
-                    else:
-                        new_node[uid] = si if side == LEFT else sj
-                    if layer < n - 1:
-                        here = pos_of[si] if side == LEFT else pos_of[sj]
-                        here_idx = si if side == LEFT else sj
-                        # clockwise extension: visit (si - 1) mod n
-                        tgt = (si - 1) % n
-                        dist = ccw(si, here_idx) + w[tgt]
-                        if layer + 1 == n - 1:
-                            arcs_to.append(terminal_id(tgt))
-                        else:
-                            arcs_to.append(offsets[layer + 1] + 2 * tgt + LEFT)
-                        arcs_w.append(dist)
-                        arcs_dir.append(-1)
-                        # counterclockwise extension: visit (sj + 1) mod n
-                        tgt = (sj + 1) % n
-                        dist = ccw(here_idx, sj) + w[sj]
-                        if layer + 1 == n - 1:
-                            arcs_to.append(terminal_id(tgt))
-                        else:
-                            arcs_to.append(offsets[layer + 1] + 2 * si + RIGHT)
-                        arcs_w.append(dist)
-                        arcs_dir.append(1)
-                    uid += 1
-        out_start[self.node_count] = len(arcs_to)
-        self.out_start = out_start
-        self.out_to = array("q", arcs_to)
-        self.out_w = arcs_w
-        self.out_dir = array("b", arcs_dir)
-        self.new_node = new_node
+        self._positions = ring.arc_positions()
+        self._weights = ring.edge_weights
         return self
 
     # ------------------------------------------------------------------
@@ -244,13 +159,6 @@ class StateGraph:
     def layer_ids(self, layer: int) -> range:
         return range(self._layer_offsets[layer], self._layer_offsets[layer + 1])
 
-    @property
-    def layers(self) -> int:
-        return self.n
-
-    def sources(self) -> range:
-        return range(self.n)
-
     def terminal_ids(self) -> range:
         """States in which every node of the instance has been visited."""
         if self.n == 1:
@@ -261,17 +169,131 @@ class StateGraph:
         st = self.state_of(uid)
         return self._positions[st.left if st.side == LEFT else st.right]
 
-    def position_index(self, uid: int) -> int:
-        st = self.state_of(uid)
-        return st.left if st.side == LEFT else st.right
+    # ------------------------------------------------------------------
+    # the pull recurrence
+    # ------------------------------------------------------------------
+
+    def _ids(self, layer: int, first: int, count: int, side: int):
+        """Ids of the states (i, i + layer, side), i = first, first + 1, ..."""
+        if layer == 0:
+            return _run(0, 1, first, count, self.n)
+        return _run(self._layer_offsets[layer] + side, 2, first, count, self.n)
+
+    def pulls(self, deadlines: Sequence, window: Optional[tuple] = None) -> Iterator[Pull]:
+        """The states of layers 1.. in layer order, with their predecessors.
+
+        ``deadlines`` is indexed by node.  ``window`` = (lo, hi) keeps the
+        predecessors strictly inside the open node interval (lo, hi), read
+        counterclockwise on rings, so the batches cover the stretches
+        inside it plus those that leave it by one node.
+        """
+        n = self.n
+        if self.kind == "line":
+            x = self._positions
+            # coordinates are the prefix sums of the edge lengths
+            prefix, edge, dls = x, list(map(sub, x[1:], x)), deadlines
+            lo, hi = window if window is not None else (-1, n)
+            lo, hi = max(lo, -1), min(hi, n)
+
+            def spans(layer):  # (first i, count) with the robot at L, at R
+                return ((max(lo, 0), hi - layer - max(lo, 0)),
+                        (lo + 1, min(hi, n - 1) - layer - lo))
+        else:
+            # indices below stay under 3n, so three laps of each list keep
+            # every slice contiguous; prefix[k] is the arc length to node k
+            edge = self._weights * 3
+            prefix = list(accumulate(edge, initial=0))
+            dls = tuple(deadlines) * 3
+            if window is not None:
+                lo, hi = window
+                room = (hi - lo - 1) % n  # nodes strictly inside the window
+
+            def spans(layer):
+                if window is None:
+                    return (0, n), (0, n)
+                return (lo, room - layer + 1), ((lo + 1) % n, room - layer + 1)
+
+        for layer in range(1, n):
+            (s, c), (r, d) = spans(layer)
+            if c <= 0 and d <= 0:
+                return
+            if self.kind == "ring" and layer == n - 1:
+                # full coverage with the robot at p = s, s + 1, ...: each
+                # predecessor gets there by the edge next to p or by the
+                # rest of the ring, and the shorter way gives the label
+                total = prefix[n]
+                yield Pull(
+                    _run(self._layer_offsets[n - 1], 1, s, c, n),
+                    self._ids(n - 2, s + 1, c, LEFT),
+                    self._ids(n - 2, s + 1, c, RIGHT),
+                    [min(w, total - w) for w in edge[s:s + c]],
+                    [min(w, total - w) for w in edge[s + n - 1:s + n - 1 + c]],
+                    dls[s:s + c],
+                )
+                return
+            if c > 0:  # robot at L: the stretch grew at its left end i
+                yield Pull(
+                    self._ids(layer, s, c, LEFT),
+                    self._ids(layer - 1, s + 1, c, LEFT),
+                    self._ids(layer - 1, s + 1, c, RIGHT),
+                    edge[s:s + c],
+                    list(map(sub, prefix[s + layer:s + layer + c], prefix[s:s + c])),
+                    dls[s:s + c],
+                )
+            if d > 0:  # robot at R: the stretch grew at its right end j
+                yield Pull(
+                    self._ids(layer, r, d, RIGHT),
+                    self._ids(layer - 1, r, d, LEFT),
+                    self._ids(layer - 1, r, d, RIGHT),
+                    list(map(sub, prefix[r + layer:r + layer + d], prefix[r:r + d])),
+                    edge[r + layer - 1:r + layer - 1 + d],
+                    dls[r + layer:r + layer + d],
+                )
+
+    # ------------------------------------------------------------------
+    # arcs, on demand
+    # ------------------------------------------------------------------
 
     def arcs_from(self, uid: int) -> Iterator[tuple]:
-        for a in range(self.out_start[uid], self.out_start[uid + 1]):
-            yield self.out_to[a], self.out_w[a], self.out_dir[a]
+        """(target id, weight, direction) of each out-arc, clockwise first."""
+        n = self.n
+        si, sj, side = self.state_of(uid)
+        pos = self._positions
+        offsets = self._layer_offsets
+        if self.kind == "line":
+            layer = sj - si
+            here = pos[si] if (layer > 0 and side == LEFT) else pos[sj]
+            if si > 0:
+                yield offsets[layer + 1] + 2 * (si - 1) + LEFT, here - pos[si - 1], -1
+            if sj < n - 1:
+                yield offsets[layer + 1] + 2 * si + RIGHT, pos[sj + 1] - here, 1
+            return
+        layer = (sj - si) % n
+        if layer == n - 1:
+            return
+        w = self._weights
+        here = si if side == LEFT else sj
+        full = layer + 1 == n - 1
+        tgt = (si - 1) % n  # clockwise extension
+        to = offsets[n - 1] + tgt if full else offsets[layer + 1] + 2 * tgt + LEFT
+        yield to, self._ccw(si, here) + w[tgt], -1
+        tgt = (sj + 1) % n  # counterclockwise extension
+        to = offsets[n - 1] + tgt if full else offsets[layer + 1] + 2 * si + RIGHT
+        yield to, self._ccw(here, sj) + w[sj], 1
+
+    def _ccw(self, a: int, b: int) -> ExactNumber:
+        pos = self._positions
+        if b >= a:
+            return pos[b] - pos[a]
+        return pos[-1] + self._weights[-1] - (pos[a] - pos[b])
 
     @property
     def arc_count(self) -> int:
-        return len(self.out_to)
+        """Number of arcs: one per end at which a stretch can still grow."""
+        n = self.n
+        if self.kind == "line":
+            return 2 * (n - 1) ** 2
+        return 2 * n * (2 * n - 3)
 
     def dump(self) -> str:
         """One arc per line, for golden-file comparisons."""

@@ -98,3 +98,50 @@ def reach_chain_decide(ring, positions, f, delta):
             if pos >= big_n:
                 return True
     return False
+
+
+def window_ids(graph, window):
+    """Ids of the states whose stretch lies strictly inside the open interval
+    (lo, hi), read counterclockwise on rings, layer by layer."""
+    lo, hi = window
+    n = graph.n
+    if graph.kind == "line":
+        for layer in range(n):
+            for i in range(max(lo + 1, 0), min(hi - 1 - layer, n - 1 - layer) + 1):
+                if layer == 0:
+                    yield i
+                else:
+                    yield graph.id_of(i, i + layer, 0)
+                    yield graph.id_of(i, i + layer, 1)
+        return
+    room = (hi - lo - 1) % n  # nodes strictly inside the ccw interval
+    for layer in range(min(room, n - 1)):  # windows never include full coverage
+        for off in range(1, room - layer + 1):
+            i = (lo + off) % n
+            if layer == 0:
+                yield i
+            else:
+                yield graph.id_of(i, (i + layer) % n, 0)
+                yield graph.id_of(i, (i + layer) % n, 1)
+
+
+def push_labels(graph, starts, deadlines, window=None):
+    """Reference label pass: relax every out-arc of ``arcs_from`` once, in
+    id order (within a window, in ``window_ids`` order), keeping the
+    first-found parent on ties.  Returns (time, parent) lists."""
+    time = [INFINITY] * graph.node_count
+    parent = [-1] * graph.node_count
+    for s in starts:
+        time[s] = 0
+    order = range(graph.node_count) if window is None else window_ids(graph, window)
+    for u in order:
+        if time[u] is INFINITY:
+            continue
+        for v, w, _ in graph.arcs_from(u):
+            t = time[u] + w
+            st = graph.state_of(v)
+            new = st.left if st.side == 0 else st.right  # the node visited on arrival
+            if t <= deadlines[new] and (time[v] is INFINITY or t < time[v]):
+                time[v] = t
+                parent[v] = u
+    return time, parent

@@ -1,8 +1,20 @@
 import json
 import os
+from fractions import Fraction
 
-from roversweep import cli
+from roversweep import cli, multi_line, reductions, ring
 from roversweep.cli import main
+from roversweep.exact import INFINITY, decimal_str, format_number
+from roversweep.instance import (
+    FIXED,
+    FREE,
+    LineInstance,
+    ProblemSpec,
+    RingInstance,
+    RobotPlacement,
+    StarInstance,
+    serialize_instance,
+)
 from roversweep.schedule import Verdict
 
 SKEW3 = {
@@ -265,3 +277,83 @@ def test_feasible_verdict_without_schedule_is_an_internal_error(tmp_path, capsys
     assert captured.out == ""
     assert captured.err.startswith("error: internal error") and captured.err.count("\n") == 1
     assert not os.path.exists(sched)
+
+
+# --------------------------------------------------------------------------
+# solve, decide and resilience run on the instance scaled to integers
+# --------------------------------------------------------------------------
+
+F = Fraction
+NO_DEADLINE = INFINITY
+
+
+def _solve_matches_library(tmp_path, capsys, name, spec, library_verdict):
+    inst = str(tmp_path / f"{name}.json")
+    with open(inst, "w", encoding="utf-8") as fh:
+        fh.write(serialize_instance(spec))
+    sched = str(tmp_path / f"{name}-sched.json")
+    assert main(["solve", inst, "--emit-schedule", sched]) == 0
+    optimum = library_verdict.optimum
+    assert capsys.readouterr().out == f"{format_number(optimum)} ({decimal_str(optimum)})\n"
+    with open(sched, encoding="utf-8") as fh:
+        assert fh.read() == library_verdict.schedule.to_json()
+    return optimum
+
+
+def test_solve_on_fractions_prints_the_library_answer(tmp_path, capsys):
+    line = LineInstance(
+        (F(0), F(1, 2), F(4, 3), F(5, 2), F(17, 5), F(21, 5)),
+        (NO_DEADLINE, F(7, 3), NO_DEADLINE, F(9, 2), NO_DEADLINE, F(40, 7)),
+    )
+    fixed = RobotPlacement(FIXED, positions=(1, 4))
+    opt = _solve_matches_library(tmp_path, capsys, "line", ProblemSpec(line, fixed),
+                                 multi_line.solve_fixed(line, (1, 4)))
+    assert isinstance(opt, Fraction) and opt.denominator > 1
+    _solve_matches_library(tmp_path, capsys, "line-free",
+                           ProblemSpec(line, RobotPlacement(FREE, count=2)),
+                           multi_line.solve_free(line, 2))
+    ring_inst = RingInstance(
+        (F(3, 2), F(2, 3), 1, F(5, 4), F(1, 3)),
+        (NO_DEADLINE, F(9, 4), NO_DEADLINE, F(11, 3), NO_DEADLINE),
+    )
+    _solve_matches_library(tmp_path, capsys, "ring",
+                           ProblemSpec(ring_inst, RobotPlacement(FIXED, positions=(0, 2))),
+                           ring.solve_ring_fixed(ring_inst, (0, 2)))
+    _solve_matches_library(tmp_path, capsys, "ring-faulty",
+                           ProblemSpec(ring_inst, RobotPlacement(FIXED, positions=(1, 1, 3)), faults=1),
+                           ring.optimize_ring_fixed_faulty(ring_inst, (1, 1, 3), 1))
+    # star waypoints are node indices: they must come back unscaled
+    star = StarInstance((F(1, 2), F(5, 3), F(3, 4)), (F(7, 2), NO_DEADLINE, F(11, 3)), NO_DEADLINE)
+    placement = RobotPlacement(FREE, count=2)
+    verdict = reductions.star_exact(star, placement, 2, 0, None)
+    _solve_matches_library(tmp_path, capsys, "star", ProblemSpec(star, placement), verdict)
+    nodes = {x for track in verdict.schedule.tracks for _, x in track.waypoints}
+    assert nodes <= set(range(star.q + 1))
+
+
+def test_decide_just_below_an_integer_optimum_is_no(tmp_path, capsys):
+    path = write(tmp_path, "skew3.json", SKEW3)
+    assert main(["decide", path, "--delta", "4"]) == 0
+    assert capsys.readouterr().out.strip() == "YES"
+    assert main(["decide", path, "--delta", str(F(4) - F(1, 1000))]) == 1
+    assert capsys.readouterr().out.strip() == "NO"
+    assert main(["decide", path, "--delta", "3.999"]) == 1
+    assert capsys.readouterr().out.strip() == "NO"
+
+
+def test_resilience_is_the_same_on_a_third_of_the_instance(tmp_path, capsys):
+    line = LineInstance((0, 2, 3, 7, 8, 11), (NO_DEADLINE, 9, NO_DEADLINE, 14, NO_DEADLINE, 20))
+    answers = []
+    for d in (1, 3):
+        for placement in (RobotPlacement(FREE, count=6), RobotPlacement(FIXED, positions=(1, 1, 4, 4))):
+            spec = ProblemSpec(line, placement, faults=1).scaled(F(1, d))
+            path = str(tmp_path / f"res-{d}-{placement.mode}.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(serialize_instance(spec))
+            for delta in (F(6), F(9), F(13)):
+                code = main(["resilience", path, "--delta", format_number(delta / d)])
+                answers.append((d, placement.mode, delta, code, capsys.readouterr().out))
+    plain = [a[2:] for a in answers if a[0] == 1]
+    third = [a[2:] for a in answers if a[0] == 3]
+    assert plain == third
+    assert {out for *_, out in plain} != {"none\n"}

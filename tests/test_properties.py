@@ -1,0 +1,112 @@
+"""Property tests: the answers scale with the instance and ignore mirroring."""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from roversweep.exact import INFINITY
+from roversweep.fault_line import solve_fixed_faulty
+from roversweep.instance import LineInstance, RingInstance
+from roversweep.multi_line import solve_fixed, solve_free
+from roversweep.ring import optimize_ring_fixed_faulty, solve_ring_fixed, solve_ring_free
+from roversweep.single_robot import solve_fixed_start, solve_free_start
+
+SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+amounts = st.one_of(
+    st.integers(1, 6),
+    st.builds(Fraction, st.integers(1, 12), st.sampled_from((2, 3, 5))),
+)
+factors = st.one_of(
+    st.integers(1, 7),
+    st.builds(Fraction, st.integers(1, 9), st.integers(1, 9)),
+)
+
+
+def deadline_lists(n, top):
+    deadline = st.one_of(st.just(INFINITY), st.builds(Fraction, st.integers(0, 4 * top), st.sampled_from((1, 2))))
+    return st.lists(deadline, min_size=n, max_size=n)
+
+
+@st.composite
+def lines(draw, max_n=6):
+    steps = draw(st.lists(amounts, min_size=0, max_size=max_n - 1))
+    coords = [0]
+    for step in steps:
+        coords.append(coords[-1] + step)
+    deadlines = draw(deadline_lists(len(coords), int(coords[-1]) + 1))
+    return LineInstance(tuple(coords), tuple(deadlines))
+
+
+@st.composite
+def rings(draw, max_n=6):
+    weights = draw(st.lists(amounts, min_size=2, max_size=max_n))
+    deadlines = draw(deadline_lists(len(weights), int(sum(weights)) + 1))
+    return RingInstance(tuple(weights), tuple(deadlines))
+
+
+def _line_solvers(line, data):
+    n = line.n
+    positions = tuple(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=3))))
+    k = data.draw(st.integers(1, 3))
+    crews = tuple(sorted(data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=3))))
+    return (
+        lambda inst: solve_fixed_faulty(inst, crews, 1),  # verdicts with witnesses
+        lambda inst: solve_fixed_start(inst, positions[0], collect_candidates=True),
+        lambda inst: solve_free_start(inst, positions, collect_candidates=True),
+        lambda inst: solve_fixed(inst, positions, collect_candidates=True),
+        lambda inst: solve_free(inst, k, collect_candidates=True),
+    )
+
+
+def _ring_solvers(ring, data):
+    positions = tuple(sorted(data.draw(st.sets(st.integers(0, ring.n - 1), min_size=1, max_size=3))))
+    k = data.draw(st.integers(1, 3))
+    crews = tuple(sorted(data.draw(st.lists(st.integers(0, ring.n - 1), min_size=2, max_size=3))))
+    return (
+        lambda inst: optimize_ring_fixed_faulty(inst, crews, 1),
+        lambda inst: solve_ring_fixed(inst, positions, collect_candidates=True),
+        lambda inst: solve_ring_free(inst, k, collect_candidates=True),
+    )
+
+
+@SETTINGS
+@given(lines(), factors, st.data())
+def test_scaling_a_line_scales_every_answer(line, c, data):
+    for solve in _line_solvers(line, data):
+        assert solve(line.scaled(c)) == solve(line).scaled(c)
+
+
+@SETTINGS
+@given(rings(), factors, st.data())
+def test_scaling_a_ring_scales_every_answer(ring, c, data):
+    for solve in _ring_solvers(ring, data):
+        assert solve(ring.scaled(c)) == solve(ring).scaled(c)
+
+
+def _mirror(line):
+    far = line.coordinates[-1]
+    return LineInstance(
+        tuple(far - x for x in reversed(line.coordinates)),
+        tuple(reversed(line.deadlines)),
+    )
+
+
+@SETTINGS
+@given(lines(), st.data())
+def test_mirroring_a_line_keeps_the_optimum(line, data):
+    n = line.n
+    mirrored = _mirror(line)
+    positions = tuple(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=3))))
+    flipped = tuple(sorted(n - 1 - p for p in positions))
+    k = data.draw(st.integers(1, 3))
+    pairs = (
+        (solve_fixed_start(line, positions[0]), solve_fixed_start(mirrored, n - 1 - positions[0])),
+        (solve_free_start(line, positions), solve_free_start(mirrored, flipped)),
+        (solve_fixed(line, positions), solve_fixed(mirrored, flipped)),
+        (solve_free(line, k), solve_free(mirrored, k)),
+    )
+    for verdict, twin in pairs:
+        assert verdict.feasible == twin.feasible
+        assert verdict.optimum == twin.optimum

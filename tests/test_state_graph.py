@@ -1,8 +1,13 @@
 import random
+from array import array
+from fractions import Fraction
 
-from support import random_line, random_ring
+import pytest
+
+from support import push_labels, random_line, random_ring
 from roversweep.exact import INFINITY
 from roversweep.instance import LineInstance, RingInstance
+from roversweep.single_robot import extract_trajectory, init_start, propagate
 from roversweep.state_graph import LEFT, RIGHT, StateGraph
 
 GOLDEN_LINE_DUMP = """\
@@ -63,7 +68,7 @@ def test_every_non_source_has_incoming_and_layers_are_consecutive():
                 assert g.layer_of(v) == lu + 1
                 assert w > 0
                 indeg[v] += 1
-            assert g.out_start[u + 1] - g.out_start[u] <= 2
+            assert len(list(g.arcs_from(u))) <= 2
         for v in range(g.n, g.node_count):
             assert indeg[v] >= 1
         assert max(indeg) <= 2
@@ -121,3 +126,73 @@ def test_ring_arc_weights_match_walk_distances():
                 else:
                     assert (pu - pv) % total == w % total
                 assert 0 < w
+
+
+def _assert_pull_equals_push(graph, deadlines, starts, window=None, lap=None):
+    labels = propagate(graph, init_start(graph, starts), deadlines, window=window)
+    ref_time, ref_parent = push_labels(graph, starts, deadlines, window)
+    assert labels.time == ref_time
+    assert list(labels.parent) == ref_parent
+    ref = init_start(graph, starts)
+    ref.time[:] = ref_time
+    ref.parent[:] = array("q", ref_parent)
+    for uid, t in enumerate(ref_time):
+        if t is INFINITY:
+            continue
+        waypoints = extract_trajectory(labels, uid)
+        assert waypoints == extract_trajectory(ref, uid)
+        root = uid
+        while ref_parent[root] >= 0:
+            root = ref_parent[root]
+        assert waypoints[0] == (0, graph.position(root))
+        assert waypoints[-1][0] == t
+        end = waypoints[-1][1] - graph.position(uid)
+        assert (end == 0) if lap is None else (end % lap == 0)
+        for (t0, x0), (t1, x1) in zip(waypoints, waypoints[1:]):
+            assert abs(x1 - x0) == t1 - t0 > 0
+
+
+def _ring_with_fraction_weights(rng, ring):
+    if rng.random() < 0.5:
+        return ring
+    weights = tuple(Fraction(w, rng.choice((1, 2, 3))) for w in ring.edge_weights)
+    return RingInstance(weights, ring.deadlines)
+
+
+@pytest.mark.parametrize("integral", [True, False])
+def test_pull_pass_equals_push_relaxation_on_lines(integral):
+    rng = random.Random(31 + integral)
+    for _ in range(100):
+        line = random_line(rng, max_n=9, deadline_prob=rng.choice((0, 0.5, 0.9)),
+                           integral=integral)
+        n = line.n
+        g = StateGraph.from_line(line)
+        _assert_pull_equals_push(g, line.deadlines, [rng.randrange(n)])
+        _assert_pull_equals_push(g, line.deadlines, sorted(rng.sample(range(n), rng.randint(1, n))))
+        lo = rng.randint(-1, n - 2)
+        hi = rng.randint(lo + 2, n)
+        _assert_pull_equals_push(g, line.deadlines, [rng.randint(lo + 1, hi - 1)], (lo, hi))
+        assert g.arc_count == sum(len(list(g.arcs_from(u))) for u in range(g.node_count))
+
+
+def test_pull_pass_equals_push_relaxation_on_rings():
+    rng = random.Random(37)
+    seen_equal_ends = seen_two = False
+    for _ in range(120):
+        ring = _ring_with_fraction_weights(
+            rng, random_ring(rng, max_n=9, deadline_prob=rng.choice((0, 0.5, 0.9))))
+        n = ring.n
+        g = StateGraph.from_ring(ring)
+        lap = ring.total
+        _assert_pull_equals_push(g, ring.deadlines, [rng.randrange(n)], lap=lap)
+        _assert_pull_equals_push(g, ring.deadlines, sorted(rng.sample(range(n), rng.randint(1, n))),
+                                 lap=lap)
+        k = rng.randint(2, n)
+        positions = sorted(rng.sample(range(n), k))
+        m = rng.randrange(k)
+        window = (positions[m - 1], positions[(m + 1) % k])
+        seen_equal_ends |= window[0] == window[1]
+        seen_two |= n == 2
+        _assert_pull_equals_push(g, ring.deadlines, [positions[m]], window, lap)
+        assert g.arc_count == sum(len(list(g.arcs_from(u))) for u in range(g.node_count))
+    assert seen_equal_ends and seen_two
