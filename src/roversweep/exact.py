@@ -165,12 +165,3 @@ def scale(x: ExactNumber, factor: Union[int, Fraction]) -> ExactNumber:
     if x is INFINITY:
         return INFINITY
     return simplify(x * factor)
-
-
-def halve(x: ExactNumber) -> ExactNumber:
-    """Exact division by two."""
-    if x is INFINITY:
-        return INFINITY
-    if isinstance(x, int):
-        return x // 2 if x % 2 == 0 else Fraction(x, 2)
-    return simplify(x / 2)

@@ -1,97 +1,112 @@
-"""Optimal line exploration by a team of reliable robots.
+"""Optimal exploration of lines and rings by a team of reliable robots.
 
 Fixed placements: per-robot interval times from one shared state graph
 (each robot restricted to the open window between its neighbours), then
-a prefix recurrence that picks the idle edge separating consecutive
-robots' work intervals.
+a prefix recurrence (``idle_edge_split``) that picks the idle edge
+separating consecutive robots' work intervals.  Rings cut one edge and
+run the same recurrence on the line that remains.
 
 Free placements: tables T[r][i][j] of optimal times for r freely placed
 robots, combined by robot-count doubling along the binary digits of k.
 Each combination step resolves min-over-splits of max(left, right) by
-binary search on the crossing point of the two monotone sequences, so a
-full table costs O(n^2 log n) instead of O(n^3).
+binary search on the crossing point of the two monotone sequences
+(``best_split``), so a full table costs O(n^2 log n) instead of O(n^3).
+Rings use the same tables with j read on the doubled node order
+i .. i+n-1, so a part may wrap past node n-1 (``TeamTables``).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Iterable, List, Optional
+from typing import Iterable, List, Sequence, Union
 
 from .exact import ExactNumber, INFINITY
-from .instance import LineInstance
+from .instance import LineInstance, RingInstance
 from .schedule import RobotTrack, Schedule, Verdict
 from .single_robot import (
     best_target,
     extract_trajectory,
     init_start,
-    interval_table,
     optimal_time,
     propagate,
 )
 from .state_graph import StateGraph
 
 
-def _split_scan(left_of, right_of, lo: int, hi: int) -> tuple:
-    """(value, split) minimizing max(left_of(k), right_of(k)) for k in [lo, hi].
+def best_split(row_a, rows_b, lo: int, hi: int, j: int) -> tuple:
+    """(value, split) minimizing max(row_a[s], rows_b[s + 1][j]) over lo <= s <= hi.
 
-    left_of must be nondecreasing and right_of nonincreasing over the
-    range; the minimum then sits where the sequences cross, found by
-    binary search.  Ties resolve to the smaller split.
+    row_a[s] is the left team's time on [i, s] and rows_b[s + 1][j] the
+    right team's time on [s + 1, j].  The first never decreases in s and
+    the second never increases, so the minimum sits where they cross,
+    found by binary search.  Ties go to the smaller split.
     """
-    a, b = lo, hi
-    while b - a > 1:
-        mid = (a + b) >> 1
-        if left_of(mid) < right_of(mid):
-            a = mid
+    while hi - lo > 1:
+        mid = (lo + hi) >> 1
+        if row_a[mid] < rows_b[mid + 1][j]:
+            lo = mid
         else:
-            b = mid
-    la, ra = left_of(a), right_of(a)
-    va = la if la >= ra else ra
-    if a == b:
-        return va, a
-    lb, rb = left_of(b), right_of(b)
-    vb = lb if lb >= rb else rb
-    if va <= vb:
-        return va, a
-    return vb, b
+            hi = mid
+    left, right = row_a[lo], rows_b[lo + 1][j]
+    value = left if left >= right else right
+    left, right = row_a[hi], rows_b[hi + 1][j]
+    other = left if left >= right else right
+    if other < value:
+        return other, hi
+    return value, lo
 
 
 def opt_time(table_a, r1: int, table_b, r2: int, i: int, j: int) -> ExactNumber:
     """Optimal time for r1+r2 robots on [i, j] given the two partial tables."""
-    return _opt_split(table_a, r1, table_b, r2, i, j)[0]
-
-
-def _opt_split(table_a, r1: int, table_b, r2: int, i: int, j: int) -> tuple:
-    if j - i + 1 <= r1 + r2:
-        return 0, None
-    # splits that starve either side below its robot count are dominated
-    lo = i + r1 - 1
-    hi = j - r2
-    return _split_scan(
-        lambda k: table_a[i][k],
-        lambda k: table_b[k + 1][j],
-        lo,
-        hi,
-    )
-
-
-def exhaustive_opt_time(table_a, r1, table_b, r2, i, j) -> ExactNumber:
-    """Reference split scan over every k (for cross-checking opt_time)."""
     if j - i + 1 <= r1 + r2:
         return 0
-    best = INFINITY
-    for k in range(i, j + 1):
-        left = table_a[i][k] if k >= i else 0
-        right = table_b[k + 1][j] if k + 1 <= j else 0
-        cand = max(left, right)
-        if cand < best:
-            best = cand
-    return best
+    # splits that starve either side below its robot count are dominated
+    return best_split(table_a[i], table_b, i + r1 - 1, j - r2, j)[0]
 
 
 # --------------------------------------------------------------------------
 # fixed initial positions
 # --------------------------------------------------------------------------
+
+
+def idle_edge_split(starts: Sequence[int], n: int, part_time) -> tuple:
+    """Best division of nodes 0..n-1 into consecutive parts, one per robot.
+
+    Robot r starts at node starts[r] (sorted, distinct) and explores the
+    part [m, j] holding its start in part_time(r, m, j); the edge before
+    each later part stays idle.  A prefix recurrence over the right end
+    of the last part gives (optimum, [(r, m, j), ...] from left to
+    right), or (INFINITY, None) when no division meets the deadlines.
+    """
+    prefix: list = [INFINITY] * n
+    choice: list = [None] * n
+    for j in range(n):
+        r = bisect_right(starts, j)
+        if r == 0:
+            continue
+        best = INFINITY
+        best_m = None
+        for m in range(starts[r - 2] + 1 if r >= 2 else 0, starts[r - 1] + 1):
+            left = 0 if m == 0 else prefix[m - 1]
+            if left is INFINITY:
+                continue
+            right = part_time(r - 1, m, j)
+            cand = left if left >= right else right
+            if cand < best:
+                best = cand
+                best_m = m
+        prefix[j] = best
+        choice[j] = best_m
+    if prefix[n - 1] is INFINITY:
+        return INFINITY, None
+    parts = []
+    j = n - 1
+    while j >= 0:
+        m = choice[j]
+        parts.append((bisect_right(starts, j) - 1, m, j))
+        j = m - 1
+    parts.reverse()
+    return prefix[n - 1], parts
 
 
 def solve_fixed(
@@ -127,27 +142,7 @@ def solve_fixed(
             return INFINITY
         return optimal_time(labels, i, j)
 
-    prefix: list = [INFINITY] * n
-    choice: list = [None] * n
-    for j in range(n):
-        r = bisect_right(positions, j)
-        if r == 0:
-            continue
-        m_lo = positions[r - 2] + 1 if r >= 2 else 0
-        m_hi = positions[r - 1]
-        best = INFINITY
-        best_m = None
-        for m in range(m_lo, m_hi + 1):
-            left = 0 if m == 0 else prefix[m - 1]
-            if left is INFINITY:
-                continue
-            right = robot_time(r - 1, m, j)
-            cand = left if left >= right else right
-            if cand < best:
-                best = cand
-                best_m = m
-        prefix[j] = best
-        choice[j] = best_m
+    optimum, parts = idle_edge_split(positions, n, robot_time)
 
     candidates = None
     if collect_candidates:
@@ -156,28 +151,19 @@ def solve_fixed(
             vals.update(labels.finite_values())
         candidates = tuple(sorted(vals))
 
-    if prefix[n - 1] is INFINITY:
+    if parts is None:
         return Verdict(feasible=False, optimum=INFINITY, candidates=candidates)
 
-    # read back the idle edges and per-robot trajectories
-    segments: List[tuple] = []
-    j = n - 1
-    while j >= 0:
-        r = bisect_right(positions, j)
-        m = choice[j]
-        segments.append((r - 1, m, j))
-        j = m - 1
-    segments.reverse()
     tracks = []
     idle = []
-    for robot, i, j in segments:
+    for robot, i, j in parts:
         labels = forests[robot][0]
         tracks.append(RobotTrack(extract_trajectory(labels, best_target(labels, i, j))))
         if i > 0:
             idle.append((i - 1, i))
     return Verdict(
         feasible=True,
-        optimum=prefix[n - 1],
+        optimum=optimum,
         schedule=Schedule(kind="line", tracks=tuple(tracks)),
         idle_edges=tuple(idle),
         candidates=candidates,
@@ -189,105 +175,119 @@ def solve_fixed(
 # --------------------------------------------------------------------------
 
 
-class FreeSolve:
-    """Tables T[r] plus the composition history needed to rebuild schedules."""
+class TeamTables:
+    """Tables T[r][i][j] of optimal times for r freely placed robots on [i, j].
 
-    __slots__ = ("line", "k", "base", "tables", "parts")
+    On a line, row i holds j = 0 .. n-1, with zeros below i.  On a ring, j
+    runs on the doubled node order: row i holds j = i .. i+n-1 (node j mod
+    n), with zeros below i, and each table carries n more rows, row i+n
+    being row i moved n places right, so a part that starts past node n-1
+    reads like any other.  One robot's part is never the whole ring, so
+    ring rows of T[1] stop at j = i+n-2.  The tables on the doubling path
+    to k are kept with the split that made each one, to rebuild schedules.
+    """
 
-    def __init__(self, line: LineInstance, k: int):
+    __slots__ = ("n", "k", "ring", "positions", "labels", "tables", "parts")
+
+    def __init__(self, topology: Union[LineInstance, RingInstance], k: int):
         if k < 1:
             raise ValueError("need at least one robot")
-        self.line = line
+        n = self.n = topology.n
         self.k = k
-        n = line.n
-        self.base = interval_table(line, range(n))
-        t1 = [[self.base.get(i, j) if j >= i else 0 for j in range(n)] for i in range(n)]
-        self.tables = {1: t1}
+        self.ring = isinstance(topology, RingInstance)
+        if self.ring:
+            graph = StateGraph.from_ring(topology)
+            self.positions = topology.arc_positions()
+        else:
+            graph = StateGraph.from_line(topology)
+            self.positions = topology.coordinates
+        self.labels = propagate(graph, init_start(graph, range(n)), topology.deadlines)
+        self.tables = {1: self._doubled(self._one_robot())}
         self.parts = {}
-        if k == 1:
-            return
         b = k.bit_length() - 1
         for m in range(1, b + 1):
             half = 1 << (m - 1)
-            self.tables[1 << m] = self._combine(half, half)
-            self.parts[1 << m] = (half, half)
+            self._combine(half, half)
         r = 1 << b
         for m in range(1, b + 1):
             if (k >> (b - m)) & 1:
                 p = 1 << (b - m)
-                total = p + r
-                self.tables[total] = self._combine(p, r)
-                self.parts[total] = (p, r)
-                r = total
+                self._combine(p, r)
+                r += p
+
+    def _one_robot(self) -> list:
+        """T[1] read off the label pass: per stretch the cheaper end, ties to L."""
+        n = self.n
+        time = self.labels.time
+        rows = [[0] * (i + n - 1 if self.ring else n) for i in range(n)]
+        for i in range(n):
+            rows[i][i] = time[i]
+        for layer in range(1, n - 1 if self.ring else n):
+            ids = self.labels.graph.layer_ids(layer)
+            pairs = time[ids.start:ids.stop]
+            for i, (tl, tr) in enumerate(zip(pairs[0::2], pairs[1::2])):
+                rows[i][i + layer] = tl if tl <= tr else tr
+        return rows
+
+    def _doubled(self, rows: list) -> list:
+        if not self.ring:
+            return rows
+        pad = [0] * self.n
+        return rows + [pad + row for row in rows]
 
     def _combine(self, r1: int, r2: int):
         a = self.tables[r1]
-        bt = self.tables[r2]
-        n = self.line.n
-        out = [[0] * n for _ in range(n)]
-        rsum = r1 + r2
+        rows_b = self.tables[r2]
+        n = self.n
+        out = []
         for i in range(n):
-            ai = a[i]
-            row = out[i]
-            for j in range(i + rsum, n):
-                lo = i + r1 - 1
-                hi = j - r2
-                x, y = lo, hi
-                while y - x > 1:
-                    mid = (x + y) >> 1
-                    if ai[mid] < bt[mid + 1][j]:
-                        x = mid
-                    else:
-                        y = mid
-                lx, rx = ai[x], bt[x + 1][j]
-                vx = lx if lx >= rx else rx
-                if x != y:
-                    ly, ry = ai[y], bt[y + 1][j]
-                    vy = ly if ly >= ry else ry
-                    if vy < vx:
-                        vx = vy
-                row[j] = vx
-        return out
+            end = i + n if self.ring else n
+            row_a = a[i]
+            row = [0] * end
+            for j in range(i + r1 + r2, end):
+                row[j] = best_split(row_a, rows_b, i + r1 - 1, j - r2, j)[0]
+            out.append(row)
+        self.tables[r1 + r2] = self._doubled(out)
+        self.parts[r1 + r2] = (r1, r2)
 
-    def value(self, i: int, j: int, r: Optional[int] = None) -> ExactNumber:
-        r = self.k if r is None else r
-        if j - i + 1 <= r:
+    def value(self, i: int, j: int) -> ExactNumber:
+        """Optimal time for all k robots on [i, j]."""
+        if j - i + 1 <= self.k:
             return 0
-        return self.tables[r][i][j]
+        return self.tables[self.k][i][j]
 
     def rebuild_tracks(self, i: int, j: int, r: int, out: list):
         """Append one track per robot covering [i, j] with r robots."""
-        if j < i:
-            return
+        n = self.n
+        pos = self.positions
         count = j - i + 1
-        x = self.line.coordinates
         if count <= r:
             for v in range(i, j + 1):
-                out.append(RobotTrack(((0, x[v]),)))
+                out.append(RobotTrack(((0, pos[v % n]),)))
             for _ in range(r - count):
-                out.append(RobotTrack(((0, x[i]),)))
+                out.append(RobotTrack(((0, pos[i % n]),)))
             return
         if r == 1:
-            labels = self.base.labels
-            out.append(RobotTrack(extract_trajectory(labels, best_target(labels, i, j))))
+            labels = self.labels
+            out.append(RobotTrack(extract_trajectory(labels, best_target(labels, i % n, j % n))))
             return
         r1, r2 = self.parts[r]
-        _, split = _opt_split(self.tables[r1], r1, self.tables[r2], r2, i, j)
+        _, split = best_split(self.tables[r1][i], self.tables[r2], i + r1 - 1, j - r2, j)
         self.rebuild_tracks(i, split, r1, out)
         self.rebuild_tracks(split + 1, j, r2, out)
 
     def all_finite_values(self) -> set:
         vals = {0}
-        vals.update(self.base.labels.finite_values())
+        vals.update(self.labels.finite_values())
         for table in self.tables.values():
-            for row in table:
+            for row in table[:self.n]:
                 vals.update(v for v in row if v is not INFINITY)
         return vals
 
 
 def solve_free(line: LineInstance, k: int, collect_candidates: bool = False) -> Verdict:
     """Optimal exploration time and placement for k freely placed robots."""
-    solver = FreeSolve(line, k)
+    solver = TeamTables(line, k)
     n = line.n
     optimum = solver.value(0, n - 1)
     candidates = tuple(sorted(solver.all_finite_values())) if collect_candidates else None
@@ -301,8 +301,3 @@ def solve_free(line: LineInstance, k: int, collect_candidates: bool = False) -> 
         schedule=Schedule(kind="line", tracks=tuple(tracks)),
         candidates=candidates,
     )
-
-
-def free_tables(line: LineInstance, k: int) -> dict:
-    """The T[r] tables computed on the doubling path to k (for validation)."""
-    return FreeSolve(line, k).tables

@@ -411,38 +411,6 @@ def brute_solve_alt(spec: ProblemSpec) -> Verdict:
     return Verdict(feasible=True, optimum=best[0])
 
 
-def naive_team_tables(line: LineInstance, k_max: int) -> dict:
-    """Reference DP for free-placement teams: split on every index, O(k n^3).
-
-    Returns tables[r][i][j] = optimal time for r freely placed robots to
-    explore [i, j], built by peeling one robot off the right side.
-    """
-    from .single_robot import interval_table  # local import: oracle stays the checker
-
-    n = line.n
-    base = interval_table(line, range(n))
-    t1 = [[base.get(i, j) if j >= i else 0 for j in range(n)] for i in range(n)]
-    tables = {1: t1}
-    for r in range(2, k_max + 1):
-        prev = tables[r - 1]
-        cur = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                if j - i + 1 <= r:
-                    cur[i][j] = 0
-                    continue
-                best = INFINITY
-                for m in range(i, j + 1):
-                    left = prev[i][m]
-                    right = t1[m + 1][j] if m + 1 <= j else 0
-                    cand = max(left, right)
-                    if cand < best:
-                        best = cand
-                cur[i][j] = best
-        tables[r] = cur
-    return tables
-
-
 # --------------------------------------------------------------------------
 # schedule verification
 # --------------------------------------------------------------------------

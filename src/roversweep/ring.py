@@ -1,11 +1,13 @@
 """Exploration of rings: fixed and free placements, with and without crashes.
 
-Fixed reliable placement: some edge between the closest pair of adjacent
-robots is idle in an optimal solution, so the ring is cut at each
-candidate edge and the line combination recurrence is re-run; per-robot
+Rings reuse the line machinery of ``multi_line``.  Fixed reliable
+placement: some edge between the closest pair of adjacent robots is idle
+in an optimal solution, so the ring is cut at each candidate edge and
+the line's idle-edge prefix recurrence runs on what remains; per-robot
 segment times come from a single state-graph pass per robot, restricted
 to the window between its neighbours, so the cut loop only repeats the
-cheap combination phase.
+cheap recurrence.  Free reliable placement: the line's doubling tables,
+with parts read on the doubled node order so that they may wrap.
 
 Crash tolerance with free placement reduces to exploring the ring made
 of f+1 concatenated copies: visiting every copy once is the same as
@@ -25,7 +27,6 @@ here.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence
 
@@ -40,6 +41,7 @@ from .fault_line import (
     witnessed,
 )
 from .instance import FREE, ProblemSpec, RingInstance, RobotPlacement
+from .multi_line import TeamTables, idle_edge_split
 from .oracle import Caps, verify_schedule
 from .schedule import RobotTrack, Schedule, Verdict
 from .single_robot import (
@@ -65,6 +67,34 @@ def _segment_inside(n: int, i: int, j: int, lo: int, hi: int) -> bool:
 # --------------------------------------------------------------------------
 
 
+def _one_robot_lap(ring: RingInstance, starts: Iterable[int], collect_candidates: bool) -> Verdict:
+    """One robot exploring the whole ring from the best of ``starts``.
+
+    One label pass; the optimum is the cheapest full-coverage state.
+    """
+    graph = StateGraph.from_ring(ring)
+    labels = propagate(graph, init_start(graph, starts), ring.deadlines)
+    candidates = tuple(sorted(set(labels.finite_values()))) if collect_candidates else None
+    best_uid = None
+    best_time = INFINITY
+    for uid in graph.terminal_ids():
+        t = labels.time[uid]
+        if t < best_time:
+            best_time, best_uid = t, uid
+    if best_uid is None:
+        return Verdict(feasible=False, optimum=INFINITY, candidates=candidates)
+    return Verdict(
+        feasible=True,
+        optimum=best_time,
+        schedule=Schedule(
+            kind="ring",
+            tracks=(RobotTrack(extract_trajectory(labels, best_uid)),),
+            circumference=ring.total,
+        ),
+        candidates=candidates,
+    )
+
+
 def solve_ring_fixed(
     ring: RingInstance,
     positions: Iterable[int],
@@ -78,31 +108,10 @@ def solve_ring_fixed(
     if any(not 0 <= p < n for p in positions):
         raise ValueError("robot position out of range")
     k = len(positions)
-    graph = StateGraph.from_ring(ring)
-
     if k == 1:
-        labels = init_start(graph, [positions[0]])
-        propagate(graph, labels, ring.deadlines)
-        candidates = tuple(sorted(set(labels.finite_values()))) if collect_candidates else None
-        best_uid = None
-        best_time = INFINITY
-        for uid in graph.terminal_ids():
-            t = labels.time[uid]
-            if t < best_time:
-                best_time, best_uid = t, uid
-        if best_uid is None:
-            return Verdict(feasible=False, optimum=INFINITY, candidates=candidates)
-        return Verdict(
-            feasible=True,
-            optimum=best_time,
-            schedule=Schedule(
-                kind="ring",
-                tracks=(RobotTrack(extract_trajectory(labels, best_uid)),),
-                circumference=ring.total,
-            ),
-            candidates=candidates,
-        )
+        return _one_robot_lap(ring, positions, collect_candidates)
 
+    graph = StateGraph.from_ring(ring)
     forests: List[tuple] = []
     for m, p in enumerate(positions):
         lo = positions[(m - 1) % k]
@@ -111,12 +120,6 @@ def solve_ring_fixed(
         propagate(graph, labels, ring.deadlines, window=(lo, hi))
         forests.append((labels, lo, hi))
 
-    def robot_time(m: int, i: int, j: int):
-        labels, lo, hi = forests[m]
-        if not _segment_inside(n, i, j, lo, hi):
-            return INFINITY
-        return optimal_time(labels, i, j)
-
     # candidate idle edges live between the closest adjacent pair (fewest edges)
     gaps = [((positions[(m + 1) % k] - positions[m]) % n, m) for m in range(k)]
     gap, pick = min(gaps)
@@ -124,41 +127,23 @@ def solve_ring_fixed(
 
     best = (INFINITY, None, None)  # optimum, cut edge, segment list
     for cut in cut_edges:
+        # the line left by the cut runs ccw from node head = cut + 1
         head = (cut + 1) % n
         order = [(head + t) % n for t in range(n)]
         line_pos = sorted(((p - head) % n, m) for m, p in enumerate(positions))
-        qs = [q for q, _ in line_pos]
-        prefix: list = [INFINITY] * n
-        choice: list = [None] * n
-        for j in range(n):
-            r = bisect_right(qs, j)
-            if r == 0:
-                continue
-            m_lo = qs[r - 2] + 1 if r >= 2 else 0
-            m_hi = qs[r - 1]
-            robot = line_pos[r - 1][1]
-            b = INFINITY
-            bm = None
-            for m in range(m_lo, m_hi + 1):
-                left = 0 if m == 0 else prefix[m - 1]
-                if left is INFINITY:
-                    continue
-                right = robot_time(robot, order[m], order[j])
-                cand = left if left >= right else right
-                if cand < b:
-                    b, bm = cand, m
-            prefix[j] = b
-            choice[j] = bm
-        if prefix[n - 1] < best[0]:
-            segments = []
-            j = n - 1
-            while j >= 0:
-                r = bisect_right(qs, j)
-                m = choice[j]
-                segments.append((line_pos[r - 1][1], order[m], order[j]))
-                j = m - 1
-            segments.reverse()
-            best = (prefix[n - 1], cut, segments)
+        robots = [m for _, m in line_pos]
+
+        def part_time(r: int, i: int, j: int):
+            labels, lo, hi = forests[robots[r]]
+            i, j = order[i], order[j]
+            if not _segment_inside(n, i, j, lo, hi):
+                return INFINITY
+            return optimal_time(labels, i, j)
+
+        value, parts = idle_edge_split([q for q, _ in line_pos], n, part_time)
+        if value < best[0]:
+            segments = [(robots[r], order[i], order[j]) for r, i, j in parts]
+            best = (value, cut, segments)
 
     candidates = None
     if collect_candidates:
@@ -191,156 +176,22 @@ def solve_ring_fixed(
 # --------------------------------------------------------------------------
 
 
-class RingFreeSolve:
-    """Tables T[r][start][length-1] over counterclockwise segments."""
-
-    __slots__ = ("ring", "k", "graph", "labels", "tables", "parts")
-
-    def __init__(self, ring: RingInstance, k: int):
-        if k < 1:
-            raise ValueError("need at least one robot")
-        self.ring = ring
-        self.k = k
-        n = ring.n
-        self.graph = StateGraph.from_ring(ring)
-        self.labels = init_start(self.graph, range(n))
-        propagate(self.graph, self.labels, ring.deadlines)
-        t1 = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for ell in range(n - 1):
-                t1[i][ell] = optimal_time(self.labels, i, (i + ell) % n)
-            # full-coverage entries are never read through the tables
-        self.tables = {1: t1}
-        self.parts = {}
-        if k == 1:
-            return
-        b = k.bit_length() - 1
-        for m in range(1, b + 1):
-            half = 1 << (m - 1)
-            self.tables[1 << m] = self._combine(half, half)
-            self.parts[1 << m] = (half, half)
-        r = 1 << b
-        for m in range(1, b + 1):
-            if (k >> (b - m)) & 1:
-                p = 1 << (b - m)
-                self.tables[p + r] = self._combine(p, r)
-                self.parts[p + r] = (p, r)
-                r = p + r
-
-    def _combine(self, r1: int, r2: int):
-        a = self.tables[r1]
-        bt = self.tables[r2]
-        n = self.ring.n
-        rsum = r1 + r2
-        out = [[0] * n for _ in range(n)]
-        for i in range(n):
-            ai = a[i]
-            row = out[i]
-            for ell in range(rsum, n):
-                lo = r1 - 1
-                hi = ell - r2
-                x, y = lo, hi
-                while y - x > 1:
-                    mid = (x + y) >> 1
-                    if ai[mid] < bt[(i + mid + 1) % n][ell - mid - 1]:
-                        x = mid
-                    else:
-                        y = mid
-                lx, rx = ai[x], bt[(i + x + 1) % n][ell - x - 1]
-                vx = lx if lx >= rx else rx
-                if x != y:
-                    ly, ry = ai[y], bt[(i + y + 1) % n][ell - y - 1]
-                    vy = ly if ly >= ry else ry
-                    if vy < vx:
-                        vx = vy
-                row[ell] = vx
-        return out
-
-    def value(self, i: int, ell: int, r: Optional[int] = None) -> ExactNumber:
-        r = self.k if r is None else r
-        if ell + 1 <= r:
-            return 0
-        return self.tables[r][i][ell]
-
-    def rebuild_tracks(self, i: int, ell: int, r: int, out: list):
-        pos = self.ring.arc_positions()
-        n = self.ring.n
-        count = ell + 1
-        if count <= r:
-            for t in range(count):
-                out.append(RobotTrack(((0, pos[(i + t) % n]),)))
-            for _ in range(r - count):
-                out.append(RobotTrack(((0, pos[i]),)))
-            return
-        if r == 1:
-            target = best_target(self.labels, i, (i + ell) % n)
-            out.append(RobotTrack(extract_trajectory(self.labels, target)))
-            return
-        r1, r2 = self.parts[r]
-        a = self.tables[r1]
-        bt = self.tables[r2]
-        lo, hi = r1 - 1, ell - r2
-        x, y = lo, hi
-        while y - x > 1:
-            mid = (x + y) >> 1
-            if a[i][mid] < bt[(i + mid + 1) % n][ell - mid - 1]:
-                x = mid
-            else:
-                y = mid
-        lx, rx = a[i][x], bt[(i + x + 1) % n][ell - x - 1]
-        vx = lx if lx >= rx else rx
-        split = x
-        if x != y:
-            ly, ry = a[i][y], bt[(i + y + 1) % n][ell - y - 1]
-            vy = ly if ly >= ry else ry
-            if vy < vx:
-                split = y
-        self.rebuild_tracks(i, split, r1, out)
-        self.rebuild_tracks((i + split + 1) % n, ell - split - 1, r2, out)
-
-
 def solve_ring_free(ring: RingInstance, k: int, collect_candidates: bool = False) -> Verdict:
     """Optimal ring exploration time for k freely placed robots."""
     n = ring.n
-    solver = RingFreeSolve(ring, k)
-    candidates = None
-    if collect_candidates:
-        vals = {0}
-        vals.update(solver.labels.finite_values())
-        for tbl in solver.tables.values():
-            for row in tbl:
-                vals.update(v for v in row if v is not None and v is not INFINITY)
-        candidates = tuple(sorted(vals))
-
     if k == 1:
-        best_uid = None
-        best_time = INFINITY
-        for uid in solver.graph.terminal_ids():
-            t = solver.labels.time[uid]
-            if t < best_time:
-                best_time, best_uid = t, uid
-        if best_uid is None:
-            return Verdict(feasible=False, optimum=INFINITY, candidates=candidates)
-        return Verdict(
-            feasible=True,
-            optimum=best_time,
-            schedule=Schedule(
-                kind="ring",
-                tracks=(RobotTrack(extract_trajectory(solver.labels, best_uid)),),
-                circumference=ring.total,
-            ),
-            candidates=candidates,
-        )
-
+        return _one_robot_lap(ring, range(n), collect_candidates)
+    solver = TeamTables(ring, k)
+    candidates = tuple(sorted(solver.all_finite_values())) if collect_candidates else None
     best_i, best_val = None, INFINITY
     for i in range(n):
-        val = solver.value(i, n - 1)
+        val = solver.value(i, i + n - 1)
         if val < best_val:
             best_val, best_i = val, i
     if best_i is None:
         return Verdict(feasible=False, optimum=INFINITY, candidates=candidates)
     tracks: list = []
-    solver.rebuild_tracks(best_i, n - 1, k, tracks)
+    solver.rebuild_tracks(best_i, best_i + n - 1, k, tracks)
     return Verdict(
         feasible=True,
         optimum=best_val,

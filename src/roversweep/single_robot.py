@@ -123,36 +123,16 @@ def optimal_time(labels: TimeLabels, i: int, j: int) -> ExactNumber:
     return INFINITY if uid is None else labels.time[uid]
 
 
-class TimeTable:
-    """Optimal exploration times of every stretch, from one label pass."""
-
-    __slots__ = ("labels", "n", "kind")
-
-    def __init__(self, labels: TimeLabels):
-        self.labels = labels
-        self.n = labels.graph.n
-        self.kind = labels.graph.kind
-
-    def get(self, i: int, j: int) -> ExactNumber:
-        return optimal_time(self.labels, i, j)
-
-    def pairs(self):
-        if self.kind == "line":
-            return ((i, j) for i in range(self.n) for j in range(i, self.n))
-        return ((i, j) for i in range(self.n) for j in range(self.n))
-
-
-def interval_table(line: LineInstance, allowed_starts: Iterable[int]) -> TimeTable:
+def interval_table(line: LineInstance, allowed_starts: Iterable[int]) -> TimeLabels:
     """Times to explore every sub-interval from the best start inside it.
 
     A single pass with all permitted starts zeroed yields, at each state
     [i, j], the optimum over starting nodes within [i, j] that are
-    allowed.  Stretches containing no allowed start stay at INFINITY.
+    allowed.  Stretches containing no allowed start stay at INFINITY;
+    read a stretch with ``optimal_time``.
     """
     graph = StateGraph.from_line(line)
-    labels = init_start(graph, allowed_starts)
-    propagate(graph, labels, line.deadlines)
-    return TimeTable(labels)
+    return propagate(graph, init_start(graph, allowed_starts), line.deadlines)
 
 
 def extract_trajectory(labels: TimeLabels, target: int) -> tuple:
@@ -229,8 +209,7 @@ def solve_free_start(
     """Optimal full-line exploration with the start chosen from ``allowed``."""
     if allowed is None:
         allowed = range(line.n)
-    table = interval_table(line, allowed)
-    labels = table.labels
+    labels = interval_table(line, allowed)
     uid = best_target(labels, 0, line.n - 1)
     candidates = tuple(sorted(set(labels.finite_values()))) if collect_candidates else None
     if uid is None:

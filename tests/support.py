@@ -1,11 +1,13 @@
-"""Shared random-instance generators for the test suites (all seeded)."""
+"""Shared seeded instance generators and slow reference implementations
+for the test suites."""
 
 from fractions import Fraction
 
 from roversweep.exact import INFINITY
 from roversweep.instance import LineInstance, RingInstance, StarInstance
+from roversweep.multi_line import TeamTables
 from roversweep.ring import replicate_ring
-from roversweep.single_robot import init_start, optimal_time, propagate
+from roversweep.single_robot import init_start, interval_table, optimal_time, propagate
 from roversweep.state_graph import StateGraph
 
 
@@ -145,3 +147,52 @@ def push_labels(graph, starts, deadlines, window=None):
                 time[v] = t
                 parent[v] = u
     return time, parent
+
+
+def free_tables(line, k):
+    """The T[r] tables computed on the doubling path to k."""
+    return TeamTables(line, k).tables
+
+
+def exhaustive_opt_time(table_a, r1, table_b, r2, i, j):
+    """Reference split scan over every k (for cross-checking opt_time)."""
+    if j - i + 1 <= r1 + r2:
+        return 0
+    best = INFINITY
+    for k in range(i, j + 1):
+        left = table_a[i][k] if k >= i else 0
+        right = table_b[k + 1][j] if k + 1 <= j else 0
+        cand = max(left, right)
+        if cand < best:
+            best = cand
+    return best
+
+
+def naive_team_tables(line, k_max):
+    """Reference DP for free-placement teams: split on every index, O(k n^3).
+
+    Returns tables[r][i][j] = optimal time for r freely placed robots to
+    explore [i, j], built by peeling one robot off the right side.
+    """
+    n = line.n
+    base = interval_table(line, range(n))
+    t1 = [[optimal_time(base, i, j) if j >= i else 0 for j in range(n)] for i in range(n)]
+    tables = {1: t1}
+    for r in range(2, k_max + 1):
+        prev = tables[r - 1]
+        cur = [[None] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                if j - i + 1 <= r:
+                    cur[i][j] = 0
+                    continue
+                best = INFINITY
+                for m in range(i, j + 1):
+                    left = prev[i][m]
+                    right = t1[m + 1][j] if m + 1 <= j else 0
+                    cand = max(left, right)
+                    if cand < best:
+                        best = cand
+                cur[i][j] = best
+        tables[r] = cur
+    return tables

@@ -11,7 +11,7 @@ import itertools
 import random
 import time
 
-from support import random_line, random_ring, random_star, fixed_positions
+from support import fixed_positions, naive_team_tables, random_line, random_ring, random_star
 from roversweep.exact import INFINITY
 from roversweep.fault_line import solve_free_faulty
 from roversweep.instance import (
@@ -26,7 +26,6 @@ from roversweep.multi_line import solve_fixed, solve_free
 from roversweep.oracle import (
     Caps,
     enumerate_walks,
-    naive_team_tables,
     verify_schedule,
 )
 from roversweep.reductions import (

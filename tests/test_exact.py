@@ -7,7 +7,6 @@ from roversweep.exact import (
     INFINITY,
     decimal_str,
     format_number,
-    halve,
     parse_number,
     simplify,
 )
@@ -49,13 +48,6 @@ def test_infinity_arithmetic():
         3 - INFINITY
 
 
-def test_halve():
-    assert halve(4) == 2
-    assert halve(3) == Fraction(3, 2)
-    assert halve(Fraction(1, 2)) == Fraction(1, 4)
-    assert halve(INFINITY) is INFINITY
-
-
 def test_decimal_str():
     assert decimal_str(Fraction(1, 3)).startswith("0.333")
     assert decimal_str(INFINITY) == "inf"
@@ -77,4 +69,3 @@ def test_arithmetic_matches_big_integer_reference():
         assert (a < b) == (p1 * q2 < p2 * q1)
         assert min(a, b) == (a if p1 * q2 <= p2 * q1 else b)
         assert max(a, b) == (b if p1 * q2 <= p2 * q1 else a)
-        assert halve(a) * 2 == a

@@ -3,18 +3,18 @@ import random
 
 import pytest
 
-from support import random_line, fixed_positions
+from support import (
+    exhaustive_opt_time,
+    fixed_positions,
+    free_tables,
+    naive_team_tables,
+    random_line,
+)
 from roversweep.exact import INFINITY
 from roversweep.instance import FIXED, LineInstance, ProblemSpec, RobotPlacement
-from roversweep.multi_line import (
-    exhaustive_opt_time,
-    free_tables,
-    opt_time,
-    solve_fixed,
-    solve_free,
-)
-from roversweep.oracle import enumerate_walks, naive_team_tables, verify_schedule
-from roversweep.single_robot import solve_fixed_start
+from roversweep.multi_line import TeamTables, opt_time, solve_fixed, solve_free
+from roversweep.oracle import enumerate_walks, verify_schedule
+from roversweep.single_robot import interval_table, optimal_time, solve_fixed_start
 
 UNIT4 = LineInstance((0, 1, 2, 3), (INFINITY,) * 4)
 UNIT5 = LineInstance((0, 1, 2, 3, 4), (INFINITY,) * 5)
@@ -128,6 +128,26 @@ def test_opt_time_agrees_with_exhaustive_scan():
                 for r1, r2 in pairs:
                     assert opt_time(tables[r1], r1, tables[r2], r2, i, j) == \
                         exhaustive_opt_time(tables[r1], r1, tables[r2], r2, i, j)
+
+
+def test_every_table_cell_is_the_best_split():
+    # int and Fraction lines, finite and infinite deadlines, every table up to k = 7
+    rng = random.Random(88)
+    for trial in range(60):
+        line = random_line(rng, max_n=10, integral=trial % 2 == 0)
+        n = line.n
+        labels = interval_table(line, range(n))
+        for k in (5, 6, 7):
+            solver = TeamTables(line, k)
+            tables = solver.tables
+            assert tables[1] == [
+                [optimal_time(labels, i, j) if j >= i else 0 for j in range(n)] for i in range(n)
+            ]
+            for r, (r1, r2) in solver.parts.items():
+                for i in range(n):
+                    for j in range(i, n):
+                        want = exhaustive_opt_time(tables[r1], r1, tables[r2], r2, i, j)
+                        assert tables[r][i][j] == want, (line, r, i, j)
 
 
 def test_free_examples():

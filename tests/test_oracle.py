@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from support import random_line, random_ring, fixed_positions
+from support import fixed_positions, naive_team_tables, random_line, random_ring
 from roversweep.exact import INFINITY
 from roversweep.instance import (
     FIXED,
@@ -19,7 +19,6 @@ from roversweep.oracle import (
     brute_solve,
     brute_solve_alt,
     enumerate_walks,
-    naive_team_tables,
     verify_schedule,
 )
 

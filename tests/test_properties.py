@@ -1,4 +1,5 @@
-"""Property tests: the answers scale with the instance and ignore mirroring."""
+"""Property tests: the answers scale with the instance and ignore mirroring
+and rotation."""
 
 from fractions import Fraction
 
@@ -106,6 +107,38 @@ def test_mirroring_a_line_keeps_the_optimum(line, data):
         (solve_free_start(line, positions), solve_free_start(mirrored, flipped)),
         (solve_fixed(line, positions), solve_fixed(mirrored, flipped)),
         (solve_free(line, k), solve_free(mirrored, k)),
+    )
+    for verdict, twin in pairs:
+        assert verdict.feasible == twin.feasible
+        assert verdict.optimum == twin.optimum
+
+
+def _rotate(ring, s):
+    """The ring with node v renamed (v + s) mod n, edges and deadlines alike."""
+    n = ring.n
+    return RingInstance(
+        tuple(ring.edge_weights[(v - s) % n] for v in range(n)),
+        tuple(ring.deadlines[(v - s) % n] for v in range(n)),
+    )
+
+
+@SETTINGS
+@given(rings(), st.data())
+def test_rotating_a_ring_keeps_the_optimum(ring, data):
+    n = ring.n
+    s = data.draw(st.integers(1, n - 1))
+    rotated = _rotate(ring, s)
+    positions = tuple(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=3))))
+    crews = tuple(sorted(data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=3))))
+    k = data.draw(st.integers(1, 4))
+
+    def moved(nodes):
+        return tuple(sorted((p + s) % n for p in nodes))
+
+    pairs = (
+        (solve_ring_fixed(ring, positions), solve_ring_fixed(rotated, moved(positions))),
+        (solve_ring_free(ring, k), solve_ring_free(rotated, k)),
+        (optimize_ring_fixed_faulty(ring, crews, 1), optimize_ring_fixed_faulty(rotated, moved(crews), 1)),
     )
     for verdict, twin in pairs:
         assert verdict.feasible == twin.feasible

@@ -14,10 +14,12 @@ from roversweep.instance import (
     RingInstance,
     RobotPlacement,
 )
+from roversweep.multi_line import TeamTables
 from roversweep.multi_line import solve_fixed as line_solve_fixed
 from roversweep.multi_line import solve_free as line_solve_free
 from roversweep.fault_line import profile_plans
 from roversweep.oracle import CapExceeded, brute_solve, enumerate_walks, verify_schedule
+from roversweep.single_robot import optimal_time
 from roversweep.ring import (
     _walk_plans,
     decide_ring_fixed_faulty,
@@ -109,6 +111,47 @@ def test_ring_free_matches_all_cut_minimum():
             line, _ = cut_to_line(ring, cut)
             want = min(want, line_solve_free(line, k).optimum)
         assert got == want, (ring, k)
+
+
+def test_every_ring_table_cell_is_the_best_split():
+    """Ring tables read j on the doubled node order; every cell, including
+    those whose right part starts past node n - 1, must be the minimum over
+    all splits, each part read from the first n rows only."""
+    rng = random.Random(64)
+    wrapped = 0
+    for trial in range(60):
+        ring = random_ring(rng, min_n=3, max_n=10)
+        if trial % 2:
+            ring = ring.scaled(Fraction(2, 3))
+        n = ring.n
+
+        def cell(tables, r, i, j):
+            if j - i + 1 <= r:
+                return 0
+            shift = i - i % n
+            return tables[r][i - shift][j - shift]
+
+        for k in (5, 6, 7):
+            solver = TeamTables(ring, k)
+            tables = solver.tables
+            for i in range(n):
+                for j in range(i, i + n - 1):
+                    assert tables[1][i][j] == optimal_time(solver.labels, i, j % n)
+            for r, table in tables.items():
+                assert table[n:] == [[0] * n + row for row in table[:n]]
+            for r, (r1, r2) in solver.parts.items():
+                for i in range(n):
+                    for j in range(i, i + n):
+                        if j - i + 1 <= r:
+                            assert tables[r][i][j] == 0
+                            continue
+                        want = min(
+                            max(cell(tables, r1, i, s), cell(tables, r2, s + 1, j))
+                            for s in range(i, j)
+                        )
+                        assert tables[r][i][j] == want, (ring, r, i, j)
+                        wrapped += j >= n
+    assert wrapped > 1000
 
 
 def test_ring_free_schedules_verify():

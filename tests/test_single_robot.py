@@ -76,11 +76,11 @@ def test_optimal_time_degenerate_and_infeasible():
 
 def test_interval_table_examples():
     table = interval_table(SKEW3, range(3))
-    assert table.get(0, 1) == 1
-    assert table.get(1, 2) == 2
-    assert table.get(0, 2) == 3
-    assert interval_table(SKEW3, [1]).get(0, 2) == 4
-    assert interval_table(SKEW3, [0]).get(1, 2) is INFINITY
+    assert optimal_time(table, 0, 1) == 1
+    assert optimal_time(table, 1, 2) == 2
+    assert optimal_time(table, 0, 2) == 3
+    assert optimal_time(interval_table(SKEW3, [1]), 0, 2) == 4
+    assert optimal_time(interval_table(SKEW3, [0]), 1, 2) is INFINITY
 
 
 def test_extract_trajectory_examples():
@@ -147,11 +147,11 @@ def test_containment_monotonicity_of_interval_tables():
         n = line.n
         for i in range(n):
             for j in range(i, n):
-                here = table.get(i, j)
+                here = optimal_time(table, i, j)
                 if i > 0:
-                    assert here <= table.get(i - 1, j)
+                    assert here <= optimal_time(table, i - 1, j)
                 if j < n - 1:
-                    assert here <= table.get(i, j + 1)
+                    assert here <= optimal_time(table, i, j + 1)
 
 
 def test_window_restriction_matches_subline():
@@ -184,5 +184,5 @@ def test_label_smoke_two_thousand_nodes():
     started = time.monotonic()
     table = interval_table(line, range(n))
     elapsed = time.monotonic() - started
-    assert table.labels.finite_count() == n * n
+    assert table.finite_count() == n * n
     assert elapsed < 60
