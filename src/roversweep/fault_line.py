@@ -1,24 +1,23 @@
-"""Line exploration when up to f robots may crash.
+"""Exploration when up to f robots may crash.
 
 With f possible crashes every node must collect f+1 distinct on-time
-visitors, so free placement reduces to a reliable solve with
+visitors, so free placement on a line reduces to a reliable solve with
 floor(k / (f+1)) robots replicated across f+1 groups.  Fixed placement
-is genuinely hard; it is decided exactly by a branch-and-bound over
-per-robot coverage plans driven by the leftmost under-covered node:
+is genuinely hard; on lines and rings alike it is decided exactly by a
+branch-and-bound over per-robot coverage plans driven by the first
+under-covered node of a fixed node order:
 
-* the node 0 start forces every feasible assignment through a small set
-  of canonical plans (cover the deficient node, reach as far right as
-  possible), which is exhaustive by an exchange argument when deadlines
-  are absent;
-* with finite node deadlines coverage profiles may have holes, so the
-  canonical choices fall back to the dominance antichain of enumerated
-  turning-point walks.
+* on a line without finite deadlines every feasible assignment goes
+  through a small set of canonical plans (cover the deficient node,
+  reach as far right as possible), which is exhaustive by an exchange
+  argument;
+* otherwise a robot's plans are the antichain of the on-time coverage
+  of its walks, found by growing the visited arc around its start one
+  node at a time and keeping per arc state only the Pareto-minimal
+  (time, coverage) pairs.
 
 Robots may legally pass nodes after their deadlines (visited or not,
 nodes never block passage); such visits simply do not count as coverage.
-
-The search itself only compares coverage bitmasks, so it runs unchanged
-on rings: ``ring.decide_ring_fixed_faulty`` hands it per-robot ring plans.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from typing import Iterable, List, Optional, Sequence
 from .exact import ExactNumber, INFINITY, is_finite
 from .instance import FIXED, FREE, LineInstance, ProblemSpec, RingInstance, StarInstance
 from .multi_line import solve_free
-from .oracle import Caps, CapExceeded, enumerate_walks, verify_schedule, walk_track
+from .oracle import Caps, CapExceeded, verify_schedule
 from .schedule import RobotTrack, Schedule, Verdict
 
 FIXED_SEARCH_CAPS = Caps(max_n=40, max_k=8, max_f=7)
@@ -136,20 +135,94 @@ def _interval_plan(line: LineInstance, p_idx: int, a: int, b: int, delta) -> Pla
     return Plan(mask=mask, track=RobotTrack(tuple(wps)))
 
 
-def profile_plans(topology, p_idx: int, delta) -> List[Plan]:
-    """Deadline-aware plans of a robot at ``p_idx``: the antichain of on-time
-    coverage profiles of its walks within ``delta`` (line or ring)."""
+def _spots(topology) -> tuple:
+    """Track coordinate of each node (arc length from node 0 on a ring)."""
+    if isinstance(topology, RingInstance):
+        return topology.arc_positions()
+    return topology.coordinates
+
+
+def _arm_lengths(topology, p: int) -> tuple:
+    """Distances from p to the node a steps clockwise (left, on a line) and
+    to the node b steps counterclockwise (right), for every such node."""
     n = topology.n
-    inf_deadlines = (INFINITY,) * n
-    plans: List[Plan] = []
-    for walk in enumerate_walks(topology, p_idx, delta, inf_deadlines):
-        mask = 0
-        for v in range(n):
-            t = walk.first_visit[v]
-            if t is not None and t <= topology.deadlines[v] and t <= delta:
-                mask |= 1 << v
-        plans.append(Plan(mask=mask, track=walk_track(walk)))
+    if isinstance(topology, RingInstance):
+        w = topology.edge_weights
+        cw, ccw = [0], [0]
+        for t in range(n - 1):
+            ccw.append(ccw[-1] + w[(p + t) % n])
+            cw.append(cw[-1] + w[(p - 1 - t) % n])
+        return cw, ccw
+    x = topology.coordinates
+    return [x[p] - x[p - a] for a in range(p + 1)], [x[p + b] - x[p] for b in range(n - p)]
+
+
+def _grow(n: int, cw: list, ccw: list, p: int, a: int, b: int, side: int) -> tuple:
+    """The ways to grow a visited arc around p by one node.
+
+    The arc reaches a steps clockwise and b counterclockwise of p, and the
+    robot stands at its clockwise (side 0) or counterclockwise (side 1)
+    end.  Each way is (new arc state, new node, its offset from p, the
+    distance walked), as in the turning-point walks of ``enumerate_walks``.
+    An arm stops at the end of a line; a ring stops once the arc is whole.
+    """
+    if a + b + 1 == n:
+        return ()
+    here = -cw[a] if side == 0 else ccw[b]
+    ways = ()
+    if a + 1 < len(cw):
+        ways += (((a + 1, b, 0), (p - a - 1) % n, -cw[a + 1], here + cw[a + 1]),)
+    if b + 1 < len(ccw):
+        ways += (((a, b + 1, 1), (p + b + 1) % n, ccw[b + 1], ccw[b + 1] - here),)
+    return ways
+
+
+def _walk_plans(topology, p: int, delta) -> List[Plan]:
+    """Plans of a robot at p: the antichain of its walks' on-time coverage.
+
+    Walks are not listed one by one: the arc grows one node at a time,
+    and per arc and robot end only the (time, coverage) pairs survive
+    that no other pair matches with an earlier time and a superset of
+    coverage, since from the same spot the earlier robot can copy every
+    later move.  Without deadlines one pair per arc state is left, and
+    the plans are the maximal arcs.
+    """
+    n = topology.n
+    d = topology.deadlines
+    x = _spots(topology)[p]
+    cw, ccw = _arm_lengths(topology, p)
+    # per arc state: [(time, on-time mask, waypoints, last direction)]
+    layer = {(0, 0, 1): [(0, 1 << p if delta >= 0 else 0, ((0, x),), 0)]}
+    plans = []
+    while layer:
+        grown: dict = {}
+        for (a, b, side), entries in layer.items():
+            ways = _grow(n, cw, ccw, p, a, b, side)
+            for t, mask, wps, last in entries:
+                stuck = True
+                for state, u, offset, dist in ways:
+                    t2 = t + dist
+                    if t2 > delta:
+                        continue
+                    stuck = False
+                    way = 1 if state[2] else -1
+                    wps2 = (wps[:-1] if last == way else wps) + ((t2, x + offset),)
+                    mask2 = mask | (1 << u) if t2 <= d[u] else mask
+                    _pareto_add(grown.setdefault(state, []), (t2, mask2, wps2, way))
+                if stuck:
+                    plans.append(Plan(mask=mask, track=RobotTrack(wps)))
+        layer = grown
     return mask_antichain(plans)
+
+
+def _pareto_add(bucket: list, entry: tuple):
+    """Insert (time, mask, ...) unless an earlier-or-equal superset is kept."""
+    t, mask = entry[0], entry[1]
+    for e in bucket:
+        if e[0] <= t and e[1] | mask == e[1]:
+            return
+    bucket[:] = [e for e in bucket if not (t <= e[0] and mask | e[1] == mask)]
+    bucket.append(entry)
 
 
 def mask_antichain(plans: List[Plan]) -> List[Plan]:
@@ -165,11 +238,13 @@ def mask_antichain(plans: List[Plan]) -> List[Plan]:
 class _FixedSearch:
     """Leftmost-deficit branch and bound over per-robot coverage plans.
 
-    ``plans`` gives each robot's complete plan list (every trajectory's
-    on-time coverage is contained in some plan's mask); without it, plans
-    are generated for the line.  The exchange argument only needs a fixed
-    node order, in which every node before the branching one is already
-    covered f+1 times.  A line is taken left to right.  A ring is taken
+    On a line without finite deadlines the plans are intervals found by
+    binary search as the branching asks for them.  Otherwise each
+    distinct start gets its complete plan list once, from ``_walk_plans``
+    (every trajectory's on-time coverage is contained in some plan's
+    mask).  The exchange argument only needs a fixed node order, in
+    which every node before the branching one is already covered f+1
+    times.  A line is taken left to right.  A ring is taken
     counterclockwise from the node the fewest robots can reach: only arcs
     through that anchor wrap around the end of the order, and those arcs
     are what multiplies the plans that stay maximal on the later nodes.
@@ -178,14 +253,7 @@ class _FixedSearch:
     up to the coverage still missing.
     """
 
-    def __init__(
-        self,
-        topology,
-        positions: Sequence[int],
-        f: int,
-        delta,
-        plans: Optional[Sequence[List[Plan]]] = None,
-    ):
+    def __init__(self, topology, positions: Sequence[int], f: int, delta):
         self.topology = topology
         self.positions = tuple(sorted(positions))
         self.f = f
@@ -193,14 +261,12 @@ class _FixedSearch:
         self.n = topology.n
         self.k = len(self.positions)
         self.need = f + 1
-        self.plain = plans is None and all(d is INFINITY for d in topology.deadlines)
+        self.plain = isinstance(topology, LineInstance) and all(
+            d is INFINITY for d in topology.deadlines
+        )
         self.assigned: List[Optional[Plan]] = [None] * self.k
         self.cover = [0] * self.n
         self._options: dict = {}
-        if plans is not None:
-            self._walk_plans = list(plans)
-        elif not self.plain:
-            self._walk_plans = [profile_plans(topology, p, delta) for p in self.positions]
         if self.plain:
             x = topology.coordinates
             self.reach = [
@@ -208,8 +274,10 @@ class _FixedSearch:
                 for p in self.positions
             ]
         else:
+            made = {p: _walk_plans(topology, p, delta) for p in set(self.positions)}
+            self.plans = [made[p] for p in self.positions]
             self.reach = [0] * self.k
-            for r, plan_list in enumerate(self._walk_plans):
+            for r, plan_list in enumerate(self.plans):
                 for pl in plan_list:
                     self.reach[r] |= pl.mask
         # slack[u]: coverage of u so far plus free robots that could still add to it
@@ -264,7 +332,7 @@ class _FixedSearch:
         options: List[Plan] = []
         bit = 1 << v
         tail = self.tails[i]
-        for pl in self._walk_plans[r]:
+        for pl in self.plans[r]:
             if not pl.mask & bit:
                 continue
             rest = pl.mask & tail
@@ -330,7 +398,7 @@ class _FixedSearch:
         for r, pl in enumerate(self.assigned):
             if pl is None:
                 missing -= max(
-                    ((p.mask & short).bit_count() for p in self._walk_plans[r]), default=0
+                    ((p.mask & short).bit_count() for p in self.plans[r]), default=0
                 )
                 if missing <= 0:
                     return True
@@ -366,28 +434,21 @@ def witnessed(topology, k: int, f: int, delta, schedule: Schedule) -> Verdict:
     return Verdict(feasible=True, optimum=None, schedule=schedule, witness=witness)
 
 
-def search_verdict(
-    topology,
-    positions: Sequence[int],
-    f: int,
-    delta,
-    plans: Optional[Sequence[List[Plan]]] = None,
-) -> Verdict:
+def search_verdict(topology, positions: Sequence[int], f: int, delta) -> Verdict:
     """Run the exact search (positions sorted); YES carries a verified schedule."""
-    result = _FixedSearch(topology, positions, f, delta, plans).run()
+    result = _FixedSearch(topology, positions, f, delta).run()
     if result is None:
         return Verdict(feasible=False, optimum=None)
-    if isinstance(topology, RingInstance):
-        spots = topology.arc_positions()
-        shape = {"kind": "ring", "circumference": topology.total}
-    else:
-        spots = topology.coordinates
-        shape = {"kind": "line"}
+    spots = _spots(topology)
     tracks = tuple(
         plan.track if plan is not None else RobotTrack(((0, spots[p]),))
         for p, plan in zip(positions, result)
     )
-    return witnessed(topology, len(positions), f, delta, Schedule(tracks=tracks, **shape))
+    if isinstance(topology, RingInstance):
+        schedule = Schedule(kind="ring", tracks=tracks, circumference=topology.total)
+    else:
+        schedule = Schedule(kind="line", tracks=tracks)
+    return witnessed(topology, len(positions), f, delta, schedule)
 
 
 def least_feasible(candidates: Sequence, decide) -> Verdict:
@@ -416,66 +477,85 @@ def least_feasible(candidates: Sequence, decide) -> Verdict:
     )
 
 
+def fixed_team(topology, positions: Iterable[int], f: int) -> tuple:
+    """``positions`` sorted, once checked: 0 <= f < k and every robot on a node."""
+    positions = tuple(sorted(positions))
+    if not 0 <= f < len(positions):
+        raise ValueError("need 0 <= f < k")
+    if any(not 0 <= p < topology.n for p in positions):
+        raise ValueError("robot position out of range")
+    return positions
+
+
 def decide_fixed_faulty(
-    line: LineInstance,
+    topology,
     positions: Iterable[int],
     f: int,
     delta: ExactNumber,
-    caps: Caps = FIXED_SEARCH_CAPS,
+    caps: Optional[Caps] = None,
 ) -> Verdict:
-    """Exact decision: can the fixed multiset of robots, up to f of which
-    may crash, visit every node by min(deadline, delta)?
+    """Exact decision: can the fixed multiset of robots on a line or ring,
+    up to f of which may crash, visit every node by min(deadline, delta)?
 
     Returns a full schedule witness on YES.  Never guesses: instances
-    beyond the caps raise CapExceeded instead.
+    beyond ``caps`` (default: ``fixed_search_caps``) raise CapExceeded.
     """
-    positions = tuple(sorted(positions))
+    positions = fixed_team(topology, positions, f)
     if not is_finite(delta):
         raise ValueError("the decision needs a finite time bound")
-    if not 0 <= f < len(positions):
-        raise ValueError("need 0 <= f < k")
-    check_caps(line, len(positions), caps)
-    return search_verdict(line, positions, f, delta)
+    check_caps(topology, len(positions), caps or fixed_search_caps(topology))
+    return search_verdict(topology, positions, f, delta)
 
 
-def fixed_faulty_candidates(line: LineInstance, positions: Iterable[int]) -> tuple:
-    """All times at which the fixed-position decision can change."""
-    positions = tuple(sorted(set(positions)))
-    x = line.coordinates
-    n = line.n
+def fixed_faulty_candidates(topology, positions: Iterable[int]) -> tuple:
+    """All times at which the fixed-position decision can change.
+
+    These are the moments some robot's plan gains a node: arc cover costs
+    without deadlines, with them the on-time first visits of its walks,
+    collected per arc state as sets of arrival times.
+    """
+    n = topology.n
+    deadlines = topology.deadlines
+    plain = all(d is INFINITY for d in deadlines)
     values = {0}
-    if all(d is INFINITY for d in line.deadlines):
-        for p in positions:
-            for a in range(0, p + 1):
-                for b in range(p, n):
-                    values.add(_cover_cost(x[a], x[b], x[p]))
-    else:
-        inf_deadlines = (INFINITY,) * n
-        for p in positions:
-            for walk in enumerate_walks(line, p, INFINITY, inf_deadlines):
-                values.update(t for t in walk.first_visit if t is not None)
+    for p in set(positions):
+        cw, ccw = _arm_lengths(topology, p)
+        if plain:
+            for a in range(len(cw)):
+                for b in range(min(len(ccw), n - a)):
+                    values.add(cw[a] + ccw[b] + min(cw[a], ccw[b]))
+            continue
+        layer = {(0, 0, 1): {0}}
+        while layer:
+            grown: dict = {}
+            for (a, b, side), times in layer.items():
+                for state, u, _, dist in _grow(n, cw, ccw, p, a, b, side):
+                    reached = {t + dist for t in times}
+                    grown.setdefault(state, set()).update(reached)
+                    values.update(t for t in reached if t <= deadlines[u])
+            layer = grown
     return tuple(sorted(values))
 
 
 def solve_fixed_faulty(
-    line: LineInstance,
+    topology,
     positions: Iterable[int],
     f: int,
-    caps: Caps = FIXED_SEARCH_CAPS,
+    caps: Optional[Caps] = None,
 ) -> Verdict:
     """Minimal delta admitting an f-reliable schedule from fixed positions.
 
-    Feasibility is monotone in delta and can only change at a plan
-    completion time, so a binary search over that finite candidate set
-    with the exact decision procedure yields the optimum.
+    Feasibility is monotone in delta and can only change at a time from
+    ``fixed_faulty_candidates``, so a binary search over them with the
+    exact decision yields the optimum; the verdict carries the accepting
+    decision's verified schedule.  Caps as for the decision.
     """
-    positions = tuple(sorted(positions))
-    if not 0 <= f < len(positions):
-        raise ValueError("need 0 <= f < k")
-    check_caps(line, len(positions), caps)
+    positions = fixed_team(topology, positions, f)
+    caps = caps or fixed_search_caps(topology)
+    check_caps(topology, len(positions), caps)
     return least_feasible(
-        fixed_faulty_candidates(line, positions),
-        lambda delta: decide_fixed_faulty(line, positions, f, delta, caps),
+        fixed_faulty_candidates(topology, positions),
+        lambda delta: decide_fixed_faulty(topology, positions, f, delta, caps),
     )
 
 
@@ -522,7 +602,14 @@ def resilience(spec: ProblemSpec, delta: ExactNumber, caps: Optional[Caps] = Non
             return star_exact(top, spec.placement, k, f, delta).feasible
         raise ValueError("resilience supports fixed and free placements")
 
-    for f in range(k - 1, -1, -1):
-        if decide(f):
-            return f
-    return None
+    # feasibility is monotone in f: binary-search the largest feasible f
+    if not decide(0):
+        return None
+    lo, hi = 0, k - 1
+    while lo < hi:
+        mid = (lo + hi + 1) >> 1
+        if decide(mid):
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo

@@ -329,6 +329,12 @@ def star_exact(
     full = (1 << q) - 1
 
     best: List = [INFINITY, None]  # makespan, (starts, covers, touches)
+    made: dict = {}  # start node -> its robot's subset DP, built once
+
+    def robot_at(s: int) -> _StarRobot:
+        if s not in made:
+            made[s] = _StarRobot(capped, s, leaf_dl)
+        return made[s]
 
     def center_cover_plan(robots, covers):
         """Distinct on-time center visits; returns (extra walk, touch flags)
@@ -358,7 +364,7 @@ def star_exact(
         return extra_walk, touches
 
     for starts in _star_starts(star, placement, k):
-        robots = [_StarRobot(capped, s, leaf_dl) for s in starts]
+        robots = [robot_at(s) for s in starts]
         if need == 2 or k == 1:
             assignments = [[full] * k]
         else:
@@ -387,7 +393,7 @@ def star_exact(
     if best[1] is None:
         return Verdict(feasible=False, optimum=INFINITY)
     starts, covers, touches = best[1]
-    robots = [_StarRobot(capped, s, leaf_dl) for s in starts]
+    robots = [robot_at(s) for s in starts]
     tracks = tuple(
         robot.track(covers[idx], touches[idx]) for idx, robot in enumerate(robots)
     )

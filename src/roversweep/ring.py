@@ -13,16 +13,16 @@ Crash tolerance with free placement reduces to exploring the ring made
 of f+1 concatenated copies: visiting every copy once is the same as
 covering the original ring f+1 times.
 
-Fixed positions with crashes are decided exactly by the branch and bound
-of ``fault_line`` over per-robot plans: the maximal arcs a robot can
-cover within the bound when no node has a deadline, the antichain of its
-walks' on-time coverage when some node does.  The search is exponential
-in the worst case and refuses instances beyond its caps; every YES
-carries a verified schedule.  The farthest-reach chain over the
-replicated ring, the polynomial procedure of the source material, lets
-copies of one physical robot serve two segments and over-accepts, so it
-is not used.  A polynomial exact decision for this case is still open
-here.
+Fixed positions with crashes go to ``fault_line``, whose branch and
+bound runs on rings as on lines, over per-robot plans from the same
+arc-growth DP: the maximal arcs a robot can cover within the bound when
+no node has a deadline, the antichain of its on-time coverage when some
+node does.  The search is exponential in the worst case and refuses
+instances beyond its caps; every YES carries a verified schedule.  The
+farthest-reach chain over the replicated ring, the polynomial procedure
+of the source material, lets copies of one physical robot serve two
+segments and over-accepts, so it is not used.  A polynomial exact
+decision for this case is still open here.
 """
 
 from __future__ import annotations
@@ -31,15 +31,7 @@ from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence
 
 from .exact import ExactNumber, INFINITY, is_finite
-from .fault_line import (
-    Plan,
-    check_caps,
-    fixed_search_caps,
-    least_feasible,
-    mask_antichain,
-    search_verdict,
-    witnessed,
-)
+from .fault_line import decide_fixed_faulty, fixed_team, solve_fixed_faulty, witnessed
 from .instance import FREE, ProblemSpec, RingInstance, RobotPlacement
 from .multi_line import TeamTables, idle_edge_split
 from .oracle import Caps, verify_schedule
@@ -276,87 +268,6 @@ def solve_ring_free_faulty(ring: RingInstance, k: int, f: int) -> Verdict:
     return Verdict(feasible=True, optimum=big.optimum, schedule=schedule, witness=witness)
 
 
-def _arm_lengths(ring: RingInstance, p: int) -> tuple:
-    """Arc lengths from p to the node a steps clockwise / b steps ccw, a, b < n."""
-    n = ring.n
-    w = ring.edge_weights
-    cw, ccw = [0], [0]
-    for t in range(n - 1):
-        ccw.append(ccw[-1] + w[(p + t) % n])
-        cw.append(cw[-1] + w[(p - 1 - t) % n])
-    return cw, ccw
-
-
-def _grow(ring: RingInstance, cw: list, ccw: list, p: int, a: int, b: int, side: int) -> tuple:
-    """The two ways to grow a visited arc around p by one node.
-
-    The arc reaches a steps clockwise and b counterclockwise of p, and the
-    robot stands at its clockwise (side 0) or counterclockwise (side 1)
-    end.  Each way is (new arc state, new node, its offset from p, the
-    distance walked), as in the turning-point walks of ``enumerate_walks``.
-    """
-    n = ring.n
-    here = -cw[a] if side == 0 else ccw[b]
-    return (
-        ((a + 1, b, 0), (p - a - 1) % n, -cw[a + 1], here + cw[a + 1]),
-        ((a, b + 1, 1), (p + b + 1) % n, ccw[b + 1], ccw[b + 1] - here),
-    )
-
-
-def _walk_plans(ring: RingInstance, p: int, delta) -> List[Plan]:
-    """Plans of a robot at p: the antichain of its walks' on-time coverage.
-
-    The same plans as ``fault_line.profile_plans``, found without listing
-    every walk: the arc grows one node at a time, and per arc and robot
-    end only the (time, coverage) pairs survive that no other pair matches
-    with an earlier time and a superset of coverage, since from the same
-    spot the earlier robot can copy every later move.  Without deadlines
-    one pair per arc state is left, and the plans are the maximal arcs.
-    """
-    n = ring.n
-    d = ring.deadlines
-    x = ring.arc_positions()[p]
-    cw, ccw = _arm_lengths(ring, p)
-    # per arc state: [(time, on-time mask, waypoints, last direction)]
-    layer = {(0, 0, 1): [(0, 1 << p if delta >= 0 else 0, ((0, x),), 0)]}
-    plans = []
-    for size in range(1, n + 1):
-        grown: dict = {}
-        for (a, b, side), entries in layer.items():
-            ways = _grow(ring, cw, ccw, p, a, b, side) if size < n else ()
-            for t, mask, wps, last in entries:
-                stuck = True
-                for state, u, offset, dist in ways:
-                    t2 = t + dist
-                    if t2 > delta:
-                        continue
-                    stuck = False
-                    way = 1 if state[2] else -1
-                    wps2 = (wps[:-1] if last == way else wps) + ((t2, x + offset),)
-                    mask2 = mask | (1 << u) if t2 <= d[u] else mask
-                    _pareto_add(grown.setdefault(state, []), (t2, mask2, wps2, way))
-                if stuck:
-                    plans.append(Plan(mask=mask, track=RobotTrack(wps)))
-        layer = grown
-    return mask_antichain(plans)
-
-
-def _pareto_add(bucket: list, entry: tuple):
-    """Insert (time, mask, ...) unless an earlier-or-equal superset is kept."""
-    t, mask = entry[0], entry[1]
-    for e in bucket:
-        if e[0] <= t and e[1] | mask == e[1]:
-            return
-    bucket[:] = [e for e in bucket if not (t <= e[0] and mask | e[1] == mask)]
-    bucket.append(entry)
-
-
-def _ring_plans(ring: RingInstance, positions: Sequence[int], delta) -> list:
-    """Complete per-robot plan lists for the exact search at ``delta``."""
-    made = {p: _walk_plans(ring, p, delta) for p in set(positions)}
-    return [made[p] for p in positions]
-
-
 def _distinct_reliable(positions: Sequence[int], f: int) -> bool:
     return f == 0 and len(set(positions)) == len(positions)
 
@@ -372,57 +283,20 @@ def decide_ring_fixed_faulty(
 
     Every node needs f+1 distinct robots on time by min(deadline, delta).
     Reliable robots at distinct nodes go to the polynomial
-    ``solve_ring_fixed`` on the ring with deadlines capped at delta.
-    Otherwise the leftmost-deficit branch and bound of ``fault_line``
-    runs on ring plans: the antichain of each robot's walks' on-time
-    coverage, which is its maximal arcs when no node has a deadline.
-    That search is exponential in the worst case and raises CapExceeded
-    beyond ``caps`` (default: ``fixed_search_caps``).
-    A YES always carries a schedule that ``verify_schedule`` accepts.
+    ``solve_ring_fixed`` on the ring with deadlines capped at delta;
+    everything else to ``fault_line.decide_fixed_faulty``, which raises
+    CapExceeded beyond ``caps``.  A YES always carries a schedule that
+    ``verify_schedule`` accepts.
     """
-    positions = tuple(sorted(positions))
-    k = len(positions)
-    if not 0 <= f < k:
-        raise ValueError("need 0 <= f < k")
+    positions = fixed_team(ring, positions, f)
+    if not _distinct_reliable(positions, f):
+        return decide_fixed_faulty(ring, positions, f, delta, caps)
     if not is_finite(delta):
         raise ValueError("the decision needs a finite time bound")
-    if _distinct_reliable(positions, f):
-        reliable = solve_ring_fixed(ring.capped(delta), positions)
-        if not reliable.feasible or reliable.optimum > delta:
-            return Verdict(feasible=False, optimum=None)
-        return witnessed(ring, k, f, delta, reliable.schedule)
-    check_caps(ring, k, caps or fixed_search_caps(ring))
-    return search_verdict(ring, positions, f, delta, _ring_plans(ring, positions, delta))
-
-
-def ring_fixed_faulty_candidates(ring: RingInstance, positions: Iterable[int]) -> tuple:
-    """All times at which the fixed-position ring decision can change.
-
-    These are the moments some robot's plan gains a node: arc cover costs
-    without deadlines, with them the on-time first visits of its walks,
-    collected per arc state as sets of arrival times.
-    """
-    n = ring.n
-    values = {0}
-    if all(d is INFINITY for d in ring.deadlines):
-        for p in set(positions):
-            cw, ccw = _arm_lengths(ring, p)
-            for a in range(n):
-                for b in range(n - a):
-                    values.add(cw[a] + ccw[b] + min(cw[a], ccw[b]))
-    else:
-        for p in set(positions):
-            cw, ccw = _arm_lengths(ring, p)
-            layer = {(0, 0, 1): {0}}
-            for _ in range(n - 1):
-                grown: dict = {}
-                for (a, b, side), times in layer.items():
-                    for state, u, _, dist in _grow(ring, cw, ccw, p, a, b, side):
-                        reached = {t + dist for t in times}
-                        grown.setdefault(state, set()).update(reached)
-                        values.update(t for t in reached if t <= ring.deadlines[u])
-                layer = grown
-    return tuple(sorted(values))
+    reliable = solve_ring_fixed(ring.capped(delta), positions)
+    if not reliable.feasible or reliable.optimum > delta:
+        return Verdict(feasible=False, optimum=None)
+    return witnessed(ring, len(positions), f, delta, reliable.schedule)
 
 
 def optimize_ring_fixed_faulty(
@@ -433,22 +307,11 @@ def optimize_ring_fixed_faulty(
 ) -> Verdict:
     """Least delta at which ``decide_ring_fixed_faulty`` says YES.
 
-    Feasibility is monotone in delta and changes only at a time from
-    ``ring_fixed_faulty_candidates``, so a binary search over them with
-    the exact decision pins the optimum; the verdict carries the
-    accepting decision's verified schedule.  Reliable robots at distinct
-    nodes are solved directly by ``solve_ring_fixed``.  Caps as for the
-    decision.
+    Reliable robots at distinct nodes are solved directly by
+    ``solve_ring_fixed``; everything else by
+    ``fault_line.solve_fixed_faulty``.  Caps as for the decision.
     """
-    positions = tuple(sorted(positions))
-    k = len(positions)
-    if not 0 <= f < k:
-        raise ValueError("need 0 <= f < k")
+    positions = fixed_team(ring, positions, f)
     if _distinct_reliable(positions, f):
         return solve_ring_fixed(ring, positions, collect_candidates=True)
-    caps = caps or fixed_search_caps(ring)
-    check_caps(ring, k, caps)
-    return least_feasible(
-        ring_fixed_faulty_candidates(ring, positions),
-        lambda delta: decide_ring_fixed_faulty(ring, positions, f, delta, caps),
-    )
+    return solve_fixed_faulty(ring, positions, f, caps)

@@ -4,8 +4,10 @@ for the test suites."""
 from fractions import Fraction
 
 from roversweep.exact import INFINITY
+from roversweep.fault_line import Plan, mask_antichain
 from roversweep.instance import LineInstance, RingInstance, StarInstance
 from roversweep.multi_line import TeamTables
+from roversweep.oracle import enumerate_walks, walk_track
 from roversweep.ring import replicate_ring
 from roversweep.single_robot import init_start, interval_table, optimal_time, propagate
 from roversweep.state_graph import StateGraph
@@ -58,6 +60,21 @@ def fixed_positions(rng, n, k, allow_duplicates):
         return tuple(sorted(rng.choices(range(n), k=k)))
     k = min(k, n)
     return tuple(sorted(rng.sample(range(n), k)))
+
+
+def profile_plans(topology, p_idx, delta):
+    """Reference plans of a robot at ``p_idx`` on a line or ring: the
+    antichain of on-time coverage of all its walks within ``delta``."""
+    n = topology.n
+    plans = []
+    for walk in enumerate_walks(topology, p_idx, delta, (INFINITY,) * n):
+        mask = 0
+        for v in range(n):
+            t = walk.first_visit[v]
+            if t is not None and t <= topology.deadlines[v] and t <= delta:
+                mask |= 1 << v
+        plans.append(Plan(mask=mask, track=walk_track(walk)))
+    return mask_antichain(plans)
 
 
 def reach_chain_decide(ring, positions, f, delta):

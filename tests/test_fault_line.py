@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 
 from support import random_line, fixed_positions
 from roversweep.exact import INFINITY
+from roversweep import fault_line
 from roversweep.fault_line import (
     decide_fixed_faulty,
     fixed_faulty_candidates,
@@ -18,15 +20,19 @@ from roversweep.instance import (
     FREE,
     LineInstance,
     ProblemSpec,
+    RingInstance,
     RobotPlacement,
 )
 from roversweep.multi_line import solve_free
 from roversweep.oracle import Caps, CapExceeded, brute_solve, verify_schedule
 from roversweep.reductions import line_from_n3dm
+from roversweep.ring import decide_ring_fixed_faulty, optimize_ring_fixed_faulty
 
 UNIT5 = LineInstance(tuple(range(5)), (INFINITY,) * 5)
 PAIR = LineInstance((0, 1), (INFINITY, INFINITY))
 WIDE_CAPS = Caps(max_n=300, max_k=8, max_f=7)
+UNIT3 = LineInstance((0, 1, 2), (INFINITY,) * 3)
+RING3 = RingInstance((1, 1, 1), (INFINITY,) * 3)
 
 
 def test_free_faulty_equals_group_solve():
@@ -77,6 +83,22 @@ def test_decide_rejects_infinite_bound_and_bad_faults():
         decide_fixed_faulty(PAIR, (0, 0), 1, INFINITY)
     with pytest.raises(ValueError):
         decide_fixed_faulty(PAIR, (0, 1), 2, 1)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda p: decide_fixed_faulty(UNIT3, p, 1, 5),
+        lambda p: solve_fixed_faulty(UNIT3, p, 1),
+        lambda p: decide_ring_fixed_faulty(RING3, p, 1, 5),
+        lambda p: optimize_ring_fixed_faulty(RING3, p, 1),
+    ],
+    ids=["decide_line", "solve_line", "decide_ring", "optimize_ring"],
+)
+@pytest.mark.parametrize("positions", [(0, 7), (-1, 1), (1, 3)])
+def test_positions_out_of_range_are_refused(run, positions):
+    with pytest.raises(ValueError, match="robot position out of range"):
+        run(positions)
 
 
 def test_decide_refuses_beyond_caps():
@@ -233,3 +255,19 @@ def test_resilience_monotone_and_fixed_mode():
         for f in range(k):
             expected = best is not None and f <= best
             assert decide(f) == expected, (line, placement, delta, f, best)
+
+
+def test_resilience_binary_searches_the_fault_budget(monkeypatch):
+    calls = []
+
+    def counted(line, k):
+        calls.append(k)
+        return solve_free(line, k)
+
+    monkeypatch.setattr(fault_line, "solve_free", counted)
+    k = 8
+    spec = ProblemSpec(UNIT5, RobotPlacement(FREE, count=k), 0, None)
+    # a robot covers two adjacent unit nodes within 1, so 5 nodes need 3
+    # robots per group: f = 1 (groups of 4) is the most that fits
+    assert resilience(spec, 1) == 1
+    assert len(calls) <= math.ceil(math.log2(k)) + 1

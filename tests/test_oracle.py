@@ -1,7 +1,12 @@
+import importlib
+import pkgutil
 import random
 from fractions import Fraction
 
 import pytest
+
+import roversweep
+from roversweep import oracle
 
 from support import fixed_positions, naive_team_tables, random_line, random_ring
 from roversweep.exact import INFINITY
@@ -200,3 +205,14 @@ def test_naive_team_tables_anti_monotone_in_robots():
             for i in range(n):
                 for j in range(i, n):
                     assert tables[r][i][j] <= tables[r - 1][i][j]
+
+
+def test_solvers_do_not_bind_the_walk_enumeration():
+    # the solvers build their plans themselves; walk enumeration stays
+    # the independent oracle they are checked against
+    binders = {"roversweep"} if roversweep.enumerate_walks is oracle.enumerate_walks else set()
+    for info in pkgutil.iter_modules(roversweep.__path__):
+        module = importlib.import_module(f"roversweep.{info.name}")
+        if any(value is oracle.enumerate_walks for value in vars(module).values()):
+            binders.add(module.__name__)
+    assert binders == {"roversweep", "roversweep.oracle"}

@@ -108,6 +108,10 @@ def test_mirroring_a_line_keeps_the_optimum(line, data):
         (solve_fixed(line, positions), solve_fixed(mirrored, flipped)),
         (solve_free(line, k), solve_free(mirrored, k)),
     )
+    if len(positions) >= 2:
+        pairs += (
+            (solve_fixed_faulty(line, positions, 1), solve_fixed_faulty(mirrored, flipped, 1)),
+        )
     for verdict, twin in pairs:
         assert verdict.feasible == twin.feasible
         assert verdict.optimum == twin.optimum

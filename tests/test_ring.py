@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from support import fixed_positions, random_ring, reach_chain_decide
+from support import fixed_positions, profile_plans, random_line, random_ring, reach_chain_decide
 from roversweep.exact import INFINITY
 from roversweep.instance import (
     FIXED,
@@ -17,15 +17,13 @@ from roversweep.instance import (
 from roversweep.multi_line import TeamTables
 from roversweep.multi_line import solve_fixed as line_solve_fixed
 from roversweep.multi_line import solve_free as line_solve_free
-from roversweep.fault_line import profile_plans
+from roversweep.fault_line import _walk_plans, fixed_faulty_candidates
 from roversweep.oracle import CapExceeded, brute_solve, enumerate_walks, verify_schedule
 from roversweep.single_robot import optimal_time
 from roversweep.ring import (
-    _walk_plans,
     decide_ring_fixed_faulty,
     optimize_ring_fixed_faulty,
     replicate_ring,
-    ring_fixed_faulty_candidates,
     solve_ring_fixed,
     solve_ring_free,
     solve_ring_free_faulty,
@@ -343,21 +341,28 @@ def test_optimize_ring_fixed_faulty_matches_brute(deadline_prob):
 
 def test_walk_plans_and_candidates_match_walks():
     # the arc-growth searches keep exactly the coverage antichain of all
-    # walks and every on-time first visit any walk makes
-    rng = random.Random(72)
-    for _ in range(40):
-        ring = random_ring(rng, min_n=5, max_n=8, deadline_prob=0.6)
-        p = rng.randrange(ring.n)
-        times = {0}
-        for walk in enumerate_walks(ring, p, INFINITY, (INFINITY,) * ring.n):
-            times.update(
-                t for t, d in zip(walk.first_visit, ring.deadlines) if t is not None and t <= d
-            )
-        if any(d is not INFINITY for d in ring.deadlines):
-            assert ring_fixed_faulty_candidates(ring, (p,)) == tuple(sorted(times))
-        for delta in range(0, 2 * ring.total + 1):
-            want = sorted(pl.mask for pl in profile_plans(ring, p, delta))
-            assert sorted(pl.mask for pl in _walk_plans(ring, p, delta)) == want
+    # walks and every on-time first visit any walk makes, on rings and lines
+    for make in (random_ring, random_line):
+        rng = random.Random(72)
+        for _ in range(40):
+            topology = make(rng, min_n=5, max_n=8, deadline_prob=0.6)
+            p = rng.randrange(topology.n)
+            times = {0}
+            for walk in enumerate_walks(topology, p, INFINITY, (INFINITY,) * topology.n):
+                times.update(
+                    t for t, d in zip(walk.first_visit, topology.deadlines)
+                    if t is not None and t <= d
+                )
+            if any(d is not INFINITY for d in topology.deadlines):
+                assert fixed_faulty_candidates(topology, (p,)) == tuple(sorted(times))
+            # every time is a whole number on rings and a multiple of 1/2 on lines
+            if isinstance(topology, RingInstance):
+                span, step = topology.total, 1
+            else:
+                span, step = topology.span, Fraction(1, 2)
+            for delta in (i * step for i in range(int(2 * span / step) + 1)):
+                want = sorted(pl.mask for pl in profile_plans(topology, p, delta))
+                assert sorted(pl.mask for pl in _walk_plans(topology, p, delta)) == want
 
 
 def test_fixed_faulty_ring_search_is_capped():
