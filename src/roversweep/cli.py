@@ -109,6 +109,8 @@ def _route_solve(spec: ProblemSpec, caps: Caps) -> Verdict:
 
 
 def _route_decide(spec: ProblemSpec, delta, caps: Caps) -> bool:
+    if delta < 0:
+        return False  # no walk finishes before time 0
     top = spec.topology
     pl = spec.placement
     f = spec.faults

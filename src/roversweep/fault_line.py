@@ -574,6 +574,8 @@ def resilience(spec: ProblemSpec, delta: ExactNumber, caps: Optional[Caps] = Non
     """
     if not is_finite(delta):
         raise ValueError("resilience needs a finite time bound")
+    if delta < 0:
+        return None  # no walk finishes before time 0
     k = spec.k
     top = spec.topology
     mode = spec.placement.mode

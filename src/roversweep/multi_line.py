@@ -8,9 +8,13 @@ run the same recurrence on the line that remains.
 
 Free placements: tables T[r][i][j] of optimal times for r freely placed
 robots, combined by robot-count doubling along the binary digits of k.
-Each combination step resolves min-over-splits of max(left, right) by
-binary search on the crossing point of the two monotone sequences
-(``best_split``), so a full table costs O(n^2 log n) instead of O(n^3).
+A cell is the min over splits of max(left, right), where the left part
+never gets faster and the right part never gets slower as the split moves
+right, so the best split sits where the two cross.  That crossing moves
+right as j grows (Knuth 1971, Yao 1980), so one pointer per row finds it
+for every cell, and a full table costs O(n^2) instead of O(n^3).  The
+top team size is never tabulated: a cell of it is one binary search
+(``best_split``) over the two tables below, read only where asked.
 Rings use the same tables with j read on the doubled node order
 i .. i+n-1, so a part may wrap past node n-1 (``TeamTables``).
 """
@@ -176,15 +180,17 @@ def solve_fixed(
 
 
 class TeamTables:
-    """Tables T[r][i][j] of optimal times for r freely placed robots on [i, j].
+    """Optimal times for k freely placed robots on any stretch [i, j].
 
-    On a line, row i holds j = 0 .. n-1, with zeros below i.  On a ring, j
-    runs on the doubled node order: row i holds j = i .. i+n-1 (node j mod
-    n), with zeros below i, and each table carries n more rows, row i+n
-    being row i moved n places right, so a part that starts past node n-1
-    reads like any other.  One robot's part is never the whole ring, so
-    ring rows of T[1] stop at j = i+n-2.  The tables on the doubling path
-    to k are kept with the split that made each one, to rebuild schedules.
+    ``tables[r][i][j]`` is the optimum for r robots, for each r below k on
+    the doubling path to k, and ``parts[r]`` the (left, right) team sizes
+    that made r.  On a line, row i holds j = 0 .. n-1, with zeros below i.
+    On a ring, j runs on the doubled node order: row i holds j = i .. i+n-1
+    (node j mod n), with zeros below i, and each table carries n more
+    rows, row i+n being row i moved n places right, so a part that starts
+    past node n-1 reads like any other.  One robot's part is never the
+    whole ring, so ring rows of T[1] stop at j = i+n-2.  The k table
+    itself is not built: ``value`` combines the last two on demand.
     """
 
     __slots__ = ("n", "k", "ring", "positions", "labels", "tables", "parts")
@@ -203,17 +209,17 @@ class TeamTables:
             self.positions = topology.coordinates
         self.labels = propagate(graph, init_start(graph, range(n)), topology.deadlines)
         self.tables = {1: self._doubled(self._one_robot())}
-        self.parts = {}
         b = k.bit_length() - 1
-        for m in range(1, b + 1):
-            half = 1 << (m - 1)
-            self._combine(half, half)
+        steps = [(1 << (m - 1), 1 << (m - 1)) for m in range(1, b + 1)]
         r = 1 << b
         for m in range(1, b + 1):
             if (k >> (b - m)) & 1:
                 p = 1 << (b - m)
-                self._combine(p, r)
+                steps.append((p, r))
                 r += p
+        self.parts = {r1 + r2: (r1, r2) for r1, r2 in steps}
+        for r1, r2 in steps[:-1]:
+            self._combine(r1, r2)
 
     def _one_robot(self) -> list:
         """T[1] read off the label pass: per stretch the cheaper end, ties to L."""
@@ -236,6 +242,12 @@ class TeamTables:
         return rows + [pad + row for row in rows]
 
     def _combine(self, r1: int, r2: int):
+        """Tabulate T[r1 + r2] with one split pointer per row.
+
+        For row i, the first split s where row_a[s] >= rows_b[s + 1][j]
+        never moves left as j grows, and the best split is s or s - 1.
+        The minimum is the one ``best_split`` finds, in amortised O(1).
+        """
         a = self.tables[r1]
         rows_b = self.tables[r2]
         n = self.n
@@ -244,17 +256,34 @@ class TeamTables:
             end = i + n if self.ring else n
             row_a = a[i]
             row = [0] * end
+            lo = s = i + r1 - 1
             for j in range(i + r1 + r2, end):
-                row[j] = best_split(row_a, rows_b, i + r1 - 1, j - r2, j)[0]
+                hi = j - r2
+                left = row_a[s]
+                right = rows_b[s + 1][j]
+                while left < right and s < hi:
+                    s += 1
+                    left = row_a[s]
+                    right = rows_b[s + 1][j]
+                value = left if left >= right else right
+                if s > lo:
+                    left = row_a[s - 1]
+                    right = rows_b[s][j]
+                    other = left if left >= right else right
+                    if other < value:
+                        value = other
+                row[j] = value
             out.append(row)
         self.tables[r1 + r2] = self._doubled(out)
-        self.parts[r1 + r2] = (r1, r2)
 
     def value(self, i: int, j: int) -> ExactNumber:
         """Optimal time for all k robots on [i, j]."""
         if j - i + 1 <= self.k:
             return 0
-        return self.tables[self.k][i][j]
+        if self.k == 1:
+            return self.tables[1][i][j]
+        r1, r2 = self.parts[self.k]
+        return opt_time(self.tables[r1], r1, self.tables[r2], r2, i, j)
 
     def rebuild_tracks(self, i: int, j: int, r: int, out: list):
         """Append one track per robot covering [i, j] with r robots."""
@@ -277,11 +306,10 @@ class TeamTables:
         self.rebuild_tracks(split + 1, j, r2, out)
 
     def all_finite_values(self) -> set:
+        """Every finite value a cell can take: each cell is 0 or the max of
+        two cells one level down, so by induction 0 or a label value."""
         vals = {0}
         vals.update(self.labels.finite_values())
-        for table in self.tables.values():
-            for row in table[:self.n]:
-                vals.update(v for v in row if v is not INFINITY)
         return vals
 
 

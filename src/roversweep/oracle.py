@@ -54,9 +54,6 @@ class Walk:
     completion: ExactNumber  # time of the last first-visit
     waypoints: tuple        # ((time, unwrapped coordinate), ...) incl. the start
 
-    def covered(self) -> frozenset:
-        return frozenset(v for v, t in enumerate(self.first_visit) if t is not None)
-
 
 def _line_walks(line: LineInstance, start: int, budget, deadlines) -> List[Walk]:
     x = line.coordinates
@@ -332,83 +329,6 @@ def brute_solve(spec: ProblemSpec, caps: Caps = Caps()) -> Verdict:
         )
         witness[v] = tuple(visits)
     return Verdict(feasible=True, optimum=best[0], schedule=schedule, witness=witness)
-
-
-def brute_solve_alt(spec: ProblemSpec) -> Verdict:
-    """Second, independently coded enumerator (tiny caps, no pruning).
-
-    Cross-checks brute_solve; walks come from a breadth-first expansion
-    instead of the depth-first recursion, and tuples are evaluated by a
-    plain product scan.
-    """
-    top = spec.topology
-    n = top.n
-    k = spec.k
-    if n > 6 or k > 3:
-        raise CapExceeded("alternate enumerator caps at n <= 6, k <= 3")
-    need = spec.faults + 1
-    deadlines = top.deadlines
-    bound = spec.bound
-    is_line = isinstance(top, LineInstance)
-
-    def expand(start):
-        # states: (covered frozenset, boundary pair, at_left, time, fv dict)
-        if is_line:
-            init = (start, start, True, 0, ((start, 0),))
-        else:
-            init = (start, start, False, 0, ((start, 0),))
-        frontier = [init]
-        finished = []
-        while frontier:
-            nxt = []
-            for lo, hi, at_left, t, fv in frontier:
-                moves = []
-                if is_line:
-                    pos = top.coordinates[lo] if at_left else top.coordinates[hi]
-                    if lo > 0:
-                        moves.append((lo - 1, hi, True, t + (pos - top.coordinates[lo - 1])))
-                    if hi < n - 1:
-                        moves.append((lo, hi + 1, False, t + (top.coordinates[hi + 1] - pos)))
-                else:
-                    size = (hi - lo) % n + 1
-                    if size < n:
-                        here = lo if at_left else hi
-                        d_ccw = (top.ccw_dist(here, hi)) + top.edge_weights[hi]
-                        d_cw = (top.ccw_dist(lo, here)) + top.edge_weights[(lo - 1) % n]
-                        moves.append(((lo - 1) % n, hi, True, t + d_cw))
-                        moves.append((lo, (hi + 1) % n, False, t + d_ccw))
-                if not moves:
-                    finished.append(fv)
-                    continue
-                for nlo, nhi, nat_left, nt in moves:
-                    new_node = nlo if nat_left else nhi
-                    nxt.append((nlo, nhi, nat_left, nt, fv + ((new_node, nt),)))
-            frontier = nxt
-        return [dict(fv) for fv in finished]
-
-    best: List = [INFINITY]
-    for placement in _placements(spec):
-        plan_lists = [expand(p) for p in placement]
-        for combo in itertools.product(*plan_lists):
-            worst = 0
-            ok = True
-            for v in range(n):
-                times = []
-                for fv in combo:
-                    t = fv.get(v)
-                    if t is not None and t <= deadlines[v] and (bound is None or t <= bound):
-                        times.append(t)
-                times.sort()
-                if len(times) < need:
-                    ok = False
-                    break
-                if times[need - 1] > worst:
-                    worst = times[need - 1]
-            if ok and worst < best[0]:
-                best[0] = worst
-    if best[0] is INFINITY:
-        return Verdict(feasible=False, optimum=INFINITY)
-    return Verdict(feasible=True, optimum=best[0])
 
 
 # --------------------------------------------------------------------------

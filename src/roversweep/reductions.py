@@ -91,27 +91,6 @@ def line_from_n3dm(
     )
 
 
-def n3dm_brute_force(
-    a_values: Sequence[int],
-    b_values: Sequence[int],
-    c_values: Sequence[int],
-    target: int,
-) -> bool:
-    """Decide N3DM directly by trying both pairing permutations."""
-    q = len(a_values)
-    for perm_b in itertools.permutations(range(q)):
-        partial_ok = all(a_values[i] + b_values[perm_b[i]] < target for i in range(q))
-        if not partial_ok:
-            continue
-        for perm_c in itertools.permutations(range(q)):
-            if all(
-                a_values[i] + b_values[perm_b[i]] + c_values[perm_c[i]] == target
-                for i in range(q)
-            ):
-                return True
-    return False
-
-
 # --------------------------------------------------------------------------
 # Partition -> two-robot star exploration
 # --------------------------------------------------------------------------
@@ -146,17 +125,6 @@ def star_from_partition(values: Sequence[int]) -> ProblemSpec:
         faults=0,
         bound=None,
     )
-
-
-def partition_brute_force(values: Sequence[int]) -> bool:
-    total = sum(values)
-    if total % 2 != 0:
-        return False
-    half = total // 2
-    reachable = 1  # bitset over sums
-    for v in values:
-        reachable |= reachable << v
-    return bool((reachable >> half) & 1)
 
 
 # --------------------------------------------------------------------------

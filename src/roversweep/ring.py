@@ -36,22 +36,32 @@ from .instance import FREE, ProblemSpec, RingInstance, RobotPlacement
 from .multi_line import TeamTables, idle_edge_split
 from .oracle import Caps, verify_schedule
 from .schedule import RobotTrack, Schedule, Verdict
-from .single_robot import (
-    best_target,
-    extract_trajectory,
-    init_start,
-    optimal_time,
-    propagate,
-)
+from .single_robot import best_target, extract_trajectory, init_start, propagate
 from .state_graph import StateGraph
 
 
-def _segment_inside(n: int, i: int, j: int, lo: int, hi: int) -> bool:
-    """Is the ccw segment [i, j] strictly inside the open ccw interval (lo, hi)?"""
+def _window_times(labels, lo: int, hi: int) -> list:
+    """rows[a][d]: the fastest exploration of the ccw segment a .. a+d.
+
+    Only segments strictly inside the open ccw interval (lo, hi) are
+    read, each once, off the label layers; rows of nodes outside it are
+    empty, and a segment past the end of its row leaves the interval.
+    """
+    graph = labels.graph
+    time = labels.time
+    n = graph.n
     room = (hi - lo - 1) % n
-    oi = (i - lo) % n
-    oj = (j - lo) % n
-    return 1 <= oi <= oj <= room
+    layer_start = [0] + [graph.layer_ids(d).start for d in range(1, room)]
+    rows = [[] for _ in range(n)]
+    for offset in range(1, room + 1):
+        a = (lo + offset) % n
+        row = rows[a]
+        row.append(time[a])
+        for d in range(1, room - offset + 1):
+            tl = time[layer_start[d] + 2 * a]
+            tr = time[layer_start[d] + 2 * a + 1]
+            row.append(tl if tl <= tr else tr)
+    return rows
 
 
 # --------------------------------------------------------------------------
@@ -117,6 +127,13 @@ def solve_ring_fixed(
     gap, pick = min(gaps)
     cut_edges = [(positions[pick] + t) % n for t in range(gap)]
 
+    times = [_window_times(labels, lo, hi) for labels, lo, hi in forests]
+
+    def part_time(r: int, i: int, j: int):
+        # line nodes i..j of the current cut, explored by its r-th robot
+        row = times[robots[r]][(head + i) % n]
+        return row[j - i] if j - i < len(row) else INFINITY
+
     best = (INFINITY, None, None)  # optimum, cut edge, segment list
     for cut in cut_edges:
         # the line left by the cut runs ccw from node head = cut + 1
@@ -124,14 +141,6 @@ def solve_ring_fixed(
         order = [(head + t) % n for t in range(n)]
         line_pos = sorted(((p - head) % n, m) for m, p in enumerate(positions))
         robots = [m for _, m in line_pos]
-
-        def part_time(r: int, i: int, j: int):
-            labels, lo, hi = forests[robots[r]]
-            i, j = order[i], order[j]
-            if not _segment_inside(n, i, j, lo, hi):
-                return INFINITY
-            return optimal_time(labels, i, j)
-
         value, parts = idle_edge_split([q for q, _ in line_pos], n, part_time)
         if value < best[0]:
             segments = [(robots[r], order[i], order[j]) for r, i, j in parts]
@@ -204,25 +213,15 @@ class ReplicatedRing:
     base: RingInstance
     ring: RingInstance
     copies: int
-    permitted_starts: Optional[tuple] = None
-
-    def copy_of(self, i: int) -> int:
-        return i % self.base.n
 
 
-def replicate_ring(
-    ring: RingInstance, f: int, starts: Optional[Iterable[int]] = None
-) -> ReplicatedRing:
+def replicate_ring(ring: RingInstance, f: int) -> ReplicatedRing:
     """Covering the base ring f+1 times equals exploring this ring once."""
     if f < 0:
         raise ValueError("fault budget must be non-negative")
     copies = f + 1
     big = RingInstance(ring.edge_weights * copies, ring.deadlines * copies)
-    permitted = None
-    if starts is not None:
-        n = ring.n
-        permitted = tuple(sorted({p + t * n for p in starts for t in range(copies)}))
-    return ReplicatedRing(base=ring, ring=big, copies=copies, permitted_starts=permitted)
+    return ReplicatedRing(base=ring, ring=big, copies=copies)
 
 
 def _project_tracks(tracks: Sequence[RobotTrack], base_total) -> tuple:

@@ -36,9 +36,6 @@ class TimeLabels:
         self.time = [INFINITY] * graph.node_count
         self.parent = array("q", [-1]) * graph.node_count
 
-    def finite_count(self) -> int:
-        return sum(1 for t in self.time if t is not INFINITY)
-
     def finite_values(self) -> list:
         return [t for t in self.time if t is not INFINITY]
 

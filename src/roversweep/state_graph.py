@@ -26,7 +26,7 @@ from itertools import accumulate, chain
 from operator import sub
 from typing import Iterator, NamedTuple, Optional, Sequence
 
-from .exact import ExactNumber, format_number
+from .exact import ExactNumber
 from .instance import LineInstance, RingInstance
 
 LEFT = 0   # robot at the left / clockwise end of the explored stretch
@@ -295,11 +295,3 @@ class StateGraph:
             return 2 * (n - 1) ** 2
         return 2 * n * (2 * n - 3)
 
-    def dump(self) -> str:
-        """One arc per line, for golden-file comparisons."""
-        lines = []
-        for u in range(self.node_count):
-            su = self.state_of(u)
-            for v, weight, _ in self.arcs_from(u):
-                lines.append(f"{su} -> {self.state_of(v)} w={format_number(weight)}")
-        return "\n".join(lines)

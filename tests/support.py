@@ -1,14 +1,16 @@
 """Shared seeded instance generators and slow reference implementations
 for the test suites."""
 
+import itertools
 from fractions import Fraction
 
-from roversweep.exact import INFINITY
+from roversweep.exact import INFINITY, format_number
 from roversweep.fault_line import Plan, mask_antichain
 from roversweep.instance import LineInstance, RingInstance, StarInstance
 from roversweep.multi_line import TeamTables
-from roversweep.oracle import enumerate_walks, walk_track
+from roversweep.oracle import CapExceeded, _placements, enumerate_walks, walk_track
 from roversweep.ring import replicate_ring
+from roversweep.schedule import Verdict
 from roversweep.single_robot import init_start, interval_table, optimal_time, propagate
 from roversweep.state_graph import StateGraph
 
@@ -91,11 +93,10 @@ def reach_chain_decide(ring, positions, f, delta):
     positions = tuple(sorted(positions))
     k = len(positions)
     n = ring.n
-    rep = replicate_ring(ring, f, starts=positions)
-    big = rep.ring
+    big = replicate_ring(ring, f).ring
     big_n = big.n
     graph = StateGraph.from_ring(big)
-    labels = init_start(graph, rep.permitted_starts)
+    labels = init_start(graph, replicated_starts(ring, f, positions))
     propagate(graph, labels, big.deadlines)
     if any(labels.time[uid] <= delta for uid in graph.terminal_ids()):
         return True
@@ -167,8 +168,13 @@ def push_labels(graph, starts, deadlines, window=None):
 
 
 def free_tables(line, k):
-    """The T[r] tables computed on the doubling path to k."""
-    return TeamTables(line, k).tables
+    """The T[r] tables on the doubling path to k, the k table filled in
+    from ``TeamTables.value``."""
+    solver = TeamTables(line, k)
+    n = line.n
+    tables = dict(solver.tables)
+    tables[k] = [[solver.value(i, j) if j >= i else 0 for j in range(n)] for i in range(n)]
+    return tables
 
 
 def exhaustive_opt_time(table_a, r1, table_b, r2, i, j):
@@ -213,3 +219,134 @@ def naive_team_tables(line, k_max):
                 cur[i][j] = best
         tables[r] = cur
     return tables
+
+
+def finite_count(labels):
+    """Number of states a label pass reached."""
+    return sum(1 for t in labels.time if t is not INFINITY)
+
+
+def graph_dump(graph):
+    """One arc per line, for golden-file comparisons."""
+    lines = []
+    for u in range(graph.node_count):
+        su = graph.state_of(u)
+        for v, weight, _ in graph.arcs_from(u):
+            lines.append(f"{su} -> {graph.state_of(v)} w={format_number(weight)}")
+    return "\n".join(lines)
+
+
+def copy_of(rep, i):
+    """The base node of node i of a replicated ring."""
+    return i % rep.base.n
+
+
+def replicated_starts(ring, f, starts):
+    """Every copy of ``starts`` on the ring replicated f+1 times, sorted."""
+    n = ring.n
+    return tuple(sorted({p + t * n for p in starts for t in range(f + 1)}))
+
+
+def n3dm_brute_force(a_values, b_values, c_values, target):
+    """Decide N3DM directly by trying both pairing permutations."""
+    q = len(a_values)
+    for perm_b in itertools.permutations(range(q)):
+        partial_ok = all(a_values[i] + b_values[perm_b[i]] < target for i in range(q))
+        if not partial_ok:
+            continue
+        for perm_c in itertools.permutations(range(q)):
+            if all(
+                a_values[i] + b_values[perm_b[i]] + c_values[perm_c[i]] == target
+                for i in range(q)
+            ):
+                return True
+    return False
+
+
+def partition_brute_force(values):
+    """Decide Partition by a bitset of reachable subset sums."""
+    total = sum(values)
+    if total % 2 != 0:
+        return False
+    half = total // 2
+    reachable = 1  # bitset over sums
+    for v in values:
+        reachable |= reachable << v
+    return bool((reachable >> half) & 1)
+
+
+def brute_solve_alt(spec):
+    """Second, independently coded enumerator (tiny caps, no pruning).
+
+    Cross-checks brute_solve; walks come from a breadth-first expansion
+    instead of the depth-first recursion, and tuples are evaluated by a
+    plain product scan.
+    """
+    top = spec.topology
+    n = top.n
+    k = spec.k
+    if n > 6 or k > 3:
+        raise CapExceeded("alternate enumerator caps at n <= 6, k <= 3")
+    need = spec.faults + 1
+    deadlines = top.deadlines
+    bound = spec.bound
+    is_line = isinstance(top, LineInstance)
+
+    def expand(start):
+        # states: (covered frozenset, boundary pair, at_left, time, fv dict)
+        if is_line:
+            init = (start, start, True, 0, ((start, 0),))
+        else:
+            init = (start, start, False, 0, ((start, 0),))
+        frontier = [init]
+        finished = []
+        while frontier:
+            nxt = []
+            for lo, hi, at_left, t, fv in frontier:
+                moves = []
+                if is_line:
+                    pos = top.coordinates[lo] if at_left else top.coordinates[hi]
+                    if lo > 0:
+                        moves.append((lo - 1, hi, True, t + (pos - top.coordinates[lo - 1])))
+                    if hi < n - 1:
+                        moves.append((lo, hi + 1, False, t + (top.coordinates[hi + 1] - pos)))
+                else:
+                    size = (hi - lo) % n + 1
+                    if size < n:
+                        here = lo if at_left else hi
+                        d_ccw = (top.ccw_dist(here, hi)) + top.edge_weights[hi]
+                        d_cw = (top.ccw_dist(lo, here)) + top.edge_weights[(lo - 1) % n]
+                        moves.append(((lo - 1) % n, hi, True, t + d_cw))
+                        moves.append((lo, (hi + 1) % n, False, t + d_ccw))
+                if not moves:
+                    finished.append(fv)
+                    continue
+                for nlo, nhi, nat_left, nt in moves:
+                    new_node = nlo if nat_left else nhi
+                    nxt.append((nlo, nhi, nat_left, nt, fv + ((new_node, nt),)))
+            frontier = nxt
+        return [dict(fv) for fv in finished]
+
+    best = [INFINITY]
+    for placement in _placements(spec):
+        plan_lists = [expand(p) for p in placement]
+        for combo in itertools.product(*plan_lists):
+            worst = 0
+            ok = True
+            for v in range(n):
+                times = []
+                for fv in combo:
+                    t = fv.get(v)
+                    if t is not None and t <= deadlines[v] and (bound is None or t <= bound):
+                        times.append(t)
+                times.sort()
+                if len(times) < need:
+                    ok = False
+                    break
+                if times[need - 1] > worst:
+                    worst = times[need - 1]
+            if ok and worst < best[0]:
+                best[0] = worst
+    if best[0] is INFINITY:
+        return Verdict(feasible=False, optimum=INFINITY)
+    return Verdict(feasible=True, optimum=best[0])

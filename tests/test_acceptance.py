@@ -11,7 +11,16 @@ import itertools
 import random
 import time
 
-from support import fixed_positions, naive_team_tables, random_line, random_ring, random_star
+from support import (
+    fixed_positions,
+    n3dm_brute_force,
+    naive_team_tables,
+    partition_brute_force,
+    random_line,
+    random_ring,
+    random_star,
+    replicated_starts,
+)
 from roversweep.exact import INFINITY
 from roversweep.fault_line import solve_free_faulty
 from roversweep.instance import (
@@ -30,8 +39,6 @@ from roversweep.oracle import (
 )
 from roversweep.reductions import (
     line_from_n3dm,
-    n3dm_brute_force,
-    partition_brute_force,
     star_exact,
     star_from_partition,
     star_single_robot,
@@ -313,10 +320,10 @@ def _brute_ring_cover(ring, positions, f, delta):
 
 
 def _ring_candidate_times(ring, positions, f, delta_cap):
-    rep = replicate_ring(ring, f, starts=positions)
+    rep = replicate_ring(ring, f)
     graph = StateGraph.from_ring(rep.ring)
     labels = propagate(
-        graph, init_start(graph, rep.permitted_starts), rep.ring.deadlines
+        graph, init_start(graph, replicated_starts(ring, f, positions)), rep.ring.deadlines
     )
     values = {0, *labels.finite_values()}
     blank = (INFINITY,) * ring.n

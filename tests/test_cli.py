@@ -2,6 +2,8 @@ import json
 import os
 from fractions import Fraction
 
+import pytest
+
 from roversweep import cli, multi_line, reductions, ring
 from roversweep.cli import main
 from roversweep.exact import INFINITY, decimal_str, format_number
@@ -357,3 +359,43 @@ def test_resilience_is_the_same_on_a_third_of_the_instance(tmp_path, capsys):
     third = [a[2:] for a in answers if a[0] == 3]
     assert plain == third
     assert {out for *_, out in plain} != {"none\n"}
+
+
+NEGATIVE_DELTA_ROUTES = {
+    "line free": dict(SKEW3, robots={"mode": "free", "count": 2}),
+    "line fixed faulty": dict(SKEW3, robots={"mode": "fixed", "positions": [0, 2]}, faults=1),
+    "ring fixed": {
+        "topology": "ring",
+        "edge_weights": ["1", "2", "1"],
+        "deadlines": [None, None, None],
+        "robots": {"mode": "fixed", "positions": [0, 1]},
+        "faults": 0,
+    },
+    "ring free": {
+        "topology": "ring",
+        "edge_weights": ["1", "2", "1"],
+        "deadlines": [None, None, None],
+        "robots": {"mode": "free", "count": 2},
+        "faults": 0,
+    },
+    "star": {
+        "topology": "star",
+        "leaf_weights": ["1", "2"],
+        "deadlines": [None, None],
+        "center_deadline": None,
+        "robots": {"mode": "fixed", "positions": [0, 1]},
+        "faults": 0,
+    },
+}
+
+
+@pytest.mark.parametrize("route", sorted(NEGATIVE_DELTA_ROUTES))
+def test_negative_delta_is_no_on_every_route(tmp_path, capsys, route):
+    # no walk finishes before time 0, whatever the route
+    path = write(tmp_path, "inst.json", NEGATIVE_DELTA_ROUTES[route])
+    assert main(["decide", path, "--delta", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("NO\n", "")
+    assert main(["resilience", path, "--delta=-1/2"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("none\n", "")

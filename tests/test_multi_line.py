@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -9,9 +10,10 @@ from support import (
     free_tables,
     naive_team_tables,
     random_line,
+    random_ring,
 )
 from roversweep.exact import INFINITY
-from roversweep.instance import FIXED, LineInstance, ProblemSpec, RobotPlacement
+from roversweep.instance import FIXED, LineInstance, ProblemSpec, RingInstance, RobotPlacement
 from roversweep.multi_line import TeamTables, opt_time, solve_fixed, solve_free
 from roversweep.oracle import enumerate_walks, verify_schedule
 from roversweep.single_robot import interval_table, optimal_time, solve_fixed_start
@@ -123,6 +125,7 @@ def test_opt_time_agrees_with_exhaustive_scan():
         tables = free_tables(line, 4)
         n = line.n
         pairs = [(r1, r2) for r1 in tables for r2 in tables if r1 + r2 in (2, 3, 4, 5, 6)]
+        assert len(pairs) == 8
         for i in range(n):
             for j in range(i, n):
                 for r1, r2 in pairs:
@@ -143,11 +146,47 @@ def test_every_table_cell_is_the_best_split():
             assert tables[1] == [
                 [optimal_time(labels, i, j) if j >= i else 0 for j in range(n)] for i in range(n)
             ]
+            assert k in solver.parts and k not in tables
             for r, (r1, r2) in solver.parts.items():
                 for i in range(n):
                     for j in range(i, n):
                         want = exhaustive_opt_time(tables[r1], r1, tables[r2], r2, i, j)
-                        assert tables[r][i][j] == want, (line, r, i, j)
+                        got = solver.value(i, j) if r == k else tables[r][i][j]
+                        assert got == want, (line, r, i, j)
+
+
+@pytest.mark.parametrize("k, kept", [(1, {1}), (2, {1}), (3, {1, 2}), (4, {1, 2}),
+                                     (6, {1, 2, 4}), (7, {1, 2, 4, 6})])
+def test_tables_stop_below_the_team_size(k, kept):
+    # the k table is read on demand through value(), never tabulated
+    line = LineInstance(tuple(range(9)), (INFINITY,) * 9)
+    ring = RingInstance((1,) * 9, (INFINITY,) * 9)
+    for topology in (line, ring):
+        solver = TeamTables(topology, k)
+        assert set(solver.tables) == kept
+        assert set(solver.parts) == {r for r in kept | {k} if r > 1}
+
+
+def test_cells_and_values_lie_in_the_finite_values():
+    rng = random.Random(89)
+    for trial in range(40):
+        if trial % 2:
+            topology = random_ring(rng, min_n=2, max_n=9)
+            if trial % 4 == 1:
+                topology = topology.scaled(Fraction(2, 3))
+        else:
+            topology = random_line(rng, max_n=10, integral=trial % 4 == 0)
+        n = topology.n
+        for k in (2, 3, 5, 6):
+            solver = TeamTables(topology, k)
+            vals = solver.all_finite_values()
+            for table in solver.tables.values():
+                for row in table:
+                    assert all(v in vals for v in row if v is not INFINITY)
+            for i in range(n):
+                for j in range(i, i + n if solver.ring else n):
+                    v = solver.value(i, j)
+                    assert v is INFINITY or v in vals, (topology, k, i, j)
 
 
 def test_free_examples():

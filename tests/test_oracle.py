@@ -8,7 +8,7 @@ import pytest
 import roversweep
 from roversweep import oracle
 
-from support import fixed_positions, naive_team_tables, random_line, random_ring
+from support import brute_solve_alt, fixed_positions, naive_team_tables, random_line, random_ring
 from roversweep.exact import INFINITY
 from roversweep.instance import (
     FIXED,
@@ -22,7 +22,6 @@ from roversweep.oracle import (
     Caps,
     CapExceeded,
     brute_solve,
-    brute_solve_alt,
     enumerate_walks,
     verify_schedule,
 )

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from support import random_star
+from support import n3dm_brute_force, partition_brute_force, random_star
 from roversweep.exact import INFINITY
 from roversweep.fault_line import decide_fixed_faulty
 from roversweep.instance import (
@@ -16,8 +16,6 @@ from roversweep.instance import (
 from roversweep.oracle import Caps, CapExceeded
 from roversweep.reductions import (
     line_from_n3dm,
-    n3dm_brute_force,
-    partition_brute_force,
     star_exact,
     star_from_partition,
     star_single_robot,

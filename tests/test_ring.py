@@ -4,7 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from support import fixed_positions, profile_plans, random_line, random_ring, reach_chain_decide
+from support import (
+    copy_of,
+    fixed_positions,
+    profile_plans,
+    random_line,
+    random_ring,
+    reach_chain_decide,
+    replicated_starts,
+)
 from roversweep.exact import INFINITY
 from roversweep.instance import (
     FIXED,
@@ -137,17 +145,19 @@ def test_every_ring_table_cell_is_the_best_split():
                     assert tables[1][i][j] == optimal_time(solver.labels, i, j % n)
             for r, table in tables.items():
                 assert table[n:] == [[0] * n + row for row in table[:n]]
+            assert k in solver.parts and k not in tables
             for r, (r1, r2) in solver.parts.items():
                 for i in range(n):
                     for j in range(i, i + n):
+                        got = solver.value(i, j) if r == k else tables[r][i][j]
                         if j - i + 1 <= r:
-                            assert tables[r][i][j] == 0
+                            assert got == 0
                             continue
                         want = min(
                             max(cell(tables, r1, i, s), cell(tables, r2, s + 1, j))
                             for s in range(i, j)
                         )
-                        assert tables[r][i][j] == want, (ring, r, i, j)
+                        assert got == want, (ring, r, i, j)
                         wrapped += j >= n
     assert wrapped > 1000
 
@@ -176,11 +186,10 @@ def test_replicate_ring():
     rep2 = replicate_ring(UNIT3, 1)
     assert rep2.ring.n == 6
     assert rep2.ring.edge_weights == (1,) * 6
-    assert [rep2.copy_of(i) for i in range(6)] == [0, 1, 2, 0, 1, 2]
+    assert [copy_of(rep2, i) for i in range(6)] == [0, 1, 2, 0, 1, 2]
     patterned = replicate_ring(RingInstance((1, 1, 1), (2, 5, 9)), 1)
     assert patterned.ring.deadlines == (2, 5, 9, 2, 5, 9)
-    with_starts = replicate_ring(UNIT3, 1, starts=(0, 2))
-    assert with_starts.permitted_starts == (0, 2, 3, 5)
+    assert replicated_starts(UNIT3, 1, (0, 2)) == (0, 2, 3, 5)
 
 
 def test_ring_free_faulty_examples():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from support import push_labels, random_line, random_ring
+from support import graph_dump, push_labels, random_line, random_ring
 from roversweep.exact import INFINITY
 from roversweep.instance import LineInstance, RingInstance
 from roversweep.single_robot import extract_trajectory, init_start, propagate
@@ -44,7 +44,7 @@ def test_size_law_up_to_fifty():
 
 def test_golden_arc_dump():
     g = StateGraph.from_line(LineInstance((0, 1, 3), (INFINITY,) * 3))
-    assert g.dump() == GOLDEN_LINE_DUMP
+    assert graph_dump(g) == GOLDEN_LINE_DUMP
 
 
 def test_specific_arcs_and_non_arcs():
