@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import re
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -31,7 +32,6 @@ from .exact import INFINITY, common_denominator, decimal_str, format_number, par
 from .instance import (
     FIXED,
     FREE,
-    SUBSET,
     InstanceError,
     LineInstance,
     ProblemSpec,
@@ -57,8 +57,10 @@ def _say_number(value) -> str:
     return f"{format_number(value)} ({decimal_str(value)})"
 
 
-def _caps_from(args, topology) -> Caps:
-    default = fault_line.fixed_search_caps(topology)
+def _caps_from(args, topology=None) -> Caps:
+    """The exact-search caps of ``topology`` (the oracle's ``Caps()``
+    without one), with --max-n and --max-k applied."""
+    default = Caps() if topology is None else fault_line.fixed_search_caps(topology)
     return Caps(
         max_n=args.max_n if args.max_n is not None else default.max_n,
         max_k=args.max_k if args.max_k is not None else default.max_k,
@@ -78,34 +80,23 @@ def _route_solve(spec: ProblemSpec, caps: Caps) -> Verdict:
     top = spec.topology
     pl = spec.placement
     f = spec.faults
-    if isinstance(top, LineInstance):
-        if pl.mode == FIXED:
-            if f == 0:
-                if spec.k == 1:
-                    return single_robot.solve_fixed_start(top, pl.positions[0])
-                return multi_line.solve_fixed(top, pl.positions)
-            return fault_line.solve_fixed_faulty(top, pl.positions, f, caps)
-        if pl.mode == FREE:
-            if f == 0:
-                return multi_line.solve_free(top, pl.count)
-            return fault_line.solve_free_faulty(top, pl.count, f)
-        if pl.mode == SUBSET:
-            if spec.k == 1 and f == 0:
-                return single_robot.solve_free_start(top, pl.allowed)
-            raise InstanceError("robots", "subset placement is solved for a single reliable robot only")
-    if isinstance(top, RingInstance):
-        if pl.mode == FIXED:
-            if f == 0:
-                return ring.solve_ring_fixed(top, pl.positions)
-            return ring.optimize_ring_fixed_faulty(top, pl.positions, f, caps)
-        if pl.mode == FREE:
-            if f == 0:
-                return ring.solve_ring_free(top, pl.count)
-            return ring.solve_ring_free_faulty(top, pl.count, f)
-        raise InstanceError("robots", "subset placement is not supported on rings")
     if isinstance(top, StarInstance):
         return reductions.star_exact(top, pl, spec.k, f, spec.bound)
-    raise InstanceError("topology", "unsupported topology")
+    if pl.mode == FIXED:
+        if f == 0:
+            return multi_line.solve_fixed(top, pl.positions)
+        return fault_line.solve_fixed_faulty(top, pl.positions, f, caps)
+    if pl.mode == FREE:
+        if f == 0:
+            return multi_line.solve_free(top, pl.count)
+        if isinstance(top, RingInstance):
+            return ring.solve_ring_free_faulty(top, pl.count, f)
+        return fault_line.solve_free_faulty(top, pl.count, f)
+    if isinstance(top, RingInstance):
+        raise InstanceError("robots", "subset placement is not supported on rings")
+    if spec.k == 1 and f == 0:
+        return single_robot.solve_free_start(top, pl.allowed)
+    raise InstanceError("robots", "subset placement is solved for a single reliable robot only")
 
 
 def _route_decide(spec: ProblemSpec, delta, caps: Caps) -> bool:
@@ -114,9 +105,7 @@ def _route_decide(spec: ProblemSpec, delta, caps: Caps) -> bool:
     top = spec.topology
     pl = spec.placement
     f = spec.faults
-    if isinstance(top, RingInstance) and pl.mode == FIXED:
-        return ring.decide_ring_fixed_faulty(top, pl.positions, f, delta, caps).feasible
-    if isinstance(top, LineInstance) and pl.mode == FIXED and f > 0:
+    if pl.mode == FIXED and not isinstance(top, StarInstance):
         return fault_line.decide_fixed_faulty(top, pl.positions, f, delta, caps).feasible
     capped = spec.topology.capped(delta)
     capped_spec = ProblemSpec(topology=capped, placement=pl, faults=f, bound=delta)
@@ -265,11 +254,7 @@ def cmd_verify(args) -> int:
 
 def cmd_oracle(args) -> int:
     spec = parse_instance(_read(args.instance))
-    caps = Caps(
-        max_n=args.max_n if args.max_n is not None else Caps().max_n,
-        max_k=args.max_k if args.max_k is not None else Caps().max_k,
-        max_f=Caps().max_f,
-    )
+    caps = _caps_from(args)
     if isinstance(spec.topology, StarInstance):
         verdict = reductions.star_exact(
             spec.topology, spec.placement, spec.k, spec.faults, spec.bound
@@ -360,9 +345,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _glue_delta(argv: list) -> list:
+    """``--delta V`` as ``--delta=V`` when V is a negative number: argparse
+    takes a value such as -1/2 for an option flag and stops."""
+    out: list = []
+    for arg in argv:
+        if out and out[-1] == "--delta" and re.match(r"-[0-9.]", arg):
+            out[-1] = "--delta=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: Optional[list] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_glue_delta(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except (InstanceError, ScheduleError, CapExceeded, ValueError, OSError) as exc:

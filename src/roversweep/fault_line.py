@@ -3,9 +3,12 @@
 With f possible crashes every node must collect f+1 distinct on-time
 visitors, so free placement on a line reduces to a reliable solve with
 floor(k / (f+1)) robots replicated across f+1 groups.  Fixed placement
-is genuinely hard; on lines and rings alike it is decided exactly by a
-branch-and-bound over per-robot coverage plans driven by the first
-under-covered node of a fixed node order:
+on a line or a ring goes through ``decide_fixed_faulty`` and
+``solve_fixed_faulty``.  They own the reliable shortcut: with f = 0 and
+robots at distinct nodes, the polynomial ``multi_line.solve_fixed``
+answers.  Otherwise fixed placement is genuinely hard, and it is decided
+exactly by a branch-and-bound over per-robot coverage plans driven by
+the first under-covered node of a fixed node order:
 
 * on a line without finite deadlines every feasible assignment goes
   through a small set of canonical plans (cover the deficient node,
@@ -28,9 +31,9 @@ from typing import Iterable, List, Optional, Sequence
 
 from .exact import ExactNumber, INFINITY, is_finite
 from .instance import FIXED, FREE, LineInstance, ProblemSpec, RingInstance, StarInstance
-from .multi_line import solve_free
-from .oracle import Caps, CapExceeded, verify_schedule
-from .schedule import RobotTrack, Schedule, Verdict
+from .multi_line import solve_fixed, solve_free, track_schedule
+from .oracle import Caps, CapExceeded, witnessed
+from .schedule import RobotTrack, Verdict
 
 FIXED_SEARCH_CAPS = Caps(max_n=40, max_k=8, max_f=7)
 # with finite deadlines a ring robot's plans are Pareto sets of partial
@@ -71,29 +74,9 @@ def solve_free_faulty(
     tracks = list(group_tracks * (f + 1))
     for i in range(k - group * (f + 1)):
         tracks.append(group_tracks[i % group])
-    schedule = Schedule(kind="line", tracks=tuple(tracks))
-    report = verify_schedule(_check_spec(line, k, f), schedule)
-    if not report.passed:
-        raise RuntimeError("internal error: replicated schedule failed verification")
-    witness = {c.node: c.visits for c in report.nodes}
-    return Verdict(
-        feasible=True,
-        optimum=base.optimum,
-        schedule=schedule,
-        witness=witness,
-        candidates=base.candidates,
-    )
-
-
-def _check_spec(topology, k: int, f: int, bound=None) -> ProblemSpec:
-    """Spec used only to drive the verifier (placement mode is irrelevant there)."""
-    from .instance import RobotPlacement
-
-    return ProblemSpec(
-        topology=topology,
-        placement=RobotPlacement(FREE, count=k),
-        faults=f,
-        bound=bound,
+    return witnessed(
+        line, k, f, None, track_schedule(line, tracks),
+        optimum=base.optimum, candidates=base.candidates,
     )
 
 
@@ -425,15 +408,6 @@ def check_caps(topology, k: int, caps: Caps):
         )
 
 
-def witnessed(topology, k: int, f: int, delta, schedule: Schedule) -> Verdict:
-    """YES verdict for ``schedule`` once the verifier accepts it within delta."""
-    report = verify_schedule(_check_spec(topology, k, f, delta), schedule)
-    if not report.passed:
-        raise RuntimeError("internal error: witness schedule failed verification")
-    witness = {c.node: c.visits for c in report.nodes}
-    return Verdict(feasible=True, optimum=None, schedule=schedule, witness=witness)
-
-
 def search_verdict(topology, positions: Sequence[int], f: int, delta) -> Verdict:
     """Run the exact search (positions sorted); YES carries a verified schedule."""
     result = _FixedSearch(topology, positions, f, delta).run()
@@ -444,11 +418,7 @@ def search_verdict(topology, positions: Sequence[int], f: int, delta) -> Verdict
         plan.track if plan is not None else RobotTrack(((0, spots[p]),))
         for p, plan in zip(positions, result)
     )
-    if isinstance(topology, RingInstance):
-        schedule = Schedule(kind="ring", tracks=tracks, circumference=topology.total)
-    else:
-        schedule = Schedule(kind="line", tracks=tracks)
-    return witnessed(topology, len(positions), f, delta, schedule)
+    return witnessed(topology, len(positions), f, delta, track_schedule(topology, tracks))
 
 
 def least_feasible(candidates: Sequence, decide) -> Verdict:
@@ -497,12 +467,21 @@ def decide_fixed_faulty(
     """Exact decision: can the fixed multiset of robots on a line or ring,
     up to f of which may crash, visit every node by min(deadline, delta)?
 
-    Returns a full schedule witness on YES.  Never guesses: instances
-    beyond ``caps`` (default: ``fixed_search_caps``) raise CapExceeded.
+    Reliable robots at distinct nodes are decided by the polynomial
+    ``solve_fixed`` on the topology with deadlines capped at delta, at
+    any size.  Everything else runs the exact search, which never
+    guesses: instances beyond ``caps`` (default: ``fixed_search_caps``)
+    raise CapExceeded.  A YES always carries a schedule that
+    ``verify_schedule`` accepts.
     """
     positions = fixed_team(topology, positions, f)
     if not is_finite(delta):
         raise ValueError("the decision needs a finite time bound")
+    if f == 0 and len(set(positions)) == len(positions):
+        reliable = solve_fixed(topology.capped(delta), positions)
+        if not reliable.feasible or reliable.optimum > delta:
+            return Verdict(feasible=False, optimum=None)
+        return witnessed(topology, len(positions), f, delta, reliable.schedule)
     check_caps(topology, len(positions), caps or fixed_search_caps(topology))
     return search_verdict(topology, positions, f, delta)
 
@@ -548,9 +527,12 @@ def solve_fixed_faulty(
     Feasibility is monotone in delta and can only change at a time from
     ``fixed_faulty_candidates``, so a binary search over them with the
     exact decision yields the optimum; the verdict carries the accepting
-    decision's verified schedule.  Caps as for the decision.
+    decision's verified schedule.  Reliable robots at distinct nodes are
+    solved directly by ``solve_fixed``.  Caps as for the decision.
     """
     positions = fixed_team(topology, positions, f)
+    if f == 0 and len(set(positions)) == len(positions):
+        return solve_fixed(topology, positions, collect_candidates=True)
     caps = caps or fixed_search_caps(topology)
     check_caps(topology, len(positions), caps)
     return least_feasible(
@@ -583,25 +565,19 @@ def resilience(spec: ProblemSpec, delta: ExactNumber, caps: Optional[Caps] = Non
         caps = fixed_search_caps(top)
 
     def decide(f: int) -> bool:
-        if isinstance(top, LineInstance):
-            if mode == FREE:
-                return solve_free(top, k // (f + 1)).optimum <= delta
-            if mode == FIXED:
-                return decide_fixed_faulty(top, spec.placement.positions, f, delta, caps).feasible
-        if isinstance(top, RingInstance):
-            from . import ring as ring_mod
-
-            if mode == FREE:
-                v = ring_mod.solve_ring_free_faulty(top, k, f)
-                return v.feasible and v.optimum <= delta
-            if mode == FIXED:
-                return ring_mod.decide_ring_fixed_faulty(
-                    top, spec.placement.positions, f, delta, caps
-                ).feasible
         if isinstance(top, StarInstance):
             from .reductions import star_exact
 
             return star_exact(top, spec.placement, k, f, delta).feasible
+        if mode == FIXED:
+            return decide_fixed_faulty(top, spec.placement.positions, f, delta, caps).feasible
+        if mode == FREE:
+            if isinstance(top, RingInstance):
+                from .ring import solve_ring_free_faulty
+
+                v = solve_ring_free_faulty(top, k, f)
+                return v.feasible and v.optimum <= delta
+            return solve_free(top, k // (f + 1)).optimum <= delta
         raise ValueError("resilience supports fixed and free placements")
 
     # feasibility is monotone in f: binary-search the largest feasible f

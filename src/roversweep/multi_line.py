@@ -1,10 +1,13 @@
 """Optimal exploration of lines and rings by a team of reliable robots.
 
-Fixed placements: per-robot interval times from one shared state graph
-(each robot restricted to the open window between its neighbours), then
-a prefix recurrence (``idle_edge_split``) that picks the idle edge
-separating consecutive robots' work intervals.  Rings cut one edge and
-run the same recurrence on the line that remains.
+Fixed placements: one windowed label pass per robot (each robot kept to
+the open window between its neighbours), read once into a table of the
+stretches that hold its start, then a prefix recurrence
+(``idle_edge_split``) that picks the idle edge separating consecutive
+robots' parts.  A line is cut at its own ends; a ring is cut at each
+edge between its closest adjacent pair of robots in turn, and the same
+recurrence runs on the line that remains.  One robot on a line is the
+pruned single-robot pass; one robot on a ring laps it.
 
 Free placements: tables T[r][i][j] of optimal times for r freely placed
 robots, combined by robot-count doubling along the binary digits of k.
@@ -22,19 +25,34 @@ i .. i+n-1, so a part may wrap past node n-1 (``TeamTables``).
 from __future__ import annotations
 
 from bisect import bisect_right
+from dataclasses import replace
 from typing import Iterable, List, Sequence, Union
 
 from .exact import ExactNumber, INFINITY
 from .instance import LineInstance, RingInstance
 from .schedule import RobotTrack, Schedule, Verdict
 from .single_robot import (
+    TimeLabels,
     best_target,
     extract_trajectory,
     init_start,
-    optimal_time,
     propagate,
+    solve_fixed_start,
 )
 from .state_graph import StateGraph
+
+
+def _graph(topology: Union[LineInstance, RingInstance]) -> StateGraph:
+    if isinstance(topology, RingInstance):
+        return StateGraph.from_ring(topology)
+    return StateGraph.from_line(topology)
+
+
+def track_schedule(topology: Union[LineInstance, RingInstance], tracks) -> Schedule:
+    """The schedule of ``tracks`` on a line or a ring."""
+    if isinstance(topology, RingInstance):
+        return Schedule(kind="ring", tracks=tuple(tracks), circumference=topology.total)
+    return Schedule(kind="line", tracks=tuple(tracks))
 
 
 def best_split(row_a, rows_b, lo: int, hi: int, j: int) -> tuple:
@@ -113,63 +131,134 @@ def idle_edge_split(starts: Sequence[int], n: int, part_time) -> tuple:
     return prefix[n - 1], parts
 
 
+def _start_times(labels, p: int, lo: int, hi: int) -> list:
+    """rows[a][b]: the fastest exploration of the stretch from a nodes
+    before p to b nodes after it (counterclockwise on a ring).
+
+    Only the stretches that hold p and lie strictly inside the open
+    window (lo, hi) are read, each once, off the label layers: they are
+    the parts ``idle_edge_split`` can give the robot at p.
+    """
+    graph = labels.graph
+    time = labels.time
+    n = graph.n
+    left = (p - lo - 1) % n
+    right = (hi - p - 1) % n
+    first = [graph.layer_ids(d).start for d in range(left + right + 1)]
+    rows = []
+    for a in range(left + 1):
+        i = (p - a) % n
+        row = [time[p]] if a == 0 else []
+        for d in range(max(a, 1), a + right + 1):
+            tl = time[first[d] + 2 * i]
+            tr = time[first[d] + 2 * i + 1]
+            row.append(tl if tl <= tr else tr)
+        rows.append(row)
+    return rows
+
+
 def solve_fixed(
-    line: LineInstance,
+    topology: Union[LineInstance, RingInstance],
     positions: Iterable[int],
     collect_candidates: bool = False,
 ) -> Verdict:
-    """Optimal exploration with robots at given distinct nodes.
+    """Optimal exploration of a line or ring by robots at given distinct nodes.
 
     Returns the optimum, the chosen idle edges, and one trajectory per
     robot; INFINITY/infeasible when no deadline-respecting split exists.
     """
     positions = tuple(sorted(positions))
-    n = line.n
+    n = topology.n
     if len(set(positions)) != len(positions):
         raise ValueError("fixed positions must be distinct for reliable robots")
     if any(not 0 <= p < n for p in positions):
         raise ValueError("robot position out of range")
     k = len(positions)
+    ring = isinstance(topology, RingInstance)
+    if k == 1:
+        if ring:
+            return _one_robot_lap(topology, positions, collect_candidates)
+        verdict = solve_fixed_start(topology, positions[0], collect_candidates)
+        return replace(verdict, idle_edges=()) if verdict.feasible else verdict
 
-    graph = StateGraph.from_line(line)
-    forests: List[tuple] = []
+    graph = _graph(topology)
+    forests: List[TimeLabels] = []
+    times = []
     for m, p in enumerate(positions):
-        lo = positions[m - 1] if m > 0 else -1
-        hi = positions[m + 1] if m < k - 1 else n
-        labels = init_start(graph, [p])
-        propagate(graph, labels, line.deadlines, window=(lo, hi))
-        forests.append((labels, lo, hi))
+        lo = positions[m - 1] if ring or m > 0 else -1
+        hi = positions[(m + 1) % k] if ring or m < k - 1 else n
+        labels = propagate(graph, init_start(graph, [p]), topology.deadlines, window=(lo, hi))
+        forests.append(labels)
+        times.append(_start_times(labels, p, lo, hi))
 
-    def robot_time(m: int, i: int, j: int) -> ExactNumber:
-        labels, lo, hi = forests[m]
-        if not (lo < i and j < hi):
-            return INFINITY
-        return optimal_time(labels, i, j)
+    if ring:
+        # some edge between the closest adjacent pair (fewest edges) is idle,
+        # so each is cut in turn; the line left runs ccw from head = cut + 1
+        gap, pick = min(((positions[(m + 1) % k] - positions[m]) % n, m) for m in range(k))
+        heads = [(positions[pick] + t + 1) % n for t in range(gap)]
+    else:
+        heads = [0]
 
-    optimum, parts = idle_edge_split(positions, n, robot_time)
+    def part_time(r: int, i: int, j: int):
+        # line nodes i..j of the current cut, explored by its r-th robot
+        q = starts[r]
+        return times[robots[r]][q - i][j - q]
+
+    best = (INFINITY, None, None)  # optimum, head, [(robot, first node, last node)]
+    for head in heads:
+        line_pos = sorted(((p - head) % n, m) for m, p in enumerate(positions))
+        starts = [q for q, _ in line_pos]
+        robots = [m for _, m in line_pos]
+        value, parts = idle_edge_split(starts, n, part_time)
+        if value < best[0]:
+            best = (value, head, [(robots[r], (head + i) % n, (head + j) % n) for r, i, j in parts])
 
     candidates = None
     if collect_candidates:
         vals = {0}
-        for labels, _, _ in forests:
+        for labels in forests:
             vals.update(labels.finite_values())
         candidates = tuple(sorted(vals))
 
-    if parts is None:
+    optimum, head, segments = best
+    if segments is None:
         return Verdict(feasible=False, optimum=INFINITY, candidates=candidates)
-
-    tracks = []
-    idle = []
-    for robot, i, j in parts:
-        labels = forests[robot][0]
-        tracks.append(RobotTrack(extract_trajectory(labels, best_target(labels, i, j))))
-        if i > 0:
-            idle.append((i - 1, i))
+    tracks = [None] * k
+    idle = [((head - 1) % n, head)] if ring else []
+    for robot, i, j in segments:
+        labels = forests[robot]
+        tracks[robot] = RobotTrack(extract_trajectory(labels, best_target(labels, i, j)))
+        if i != head:
+            idle.append(((i - 1) % n, i))
     return Verdict(
         feasible=True,
         optimum=optimum,
-        schedule=Schedule(kind="line", tracks=tuple(tracks)),
-        idle_edges=tuple(idle),
+        schedule=track_schedule(topology, tracks),
+        idle_edges=tuple(sorted(idle)),
+        candidates=candidates,
+    )
+
+
+def _one_robot_lap(ring: RingInstance, starts: Iterable[int], collect_candidates: bool) -> Verdict:
+    """One robot exploring the whole ring from the best of ``starts``.
+
+    One label pass; the optimum is the cheapest full-coverage state.
+    """
+    graph = StateGraph.from_ring(ring)
+    labels = propagate(graph, init_start(graph, starts), ring.deadlines)
+    candidates = tuple(sorted(set(labels.finite_values()))) if collect_candidates else None
+    best_uid = None
+    best_time = INFINITY
+    for uid in graph.terminal_ids():
+        t = labels.time[uid]
+        if t < best_time:
+            best_time, best_uid = t, uid
+    if best_uid is None:
+        return Verdict(feasible=False, optimum=INFINITY, candidates=candidates)
+    return Verdict(
+        feasible=True,
+        optimum=best_time,
+        schedule=track_schedule(ring, (RobotTrack(extract_trajectory(labels, best_uid)),)),
         candidates=candidates,
     )
 
@@ -201,12 +290,8 @@ class TeamTables:
         n = self.n = topology.n
         self.k = k
         self.ring = isinstance(topology, RingInstance)
-        if self.ring:
-            graph = StateGraph.from_ring(topology)
-            self.positions = topology.arc_positions()
-        else:
-            graph = StateGraph.from_line(topology)
-            self.positions = topology.coordinates
+        graph = _graph(topology)
+        self.positions = topology.arc_positions() if self.ring else topology.coordinates
         self.labels = propagate(graph, init_start(graph, range(n)), topology.deadlines)
         self.tables = {1: self._doubled(self._one_robot())}
         b = k.bit_length() - 1
@@ -313,19 +398,34 @@ class TeamTables:
         return vals
 
 
-def solve_free(line: LineInstance, k: int, collect_candidates: bool = False) -> Verdict:
-    """Optimal exploration time and placement for k freely placed robots."""
-    solver = TeamTables(line, k)
-    n = line.n
-    optimum = solver.value(0, n - 1)
+def solve_free(
+    topology: Union[LineInstance, RingInstance],
+    k: int,
+    collect_candidates: bool = False,
+) -> Verdict:
+    """Optimal exploration time and placement for k freely placed robots.
+
+    A line reads the one stretch 0 .. n-1; a ring takes the first strict
+    minimum over the stretches i .. i+n-1 of the doubled node order.
+    """
+    n = topology.n
+    ring = isinstance(topology, RingInstance)
+    if ring and k == 1:
+        return _one_robot_lap(topology, range(n), collect_candidates)
+    solver = TeamTables(topology, k)
     candidates = tuple(sorted(solver.all_finite_values())) if collect_candidates else None
+    best_i, optimum = 0, INFINITY
+    for i in range(n if ring else 1):
+        value = solver.value(i, i + n - 1)
+        if value < optimum:
+            best_i, optimum = i, value
     if optimum is INFINITY:
         return Verdict(feasible=False, optimum=INFINITY, candidates=candidates)
     tracks: list = []
-    solver.rebuild_tracks(0, n - 1, k, tracks)
+    solver.rebuild_tracks(best_i, best_i + n - 1, k, tracks)
     return Verdict(
         feasible=True,
         optimum=optimum,
-        schedule=Schedule(kind="line", tracks=tuple(tracks)),
+        schedule=track_schedule(topology, tracks),
         candidates=candidates,
     )

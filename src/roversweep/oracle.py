@@ -20,6 +20,7 @@ from .instance import (
     LineInstance,
     ProblemSpec,
     RingInstance,
+    RobotPlacement,
     StarInstance,
     node_count,
 )
@@ -510,4 +511,34 @@ def verify_schedule(spec: ProblemSpec, schedule: Schedule) -> VerificationReport
         makespan=makespan,
         nodes=tuple(checks),
         failures=tuple(failures),
+    )
+
+
+def witnessed(
+    topology,
+    k: int,
+    f: int,
+    bound: Optional[ExactNumber],
+    schedule: Schedule,
+    optimum: Optional[ExactNumber] = None,
+    candidates: Optional[tuple] = None,
+) -> Verdict:
+    """Feasible verdict for ``schedule`` once ``verify_schedule`` accepts it.
+
+    The k tracks must give every node f+1 distinct visitors by
+    min(deadline, bound); the witness lists them.  A rejected schedule
+    is a solver bug, not bad input, and raises RuntimeError.
+    """
+    spec = ProblemSpec(
+        topology=topology, placement=RobotPlacement(FREE, count=k), faults=f, bound=bound
+    )
+    report = verify_schedule(spec, schedule)
+    if not report.passed:
+        raise RuntimeError(f"internal error: {schedule.kind} schedule failed verification")
+    return Verdict(
+        feasible=True,
+        optimum=optimum,
+        schedule=schedule,
+        witness={c.node: c.visits for c in report.nodes},
+        candidates=candidates,
     )

@@ -26,7 +26,7 @@ from .instance import (
     RobotPlacement,
     StarInstance,
 )
-from .oracle import CapExceeded, verify_schedule
+from .oracle import CapExceeded, witnessed
 from .schedule import RobotTrack, Schedule, Verdict
 
 
@@ -366,16 +366,4 @@ def star_exact(
         robot.track(covers[idx], touches[idx]) for idx, robot in enumerate(robots)
     )
     schedule = Schedule(kind="star", tracks=tracks)
-    spec = ProblemSpec(
-        topology=star,
-        placement=RobotPlacement(FREE, count=k),
-        faults=f,
-        bound=delta,
-    )
-    report = verify_schedule(spec, schedule)
-    if not report.passed:
-        raise RuntimeError("internal error: star schedule failed verification")
-    witness = {c.node: c.visits for c in report.nodes}
-    return Verdict(
-        feasible=True, optimum=best[0], schedule=schedule, witness=witness
-    )
+    return witnessed(star, k, f, delta, schedule, optimum=best[0])

@@ -1,10 +1,12 @@
+import itertools
 import json
 import os
+import random
 from fractions import Fraction
 
 import pytest
 
-from roversweep import cli, multi_line, reductions, ring
+from roversweep import cli, fault_line, multi_line, reductions, ring
 from roversweep.cli import main
 from roversweep.exact import INFINITY, decimal_str, format_number
 from roversweep.instance import (
@@ -17,6 +19,7 @@ from roversweep.instance import (
     StarInstance,
     serialize_instance,
 )
+from roversweep.oracle import brute_solve, verify_schedule
 from roversweep.schedule import Verdict
 
 SKEW3 = {
@@ -125,6 +128,23 @@ def test_resilience_free_line(tmp_path, capsys):
     small = write(tmp_path, "free2.json", dict(doc, robots={"mode": "free", "count": 2}))
     assert main(["resilience", small, "--delta", "0.1"]) == 1
     assert capsys.readouterr().out.strip() == "none"
+
+
+def test_resilience_of_a_reliable_fixed_line_beyond_the_search_caps(tmp_path, capsys):
+    doc = dict(
+        SKEW3,
+        coordinates=[str(i) for i in range(50)],
+        deadlines=[None] * 50,
+        robots={"mode": "fixed", "positions": [10]},
+    )
+    path = write(tmp_path, "fifty.json", doc)
+    assert main(["solve", path]) == 0
+    assert capsys.readouterr().out == "59 (59)\n"
+    assert main(["decide", path, "--delta", "100"]) == 0
+    assert capsys.readouterr().out == "YES\n"
+    assert main(["resilience", path, "--delta", "100"]) == 0
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("0\n", "")
 
 
 def test_oracle_subcommand(tmp_path, capsys):
@@ -269,7 +289,7 @@ def test_faulty_fixed_ring_with_deadlines_is_capped(tmp_path, capsys):
 
 def test_feasible_verdict_without_schedule_is_an_internal_error(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(
-        cli.ring, "optimize_ring_fixed_faulty",
+        cli.fault_line, "solve_fixed_faulty",
         lambda *args: Verdict(feasible=True, optimum=3, schedule=None),
     )
     path = write(tmp_path, "ring.json", MINIMAL_RING)
@@ -399,3 +419,99 @@ def test_negative_delta_is_no_on_every_route(tmp_path, capsys, route):
     assert main(["resilience", path, "--delta=-1/2"]) == 1
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("none\n", "")
+    # the same value after a space, which argparse alone takes for a flag
+    assert main(["decide", path, "--delta", "-1/2"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("NO\n", "")
+    assert main(["resilience", path, "--delta", "-1/2"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("none\n", "")
+
+
+# --------------------------------------------------------------------------
+# every route agrees with the brute force
+# --------------------------------------------------------------------------
+
+
+def _sweep_topology(rng, kind, frac, share):
+    n = rng.randint(1 if kind == "line" else 2, 7)
+    gaps = [
+        F(rng.randint(1, 8), rng.choice((2, 3))) if frac else rng.randint(1, 4)
+        for _ in range(n if kind == "ring" else n - 1)
+    ]
+    total = sum(gaps) or 1
+    deadlines = tuple(
+        INFINITY if rng.random() >= share
+        else rng.randint(0, int(2 * total)) + (F(1, 2) if frac and rng.random() < 0.5 else 0)
+        for _ in range(n)
+    )
+    if kind == "ring":
+        return RingInstance(tuple(gaps), deadlines)
+    coords = [0]
+    for gap in gaps:
+        coords.append(coords[-1] + gap)
+    return LineInstance(tuple(coords), deadlines)
+
+
+def _sweep_specs(case, rng):
+    """Seeded lines and rings, n <= 7, k <= 4, f <= 2, int and Fraction,
+    taken in turn from each cell of topology, number type and deadline share."""
+    mode = FIXED if case.startswith("fixed") else FREE
+    faulty = "crashes" in case
+    if case == "free crashes, no deadlines":
+        shares = (0,)
+    elif faulty and mode == FREE:
+        shares = (0.3, 0.7)
+    else:
+        shares = (0, 0.3, 0.7)
+    cells = itertools.cycle(itertools.product(("line", "ring"), (False, True), shares))
+    for kind, frac, share in cells:
+        top = _sweep_topology(rng, kind, frac, share)
+        n = top.n
+        if faulty:
+            k = rng.randint(2, 4)
+            f = rng.randint(1, min(2, k - 1))
+        else:
+            k = rng.randint(1, min(4, n))
+            f = 0
+        if mode == FREE:
+            placement = RobotPlacement(FREE, count=k)
+        elif faulty:
+            placement = RobotPlacement(FIXED, positions=[rng.randrange(n) for _ in range(k)])
+        else:
+            placement = RobotPlacement(FIXED, positions=rng.sample(range(n), k))
+        yield ProblemSpec(top, placement, f, None)
+
+
+# the counterexample of ROADMAP item 1: the routes answer 21, brute force 15
+ITEM_1_COUNTEREXAMPLE = ProblemSpec(
+    LineInstance((0, 3, 5, 9, 13, 15), (INFINITY, 21, INFINITY, 4, INFINITY, INFINITY)),
+    RobotPlacement(FREE, count=3), 1, None,
+)
+ITEM_1 = pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1: free placement with crashes replicates a reliable team, "
+    "which is not optimal when some deadline is finite",
+)
+
+
+@pytest.mark.parametrize("case", [
+    "fixed, reliable",
+    "fixed crashes",
+    "free, reliable",
+    "free crashes, no deadlines",
+    pytest.param("free crashes, finite deadlines", marks=ITEM_1),
+])
+def test_every_route_agrees_with_the_brute_force(case):
+    pinned = [ITEM_1_COUNTEREXAMPLE] if case == "free crashes, finite deadlines" else []
+    specs = itertools.islice(_sweep_specs(case, random.Random(case)), 60)
+    for spec in pinned + list(specs):
+        caps = fault_line.fixed_search_caps(spec.topology)
+        want = brute_solve(spec).optimum
+        got = cli._route_solve(spec, caps)
+        assert got.optimum == want, spec
+        if got.feasible:
+            bounded = ProblemSpec(spec.topology, spec.placement, spec.faults, want)
+            assert verify_schedule(bounded, got.schedule).passed, spec
+            assert cli._route_decide(spec, want, caps), spec
+            assert not cli._route_decide(spec, want - F(1, 1000), caps), spec

@@ -11,7 +11,9 @@ from roversweep import fault_line
 from roversweep.fault_line import (
     decide_fixed_faulty,
     fixed_faulty_candidates,
+    least_feasible,
     resilience,
+    search_verdict,
     solve_fixed_faulty,
     solve_free_faulty,
 )
@@ -23,7 +25,7 @@ from roversweep.instance import (
     RingInstance,
     RobotPlacement,
 )
-from roversweep.multi_line import solve_free
+from roversweep.multi_line import solve_fixed, solve_free
 from roversweep.oracle import Caps, CapExceeded, brute_solve, verify_schedule
 from roversweep.reductions import line_from_n3dm
 from roversweep.ring import decide_ring_fixed_faulty, optimize_ring_fixed_faulty
@@ -167,11 +169,29 @@ def test_optimizer_examples_and_brute_agreement():
 def test_single_robot_zero_faults_matches_single_solver():
     from roversweep.single_robot import solve_fixed_start
 
+    # the exact search itself, which solve_fixed_faulty skips for f = 0
     rng = random.Random(95)
     for _ in range(60):
         line = random_line(rng, max_n=7)
         start = rng.randrange(line.n)
-        assert solve_fixed_faulty(line, (start,), 0).optimum == solve_fixed_start(line, start).optimum
+        searched = least_feasible(
+            fixed_faulty_candidates(line, (start,)),
+            lambda delta: search_verdict(line, (start,), 0, delta),
+        )
+        assert searched.optimum == solve_fixed_start(line, start).optimum
+
+
+def test_reliable_fixed_decision_is_not_capped():
+    # robots at distinct nodes with f = 0 are the polynomial solve, at any size
+    line = LineInstance(tuple(range(60)), (INFINITY,) * 59 + (70,))
+    positions = (12, 40)
+    opt = solve_fixed(line, positions).optimum
+    verdict = decide_fixed_faulty(line, positions, 0, opt)
+    assert verdict.feasible
+    spec = ProblemSpec(line, RobotPlacement(FIXED, positions=positions), 0, opt)
+    assert verify_schedule(spec, verdict.schedule).passed
+    assert not decide_fixed_faulty(line, positions, 0, opt - Fraction(1, 2)).feasible
+    assert solve_fixed_faulty(line, positions, 0).optimum == opt
 
 
 def test_decision_is_tight_at_the_optimum():
