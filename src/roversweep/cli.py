@@ -337,7 +337,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--json", action="store_true")
     p_ver.set_defaults(func=cmd_verify)
 
-    p_orc = sub.add_parser("oracle", help="brute-force verdict (capped)")
+    p_orc = sub.add_parser(
+        "oracle",
+        help="brute-force verdict on lines and rings (capped); on stars the exact "
+        "star solver, the same as solve",
+    )
     p_orc.add_argument("instance")
     p_orc.add_argument("--json", action="store_true")
     add_caps(p_orc)

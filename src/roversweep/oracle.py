@@ -230,8 +230,13 @@ def _placements(spec: ProblemSpec):
         yield spec.placement.positions
         return
     pool = range(nodes) if spec.placement.mode == FREE else spec.placement.allowed
+    # reliable free robots take distinct nodes while there are enough;
+    # subset starts may have to share (two robots leaving one allowed node
+    # in opposite directions)
     combine = (
-        itertools.combinations_with_replacement if spec.faults > 0 else itertools.combinations
+        itertools.combinations
+        if spec.placement.mode == FREE and spec.faults == 0 and k <= len(pool)
+        else itertools.combinations_with_replacement
     )
     yield from combine(tuple(pool), k)
 

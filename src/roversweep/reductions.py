@@ -6,15 +6,18 @@ maps to two-robot star exploration.  Both directions are validated
 empirically against brute-force decisions of the source problems in the
 test suites.
 
-Star solving is exact via subset dynamic programming: after a robot
-returns to the center, the elapsed time depends only on the set of
-leaves toured so far, so feasible prefixes and minimal completion times
-are computed over bitmasks in O(2^q * q) per robot.
+Star solving is exact via subset dynamic programming (Held and Karp
+1962): after a robot returns to the center, the elapsed time depends
+only on the set of leaves toured so far, so minimal completion times are
+computed over bitmasks in O(q 2^q) per start.  The best of those tables
+over the starts a robot may take, with and without an on-time center
+visit, give the two-robot optimum in one more O(2^q) pass over leaf sets
+(see ``star_exact``).
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from typing import List, Optional, Sequence
 
 from .exact import ExactNumber, INFINITY
@@ -158,92 +161,74 @@ def star_single_robot(star: StarInstance) -> Verdict:
     return Verdict(feasible=True, optimum=t, schedule=schedule)
 
 
+# The subset tables mark unreachable cells with a float infinity: it
+# compares with ints and Fractions in C, where INFINITY falls back to
+# Python-level comparisons.  It never leaves star_exact.
+_UNREACHED = math.inf
+
+
 class _StarRobot:
-    """Subset DP for one robot: which leaf sets it can first-visit on time."""
+    """Subset DP for one start: the earliest last first-visit of each leaf set.
 
-    __slots__ = ("star", "start", "offset", "own_bit", "reach", "comp", "deadlines", "_total")
+    ``comp[U]`` is the time at which a robot from ``start`` that tours the
+    leaves of U (its own leaf excluded), each on time, reaches the last
+    one, or ``_UNREACHED``.  The last leaf l of U is reached at
+    offset + 2 * total[U] - w[l], so the best last leaf is the heaviest
+    one that is on time with the rest of U tourable; ``leaves`` lists the
+    candidates heaviest first.
+    """
 
-    def __init__(self, star: StarInstance, start: int, deadlines):
+    __slots__ = ("star", "start", "offset", "own_bit", "comp", "leaves", "twice")
+
+    def __init__(self, star: StarInstance, start: int, deadlines, twice, heavy_first):
         self.star = star
         self.start = start
-        self.deadlines = deadlines
-        q = star.q
-        if start == star.center:
-            self.offset = 0
-            self.own_bit = 0
-        else:
-            self.offset = star.leaf_weights[start]
-            self.own_bit = 1 << start
+        self.twice = twice
         w = star.leaf_weights
-        total = [0] * (1 << q)
-        for mask in range(1, 1 << q):
-            low = mask & -mask
-            total[mask] = total[mask ^ low] + w[low.bit_length() - 1]
-        # reach[U]: U tourable as a prefix; comp[U]: earliest last arrival
-        reach = [False] * (1 << q)
-        comp: list = [INFINITY] * (1 << q)
-        reach[0] = True
+        if start == star.center:
+            self.offset = offset = 0
+            self.own_bit = own = 0
+        else:
+            self.offset = offset = w[start]
+            self.own_bit = own = 1 << start
+        # (bit, the largest 2 * total[U] that reaches the leaf on time, weight)
+        self.leaves = leaves = [
+            (1 << leaf, deadlines[leaf] + w[leaf] - offset, w[leaf])
+            for leaf in heavy_first
+            if leaf != start
+        ]
+        comp: list = [_UNREACHED] * len(twice)
         comp[0] = 0
-        for mask in range(1, 1 << q):
-            if mask & self.own_bit:
-                continue  # own leaf never needs touring
-            m = mask
-            ok = False
-            best = INFINITY
-            while m:
-                low = m & -m
-                leaf = low.bit_length() - 1
-                rest = mask ^ low
-                if reach[rest]:
-                    arrive = self.offset + 2 * total[rest] + w[leaf]
-                    if arrive <= deadlines[leaf]:
-                        ok = True
-                        if arrive < best:
-                            best = arrive
-                m ^= low
-            reach[mask] = ok
-            comp[mask] = best
-        self.reach = reach
+        for mask in range(1, len(twice)):
+            if mask & own:
+                comp[mask] = comp[mask ^ own]  # own leaf never needs touring
+                continue
+            if comp[mask ^ (mask & -mask)] is _UNREACHED:
+                continue  # a leaf set with an untourable part is untourable
+            t2 = twice[mask]
+            for bit, room, wl in leaves:
+                if mask & bit and t2 <= room and comp[mask ^ bit] is not _UNREACHED:
+                    comp[mask] = offset + t2 - wl
+                    break
         self.comp = comp
-        self._total = total
-
-    def tour_mask(self, cover: int) -> int:
-        return cover & ~self.own_bit
-
-    def completion(self, cover: int) -> ExactNumber:
-        """Min time of the last needed first-visit (INFINITY if impossible)."""
-        return self.comp[self.tour_mask(cover)]
-
-    def tour_order(self, cover: int) -> list:
-        """A deadline-respecting visiting order achieving completion(cover)."""
-        tour = self.tour_mask(cover)
-        order: List[int] = []
-        w = self.star.leaf_weights
-        while tour:
-            target = self.comp[tour] if not order else None
-            m = tour
-            picked = None
-            for_last = not order
-            while m:
-                low = m & -m
-                leaf = low.bit_length() - 1
-                rest = tour ^ low
-                if self.reach[rest]:
-                    arrive = self.offset + 2 * self._total[rest] + w[leaf]
-                    if arrive <= self.deadlines[leaf]:
-                        if for_last:
-                            if arrive == target:
-                                picked = leaf if picked is None else picked
-                        else:
-                            picked = leaf if picked is None or leaf < picked else picked
-                m ^= low
-            order.append(picked)
-            tour ^= 1 << picked
-        order.reverse()
-        return order
 
     def track(self, cover: int, touch_center: bool) -> RobotTrack:
-        order = self.tour_order(cover)
+        """Waypoints touring ``cover`` in the order behind ``comp[cover]``;
+        with ``touch_center`` a leaf start walks to the center even when it
+        has nothing to tour."""
+        tour = cover & ~self.own_bit
+        order: List[int] = []
+        while tour:
+            t2 = self.twice[tour]
+            fits = [
+                bit for bit, room, _ in self.leaves
+                if tour & bit and t2 <= room and self.comp[tour ^ bit] is not _UNREACHED
+            ]
+            # the DP's last leaf, then the lowest-numbered leaf that fits
+            bit = min(fits) if order else fits[0]
+            order.append(bit.bit_length() - 1)
+            tour ^= bit
+        order.reverse()
         star = self.star
         w = star.leaf_weights
         waypoints: List[tuple] = [(0, self.start)]
@@ -260,15 +245,6 @@ class _StarRobot:
         return RobotTrack(tuple(waypoints))
 
 
-def _star_starts(star: StarInstance, placement: RobotPlacement, k: int):
-    nodes = tuple(range(star.q + 1))
-    if placement.mode == FIXED:
-        yield placement.positions
-        return
-    pool = nodes if placement.mode == FREE else placement.allowed
-    yield from itertools.combinations_with_replacement(pool, k)
-
-
 def star_exact(
     star: StarInstance,
     placement: RobotPlacement,
@@ -279,9 +255,16 @@ def star_exact(
 ) -> Verdict:
     """Exact star feasibility and optimal completion time for k <= 2 robots.
 
-    Exhaustive over leaf-set assignments, with each robot's touring
-    handled by the subset DP (no reliance on the deadline-plus-weight
-    ordering heuristic).  Refuses instances beyond the size caps.
+    One subset DP per start, O(q 2^q), with no reliance on the
+    deadline-plus-weight ordering.  Over the starts a robot may take, B[U]
+    is the fastest tour of the leaf set U and C[U] the same with the
+    center also visited on time.  Two reliable robots need one of them on
+    the center, so the optimum is the least max(C[U], B[full - U]) over U,
+    one O(2^q) pass (fixed robots try both roles); when every robot must
+    visit every node (k = 1 or f = 1) it is C[full].  The schedule takes
+    the first U in ascending order, and per robot the first start in pool
+    order, that attain the optimum.  Refuses instances beyond the size
+    caps.
     """
     q = star.q
     if q > max_q:
@@ -290,80 +273,77 @@ def star_exact(
         raise CapExceeded("exact star search supports one or two robots")
     if not 0 <= f < k:
         raise ValueError("need 0 <= f < k")
-    need = f + 1
     capped = star if delta is None else star.capped(delta)
-    leaf_dl = capped.leaf_deadlines
+    leaf_dl = [_UNREACHED if d is INFINITY else d for d in capped.leaf_deadlines]
     center_dl = capped.center_deadline
+    w = star.leaf_weights
     full = (1 << q) - 1
+    twice = [0] * (full + 1)  # twice the weight of each leaf set
+    for mask in range(1, full + 1):
+        low = mask & -mask
+        twice[mask] = twice[mask ^ low] + 2 * w[low.bit_length() - 1]
+    heavy_first = sorted(range(q), key=lambda leaf: -w[leaf])
+    made: dict = {}  # start -> (its subset DP, its C table or None), built once
 
-    best: List = [INFINITY, None]  # makespan, (starts, covers, touches)
-    made: dict = {}  # start node -> its robot's subset DP, built once
-
-    def robot_at(s: int) -> _StarRobot:
+    def tables_at(s: int) -> tuple:
+        """(B, C) of one start; C is None when it cannot visit the center on time."""
         if s not in made:
-            made[s] = _StarRobot(capped, s, leaf_dl)
-        return made[s]
+            robot = _StarRobot(capped, s, leaf_dl, twice, heavy_first)
+            off = robot.offset
+            if s == star.center:
+                center = robot.comp
+            elif off <= center_dl:  # a leaf start is at the center at `off`
+                center = [c if c > off else off for c in robot.comp]
+            else:
+                center = None
+            made[s] = (robot, center)
+        robot, center = made[s]
+        return robot.comp, center
 
-    def center_cover_plan(robots, covers):
-        """Distinct on-time center visits; returns (extra walk, touch flags)
-        or None when fewer than `need` robots can reach the center in time."""
-        hits = 0
-        optional = []
-        for idx, robot in enumerate(robots):
-            if robot.start == star.center:
-                hits += 1
-            elif robot.tour_mask(covers[idx]):
-                if robot.offset <= center_dl:
-                    hits += 1
-            elif robot.offset <= center_dl:
-                optional.append((robot.offset, idx))
-        touches = [False] * len(robots)
-        optional.sort()
-        extra_walk = 0
-        for off, idx in optional:
-            if hits >= need:
-                break
-            hits += 1
-            touches[idx] = True
-            if off > extra_walk:
-                extra_walk = off
-        if hits < need:
-            return None
-        return extra_walk, touches
+    def table(pool, serves: bool) -> Optional[list]:
+        """Cellwise best over ``pool`` of B, or of C when the robot ``serves``
+        the center; None when no start of ``pool`` can."""
+        found = [t for t in (tables_at(s)[serves] for s in pool) if t is not None]
+        if len(found) < 2:
+            return found[0] if found else None
+        return list(map(min, *found))
 
-    for starts in _star_starts(star, placement, k):
-        robots = [robot_at(s) for s in starts]
-        if need == 2 or k == 1:
-            assignments = [[full] * k]
-        else:
-            assignments = ([m, full & ~m] for m in range(full + 1))
-        for cover_list in assignments:
-            ok = True
-            makespan = 0
-            for idx, robot in enumerate(robots):
-                comp = robot.completion(cover_list[idx])
-                if comp is INFINITY:
-                    ok = False
-                    break
-                if comp > makespan:
-                    makespan = comp
-            if not ok or makespan >= best[0]:
+    if placement.mode == FIXED:
+        pools = [(s,) for s in placement.positions]
+    else:
+        pools = [tuple(range(q + 1)) if placement.mode == FREE else placement.allowed] * k
+
+    optimum = _UNREACHED
+    roles: list = []  # per robot: (pool, cover, serves the center, table cell)
+    if f + 1 == k:
+        # every robot tours every leaf and visits the center on time
+        cells = [table(pool, True) for pool in pools]
+        if None not in cells:
+            roles = [(pool, full, True, c[full]) for pool, c in zip(pools, cells)]
+            optimum = max(cell for *_, cell in roles)
+    else:
+        # two reliable robots: one tours U and visits the center, one the rest
+        orders = [pools, pools[::-1]] if placement.mode == FIXED else [pools]
+        for serving, other in orders:
+            c = table(serving, True)
+            if c is None:
                 continue
-            plan = center_cover_plan(robots, cover_list)
-            if plan is None:
-                continue
-            extra, touches = plan
-            total = makespan if makespan >= extra else extra
-            if total < best[0]:
-                best[0] = total
-                best[1] = (starts, tuple(cover_list), tuple(touches))
-
-    if best[1] is None:
+            b = table(other, False)
+            values = list(map(max, c, reversed(b)))  # b[full ^ U] is b[full - U]
+            value = min(values)
+            if value < optimum:
+                cover = values.index(value)
+                optimum = value
+                roles = [
+                    (serving, cover, True, c[cover]),
+                    (other, full ^ cover, False, b[full ^ cover]),
+                ]
+    if optimum is _UNREACHED:
         return Verdict(feasible=False, optimum=INFINITY)
-    starts, covers, touches = best[1]
-    robots = [robot_at(s) for s in starts]
-    tracks = tuple(
-        robot.track(covers[idx], touches[idx]) for idx, robot in enumerate(robots)
-    )
-    schedule = Schedule(kind="star", tracks=tracks)
-    return witnessed(star, k, f, delta, schedule, optimum=best[0])
+    tracks = []
+    for pool, cover, serves, cell in roles:
+        s = next(s for s in pool if (t := tables_at(s)[serves]) is not None and t[cover] == cell)
+        tracks.append((s, made[s][0].track(cover, serves)))
+    tracks.sort(key=lambda start_track: start_track[0])
+    schedule = Schedule(kind="star", tracks=tuple(track for _, track in tracks))
+    return witnessed(star, k, f, delta, schedule, optimum=optimum)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 from roversweep.exact import INFINITY, format_number
 from roversweep.fault_line import Plan, mask_antichain
-from roversweep.instance import LineInstance, RingInstance, StarInstance
+from roversweep.instance import FIXED, FREE, LineInstance, RingInstance, StarInstance
 from roversweep.multi_line import TeamTables
 from roversweep.oracle import CapExceeded, _placements, enumerate_walks, walk_track
 from roversweep.ring import replicate_ring
@@ -46,15 +46,101 @@ def random_ring(rng, min_n=2, max_n=6, deadline_prob=0.5):
     return RingInstance(weights, deadlines)
 
 
-def random_star(rng, min_q=1, max_q=7, deadline_prob=0.8):
+def random_star(rng, min_q=1, max_q=7, deadline_prob=0.8, fractional=False):
     q = rng.randint(min_q, max_q)
-    weights = tuple(rng.randint(1, 5) for _ in range(q))
-    bound = 3 * sum(weights)
+    weights = tuple(
+        Fraction(rng.randint(1, 10), rng.choice((1, 2, 3))) if fractional else rng.randint(1, 5)
+        for _ in range(q)
+    )
+    bound = int(3 * sum(weights))
     deadlines = tuple(
         rng.randint(1, bound) if rng.random() < deadline_prob else INFINITY for _ in range(q)
     )
     center = INFINITY if rng.random() < 0.5 else rng.randint(0, bound)
     return StarInstance(weights, deadlines, center)
+
+
+def _star_plans(star, start, cutoff):
+    """(on-time node mask, end of motion) of every plan of one robot that
+    starts at ``start``, as a dominance antichain.
+
+    A plan tours a set of leaves in some order, through the center, and
+    stops at its last leaf; a robot on a leaf with nothing to tour may
+    also walk to the center.  Visits count when at or before ``cutoff``.
+    """
+    q = star.q
+    w = star.leaf_weights
+    center = star.center
+    off = 0 if start == center else w[start]
+    home = 1 << start
+
+    def on_time(v, t):
+        return (1 << v) if t <= cutoff[v] else 0
+
+    best = {home: 0}
+    if start != center:
+        walk = home | on_time(center, off)
+        best[walk] = min(best.get(walk, off), off)
+    others = [leaf for leaf in range(q) if leaf != start]
+    for size in range(1, len(others) + 1):
+        for order in itertools.permutations(others, size):
+            mask = home | on_time(center, off)
+            t = off
+            for idx, leaf in enumerate(order):
+                if idx:
+                    t += w[order[idx - 1]]  # back to the center
+                t += w[leaf]
+                mask |= on_time(leaf, t)
+            if t < best.get(mask, INFINITY):
+                best[mask] = t
+    return [
+        (m, t) for m, t in best.items()
+        if not any(m2 != m and m2 & m == m and t2 <= t for m2, t2 in best.items())
+    ]
+
+
+def star_brute(star, placement, k, f=0, delta=None):
+    """Exact star optimum by enumeration, independent of the subset DP.
+
+    Tries every start tuple the placement allows (repeats included for
+    free and subset placements), and for every robot every set of leaves
+    and every visiting order; a node is served when f+1 distinct robots
+    reach it by min(deadline, delta).  The optimum is the least time by
+    which every robot has stopped.  Meant for q <= 6 and k <= 2.
+    """
+    q = star.q
+    if q > 6 or k > 2:
+        raise CapExceeded("the star enumerator caps at q <= 6, k <= 2")
+    cutoff = star.leaf_deadlines + (star.center_deadline,)
+    if delta is not None:
+        cutoff = tuple(min(d, delta) for d in cutoff)
+    full = (1 << (q + 1)) - 1
+    need = f + 1
+    if placement.mode == FIXED:
+        start_sets = [placement.positions]
+    else:
+        pool = range(q + 1) if placement.mode == FREE else placement.allowed
+        start_sets = itertools.combinations_with_replacement(pool, k)
+    plans = {}
+    best = INFINITY
+    for starts in start_sets:
+        for s in starts:
+            if s not in plans:
+                plans[s] = _star_plans(star, s, cutoff)
+        for combo in itertools.product(*(plans[s] for s in starts)):
+            served = 0
+            for group in itertools.combinations([m for m, _ in combo], need):
+                both = full
+                for m in group:
+                    both &= m
+                served |= both
+            if served == full:
+                end = max(t for _, t in combo)
+                if end < best:
+                    best = end
+    if best is INFINITY:
+        return Verdict(feasible=False, optimum=INFINITY)
+    return Verdict(feasible=True, optimum=best)
 
 
 def fixed_positions(rng, n, k, allow_duplicates):

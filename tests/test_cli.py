@@ -153,6 +153,21 @@ def test_oracle_subcommand(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[0].startswith("4 ")
 
 
+def test_oracle_with_more_free_robots_than_nodes(tmp_path, capsys):
+    doc = {
+        "topology": "line",
+        "coordinates": ["0", "3"],
+        "deadlines": [None, None],
+        "robots": {"mode": "free", "count": 3},
+        "faults": 0,
+        "delta": None,
+    }
+    path = write(tmp_path, "crowded.json", doc)
+    assert main(["oracle", path]) == 0
+    assert main(["solve", path]) == 0
+    assert capsys.readouterr().out.splitlines() == ["0 (0)", "0 (0)"]
+
+
 def test_solve_ring_and_star_routing(tmp_path, capsys):
     ring_doc = {
         "topology": "ring",
@@ -471,6 +486,9 @@ def _sweep_specs(case, rng):
         if faulty:
             k = rng.randint(2, 4)
             f = rng.randint(1, min(2, k - 1))
+        elif mode == FREE:
+            k = rng.randint(1, 4)  # may exceed n: the extra robots share or idle
+            f = 0
         else:
             k = rng.randint(1, min(4, n))
             f = 0

@@ -13,6 +13,7 @@ from roversweep.exact import INFINITY
 from roversweep.instance import (
     FIXED,
     FREE,
+    SUBSET,
     LineInstance,
     ProblemSpec,
     RingInstance,
@@ -111,6 +112,27 @@ def test_brute_refuses_oversized_instances():
     with pytest.raises(CapExceeded):
         brute_solve(big)
     assert brute_solve(big, Caps(max_n=12)).feasible
+
+
+def test_brute_lets_extra_reliable_robots_share_a_start():
+    # more reliable robots than (allowed) nodes: the extra ones share or idle
+    two = LineInstance((0, 3), (INFINITY, INFINITY))
+    free = ProblemSpec(two, RobotPlacement(FREE, count=3), 0, None)
+    verdict = brute_solve(free)
+    assert verdict.feasible and verdict.optimum == 0
+    assert verify_schedule(free, verdict.schedule).passed
+    one_start = ProblemSpec(two, RobotPlacement(SUBSET, count=2, allowed=(0,)), 0, None)
+    assert brute_solve(one_start).optimum == 3
+
+
+def test_brute_lets_reliable_subset_robots_share_a_start():
+    # nodes 1 and 3 are due at time 1: only two robots leaving node 2 in
+    # opposite directions make it, although node 0 is allowed too
+    line = LineInstance((0, 2, 3, 4, 6), (INFINITY, 1, INFINITY, 1, INFINITY))
+    spec = ProblemSpec(line, RobotPlacement(SUBSET, count=2, allowed=(0, 2)), 0, None)
+    verdict = brute_solve(spec)
+    assert verdict.feasible and verdict.optimum == 3
+    assert verify_schedule(spec, verdict.schedule).passed
 
 
 def test_double_entry_oracles_agree():

@@ -8,8 +8,17 @@ from hypothesis import strategies as st
 
 from roversweep.exact import INFINITY
 from roversweep.fault_line import solve_fixed_faulty
-from roversweep.instance import LineInstance, RingInstance
+from roversweep.instance import (
+    FIXED,
+    FREE,
+    SUBSET,
+    LineInstance,
+    RingInstance,
+    RobotPlacement,
+    StarInstance,
+)
 from roversweep.multi_line import solve_fixed, solve_free
+from roversweep.reductions import star_exact
 from roversweep.ring import optimize_ring_fixed_faulty, solve_ring_fixed, solve_ring_free
 from roversweep.single_robot import solve_fixed_start, solve_free_start
 
@@ -45,6 +54,13 @@ def rings(draw, max_n=6):
     weights = draw(st.lists(amounts, min_size=2, max_size=max_n))
     deadlines = draw(deadline_lists(len(weights), int(sum(weights)) + 1))
     return RingInstance(tuple(weights), tuple(deadlines))
+
+
+@st.composite
+def stars(draw, max_q=6):
+    weights = draw(st.lists(amounts, min_size=1, max_size=max_q))
+    deadlines = draw(deadline_lists(len(weights) + 1, 2 * int(sum(weights)) + 1))
+    return StarInstance(tuple(weights), tuple(deadlines[:-1]), deadlines[-1])
 
 
 def _line_solvers(line, data):
@@ -84,6 +100,28 @@ def test_scaling_a_line_scales_every_answer(line, c, data):
 def test_scaling_a_ring_scales_every_answer(ring, c, data):
     for solve in _ring_solvers(ring, data):
         assert solve(ring.scaled(c)) == solve(ring).scaled(c)
+
+
+@SETTINGS
+@given(stars(), factors, st.data())
+def test_scaling_a_star_scales_every_answer(star, c, data):
+    # times scale by c, star waypoints keep their node numbers
+    nodes = range(star.q + 1)
+    k = data.draw(st.integers(1, 2))
+    f = data.draw(st.integers(0, k - 1))
+    starts = data.draw(st.lists(st.sampled_from(nodes), min_size=k, max_size=k, unique=f == 0))
+    allowed = data.draw(st.sets(st.sampled_from(nodes), min_size=1))
+    delta = data.draw(
+        st.one_of(st.none(), st.builds(Fraction, st.integers(0, 40), st.sampled_from((1, 2))))
+    )
+    for placement in (
+        RobotPlacement(FIXED, positions=tuple(starts)),
+        RobotPlacement(FREE, count=k),
+        RobotPlacement(SUBSET, count=k, allowed=tuple(allowed)),
+    ):
+        verdict = star_exact(star, placement, k, f, delta)
+        twin = star_exact(star.scaled(c), placement, k, f, None if delta is None else delta * c)
+        assert twin == verdict.scaled(c)
 
 
 def _mirror(line):

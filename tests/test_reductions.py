@@ -3,17 +3,18 @@ import random
 
 import pytest
 
-from support import n3dm_brute_force, partition_brute_force, random_star
+from support import n3dm_brute_force, partition_brute_force, random_star, star_brute
 from roversweep.exact import INFINITY
 from roversweep.fault_line import decide_fixed_faulty
 from roversweep.instance import (
     FIXED,
     FREE,
+    SUBSET,
     ProblemSpec,
     RobotPlacement,
     StarInstance,
 )
-from roversweep.oracle import Caps, CapExceeded
+from roversweep.oracle import Caps, CapExceeded, verify_schedule
 from roversweep.reductions import (
     line_from_n3dm,
     star_exact,
@@ -201,9 +202,6 @@ def test_star_exact_caps():
 
 
 def test_star_exact_two_robot_schedules_verify():
-    from roversweep.oracle import verify_schedule
-    from roversweep.instance import FREE
-
     rng = random.Random(59)
     seen = 0
     for _ in range(80):
@@ -226,3 +224,46 @@ def test_star_exact_two_robot_schedules_verify():
         assert all(c.covered >= f + 1 for c in report.nodes)
         seen += 1
     assert seen > 25
+
+
+def _star_cases(rng, count):
+    """Seeded stars (q <= 6) with every team shape star_exact takes: k in
+    {1, 2}, f < k, fixed (repeats only with f = 1), free and subset
+    starts, int and Fraction weights, with and without a time bound."""
+    for idx in range(count):
+        star = random_star(rng, max_q=6, fractional=idx % 3 == 2)
+        nodes = star.q + 1
+        k = rng.choice((1, 2))
+        f = rng.randrange(k)
+        mode = (FIXED, FREE, SUBSET)[idx % 3]
+        if mode == FIXED:
+            if f:
+                positions = tuple(rng.choices(range(nodes), k=k))
+            else:
+                positions = tuple(rng.sample(range(nodes), k))
+            placement = RobotPlacement(FIXED, positions=positions)
+        elif mode == FREE:
+            placement = RobotPlacement(FREE, count=k)
+        else:
+            allowed = rng.sample(range(nodes), rng.randint(1, nodes))
+            placement = RobotPlacement(SUBSET, count=k, allowed=tuple(allowed))
+        delta = None if rng.random() < 0.5 else rng.randint(0, int(3 * sum(star.leaf_weights)))
+        yield star, placement, k, f, delta
+
+
+def test_star_exact_matches_the_enumerator():
+    rng = random.Random(61)
+    feasible = {1: 0, 2: 0}
+    for star, placement, k, f, delta in _star_cases(rng, 240):
+        want = star_brute(star, placement, k, f, delta)
+        got = star_exact(star, placement, k, f, delta)
+        case = (star, placement, k, f, delta)
+        assert got.feasible == want.feasible, case
+        assert got.optimum == want.optimum, case
+        if got.feasible:
+            feasible[k] += 1
+            spec = ProblemSpec(star, placement, f, delta)
+            report = verify_schedule(spec, got.schedule)
+            assert report.passed, case
+            assert report.makespan == got.optimum, case
+    assert min(feasible.values()) > 40
