@@ -27,7 +27,7 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
-from . import fault_line, multi_line, reductions, ring, single_robot
+from . import fault_line, multi_line, reductions
 from .exact import INFINITY, common_denominator, decimal_str, format_number, parse_number, scale
 from .instance import (
     FIXED,
@@ -89,14 +89,8 @@ def _route_solve(spec: ProblemSpec, caps: Caps) -> Verdict:
     if pl.mode == FREE:
         if f == 0:
             return multi_line.solve_free(top, pl.count)
-        if isinstance(top, RingInstance):
-            return ring.solve_ring_free_faulty(top, pl.count, f)
         return fault_line.solve_free_faulty(top, pl.count, f)
-    if isinstance(top, RingInstance):
-        raise InstanceError("robots", "subset placement is not supported on rings")
-    if spec.k == 1 and f == 0:
-        return single_robot.solve_free_start(top, pl.allowed)
-    raise InstanceError("robots", "subset placement is solved for a single reliable robot only")
+    return fault_line.solve_subset(top, pl.allowed, spec.k, f)
 
 
 def _route_decide(spec: ProblemSpec, delta, caps: Caps) -> bool:

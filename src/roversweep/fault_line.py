@@ -1,10 +1,14 @@
-"""Exploration when up to f robots may crash.
+"""Exploration of lines and rings when up to f robots may crash.
 
 With f possible crashes every node must collect f+1 distinct on-time
-visitors, so free placement on a line reduces to a reliable solve with
-floor(k / (f+1)) robots replicated across f+1 groups.  Fixed placement
-on a line or a ring goes through ``decide_fixed_faulty`` and
-``solve_fixed_faulty``.  They own the reliable shortcut: with f = 0 and
+visitors.  Free placement on either topology goes through
+``solve_free_faulty``, which replicates: on a line a reliable solve with
+floor(k / (f+1)) robots is repeated across f+1 groups, and on a ring k
+robots explore the ring made of f+1 concatenated copies, since visiting
+every copy once is the same as covering the original ring f+1 times.
+Subset placements are solved for one reliable robot on a line only
+(``solve_subset``).  Fixed placement goes through ``decide_fixed_faulty``
+and ``solve_fixed_faulty``.  They own the reliable shortcut: with f = 0 and
 robots at distinct nodes, the polynomial ``multi_line.solve_fixed``
 answers.  Otherwise fixed placement is genuinely hard, and it is decided
 exactly by a branch-and-bound over per-robot coverage plans driven by
@@ -30,10 +34,20 @@ from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence
 
 from .exact import ExactNumber, INFINITY, is_finite
-from .instance import FIXED, FREE, LineInstance, ProblemSpec, RingInstance, StarInstance
-from .multi_line import solve_fixed, solve_free, track_schedule
+from .instance import (
+    FIXED,
+    FREE,
+    InstanceError,
+    LineInstance,
+    ProblemSpec,
+    RingInstance,
+    RobotPlacement,
+    StarInstance,
+)
+from .multi_line import solve_fixed, solve_free
 from .oracle import Caps, CapExceeded, witnessed
-from .schedule import RobotTrack, Verdict
+from .schedule import RobotTrack, Verdict, track_schedule
+from .single_robot import solve_free_start
 
 FIXED_SEARCH_CAPS = Caps(max_n=40, max_k=8, max_f=7)
 # with finite deadlines a ring robot's plans are Pareto sets of partial
@@ -49,33 +63,59 @@ def fixed_search_caps(topology) -> Caps:
     return FIXED_SEARCH_CAPS
 
 
-def solve_free_faulty(
-    line: LineInstance, k: int, f: int, collect_candidates: bool = False
-) -> Verdict:
-    """Group-replication solve for k freely placed robots, up to f crashes.
+@dataclass(frozen=True)
+class ReplicatedRing:
+    """f+1 copies of a ring glued end to end; node i maps back to i mod n."""
 
-    Every node needs f+1 distinct on-time visitors; the returned value is
-    the reliable optimum for floor(k/(f+1)) robots and the schedule
+    base: RingInstance
+    ring: RingInstance
+    copies: int
+
+
+def replicate_ring(ring: RingInstance, f: int) -> ReplicatedRing:
+    """Covering the base ring f+1 times equals exploring this ring once."""
+    if f < 0:
+        raise ValueError("fault budget must be non-negative")
+    copies = f + 1
+    big = RingInstance(ring.edge_weights * copies, ring.deadlines * copies)
+    return ReplicatedRing(base=ring, ring=big, copies=copies)
+
+
+def solve_free_faulty(topology, k: int, f: int, collect_candidates: bool = False) -> Verdict:
+    """Replication solve for k freely placed robots on a line or a ring,
+    up to f of which may crash.
+
+    Every node needs f+1 distinct on-time visitors.  On a line the value
+    is the reliable optimum for floor(k/(f+1)) robots and the schedule
     replicates that group's trajectories across f+1 groups (surplus
-    robots double up on the first group).  Without finite node deadlines
-    this is exactly optimal: interval covers split into f+1 full covers,
-    the smallest of which is no larger than the group.  Finite deadlines
-    can punch holes in coverage profiles, and then a non-replicated
-    schedule may finish sooner; the returned schedule remains valid
-    either way.
+    robots double up on the first group).  On a ring it is the optimum of
+    k robots on ``replicate_ring(ring, f).ring``, each track moved back by
+    whole laps onto the base ring.  Without finite node deadlines this is
+    exactly optimal: covers split into f+1 full covers.  Finite deadlines
+    can punch holes in coverage profiles, and then a schedule of another
+    shape may finish sooner; the returned schedule is verified either way.
     """
     if not 0 <= f < k:
         raise ValueError("need 0 <= f < k")
+    ring = isinstance(topology, RingInstance)
     group = k // (f + 1)
-    base = solve_free(line, group, collect_candidates=collect_candidates)
+    if ring:
+        base = solve_free(replicate_ring(topology, f).ring, k, collect_candidates=collect_candidates)
+    else:
+        base = solve_free(topology, group, collect_candidates=collect_candidates)
     if not base.feasible:
         return Verdict(feasible=False, optimum=INFINITY, candidates=base.candidates)
-    group_tracks = base.schedule.tracks
-    tracks = list(group_tracks * (f + 1))
-    for i in range(k - group * (f + 1)):
-        tracks.append(group_tracks[i % group])
+    tracks = base.schedule.tracks
+    if ring:
+        lap = topology.total
+        tracks = [RobotTrack(tuple((t, x - tr.start // lap * lap) for t, x in tr.waypoints))
+                  for tr in tracks]
+    else:
+        tracks = tracks * (f + 1) + tuple(tracks[i % group] for i in range(k - group * (f + 1)))
+    # on a ring, a failed verification means a replication segment spanned
+    # more than one lap, so one robot would have to cover some node twice
     return witnessed(
-        line, k, f, None, track_schedule(line, tracks),
+        topology, RobotPlacement(FREE, count=k), f, None, track_schedule(topology, tracks),
         optimum=base.optimum, candidates=base.candidates,
     )
 
@@ -418,7 +458,8 @@ def search_verdict(topology, positions: Sequence[int], f: int, delta) -> Verdict
         plan.track if plan is not None else RobotTrack(((0, spots[p]),))
         for p, plan in zip(positions, result)
     )
-    return witnessed(topology, len(positions), f, delta, track_schedule(topology, tracks))
+    placement = RobotPlacement(FIXED, positions=positions)
+    return witnessed(topology, placement, f, delta, track_schedule(topology, tracks))
 
 
 def least_feasible(candidates: Sequence, decide) -> Verdict:
@@ -481,7 +522,8 @@ def decide_fixed_faulty(
         reliable = solve_fixed(topology.capped(delta), positions)
         if not reliable.feasible or reliable.optimum > delta:
             return Verdict(feasible=False, optimum=None)
-        return witnessed(topology, len(positions), f, delta, reliable.schedule)
+        placement = RobotPlacement(FIXED, positions=positions)
+        return witnessed(topology, placement, f, delta, reliable.schedule)
     check_caps(topology, len(positions), caps or fixed_search_caps(topology))
     return search_verdict(topology, positions, f, delta)
 
@@ -541,6 +583,16 @@ def solve_fixed_faulty(
     )
 
 
+def solve_subset(topology, allowed: Iterable[int], k: int, f: int) -> Verdict:
+    """Robots that start at nodes of ``allowed``: solved for one reliable
+    robot on a line, and refused with InstanceError otherwise."""
+    if isinstance(topology, RingInstance):
+        raise InstanceError("robots", "subset placement is not supported on rings")
+    if k != 1 or f != 0:
+        raise InstanceError("robots", "subset placement is solved for a single reliable robot only")
+    return solve_free_start(topology, allowed)
+
+
 # --------------------------------------------------------------------------
 # resilience
 # --------------------------------------------------------------------------
@@ -551,7 +603,8 @@ def resilience(spec: ProblemSpec, delta: ExactNumber, caps: Optional[Caps] = Non
 
     Returns None when even f = 0 is impossible.  Any ``faults`` value on
     the spec itself is ignored; the placement and topology route the
-    appropriate decision procedure.  The exact fixed-position searches
+    appropriate decision procedure, and subset placements answer as
+    ``solve_subset`` does.  The exact fixed-position searches
     run under ``caps`` (default: ``fixed_search_caps`` of the topology).
     """
     if not is_finite(delta):
@@ -560,7 +613,7 @@ def resilience(spec: ProblemSpec, delta: ExactNumber, caps: Optional[Caps] = Non
         return None  # no walk finishes before time 0
     k = spec.k
     top = spec.topology
-    mode = spec.placement.mode
+    placement = spec.placement
     if caps is None:
         caps = fixed_search_caps(top)
 
@@ -568,17 +621,14 @@ def resilience(spec: ProblemSpec, delta: ExactNumber, caps: Optional[Caps] = Non
         if isinstance(top, StarInstance):
             from .reductions import star_exact
 
-            return star_exact(top, spec.placement, k, f, delta).feasible
-        if mode == FIXED:
-            return decide_fixed_faulty(top, spec.placement.positions, f, delta, caps).feasible
-        if mode == FREE:
-            if isinstance(top, RingInstance):
-                from .ring import solve_ring_free_faulty
-
-                v = solve_ring_free_faulty(top, k, f)
-                return v.feasible and v.optimum <= delta
-            return solve_free(top, k // (f + 1)).optimum <= delta
-        raise ValueError("resilience supports fixed and free placements")
+            return star_exact(top, placement, k, f, delta).feasible
+        if placement.mode == FIXED:
+            return decide_fixed_faulty(top, placement.positions, f, delta, caps).feasible
+        if placement.mode == FREE:
+            verdict = solve_free_faulty(top, k, f)
+        else:
+            verdict = solve_subset(top, placement.allowed, k, f)
+        return verdict.feasible and verdict.optimum <= delta
 
     # feasibility is monotone in f: binary-search the largest feasible f
     if not decide(0):

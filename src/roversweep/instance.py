@@ -77,10 +77,6 @@ class LineInstance:
     def n(self) -> int:
         return len(self.coordinates)
 
-    def weight(self, j: int) -> ExactNumber:
-        """Weight of edge (j, j+1)."""
-        return self.coordinates[j + 1] - self.coordinates[j]
-
     @property
     def span(self) -> ExactNumber:
         return self.coordinates[-1] - self.coordinates[0]
@@ -128,13 +124,6 @@ class RingInstance:
         for w in self.edge_weights[:-1]:
             pos.append(pos[-1] + w)
         return tuple(pos)
-
-    def ccw_dist(self, a: int, b: int) -> ExactNumber:
-        """Walking distance from a to b in the counterclockwise direction."""
-        pos = self.arc_positions()
-        if b >= a:
-            return pos[b] - pos[a]
-        return self.total - (pos[a] - pos[b])
 
     def capped(self, delta: ExactNumber) -> "RingInstance":
         return replace(self, deadlines=tuple(min(d, delta) for d in self.deadlines))
@@ -259,10 +248,6 @@ class ProblemSpec:
             for idx, p in enumerate(self.placement.positions):
                 if not 0 <= p < nodes:
                     raise InstanceError(f"robots.positions[{idx}]", f"node index out of range 0..{nodes - 1}")
-            if len(set(self.placement.positions)) < k and self.faults == 0:
-                raise InstanceError(
-                    "robots.positions", "duplicate starting positions need a positive fault budget"
-                )
         if self.placement.mode == SUBSET:
             for idx, p in enumerate(self.placement.allowed):
                 if not 0 <= p < nodes:
@@ -373,7 +358,11 @@ def parse_instance_dict(doc: dict) -> ProblemSpec:
         raise InstanceError("faults", "expected an integer")
     delta = doc.get("delta")
     bound = None if delta is None else _parse_amount(delta, "delta")
-    return ProblemSpec(topology=topology, placement=placement, faults=faults, bound=bound)
+    spec = ProblemSpec(topology=topology, placement=placement, faults=faults, bound=bound)
+    if mode == FIXED and faults == 0 and len(set(placement.positions)) < spec.k:
+        # the reliable fixed-placement solver takes distinct robots only
+        raise InstanceError("robots.positions", "duplicate starting positions need a positive fault budget")
+    return spec
 
 
 def parse_instance(text: str) -> ProblemSpec:

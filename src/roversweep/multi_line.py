@@ -6,8 +6,8 @@ stretches that hold its start, then a prefix recurrence
 (``idle_edge_split``) that picks the idle edge separating consecutive
 robots' parts.  A line is cut at its own ends; a ring is cut at each
 edge between its closest adjacent pair of robots in turn, and the same
-recurrence runs on the line that remains.  One robot on a line is the
-pruned single-robot pass; one robot on a ring laps it.
+recurrence runs on the line that remains.  One robot is the
+single-robot pass (``single_robot.solve_from``), pruned on a line.
 
 Free placements: tables T[r][i][j] of optimal times for r freely placed
 robots, combined by robot-count doubling along the binary digits of k.
@@ -30,7 +30,7 @@ from typing import Iterable, List, Sequence, Union
 
 from .exact import ExactNumber, INFINITY
 from .instance import LineInstance, RingInstance
-from .schedule import RobotTrack, Schedule, Verdict
+from .schedule import RobotTrack, Verdict, track_schedule
 from .single_robot import (
     TimeLabels,
     best_target,
@@ -38,21 +38,9 @@ from .single_robot import (
     init_start,
     propagate,
     solve_fixed_start,
+    solve_from,
 )
 from .state_graph import StateGraph
-
-
-def _graph(topology: Union[LineInstance, RingInstance]) -> StateGraph:
-    if isinstance(topology, RingInstance):
-        return StateGraph.from_ring(topology)
-    return StateGraph.from_line(topology)
-
-
-def track_schedule(topology: Union[LineInstance, RingInstance], tracks) -> Schedule:
-    """The schedule of ``tracks`` on a line or a ring."""
-    if isinstance(topology, RingInstance):
-        return Schedule(kind="ring", tracks=tuple(tracks), circumference=topology.total)
-    return Schedule(kind="line", tracks=tuple(tracks))
 
 
 def best_split(row_a, rows_b, lo: int, hi: int, j: int) -> tuple:
@@ -177,11 +165,11 @@ def solve_fixed(
     ring = isinstance(topology, RingInstance)
     if k == 1:
         if ring:
-            return _one_robot_lap(topology, positions, collect_candidates)
+            return solve_from(topology, positions, collect_candidates)
         verdict = solve_fixed_start(topology, positions[0], collect_candidates)
         return replace(verdict, idle_edges=()) if verdict.feasible else verdict
 
-    graph = _graph(topology)
+    graph = StateGraph.of(topology)
     forests: List[TimeLabels] = []
     times = []
     for m, p in enumerate(positions):
@@ -239,30 +227,6 @@ def solve_fixed(
     )
 
 
-def _one_robot_lap(ring: RingInstance, starts: Iterable[int], collect_candidates: bool) -> Verdict:
-    """One robot exploring the whole ring from the best of ``starts``.
-
-    One label pass; the optimum is the cheapest full-coverage state.
-    """
-    graph = StateGraph.from_ring(ring)
-    labels = propagate(graph, init_start(graph, starts), ring.deadlines)
-    candidates = tuple(sorted(set(labels.finite_values()))) if collect_candidates else None
-    best_uid = None
-    best_time = INFINITY
-    for uid in graph.terminal_ids():
-        t = labels.time[uid]
-        if t < best_time:
-            best_time, best_uid = t, uid
-    if best_uid is None:
-        return Verdict(feasible=False, optimum=INFINITY, candidates=candidates)
-    return Verdict(
-        feasible=True,
-        optimum=best_time,
-        schedule=track_schedule(ring, (RobotTrack(extract_trajectory(labels, best_uid)),)),
-        candidates=candidates,
-    )
-
-
 # --------------------------------------------------------------------------
 # free initial positions
 # --------------------------------------------------------------------------
@@ -290,7 +254,7 @@ class TeamTables:
         n = self.n = topology.n
         self.k = k
         self.ring = isinstance(topology, RingInstance)
-        graph = _graph(topology)
+        graph = StateGraph.of(topology)
         self.positions = topology.arc_positions() if self.ring else topology.coordinates
         self.labels = propagate(graph, init_start(graph, range(n)), topology.deadlines)
         self.tables = {1: self._doubled(self._one_robot())}
@@ -409,9 +373,9 @@ def solve_free(
     minimum over the stretches i .. i+n-1 of the doubled node order.
     """
     n = topology.n
+    if k == 1:
+        return solve_from(topology, range(n), collect_candidates)
     ring = isinstance(topology, RingInstance)
-    if ring and k == 1:
-        return _one_robot_lap(topology, range(n), collect_candidates)
     solver = TeamTables(topology, k)
     candidates = tuple(sorted(solver.all_finite_values())) if collect_candidates else None
     best_i, optimum = 0, INFINITY

@@ -1,10 +1,13 @@
 """Brute-force reference solvers and the schedule verifier.
 
 Everything here is deliberately independent of the state-graph dynamic
-programs: walks are enumerated by direct recursion over turning choices,
-and verdicts come from exhaustive search over walk assignments (with
-exactness-preserving pruning only).  These are the oracles the fast
-solvers are tested against.
+programs and of the plan search in ``fault_line``: walks on lines and
+rings alike are enumerated by direct recursion over turning choices,
+growing the visited arc around the start, and verdicts come from
+exhaustive search over walk assignments (with exactness-preserving
+pruning only).  These are the oracles the fast solvers are tested
+against.  The verifier checks where each track starts as well as who
+visits each node when.
 """
 
 from __future__ import annotations
@@ -13,10 +16,11 @@ import itertools
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Union
 
-from .exact import ExactNumber, INFINITY
+from .exact import ExactNumber, INFINITY, format_number
 from .instance import (
     FIXED,
     FREE,
+    SUBSET,
     LineInstance,
     ProblemSpec,
     RingInstance,
@@ -31,6 +35,7 @@ from .schedule import (
     ScheduleError,
     Verdict,
     VerificationReport,
+    track_schedule,
 )
 
 
@@ -56,100 +61,6 @@ class Walk:
     waypoints: tuple        # ((time, unwrapped coordinate), ...) incl. the start
 
 
-def _line_walks(line: LineInstance, start: int, budget, deadlines) -> List[Walk]:
-    x = line.coordinates
-    n = line.n
-    out: List[Walk] = []
-    fv: list = [None] * n
-    fv[start] = 0
-
-    def emit(t, end, turns, waypoints):
-        final = tuple(turns) + ((end,) if len(waypoints) > 1 else ())
-        out.append(Walk(start, final, tuple(fv), t, tuple(waypoints)))
-
-    def rec(lo, hi, at_left, t, last_dir, turns, waypoints):
-        pos = x[lo] if at_left else x[hi]
-        can_left = False
-        can_right = False
-        if lo > 0:
-            t_left = t + (pos - x[lo - 1])
-            can_left = t_left <= budget and t_left <= deadlines[lo - 1]
-        if hi < n - 1:
-            t_right = t + (x[hi + 1] - pos)
-            can_right = t_right <= budget and t_right <= deadlines[hi + 1]
-        if not can_left and not can_right:
-            emit(t, lo if at_left else hi, turns, waypoints)
-            return
-        if can_left:
-            fv[lo - 1] = t_left
-            new_turns = turns + [hi] if last_dir == 1 else turns
-            wp = waypoints + [(t_left, x[lo - 1])]
-            if last_dir == -1:
-                wp = waypoints[:-1] + [(t_left, x[lo - 1])]
-            rec(lo - 1, hi, True, t_left, -1, new_turns, wp)
-            fv[lo - 1] = None
-        if can_right:
-            fv[hi + 1] = t_right
-            new_turns = turns + [lo] if last_dir == -1 else turns
-            wp = waypoints + [(t_right, x[hi + 1])]
-            if last_dir == 1:
-                wp = waypoints[:-1] + [(t_right, x[hi + 1])]
-            rec(lo, hi + 1, False, t_right, 1, new_turns, wp)
-            fv[hi + 1] = None
-
-    rec(start, start, True, 0, 0, [], [(0, x[start])])
-    return out
-
-
-def _ring_walks(ring: RingInstance, start: int, budget, deadlines) -> List[Walk]:
-    n = ring.n
-    w = ring.edge_weights
-    pos_of = ring.arc_positions()
-    out: List[Walk] = []
-    fv: list = [None] * n
-    fv[start] = 0
-
-    def emit(t, end, turns, waypoints):
-        final = tuple(turns) + ((end,) if len(waypoints) > 1 else ())
-        out.append(Walk(start, final, tuple(fv), t, tuple(waypoints)))
-
-    def seg_len(i, j):
-        return ring.ccw_dist(i, j)
-
-    def rec(i, j, at_left, size, t, last_dir, turns, waypoints):
-        here = i if at_left else j
-        if size == n:
-            emit(t, here, turns, waypoints)
-            return
-        unwrapped = waypoints[-1][1]
-        nxt_ccw = (j + 1) % n
-        nxt_cw = (i - 1) % n
-        d_ccw = (seg_len(here, j) if at_left else 0) + w[j]
-        d_cw = (seg_len(i, here) if not at_left else 0) + w[nxt_cw]
-        t_ccw = t + d_ccw
-        t_cw = t + d_cw
-        can_ccw = t_ccw <= budget and t_ccw <= deadlines[nxt_ccw]
-        can_cw = t_cw <= budget and t_cw <= deadlines[nxt_cw]
-        if not can_ccw and not can_cw:
-            emit(t, here, turns, waypoints)
-            return
-        if can_cw:
-            fv[nxt_cw] = t_cw
-            new_turns = turns + [here] if last_dir == 1 else turns
-            wp = (waypoints[:-1] if last_dir == -1 else waypoints) + [(t_cw, unwrapped - d_cw)]
-            rec(nxt_cw, j, True, size + 1, t_cw, -1, new_turns, wp)
-            fv[nxt_cw] = None
-        if can_ccw:
-            fv[nxt_ccw] = t_ccw
-            new_turns = turns + [here] if last_dir == -1 else turns
-            wp = (waypoints[:-1] if last_dir == 1 else waypoints) + [(t_ccw, unwrapped + d_ccw)]
-            rec(i, nxt_ccw, False, size + 1, t_ccw, 1, new_turns, wp)
-            fv[nxt_ccw] = None
-
-    rec(start, start, False, 1, 0, 0, [], [(0, pos_of[start])])
-    return out
-
-
 def enumerate_walks(
     topology: Union[LineInstance, RingInstance],
     start: int,
@@ -162,14 +73,63 @@ def enumerate_walks(
     one of these walks, so they are a complete plan space for one robot.
     Pass all-INFINITY deadlines to enumerate unpruned walks (useful when
     late arrivals are allowed but simply do not count as coverage).
+
+    A walk's visited arc reaches a nodes clockwise (left, on a line) and b
+    counterclockwise (right) of the start, whose distances from it are
+    cw[a] and ccw[b]; it grows clockwise first.  An arm stops at the end
+    of a line, and a ring's arc stops once it is whole.
     """
     if deadlines is None:
         deadlines = topology.deadlines
+    n = topology.n
     if isinstance(topology, LineInstance):
-        return _line_walks(topology, start, budget, deadlines)
-    if isinstance(topology, RingInstance):
-        return _ring_walks(topology, start, budget, deadlines)
-    raise TypeError("walks are defined for lines and rings only")
+        x = topology.coordinates
+        cw = [x[start] - x[start - a] for a in range(start + 1)]
+        ccw = [x[start + b] - x[start] for b in range(n - start)]
+
+        def spot(a, b, side):
+            return x[start - a] if side == 0 else x[start + b]
+    elif isinstance(topology, RingInstance):
+        w = topology.edge_weights
+        cw = list(itertools.accumulate((w[(start - 1 - t) % n] for t in range(n - 1)), initial=0))
+        ccw = list(itertools.accumulate((w[(start + t) % n] for t in range(n - 1)), initial=0))
+        origin = topology.arc_positions()[start]
+
+        def spot(a, b, side):  # unwrapped: clockwise is negative
+            return origin - cw[a] if side == 0 else origin + ccw[b]
+    else:
+        raise TypeError("walks are defined for lines and rings only")
+    out: List[Walk] = []
+    fv: list = [None] * n
+    fv[start] = 0
+
+    def rec(a, b, side, t, last_dir, turns, waypoints):
+        # the robot stands at the clockwise (side 0) or counterclockwise end
+        here = (start - a) % n if side == 0 else (start + b) % n
+        at = -cw[a] if side == 0 else ccw[b]
+        moves = []
+        if a + b + 1 < n:
+            if a + 1 < len(cw):
+                moves.append((a + 1, b, 0, (start - a - 1) % n, t + (at + cw[a + 1])))
+            if b + 1 < len(ccw):
+                moves.append((a, b + 1, 1, (start + b + 1) % n, t + (ccw[b + 1] - at)))
+        moves = [m for m in moves if m[4] <= budget and m[4] <= deadlines[m[3]]]
+        if not moves:
+            final = tuple(turns) + ((here,) if len(waypoints) > 1 else ())
+            out.append(Walk(start, final, tuple(fv), t, tuple(waypoints)))
+            return
+        for a2, b2, side2, node, t2 in moves:
+            way = -1 if side2 == 0 else 1
+            fv[node] = t2
+            rec(
+                a2, b2, side2, t2, way,
+                turns + [here] if last_dir == -way else turns,
+                (waypoints[:-1] if last_dir == way else waypoints) + [(t2, spot(a2, b2, side2))],
+            )
+            fv[node] = None
+
+    rec(0, 0, 0, 0, 0, [], [(0, spot(0, 0, 0))])
+    return out
 
 
 def walk_track(walk: Walk) -> RobotTrack:
@@ -320,13 +280,7 @@ def brute_solve(spec: ProblemSpec, caps: Caps = Caps()) -> Verdict:
 
     if best[1] is None:
         return Verdict(feasible=False, optimum=INFINITY)
-    tracks = tuple(walk_track(walk) for _, walk in best[2])
-    kind = "line" if isinstance(top, LineInstance) else "ring"
-    schedule = Schedule(
-        kind=kind,
-        tracks=tracks,
-        circumference=top.total if kind == "ring" else None,
-    )
+    schedule = track_schedule(top, (walk_track(walk) for _, walk in best[2]))
     witness = {}
     for v in range(n):
         visits = sorted(
@@ -436,12 +390,34 @@ def _star_visits(star: StarInstance, ridx: int, track: RobotTrack) -> dict:
     return first
 
 
+def _check_starts(spec: ProblemSpec, nodes: Sequence, schedule: Schedule):
+    """Every track starts at a node (a ring's modulo the circumference), and
+    the start nodes are the fixed positions or lie in the allowed set."""
+    ring = schedule.kind == "ring"
+    placement = spec.placement
+    index = {c: v for v, c in enumerate(nodes)}
+    starts = []
+    for ridx, track in enumerate(schedule.tracks):
+        v = index.get(track.start % spec.topology.total if ring else track.start)
+        if v is None:
+            raise ScheduleError(ridx, f"starts at {format_number(track.start)}, not at a node")
+        if placement.mode == SUBSET and v not in placement.allowed:
+            raise ScheduleError(ridx, f"starts at node {v}, outside the allowed nodes")
+        starts.append(v)
+    if placement.mode == FIXED and sorted(starts) != list(placement.positions):
+        raise ScheduleError(
+            None, f"tracks start at nodes {sorted(starts)}, not at the fixed positions "
+            f"{list(placement.positions)}"
+        )
+
+
 def verify_schedule(spec: ProblemSpec, schedule: Schedule) -> VerificationReport:
     """Simulate the motion and check f+1 distinct on-time visitors per node.
 
     A visit counts if its time is at or before min(node deadline, global
     bound).  The makespan is the last moment any robot is in motion.
-    Malformed schedules raise ScheduleError rather than failing checks.
+    Malformed schedules raise ScheduleError rather than failing checks,
+    and so do tracks that start where the placement puts no robot.
     """
     top = spec.topology
     need = spec.faults + 1
@@ -496,6 +472,7 @@ def verify_schedule(spec: ProblemSpec, schedule: Schedule) -> VerificationReport
                 last_move = arrive
         if last_move > makespan:
             makespan = last_move
+    _check_starts(spec, nodes, schedule)
 
     checks = []
     failures = []
@@ -521,7 +498,7 @@ def verify_schedule(spec: ProblemSpec, schedule: Schedule) -> VerificationReport
 
 def witnessed(
     topology,
-    k: int,
+    placement: RobotPlacement,
     f: int,
     bound: Optional[ExactNumber],
     schedule: Schedule,
@@ -530,14 +507,16 @@ def witnessed(
 ) -> Verdict:
     """Feasible verdict for ``schedule`` once ``verify_schedule`` accepts it.
 
-    The k tracks must give every node f+1 distinct visitors by
-    min(deadline, bound); the witness lists them.  A rejected schedule
-    is a solver bug, not bad input, and raises RuntimeError.
+    The tracks must start as ``placement`` says and give every node f+1
+    distinct visitors by min(deadline, bound); the witness lists them.  A
+    rejected schedule is a solver bug, not bad input, and raises
+    RuntimeError.
     """
-    spec = ProblemSpec(
-        topology=topology, placement=RobotPlacement(FREE, count=k), faults=f, bound=bound
-    )
-    report = verify_schedule(spec, schedule)
+    spec = ProblemSpec(topology=topology, placement=placement, faults=f, bound=bound)
+    try:
+        report = verify_schedule(spec, schedule)
+    except ScheduleError as exc:
+        raise RuntimeError(f"internal error: {schedule.kind} schedule is malformed: {exc}") from None
     if not report.passed:
         raise RuntimeError(f"internal error: {schedule.kind} schedule failed verification")
     return Verdict(

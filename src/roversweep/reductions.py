@@ -30,7 +30,7 @@ from .instance import (
     StarInstance,
 )
 from .oracle import CapExceeded, witnessed
-from .schedule import RobotTrack, Schedule, Verdict
+from .schedule import RobotTrack, Verdict, track_schedule
 
 
 # --------------------------------------------------------------------------
@@ -157,7 +157,7 @@ def star_single_robot(star: StarInstance) -> Verdict:
             waypoints.append((t, star.center))
         else:
             t = arrive
-    schedule = Schedule(kind="star", tracks=(RobotTrack(tuple(waypoints)),))
+    schedule = track_schedule(star, (RobotTrack(tuple(waypoints)),))
     return Verdict(feasible=True, optimum=t, schedule=schedule)
 
 
@@ -345,5 +345,5 @@ def star_exact(
         s = next(s for s in pool if (t := tables_at(s)[serves]) is not None and t[cover] == cell)
         tracks.append((s, made[s][0].track(cover, serves)))
     tracks.sort(key=lambda start_track: start_track[0])
-    schedule = Schedule(kind="star", tracks=tuple(track for _, track in tracks))
-    return witnessed(star, k, f, delta, schedule, optimum=optimum)
+    schedule = track_schedule(star, (track for _, track in tracks))
+    return witnessed(star, placement, f, delta, schedule, optimum=optimum)

@@ -26,7 +26,8 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
-from .exact import ExactNumber, INFINITY, format_number, parse_number, scale
+from .exact import ExactNumber, format_number, parse_number, scale
+from .instance import RingInstance, StarInstance
 
 
 class ScheduleError(ValueError):
@@ -92,6 +93,13 @@ class Schedule:
         )
         circumference = None if self.circumference is None else scale(self.circumference, c)
         return Schedule(kind=self.kind, tracks=tracks, circumference=circumference)
+
+
+def track_schedule(topology, tracks) -> Schedule:
+    """The schedule of ``tracks`` on a line, a ring or a star."""
+    if isinstance(topology, RingInstance):
+        return Schedule(kind="ring", tracks=tuple(tracks), circumference=topology.total)
+    return Schedule(kind="star" if isinstance(topology, StarInstance) else "line", tracks=tuple(tracks))
 
 
 def schedule_from_dict(doc: dict) -> Schedule:
@@ -164,9 +172,6 @@ class Verdict:
             idle_edges=self.idle_edges,
             candidates=None if self.candidates is None else tuple(scale(v, c) for v in self.candidates),
         )
-
-
-INFEASIBLE = Verdict(feasible=False, optimum=INFINITY)
 
 
 @dataclass(frozen=True)

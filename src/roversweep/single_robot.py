@@ -1,4 +1,4 @@
-"""Single-robot exploration on a line by label propagation.
+"""Single-robot exploration of lines and rings by label propagation.
 
 One pass over the layers of the state graph computes, for every explored
 stretch and robot end, the fastest deadline-respecting way to reach that
@@ -6,12 +6,16 @@ state from any permitted starting node.  It is a pull recurrence: the
 label of stretch [i, j] with the robot at i is the better of [i+1, j]
 with the robot at either end plus the walk to i, and likewise at j:
 the O(n^2) line-with-deadlines dynamic program of Tsitsiklis (Networks,
-1992) and Psaraftis et al. (1990).  Labels that would arrive after the
-newly visited node's deadline stay at INFINITY.  The recorded parent
-links form a forest from which optimal trajectories are read back.
+1992) and Psaraftis et al. (1990).  A ring is the same pass with the
+stretches read counterclockwise and one full-coverage state per final
+robot position.  Labels that would arrive after the newly visited node's
+deadline stay at INFINITY.  The recorded parent links form a forest from
+which optimal trajectories are read back.
 
 Ties go to the predecessor with the robot at the left end, the one
 with the smaller id, which makes extracted trajectories deterministic.
+One robot exploring a whole line or ring (``solve_from``) ends in the
+cheapest full-coverage state, again the smaller id on ties.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from typing import Iterable, Optional, Sequence
 
 from .exact import ExactNumber, INFINITY, is_finite
 from .instance import LineInstance, prune_dominated
-from .schedule import RobotTrack, Schedule, Verdict
+from .schedule import RobotTrack, Verdict, track_schedule
 from .state_graph import LEFT, RIGHT, StateGraph
 
 
@@ -97,10 +101,6 @@ def propagate(
     return labels
 
 
-def state_time(labels: TimeLabels, i: int, j: int, side: int) -> ExactNumber:
-    return labels.time[labels.graph.id_of(i, j, side)]
-
-
 def best_target(labels: TimeLabels, i: int, j: int) -> Optional[int]:
     """Cheaper of the two writings of stretch [i, j]; None if unreachable."""
     graph = labels.graph
@@ -173,6 +173,26 @@ def extract_trajectory(labels: TimeLabels, target: int) -> tuple:
     return tuple(waypoints)
 
 
+def solve_from(topology, starts: Iterable[int], collect_candidates: bool = False) -> Verdict:
+    """One robot exploring a whole line or ring from the best of ``starts``.
+
+    One label pass; the optimum is the cheapest full-coverage state, the
+    one with the smaller id on ties.
+    """
+    graph = StateGraph.of(topology)
+    labels = propagate(graph, init_start(graph, starts), topology.deadlines)
+    candidates = tuple(sorted(set(labels.finite_values()))) if collect_candidates else None
+    uid = min(graph.terminal_ids(), key=labels.time.__getitem__)
+    if labels.time[uid] is INFINITY:
+        return Verdict(feasible=False, optimum=INFINITY, candidates=candidates)
+    return Verdict(
+        feasible=True,
+        optimum=labels.time[uid],
+        schedule=track_schedule(topology, (RobotTrack(extract_trajectory(labels, uid)),)),
+        candidates=candidates,
+    )
+
+
 def solve_fixed_start(line: LineInstance, start: int, collect_candidates: bool = False) -> Verdict:
     """Optimal full-line exploration for one robot at a given node.
 
@@ -180,22 +200,7 @@ def solve_fixed_start(line: LineInstance, start: int, collect_candidates: bool =
     farther ones), which never changes feasibility or the optimum.
     """
     pruned, remap = prune_dominated(line, start)
-    new_start = remap.index(start)
-    graph = StateGraph.from_line(pruned)
-    labels = init_start(graph, [new_start])
-    propagate(graph, labels, pruned.deadlines)
-    uid = best_target(labels, 0, pruned.n - 1)
-    candidates = tuple(sorted(set(labels.finite_values()))) if collect_candidates else None
-    if uid is None:
-        return Verdict(feasible=False, optimum=INFINITY, candidates=candidates)
-    optimum = labels.time[uid]
-    track = RobotTrack(extract_trajectory(labels, uid))
-    return Verdict(
-        feasible=True,
-        optimum=optimum,
-        schedule=Schedule(kind="line", tracks=(track,)),
-        candidates=candidates,
-    )
+    return solve_from(pruned, [remap.index(start)], collect_candidates)
 
 
 def solve_free_start(
@@ -204,17 +209,4 @@ def solve_free_start(
     collect_candidates: bool = False,
 ) -> Verdict:
     """Optimal full-line exploration with the start chosen from ``allowed``."""
-    if allowed is None:
-        allowed = range(line.n)
-    labels = interval_table(line, allowed)
-    uid = best_target(labels, 0, line.n - 1)
-    candidates = tuple(sorted(set(labels.finite_values()))) if collect_candidates else None
-    if uid is None:
-        return Verdict(feasible=False, optimum=INFINITY, candidates=candidates)
-    track = RobotTrack(extract_trajectory(labels, uid))
-    return Verdict(
-        feasible=True,
-        optimum=labels.time[uid],
-        schedule=Schedule(kind="line", tracks=(track,)),
-        candidates=candidates,
-    )
+    return solve_from(line, range(line.n) if allowed is None else allowed, collect_candidates)

@@ -81,6 +81,13 @@ class StateGraph:
     # ------------------------------------------------------------------
 
     @classmethod
+    def of(cls, topology) -> "StateGraph":
+        """The graph of a line or a ring."""
+        if isinstance(topology, RingInstance):
+            return cls.from_ring(topology)
+        return cls.from_line(topology)
+
+    @classmethod
     def from_line(cls, line: LineInstance) -> "StateGraph":
         self = object.__new__(cls)
         n = line.n
@@ -149,12 +156,6 @@ class StateGraph:
         rem = uid - self._layer_offsets[layer]
         i = rem // 2
         return State(i, (i + layer) % n, rem % 2)
-
-    def layer_of(self, uid: int) -> int:
-        st = self.state_of(uid)
-        if self.kind == "line":
-            return st.right - st.left
-        return (st.right - st.left) % self.n
 
     def layer_ids(self, layer: int) -> range:
         return range(self._layer_offsets[layer], self._layer_offsets[layer + 1])

@@ -312,6 +312,17 @@ def finite_count(labels):
     return sum(1 for t in labels.time if t is not INFINITY)
 
 
+def state_time(labels, i, j, side):
+    """Label of the state (i, j, side)."""
+    return labels.time[labels.graph.id_of(i, j, side)]
+
+
+def layer_of(graph, uid):
+    """Number of edges of the stretch a state has explored."""
+    st = graph.state_of(uid)
+    return (st.right - st.left) % graph.n
+
+
 def graph_dump(graph):
     """One arc per line, for golden-file comparisons."""
     lines = []
@@ -378,6 +389,9 @@ def brute_solve_alt(spec):
     bound = spec.bound
     is_line = isinstance(top, LineInstance)
 
+    def ccw_dist(a, b):
+        return sum(top.edge_weights[(a + t) % n] for t in range((b - a) % n))
+
     def expand(start):
         # states: (covered frozenset, boundary pair, at_left, time, fv dict)
         if is_line:
@@ -400,8 +414,8 @@ def brute_solve_alt(spec):
                     size = (hi - lo) % n + 1
                     if size < n:
                         here = lo if at_left else hi
-                        d_ccw = (top.ccw_dist(here, hi)) + top.edge_weights[hi]
-                        d_cw = (top.ccw_dist(lo, here)) + top.edge_weights[(lo - 1) % n]
+                        d_ccw = ccw_dist(here, hi) + top.edge_weights[hi]
+                        d_cw = ccw_dist(lo, here) + top.edge_weights[(lo - 1) % n]
                         moves.append(((lo - 1) % n, hi, True, t + d_cw))
                         moves.append((lo, (hi + 1) % n, False, t + d_ccw))
                 if not moves:

@@ -85,6 +85,23 @@ def test_verify_rejects_speed_violation(tmp_path, capsys):
     assert "unit speed" in err
 
 
+def test_verify_rejects_a_track_that_starts_away_from_the_fixed_robot(tmp_path, capsys):
+    # the robot at node 2 cannot reach node 0 by 1/2; a sweep from node 0 could
+    doc = dict(SKEW3, deadlines=["1/2", None, None], robots={"mode": "fixed", "positions": [2]})
+    path = write(tmp_path, "far.json", doc)
+    assert main(["solve", path]) == 1
+    assert capsys.readouterr().out.strip() == "infeasible"
+    sched = write(
+        tmp_path,
+        "sweep.json",
+        {"robots": [{"start": "0", "waypoints": [{"t": "0", "x": "0"}, {"t": "3", "x": "3"}]}]},
+    )
+    assert main(["verify", path, sched]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "fixed positions" in captured.err
+
+
 def test_verify_reports_first_violated_node(tmp_path, capsys):
     doc = dict(SKEW3, deadlines=[None, None, "2.5"], robots={"mode": "fixed", "positions": [0]})
     path = write(tmp_path, "line.json", doc)
@@ -128,6 +145,27 @@ def test_resilience_free_line(tmp_path, capsys):
     small = write(tmp_path, "free2.json", dict(doc, robots={"mode": "free", "count": 2}))
     assert main(["resilience", small, "--delta", "0.1"]) == 1
     assert capsys.readouterr().out.strip() == "none"
+
+
+def test_resilience_of_a_subset_placement_answers_as_decide(tmp_path, capsys):
+    doc = dict(SKEW3, robots={"mode": "subset", "count": 1, "allowed": [0]})
+    path = write(tmp_path, "subset.json", doc)
+    # from node 0 one robot explores the line in 3
+    for delta, answer, code in (("3", "0", 0), ("2", "none", 1)):
+        assert main(["decide", path, "--delta", delta]) == code
+        assert capsys.readouterr().out.strip() == ("YES" if code == 0 else "NO")
+        assert main(["resilience", path, "--delta", delta]) == code
+        assert capsys.readouterr().out.strip() == answer
+    ring = {"topology": "ring", "edge_weights": ["1", "1", "2"], "deadlines": [None] * 3}
+    for other in (
+        dict(doc, robots={"mode": "subset", "count": 2, "allowed": [0, 2]}),
+        dict(doc, **ring),
+    ):
+        path = write(tmp_path, "refused.json", other)
+        assert main(["decide", path, "--delta", "3"]) == 2
+        refusal = capsys.readouterr().err
+        assert main(["resilience", path, "--delta", "3"]) == 2
+        assert capsys.readouterr().err == refusal
 
 
 def test_resilience_of_a_reliable_fixed_line_beyond_the_search_caps(tmp_path, capsys):

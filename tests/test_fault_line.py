@@ -280,9 +280,9 @@ def test_resilience_monotone_and_fixed_mode():
 def test_resilience_binary_searches_the_fault_budget(monkeypatch):
     calls = []
 
-    def counted(line, k):
+    def counted(line, k, **kwargs):
         calls.append(k)
-        return solve_free(line, k)
+        return solve_free(line, k, **kwargs)
 
     monkeypatch.setattr(fault_line, "solve_free", counted)
     k = 8

@@ -25,7 +25,9 @@ from roversweep.oracle import (
     brute_solve,
     enumerate_walks,
     verify_schedule,
+    witnessed,
 )
+from roversweep.schedule import RobotTrack, Schedule, ScheduleError
 
 UNIT3 = LineInstance((0, 1, 2), (INFINITY,) * 3)
 
@@ -157,6 +159,36 @@ def test_double_entry_oracles_agree():
         assert brute_solve(spec).optimum == brute_solve_alt(spec).optimum
         trials += 1
     assert trials == 250
+
+
+def test_verify_checks_where_each_track_starts():
+    line = LineInstance((0, 1, 3), (Fraction(1, 2), INFINITY, INFINITY))
+    sweep = Schedule(kind="line", tracks=(RobotTrack(((0, 0), (3, 3))),))
+    for placement in (
+        RobotPlacement(FREE, count=1),
+        RobotPlacement(FIXED, positions=(0,)),
+        RobotPlacement(SUBSET, count=1, allowed=(0, 1)),
+    ):
+        assert verify_schedule(ProblemSpec(line, placement), sweep).passed
+    for placement, why in (
+        (RobotPlacement(FIXED, positions=(2,)), "fixed positions"),
+        (RobotPlacement(SUBSET, count=1, allowed=(1, 2)), "allowed"),
+    ):
+        with pytest.raises(ScheduleError, match=why):
+            verify_schedule(ProblemSpec(line, placement), sweep)
+        # a solver whose schedule ignores its placement is at fault
+        with pytest.raises(RuntimeError, match="internal error"):
+            witnessed(line, placement, 0, None, sweep)
+    between = Schedule(kind="line", tracks=(RobotTrack(((0, Fraction(1, 2)), (3, 3))),))
+    with pytest.raises(ScheduleError, match="not at a node"):
+        verify_schedule(ProblemSpec(line, RobotPlacement(FREE, count=1)), between)
+    # on a ring a start counts modulo the circumference
+    ring = RingInstance((1, 1, 2), (INFINITY,) * 3)
+    spec = ProblemSpec(ring, RobotPlacement(FIXED, positions=(1,)), 0, None)
+    lap = Schedule(kind="ring", tracks=(RobotTrack(((0, 5), (4, 9))),), circumference=4)
+    assert verify_schedule(spec, lap).passed
+    with pytest.raises(ScheduleError, match="fixed positions"):
+        verify_schedule(spec, Schedule(kind="ring", tracks=(RobotTrack(((0, 4),)),), circumference=4))
 
 
 def test_brute_witness_always_verifies():

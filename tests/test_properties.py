@@ -1,7 +1,9 @@
 """Property tests: the answers scale with the instance and ignore mirroring
-and rotation."""
+and rotation, and a ring with an edge too long to use answers as the line
+cut there."""
 
 from fractions import Fraction
+from itertools import accumulate
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,9 +20,10 @@ from roversweep.instance import (
     StarInstance,
 )
 from roversweep.multi_line import solve_fixed, solve_free
+from roversweep.oracle import enumerate_walks
 from roversweep.reductions import star_exact
 from roversweep.ring import optimize_ring_fixed_faulty, solve_ring_fixed, solve_ring_free
-from roversweep.single_robot import solve_fixed_start, solve_free_start
+from roversweep.single_robot import solve_fixed_start, solve_free_start, solve_from
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -183,5 +186,36 @@ def test_rotating_a_ring_keeps_the_optimum(ring, data):
         (optimize_ring_fixed_faulty(ring, crews, 1), optimize_ring_fixed_faulty(rotated, moved(crews), 1)),
     )
     for verdict, twin in pairs:
+        assert verdict.feasible == twin.feasible
+        assert verdict.optimum == twin.optimum
+
+
+@st.composite
+def cut_rings(draw, max_n=6):
+    """(ring, line): the ring's edge (n-1, 0) weighs more than twice all
+    the others together, and the line is the ring cut at that edge."""
+    steps = draw(st.lists(amounts, min_size=1, max_size=max_n - 1))
+    heavy = 2 * sum(steps) + draw(amounts)
+    deadlines = tuple(draw(deadline_lists(len(steps) + 1, 2 * int(sum(steps)) + 1)))
+    line = LineInstance(tuple(accumulate(steps, initial=0)), deadlines)
+    return RingInstance(tuple(steps) + (heavy,), deadlines), line
+
+
+@SETTINGS
+@given(cut_rings(), st.data())
+def test_a_ring_explores_as_the_line_cut_at_an_edge_too_long_to_use(pair, data):
+    # crossing the heavy edge takes longer than going back along all the
+    # others, so no optimal walk and no walk within the budget uses it
+    ring, line = pair
+    n = ring.n
+    budget = ring.edge_weights[-1] * Fraction(data.draw(st.integers(0, 99)), 100)
+    start = data.draw(st.integers(0, n - 1))
+    profiles = [
+        [walk.first_visit for walk in enumerate_walks(top, start, budget)] for top in (ring, line)
+    ]
+    assert profiles[0] == profiles[1]
+    starts = data.draw(st.sets(st.integers(0, n - 1), min_size=1))
+    for solve in (lambda top: solve_from(top, starts), lambda top: solve_free(top, 1)):
+        verdict, twin = solve(ring), solve(line)
         assert verdict.feasible == twin.feasible
         assert verdict.optimum == twin.optimum

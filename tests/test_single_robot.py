@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from support import finite_count, random_line
+from support import finite_count, random_line, state_time
 from roversweep.exact import INFINITY
 from roversweep.instance import LineInstance, ProblemSpec, RobotPlacement, FIXED
 from roversweep.oracle import enumerate_walks, verify_schedule
@@ -17,7 +17,6 @@ from roversweep.single_robot import (
     propagate,
     solve_fixed_start,
     solve_free_start,
-    state_time,
 )
 from roversweep.state_graph import LEFT, RIGHT, StateGraph
 

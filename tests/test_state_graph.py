@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from support import graph_dump, push_labels, random_line, random_ring
+from support import graph_dump, layer_of, push_labels, random_line, random_ring
 from roversweep.exact import INFINITY
 from roversweep.instance import LineInstance, RingInstance
 from roversweep.single_robot import extract_trajectory, init_start, propagate
@@ -63,9 +63,9 @@ def test_every_non_source_has_incoming_and_layers_are_consecutive():
         g = StateGraph.from_line(line)
         indeg = [0] * g.node_count
         for u in range(g.node_count):
-            lu = g.layer_of(u)
+            lu = layer_of(g, u)
             for v, w, _ in g.arcs_from(u):
-                assert g.layer_of(v) == lu + 1
+                assert layer_of(g, v) == lu + 1
                 assert w > 0
                 indeg[v] += 1
             assert len(list(g.arcs_from(u))) <= 2
