@@ -6,8 +6,8 @@ visitors.  Free placement on either topology goes through
 floor(k / (f+1)) robots is repeated across f+1 groups, and on a ring k
 robots explore the ring made of f+1 concatenated copies, since visiting
 every copy once is the same as covering the original ring f+1 times.
-Subset placements are solved for one reliable robot on a line only
-(``solve_subset``).  Fixed placement goes through ``decide_fixed_faulty``
+Subset placements are solved for one reliable robot on a line or a
+ring (``solve_subset``).  Fixed placement goes through ``decide_fixed_faulty``
 and ``solve_fixed_faulty``.  They own the reliable shortcut: with f = 0 and
 robots at distinct nodes, the polynomial ``multi_line.solve_fixed``
 answers.  Otherwise fixed placement is genuinely hard, and it is decided
@@ -21,7 +21,9 @@ the first under-covered node of a fixed node order:
 * otherwise a robot's plans are the antichain of the on-time coverage
   of its walks, found by growing the visited arc around its start one
   node at a time and keeping per arc state only the Pareto-minimal
-  (time, coverage) pairs.
+  (time, coverage) pairs (``PlanTable``).  The pairs kept do not depend
+  on the time bound, so a solve grows one table per start, unbounded,
+  and reads its candidate times and every probe's plans off it.
 
 Robots may legally pass nodes after their deadlines (visited or not,
 nodes never block passage); such visits simply do not count as coverage.
@@ -139,6 +141,11 @@ class Plan:
     track: RobotTrack
 
 
+def _plain_line(topology) -> bool:
+    """A line without deadlines, whose plans are intervals."""
+    return isinstance(topology, LineInstance) and all(d is INFINITY for d in topology.deadlines)
+
+
 def _interval_plan(line: LineInstance, p_idx: int, a: int, b: int, delta) -> Plan:
     x = line.coordinates
     p = x[p_idx]
@@ -200,42 +207,61 @@ def _grow(n: int, cw: list, ccw: list, p: int, a: int, b: int, side: int) -> tup
     return ways
 
 
-def _walk_plans(topology, p: int, delta) -> List[Plan]:
-    """Plans of a robot at p: the antichain of its walks' on-time coverage.
+class PlanTable:
+    """The plans of a robot at p under every time bound up to ``bound``.
 
     Walks are not listed one by one: the arc grows one node at a time,
     and per arc and robot end only the (time, coverage) pairs survive
     that no other pair matches with an earlier time and a superset of
     coverage, since from the same spot the earlier robot can copy every
-    later move.  Without deadlines one pair per arc state is left, and
-    the plans are the maximal arcs.
+    later move.  A dominator is never later than the pair it drops, so
+    the pairs kept under any smaller bound are these, cut at it (Martins
+    1984); the plans at delta are the pairs that no move extends within
+    delta.  Without deadlines one pair per arc state is left, and the
+    plans are the maximal arcs.
     """
-    n = topology.n
-    d = topology.deadlines
-    x = _spots(topology)[p]
-    cw, ccw = _arm_lengths(topology, p)
-    # per arc state: [(time, on-time mask, waypoints, last direction)]
-    layer = {(0, 0, 1): [(0, 1 << p if delta >= 0 else 0, ((0, x),), 0)]}
-    plans = []
-    while layer:
-        grown: dict = {}
-        for (a, b, side), entries in layer.items():
-            ways = _grow(n, cw, ccw, p, a, b, side)
-            for t, mask, wps, last in entries:
-                stuck = True
-                for state, u, offset, dist in ways:
-                    t2 = t + dist
-                    if t2 > delta:
-                        continue
-                    stuck = False
-                    way = 1 if state[2] else -1
-                    wps2 = (wps[:-1] if last == way else wps) + ((t2, x + offset),)
-                    mask2 = mask | (1 << u) if t2 <= d[u] else mask
-                    _pareto_add(grown.setdefault(state, []), (t2, mask2, wps2, way))
-                if stuck:
-                    plans.append(Plan(mask=mask, track=RobotTrack(wps)))
-        layer = grown
-    return mask_antichain(plans)
+
+    def __init__(self, topology, p: int, bound=INFINITY):
+        n = topology.n
+        d = topology.deadlines
+        x = _spots(topology)[p]
+        cw, ccw = _arm_lengths(topology, p)
+        capped = bound is not INFINITY
+        # kept pairs as [time, earliest extension or None, mask, waypoints,
+        # arrived on time, Plan once built]; under a bound only its plans
+        self.entries: list = []
+        # per arc state: [(time, on-time mask, waypoints, last direction, on time)]
+        layer = {(0, 0, 1): [(0, 1 << p, ((0, x),), 0, True)]} if bound >= 0 else {}
+        while layer:
+            grown: dict = {}
+            for (a, b, side), bucket in layer.items():
+                ways = _grow(n, cw, ccw, p, a, b, side)
+                for t, mask, wps, last, fresh in bucket:
+                    stuck = True
+                    for state, u, offset, dist in ways:
+                        t2 = t + dist
+                        if capped and t2 > bound:
+                            continue
+                        stuck = False
+                        way = 1 if state[2] else -1
+                        wps2 = (wps[:-1] if last == way else wps) + ((t2, x + offset),)
+                        fresh2 = d[u] is INFINITY or t2 <= d[u]
+                        mask2 = mask | (1 << u) if fresh2 else mask
+                        _pareto_add(grown.setdefault(state, []), (t2, mask2, wps2, way, fresh2))
+                    if stuck or not capped:
+                        first = t + min(ways[0][3], ways[-1][3]) if ways else None
+                        self.entries.append([t, first, mask, wps, fresh, None])
+            layer = grown
+
+    def plans(self, delta) -> List[Plan]:
+        """The antichain of on-time coverage of the walks within delta."""
+        plans = []
+        for entry in self.entries:
+            if entry[0] <= delta and (entry[1] is None or delta < entry[1]):
+                if entry[5] is None:
+                    entry[5] = Plan(mask=entry[2], track=RobotTrack(entry[3]))
+                plans.append(entry[5])
+        return mask_antichain(plans)
 
 
 def _pareto_add(bucket: list, entry: tuple):
@@ -263,7 +289,7 @@ class _FixedSearch:
 
     On a line without finite deadlines the plans are intervals found by
     binary search as the branching asks for them.  Otherwise each
-    distinct start gets its complete plan list once, from ``_walk_plans``
+    distinct start gets its complete plan list once, from ``PlanTable``
     (every trajectory's on-time coverage is contained in some plan's
     mask).  The exchange argument only needs a fixed node order, in
     which every node before the branching one is already covered f+1
@@ -276,7 +302,7 @@ class _FixedSearch:
     up to the coverage still missing.
     """
 
-    def __init__(self, topology, positions: Sequence[int], f: int, delta):
+    def __init__(self, topology, positions: Sequence[int], f: int, delta, tables=None):
         self.topology = topology
         self.positions = tuple(sorted(positions))
         self.f = f
@@ -284,9 +310,7 @@ class _FixedSearch:
         self.n = topology.n
         self.k = len(self.positions)
         self.need = f + 1
-        self.plain = isinstance(topology, LineInstance) and all(
-            d is INFINITY for d in topology.deadlines
-        )
+        self.plain = _plain_line(topology)
         self.assigned: List[Optional[Plan]] = [None] * self.k
         self.cover = [0] * self.n
         self._options: dict = {}
@@ -297,7 +321,8 @@ class _FixedSearch:
                 for p in self.positions
             ]
         else:
-            made = {p: _walk_plans(topology, p, delta) for p in set(self.positions)}
+            tables = tables or plan_tables(topology, self.positions, delta)
+            made = {p: tables[p].plans(delta) for p in set(self.positions)}
             self.plans = [made[p] for p in self.positions]
             self.reach = [0] * self.k
             for r, plan_list in enumerate(self.plans):
@@ -448,9 +473,9 @@ def check_caps(topology, k: int, caps: Caps):
         )
 
 
-def search_verdict(topology, positions: Sequence[int], f: int, delta) -> Verdict:
+def search_verdict(topology, positions: Sequence[int], f: int, delta, tables=None) -> Verdict:
     """Run the exact search (positions sorted); YES carries a verified schedule."""
-    result = _FixedSearch(topology, positions, f, delta).run()
+    result = _FixedSearch(topology, positions, f, delta, tables).run()
     if result is None:
         return Verdict(feasible=False, optimum=None)
     spots = _spots(topology)
@@ -504,6 +529,7 @@ def decide_fixed_faulty(
     f: int,
     delta: ExactNumber,
     caps: Optional[Caps] = None,
+    tables: Optional[dict] = None,
 ) -> Verdict:
     """Exact decision: can the fixed multiset of robots on a line or ring,
     up to f of which may crash, visit every node by min(deadline, delta)?
@@ -512,8 +538,9 @@ def decide_fixed_faulty(
     ``solve_fixed`` on the topology with deadlines capped at delta, at
     any size.  Everything else runs the exact search, which never
     guesses: instances beyond ``caps`` (default: ``fixed_search_caps``)
-    raise CapExceeded.  A YES always carries a schedule that
-    ``verify_schedule`` accepts.
+    raise CapExceeded.  The plans come from ``tables`` (``plan_tables``
+    grown by a solve) or from tables grown up to delta.  A YES always
+    carries a schedule that ``verify_schedule`` accepts.
     """
     positions = fixed_team(topology, positions, f)
     if not is_finite(delta):
@@ -525,36 +552,32 @@ def decide_fixed_faulty(
         placement = RobotPlacement(FIXED, positions=positions)
         return witnessed(topology, placement, f, delta, reliable.schedule)
     check_caps(topology, len(positions), caps or fixed_search_caps(topology))
-    return search_verdict(topology, positions, f, delta)
+    return search_verdict(topology, positions, f, delta, tables)
 
 
-def fixed_faulty_candidates(topology, positions: Iterable[int]) -> tuple:
+def plan_tables(topology, positions: Iterable[int], bound=INFINITY) -> dict:
+    """One ``PlanTable`` per distinct start, grown up to ``bound``."""
+    return {p: PlanTable(topology, p, bound) for p in set(positions)}
+
+
+def fixed_faulty_candidates(topology, positions: Iterable[int], tables=None) -> tuple:
     """All times at which the fixed-position decision can change.
 
     These are the moments some robot's plan gains a node: arc cover costs
-    without deadlines, with them the on-time first visits of its walks,
-    collected per arc state as sets of arrival times.
+    without deadlines, with them the on-time arrival times of the pairs
+    its ``PlanTable`` keeps (from ``tables`` when given).  A dropped pair
+    adds none: its dominator, never later, matches its whole subtree.
     """
+    if any(d is not INFINITY for d in topology.deadlines):
+        tables = tables or plan_tables(topology, positions)
+        return tuple(sorted({e[0] for p in set(positions) for e in tables[p].entries if e[4]}))
     n = topology.n
-    deadlines = topology.deadlines
-    plain = all(d is INFINITY for d in deadlines)
     values = {0}
     for p in set(positions):
         cw, ccw = _arm_lengths(topology, p)
-        if plain:
-            for a in range(len(cw)):
-                for b in range(min(len(ccw), n - a)):
-                    values.add(cw[a] + ccw[b] + min(cw[a], ccw[b]))
-            continue
-        layer = {(0, 0, 1): {0}}
-        while layer:
-            grown: dict = {}
-            for (a, b, side), times in layer.items():
-                for state, u, _, dist in _grow(n, cw, ccw, p, a, b, side):
-                    reached = {t + dist for t in times}
-                    grown.setdefault(state, set()).update(reached)
-                    values.update(t for t in reached if t <= deadlines[u])
-            layer = grown
+        for a in range(len(cw)):
+            for b in range(min(len(ccw), n - a)):
+                values.add(cw[a] + ccw[b] + min(cw[a], ccw[b]))
     return tuple(sorted(values))
 
 
@@ -569,25 +592,27 @@ def solve_fixed_faulty(
     Feasibility is monotone in delta and can only change at a time from
     ``fixed_faulty_candidates``, so a binary search over them with the
     exact decision yields the optimum; the verdict carries the accepting
-    decision's verified schedule.  Reliable robots at distinct nodes are
-    solved directly by ``solve_fixed``.  Caps as for the decision.
+    decision's verified schedule.  Unless the plans are intervals (a line
+    without deadlines), each distinct start's ``PlanTable`` is grown once,
+    without a time bound, and the candidates and every probe read it.
+    Reliable robots at distinct nodes are solved directly by
+    ``solve_fixed``.  Caps as for the decision.
     """
     positions = fixed_team(topology, positions, f)
     if f == 0 and len(set(positions)) == len(positions):
         return solve_fixed(topology, positions, collect_candidates=True)
     caps = caps or fixed_search_caps(topology)
     check_caps(topology, len(positions), caps)
+    tables = None if _plain_line(topology) else plan_tables(topology, positions)
     return least_feasible(
-        fixed_faulty_candidates(topology, positions),
-        lambda delta: decide_fixed_faulty(topology, positions, f, delta, caps),
+        fixed_faulty_candidates(topology, positions, tables),
+        lambda delta: decide_fixed_faulty(topology, positions, f, delta, caps, tables),
     )
 
 
 def solve_subset(topology, allowed: Iterable[int], k: int, f: int) -> Verdict:
     """Robots that start at nodes of ``allowed``: solved for one reliable
-    robot on a line, and refused with InstanceError otherwise."""
-    if isinstance(topology, RingInstance):
-        raise InstanceError("robots", "subset placement is not supported on rings")
+    robot on a line or a ring, and refused with InstanceError otherwise."""
     if k != 1 or f != 0:
         raise InstanceError("robots", "subset placement is solved for a single reliable robot only")
     return solve_free_start(topology, allowed)

@@ -77,10 +77,6 @@ class LineInstance:
     def n(self) -> int:
         return len(self.coordinates)
 
-    @property
-    def span(self) -> ExactNumber:
-        return self.coordinates[-1] - self.coordinates[0]
-
     def capped(self, delta: ExactNumber) -> "LineInstance":
         """Same line with every deadline capped at ``delta``."""
         return replace(self, deadlines=tuple(min(d, delta) for d in self.deadlines))

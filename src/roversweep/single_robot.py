@@ -204,9 +204,11 @@ def solve_fixed_start(line: LineInstance, start: int, collect_candidates: bool =
 
 
 def solve_free_start(
-    line: LineInstance,
+    topology,
     allowed: Optional[Iterable[int]] = None,
     collect_candidates: bool = False,
 ) -> Verdict:
-    """Optimal full-line exploration with the start chosen from ``allowed``."""
-    return solve_from(line, range(line.n) if allowed is None else allowed, collect_candidates)
+    """Optimal exploration of a whole line or ring by one robot that starts
+    at a node of ``allowed`` (any node by default): ``solve_from``."""
+    return solve_from(topology, range(topology.n) if allowed is None else allowed,
+                      collect_candidates)

@@ -5,7 +5,7 @@ import itertools
 from fractions import Fraction
 
 from roversweep.exact import INFINITY, format_number
-from roversweep.fault_line import Plan, mask_antichain
+from roversweep.fault_line import Plan, PlanTable, mask_antichain
 from roversweep.instance import FIXED, FREE, LineInstance, RingInstance, StarInstance
 from roversweep.multi_line import TeamTables
 from roversweep.oracle import CapExceeded, _placements, enumerate_walks, walk_track
@@ -143,11 +143,21 @@ def star_brute(star, placement, k, f=0, delta=None):
     return Verdict(feasible=True, optimum=best)
 
 
+def line_span(line):
+    """Distance between the two end nodes of a line."""
+    return line.coordinates[-1] - line.coordinates[0]
+
+
 def fixed_positions(rng, n, k, allow_duplicates):
     if allow_duplicates:
         return tuple(sorted(rng.choices(range(n), k=k)))
     k = min(k, n)
     return tuple(sorted(rng.sample(range(n), k)))
+
+
+def walk_plans(topology, p, delta):
+    """The plans of a robot at p from an arc growth bounded by ``delta``."""
+    return PlanTable(topology, p, delta).plans(delta)
 
 
 def profile_plans(topology, p_idx, delta):

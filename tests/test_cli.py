@@ -156,16 +156,20 @@ def test_resilience_of_a_subset_placement_answers_as_decide(tmp_path, capsys):
         assert capsys.readouterr().out.strip() == ("YES" if code == 0 else "NO")
         assert main(["resilience", path, "--delta", delta]) == code
         assert capsys.readouterr().out.strip() == answer
+    # on the ring 0 -1- 1 -1- 2 -2- 0 it walks 0, 1, 2 in 2
     ring = {"topology": "ring", "edge_weights": ["1", "1", "2"], "deadlines": [None] * 3}
-    for other in (
-        dict(doc, robots={"mode": "subset", "count": 2, "allowed": [0, 2]}),
-        dict(doc, **ring),
-    ):
-        path = write(tmp_path, "refused.json", other)
-        assert main(["decide", path, "--delta", "3"]) == 2
-        refusal = capsys.readouterr().err
-        assert main(["resilience", path, "--delta", "3"]) == 2
-        assert capsys.readouterr().err == refusal
+    path = write(tmp_path, "ring.json", dict(doc, **ring))
+    for delta, answer, code in (("2", "0", 0), ("1", "none", 1)):
+        assert main(["decide", path, "--delta", delta]) == code
+        assert capsys.readouterr().out.strip() == ("YES" if code == 0 else "NO")
+        assert main(["resilience", path, "--delta", delta]) == code
+        assert capsys.readouterr().out.strip() == answer
+    path = write(tmp_path, "refused.json",
+                 dict(doc, robots={"mode": "subset", "count": 2, "allowed": [0, 2]}))
+    assert main(["decide", path, "--delta", "3"]) == 2
+    refusal = capsys.readouterr().err
+    assert main(["resilience", path, "--delta", "3"]) == 2
+    assert capsys.readouterr().err == refusal
 
 
 def test_resilience_of_a_reliable_fixed_line_beyond_the_search_caps(tmp_path, capsys):

@@ -5,13 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from support import random_line, fixed_positions
+from support import fixed_positions, line_span, random_line, random_ring, walk_plans
 from roversweep.exact import INFINITY
 from roversweep import fault_line
 from roversweep.fault_line import (
     decide_fixed_faulty,
     fixed_faulty_candidates,
     least_feasible,
+    plan_tables,
     resilience,
     search_verdict,
     solve_fixed_faulty,
@@ -140,7 +141,7 @@ def test_decide_matches_brute_force_with_deadlines():
         k = len(positions)
         if f >= k:
             continue
-        span = int(line.span) + 1
+        span = int(line_span(line)) + 1
         for delta in (0, Fraction(span, 2), span, 2 * span):
             spec = ProblemSpec(line, RobotPlacement(FIXED, positions=positions), f, delta)
             want = brute_solve(spec).feasible and brute_solve(spec).optimum <= delta
@@ -164,6 +165,34 @@ def test_optimizer_examples_and_brute_agreement():
         got = solve_fixed_faulty(line, positions, f).optimum
         spec = ProblemSpec(line, RobotPlacement(FIXED, positions=positions), f, None)
         assert got == brute_solve(spec).optimum
+
+
+def test_plan_tables_give_every_probe_its_bounded_plans():
+    # one growth per start without a time bound lists, at every candidate
+    # time, the plans a growth bounded by that time lists: masks, tracks
+    # and order; a solve that reads its probes off it equals the binary
+    # search over decisions that grow their own
+    rng = random.Random(99)
+    checked = 0
+    for i in range(40):
+        make = random_ring if i % 2 else random_line
+        topology = make(rng, min_n=2, max_n=12, deadline_prob=0.5)
+        if all(d is INFINITY for d in topology.deadlines):
+            continue
+        k = rng.randint(2, 3)
+        positions = fixed_positions(rng, topology.n, k, allow_duplicates=True)
+        tables = plan_tables(topology, positions)
+        candidates = fixed_faulty_candidates(topology, positions, tables)
+        for delta in candidates:
+            for p in set(positions):
+                assert tables[p].plans(delta) == walk_plans(topology, p, delta)
+        got = solve_fixed_faulty(topology, positions, 1)
+        want = least_feasible(
+            candidates, lambda delta: search_verdict(topology, positions, 1, delta)
+        )
+        assert (got.optimum, got.schedule) == (want.optimum, want.schedule)
+        checked += 1
+    assert checked > 30
 
 
 def test_single_robot_zero_faults_matches_single_solver():
@@ -226,7 +255,7 @@ def test_witness_survives_any_crash_subset():
         k = rng.randint(2, 3)
         f = rng.randint(1, k - 1)
         positions = fixed_positions(rng, line.n, k, allow_duplicates=True)
-        span = int(line.span) + 1
+        span = int(line_span(line)) + 1
         verdict = decide_fixed_faulty(line, positions, f, 2 * span)
         if not verdict.feasible:
             continue
@@ -261,7 +290,7 @@ def test_resilience_monotone_and_fixed_mode():
         else:
             placement = RobotPlacement(FREE, count=k)
         spec = ProblemSpec(line, placement, placement.robots - 1, None)
-        span = int(line.span) + 1
+        span = int(line_span(line)) + 1
         delta = rng.choice((Fraction(span, 2), span, 2 * span))
         best = resilience(spec, delta)
         k = placement.robots

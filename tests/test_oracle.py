@@ -8,7 +8,14 @@ import pytest
 import roversweep
 from roversweep import oracle
 
-from support import brute_solve_alt, fixed_positions, naive_team_tables, random_line, random_ring
+from support import (
+    brute_solve_alt,
+    fixed_positions,
+    line_span,
+    naive_team_tables,
+    random_line,
+    random_ring,
+)
 from roversweep.exact import INFINITY
 from roversweep.instance import (
     FIXED,
@@ -154,7 +161,7 @@ def test_double_entry_oracles_agree():
                 FIXED, positions=fixed_positions(rng, top.n, k, allow_duplicates=False)
             )
         bound = None if rng.random() < 0.6 else rng.randint(0, 2 * int(sum(
-            top.edge_weights) if isinstance(top, RingInstance) else top.span) + 1)
+            top.edge_weights) if isinstance(top, RingInstance) else line_span(top)) + 1)
         spec = ProblemSpec(top, placement, f, bound)
         assert brute_solve(spec).optimum == brute_solve_alt(spec).optimum
         trials += 1

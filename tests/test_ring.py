@@ -7,11 +7,13 @@ import pytest
 from support import (
     copy_of,
     fixed_positions,
+    line_span,
     profile_plans,
     random_line,
     random_ring,
     reach_chain_decide,
     replicated_starts,
+    walk_plans,
 )
 from roversweep.exact import INFINITY
 from roversweep.instance import (
@@ -21,11 +23,12 @@ from roversweep.instance import (
     ProblemSpec,
     RingInstance,
     RobotPlacement,
+    SUBSET,
 )
 from roversweep.multi_line import TeamTables
 from roversweep.multi_line import solve_fixed as line_solve_fixed
 from roversweep.multi_line import solve_free as line_solve_free
-from roversweep.fault_line import _walk_plans, fixed_faulty_candidates
+from roversweep.fault_line import fixed_faulty_candidates, solve_subset
 from roversweep.oracle import CapExceeded, brute_solve, enumerate_walks, verify_schedule
 from roversweep.single_robot import optimal_time
 from roversweep.ring import (
@@ -349,8 +352,9 @@ def test_optimize_ring_fixed_faulty_matches_brute(deadline_prob):
 
 
 def test_walk_plans_and_candidates_match_walks():
-    # the arc-growth searches keep exactly the coverage antichain of all
-    # walks and every on-time first visit any walk makes, on rings and lines
+    # the arc-growth search keeps exactly the coverage antichain of all
+    # walks, on rings and lines; its candidates are on-time first visits
+    # of walks, and no other first visit changes that antichain
     for make in (random_ring, random_line):
         rng = random.Random(72)
         for _ in range(40):
@@ -363,15 +367,39 @@ def test_walk_plans_and_candidates_match_walks():
                     if t is not None and t <= d
                 )
             if any(d is not INFINITY for d in topology.deadlines):
-                assert fixed_faulty_candidates(topology, (p,)) == tuple(sorted(times))
+                candidates = fixed_faulty_candidates(topology, (p,))
+                assert set(candidates) <= times
+                for t in times:
+                    below = max(c for c in candidates if c <= t)
+                    assert masks(topology, p, t) == masks(topology, p, below)
             # every time is a whole number on rings and a multiple of 1/2 on lines
             if isinstance(topology, RingInstance):
                 span, step = topology.total, 1
             else:
-                span, step = topology.span, Fraction(1, 2)
+                span, step = line_span(topology), Fraction(1, 2)
             for delta in (i * step for i in range(int(2 * span / step) + 1)):
                 want = sorted(pl.mask for pl in profile_plans(topology, p, delta))
-                assert sorted(pl.mask for pl in _walk_plans(topology, p, delta)) == want
+                assert masks(topology, p, delta) == want
+
+
+def masks(topology, p, delta):
+    return sorted(pl.mask for pl in walk_plans(topology, p, delta))
+
+
+def test_one_robot_from_a_subset_of_a_ring_matches_the_brute_force():
+    rng = random.Random(77)
+    feasible = 0
+    for _ in range(80):
+        ring = random_ring(rng, max_n=6)
+        allowed = tuple(sorted(rng.sample(range(ring.n), rng.randint(1, ring.n))))
+        placement = RobotPlacement(SUBSET, count=1, allowed=allowed)
+        verdict = solve_subset(ring, allowed, 1, 0)
+        assert verdict.optimum == brute_solve(ProblemSpec(ring, placement, 0, None)).optimum
+        if verdict.feasible:
+            bounded = ProblemSpec(ring, placement, 0, verdict.optimum)
+            assert verify_schedule(bounded, verdict.schedule).passed
+            feasible += 1
+    assert feasible > 20
 
 
 def test_fixed_faulty_ring_search_is_capped():
