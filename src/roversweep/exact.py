@@ -127,8 +127,10 @@ def simplify(x: ExactNumber) -> ExactNumber:
 
 def parse_number(text: str) -> Union[int, Fraction]:
     """Parse a decimal string ("2", "0.5") or a ratio string ("3/4") exactly."""
-    value = Fraction(text.strip())
-    return simplify(value)
+    text = text.strip()
+    if text.isascii() and text.isdecimal():
+        return int(text)  # plain digits: the value Fraction would give, sooner
+    return simplify(Fraction(text))
 
 
 def format_number(x: ExactNumber) -> str:

@@ -10,7 +10,8 @@ Subset placements are solved for one reliable robot on a line or a
 ring (``solve_subset``).  Fixed placement goes through ``decide_fixed_faulty``
 and ``solve_fixed_faulty``.  They own the reliable shortcut: with f = 0 and
 robots at distinct nodes, the polynomial ``multi_line.solve_fixed``
-answers.  Otherwise fixed placement is genuinely hard, and it is decided
+answers.  Otherwise fixed placement is NP-hard on lines and on rings
+(``ring`` says why the line reduction carries over), and it is decided
 exactly by a branch-and-bound over per-robot coverage plans driven by
 the first under-covered node of a fixed node order:
 

@@ -133,6 +133,7 @@ def _start_times(labels, p: int, lo: int, hi: int) -> list:
     left = (p - lo - 1) % n
     right = (hi - p - 1) % n
     first = [graph.layer_ids(d).start for d in range(left + right + 1)]
+    inf = INFINITY
     rows = []
     for a in range(left + 1):
         i = (p - a) % n
@@ -140,7 +141,7 @@ def _start_times(labels, p: int, lo: int, hi: int) -> list:
         for d in range(max(a, 1), a + right + 1):
             tl = time[first[d] + 2 * i]
             tr = time[first[d] + 2 * i + 1]
-            row.append(tl if tl <= tr else tr)
+            row.append(tl if tr is inf or tl is not inf and tl <= tr else tr)
         rows.append(row)
     return rows
 
@@ -274,6 +275,7 @@ class TeamTables:
         """T[1] read off the label pass: per stretch the cheaper end, ties to L."""
         n = self.n
         time = self.labels.time
+        inf = INFINITY
         rows = [[0] * (i + n - 1 if self.ring else n) for i in range(n)]
         for i in range(n):
             rows[i][i] = time[i]
@@ -281,7 +283,8 @@ class TeamTables:
             ids = self.labels.graph.layer_ids(layer)
             pairs = time[ids.start:ids.stop]
             for i, (tl, tr) in enumerate(zip(pairs[0::2], pairs[1::2])):
-                rows[i][i + layer] = tl if tl <= tr else tr
+                # identity tests keep INFINITY's Python-level comparisons out
+                rows[i][i + layer] = tl if tr is inf or tl is not inf and tl <= tr else tr
         return rows
 
     def _doubled(self, rows: list) -> list:

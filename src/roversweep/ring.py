@@ -13,8 +13,10 @@ below delegate to them.
 The farthest-reach chain over the replicated ring, the polynomial
 procedure of the source material for fixed positions with crashes, lets
 copies of one physical robot serve two segments and over-accepts, so it
-is not used.  A polynomial exact decision for that case is still open
-here.
+is not used.  That case is NP-hard on weighted rings: no on-time plan
+crosses an edge longer than the time bound, so closing the line of the
+N3DM reduction (``reductions.line_from_n3dm``) with an edge of weight
+bound + 1 leaves every plan, and the answer, as on the line.
 """
 
 from __future__ import annotations

@@ -75,13 +75,18 @@ def propagate(
     walks to states strictly inside the open node interval (lo, hi) --
     on rings the interval is read counterclockwise; the states one step
     outside it are labelled too.  ``labels`` comes from ``init_start``.
+
+    Only live ranges are pulled: each layer visits just the states that a
+    finite label of the layer before can reach, and the pass stops at the
+    first layer with no finite label (``StateGraph.pulls``).  The states
+    skipped keep INFINITY and no parent, as a full pass would leave them.
     """
     time = labels.time
     parent = labels.parent
     inf = INFINITY
     # compared only, never added: a float infinity is exact against ints and Fractions
     dls = [math.inf if d is inf else d for d in deadlines]
-    for batch in graph.pulls(dls, window):
+    for batch in graph.pulls(time, dls, window):
         for v, a, b, wa, wb, dl in zip(*batch):
             ta = time[a]
             tb = time[b]

@@ -11,7 +11,8 @@ States are packed into dense integer ids laid out layer-major with the
 left index ascending and L before R.  No arc is stored: each state of
 layer >= 1 has exactly two predecessors, the same stretch without its
 newly visited node with the robot at either end (``pulls`` lists them
-layer by layer, with arc weights read off the coordinates), and
+layer by layer, with arc weights read off the coordinates, for the
+states a finite label can reach), and
 ``arcs_from`` rebuilds a state's out-arcs on demand.  A ring's
 full-coverage state for robot position p is the one exception: the two
 predecessors (p+1, p-1, L/R) each reach it both clockwise and
@@ -26,7 +27,7 @@ from itertools import accumulate, chain
 from operator import sub
 from typing import Iterator, NamedTuple, Optional, Sequence
 
-from .exact import ExactNumber
+from .exact import INFINITY, ExactNumber
 from .instance import LineInstance, RingInstance
 
 LEFT = 0   # robot at the left / clockwise end of the explored stretch
@@ -66,6 +67,20 @@ def _run(base: int, stride: int, first: int, count: int, n: int):
     if head == count:
         return ids
     return chain(ids, range(base, base + stride * (count - head), stride))
+
+
+def _live(time: list, base: int, stride: int, first: int, count: int, n: int):
+    """(first, last) i of the finite labels among the ids base + stride * i
+    for i = first .. first + count - 1 read mod n, or None if all are INFINITY."""
+    end = first + count
+    while first < end and time[base + stride * (first % n)] is INFINITY:
+        first += 1
+    if first >= end:
+        return None
+    last = end - 1
+    while time[base + stride * (last % n)] is INFINITY:
+        last -= 1
+    return first, last
 
 
 class StateGraph:
@@ -180,8 +195,20 @@ class StateGraph:
             return _run(0, 1, first, count, self.n)
         return _run(self._layer_offsets[layer] + side, 2, first, count, self.n)
 
-    def pulls(self, deadlines: Sequence, window: Optional[tuple] = None) -> Iterator[Pull]:
-        """The states of layers 1.. in layer order, with their predecessors.
+    def pulls(self, time: list, deadlines: Sequence,
+              window: Optional[tuple] = None) -> Iterator[Pull]:
+        """The live states of layers 1.. in layer order, with their predecessors.
+
+        ``time`` is the label list: layer 0 is set, and the caller sets
+        the labels of each batch before it takes the next.  A layer pulls
+        only the states that a finite label of the layer before can
+        reach: if that layer is finite on stretches i in [a, z], the new
+        left node i only for i in [a - 1, z - 1] and the new right node
+        i + layer only for i in [a, z].  The ends of the next range are
+        the first and last finite labels of the batches just set, found
+        by scanning in from both ends, so only the dead margins are read
+        twice.  On a ring without a window the range is cyclic.  The
+        batches stop at the first layer with no finite label.
 
         ``deadlines`` is indexed by node.  ``window`` = (lo, hi) keeps the
         predecessors strictly inside the open node interval (lo, hi), read
@@ -189,6 +216,7 @@ class StateGraph:
         inside it plus those that leave it by one node.
         """
         n = self.n
+        first = 0  # where the scan of layer 0 starts
         if self.kind == "line":
             x = self._positions
             # coordinates are the prefix sums of the edge lengths
@@ -196,60 +224,77 @@ class StateGraph:
             lo, hi = window if window is not None else (-1, n)
             lo, hi = max(lo, -1), min(hi, n)
 
-            def spans(layer):  # (first i, count) with the robot at L, at R
+            def spans(layer, a):  # (first i, count) with the robot at L, at R
                 return ((max(lo, 0), hi - layer - max(lo, 0)),
                         (lo + 1, min(hi, n - 1) - layer - lo))
         else:
-            # indices below stay under 3n, so three laps of each list keep
-            # every slice contiguous; prefix[k] is the arc length to node k
+            # stretch indices i count on from the window's lo, or drift
+            # below 0 without a window, and are read mod n; slices start at
+            # i mod n and end under 3n, so three laps of each list keep
+            # them contiguous; prefix[k] is the arc length to node k
             edge = self._weights * 3
             prefix = list(accumulate(edge, initial=0))
             dls = tuple(deadlines) * 3
             if window is not None:
                 lo, hi = window
+                first = lo
                 room = (hi - lo - 1) % n  # nodes strictly inside the window
 
-            def spans(layer):
+            def spans(layer, a):
                 if window is None:
-                    return (0, n), (0, n)
-                return (lo, room - layer + 1), ((lo + 1) % n, room - layer + 1)
+                    return (a - 1, n), (a, n)
+                return (lo, room - layer + 1), (lo + 1, room - layer + 1)
 
+        live = _live(time, 0, 1, first, n, n)
         for layer in range(1, n):
-            (s, c), (r, d) = spans(layer)
-            if c <= 0 and d <= 0:
+            if live is None:
                 return
+            a, z = live
+            (s, c), (r, d) = spans(layer, a)
+            # a new left node i needs stretch i + 1 live, a new right node stretch i
+            s, c = max(s, a - 1), min(s + c, z) - max(s, a - 1)
+            r, d = max(r, a), min(r + d, z + 1) - max(r, a)
+            s0, r0 = s % n, r % n  # where the slices start
             if self.kind == "ring" and layer == n - 1:
                 # full coverage with the robot at p = s, s + 1, ...: each
                 # predecessor gets there by the edge next to p or by the
                 # rest of the ring, and the shorter way gives the label
-                total = prefix[n]
-                yield Pull(
-                    _run(self._layer_offsets[n - 1], 1, s, c, n),
-                    self._ids(n - 2, s + 1, c, LEFT),
-                    self._ids(n - 2, s + 1, c, RIGHT),
-                    [min(w, total - w) for w in edge[s:s + c]],
-                    [min(w, total - w) for w in edge[s + n - 1:s + n - 1 + c]],
-                    dls[s:s + c],
-                )
+                if c > 0:
+                    total = prefix[n]
+                    yield Pull(
+                        _run(self._layer_offsets[n - 1], 1, s, c, n),
+                        self._ids(n - 2, s + 1, c, LEFT),
+                        self._ids(n - 2, s + 1, c, RIGHT),
+                        [min(w, total - w) for w in edge[s0:s0 + c]],
+                        [min(w, total - w) for w in edge[s0 + n - 1:s0 + n - 1 + c]],
+                        dls[s0:s0 + c],
+                    )
                 return
             if c > 0:  # robot at L: the stretch grew at its left end i
                 yield Pull(
                     self._ids(layer, s, c, LEFT),
                     self._ids(layer - 1, s + 1, c, LEFT),
                     self._ids(layer - 1, s + 1, c, RIGHT),
-                    edge[s:s + c],
-                    list(map(sub, prefix[s + layer:s + layer + c], prefix[s:s + c])),
-                    dls[s:s + c],
+                    edge[s0:s0 + c],
+                    list(map(sub, prefix[s0 + layer:s0 + layer + c], prefix[s0:s0 + c])),
+                    dls[s0:s0 + c],
                 )
             if d > 0:  # robot at R: the stretch grew at its right end j
                 yield Pull(
                     self._ids(layer, r, d, RIGHT),
                     self._ids(layer - 1, r, d, LEFT),
                     self._ids(layer - 1, r, d, RIGHT),
-                    list(map(sub, prefix[r + layer:r + layer + d], prefix[r:r + d])),
-                    edge[r + layer - 1:r + layer - 1 + d],
-                    dls[r + layer:r + layer + d],
+                    list(map(sub, prefix[r0 + layer:r0 + layer + d], prefix[r0:r0 + d])),
+                    edge[r0 + layer - 1:r0 + layer - 1 + d],
+                    dls[r0 + layer:r0 + layer + d],
                 )
+            base = self._layer_offsets[layer]
+            left = _live(time, base + LEFT, 2, s, c, n)
+            right = _live(time, base + RIGHT, 2, r, d, n)
+            if left is None or right is None:
+                live = left or right
+            else:
+                live = min(left[0], right[0]), max(left[1], right[1])
 
     # ------------------------------------------------------------------
     # arcs, on demand

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 from roversweep.exact import INFINITY, format_number
 from roversweep.fault_line import Plan, PlanTable, mask_antichain
-from roversweep.instance import FIXED, FREE, LineInstance, RingInstance, StarInstance
+from roversweep.instance import FIXED, FREE, LineInstance, ProblemSpec, RingInstance, StarInstance
 from roversweep.multi_line import TeamTables
 from roversweep.oracle import CapExceeded, _placements, enumerate_walks, walk_track
 from roversweep.ring import replicate_ring
@@ -146,6 +146,17 @@ def star_brute(star, placement, k, f=0, delta=None):
 def line_span(line):
     """Distance between the two end nodes of a line."""
     return line.coordinates[-1] - line.coordinates[0]
+
+
+def ring_from_line(spec):
+    """The line of ``spec`` closed into a ring by an edge of weight
+    bound + 1, with the same deadlines, robots, faults and bound.  No
+    on-time plan crosses an edge longer than the bound, so every robot
+    keeps the plans it has on the line."""
+    x = spec.topology.coordinates
+    gaps = tuple(b - a for a, b in zip(x, x[1:]))
+    ring = RingInstance(gaps + (spec.bound + 1,), spec.topology.deadlines)
+    return ProblemSpec(ring, spec.placement, spec.faults, spec.bound)
 
 
 def fixed_positions(rng, n, k, allow_duplicates):

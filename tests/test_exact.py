@@ -19,6 +19,31 @@ def test_parse_decimal_and_ratio():
     assert isinstance(parse_number("4/2"), int)
 
 
+def _outcome(parse, text):
+    try:
+        value = parse(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc)
+    return type(value), value
+
+
+@pytest.mark.parametrize("text", [" 12 ", "007", "0", "-3", "+4", "12.0", "3/4", "\u0663", "", "1/0"])
+def test_digit_fast_path_parses_as_the_fraction_path(text):
+    # plain ASCII digits skip Fraction; every input must parse (or fail) as before
+    assert _outcome(parse_number, text) == _outcome(lambda t: simplify(Fraction(t.strip())), text)
+
+
+def test_digit_fast_path_keeps_values_types_and_errors():
+    assert _outcome(parse_number, "007") == (int, 7)
+    assert _outcome(parse_number, "-3") == (int, -3)
+    assert _outcome(parse_number, "12.0") == (int, 12)
+    assert _outcome(parse_number, "3/4") == (Fraction, Fraction(3, 4))
+    assert _outcome(parse_number, "") is ValueError
+    assert _outcome(parse_number, "1/0") is ZeroDivisionError
+    assert _outcome(parse_number, " 12 ") == (int, 12)
+    assert _outcome(parse_number, "\u0663") == (int, 3)
+
+
 def test_format_round_trip():
     for text in ["0", "7", "1/3", "22/7", "0.125"]:
         value = parse_number(text)

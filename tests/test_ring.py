@@ -8,11 +8,13 @@ from support import (
     copy_of,
     fixed_positions,
     line_span,
+    n3dm_brute_force,
     profile_plans,
     random_line,
     random_ring,
     reach_chain_decide,
     replicated_starts,
+    ring_from_line,
     walk_plans,
 )
 from roversweep.exact import INFINITY
@@ -28,8 +30,9 @@ from roversweep.instance import (
 from roversweep.multi_line import TeamTables
 from roversweep.multi_line import solve_fixed as line_solve_fixed
 from roversweep.multi_line import solve_free as line_solve_free
-from roversweep.fault_line import fixed_faulty_candidates, solve_subset
-from roversweep.oracle import CapExceeded, brute_solve, enumerate_walks, verify_schedule
+from roversweep.fault_line import decide_fixed_faulty, fixed_faulty_candidates, solve_subset
+from roversweep.oracle import Caps, CapExceeded, brute_solve, enumerate_walks, verify_schedule
+from roversweep.reductions import line_from_n3dm
 from roversweep.single_robot import optimal_time
 from roversweep.ring import (
     decide_ring_fixed_faulty,
@@ -430,3 +433,43 @@ def test_greedy_reach_chain_is_unsound_for_distinct_robots():
     assert not brute_ring_cover(ring, positions, 1, 2)
     assert reach_chain_decide(ring, positions, 1, 2)  # over-accepts
     assert not decide_ring_fixed_faulty(ring, positions, 1, 2).feasible
+
+
+def test_the_n3dm_reduction_closed_into_a_ring_keeps_every_answer():
+    # the fixed-position crash ring is NP-hard: an edge of weight bound + 1
+    # closing the reduction's line changes no plan, hence no answer; the
+    # line gives the same answers on these instances (acceptance criterion 6)
+    caps = Caps(max_n=500, max_k=8, max_f=7)
+    checked = yes = 0
+    for q in (1, 2):
+        group = list(itertools.combinations_with_replacement((1, 2, 3), q))
+        for a, b, c in itertools.product(group, repeat=3):
+            total = sum(a) + sum(b) + sum(c)
+            if total % q:
+                continue
+            ring = ring_from_line(line_from_n3dm(list(a), list(b), list(c), total // q))
+            got = decide_ring_fixed_faulty(ring.topology, ring.placement.positions,
+                                           ring.faults, ring.bound, caps).feasible
+            want = n3dm_brute_force(a, b, c, total // q)
+            assert got == want, (a, b, c)
+            checked += 1
+            yes += want
+    assert (checked, yes) == (139, 111)
+
+
+def test_a_line_closed_by_an_edge_longer_than_the_bound_decides_as_the_line():
+    rng = random.Random(53)
+    yes = 0
+    for _ in range(400):
+        line = random_line(rng, min_n=2, max_n=8, deadline_prob=rng.choice((0, 0.5)),
+                           integral=True)
+        k = rng.randint(2, 4)
+        f = rng.randint(1, k - 1)
+        positions = fixed_positions(rng, line.n, k, allow_duplicates=True)
+        delta = rng.randint(0, 2 * line_span(line))
+        spec = ProblemSpec(line, RobotPlacement(FIXED, positions=positions), f, delta)
+        ring = ring_from_line(spec)
+        want = decide_fixed_faulty(line, positions, f, delta).feasible
+        assert decide_fixed_faulty(ring.topology, positions, f, delta).feasible == want
+        yes += want
+    assert 40 <= yes <= 360

@@ -196,3 +196,91 @@ def test_pull_pass_equals_push_relaxation_on_rings():
         _assert_pull_equals_push(g, ring.deadlines, [positions[m]], window, lap)
         assert g.arc_count == sum(len(list(g.arcs_from(u))) for u in range(g.node_count))
     assert seen_equal_ends and seen_two
+
+
+def _pulled(graph, starts, deadlines, window=None):
+    """The ids ``pulls`` hands out, in order, with the reference labels
+    written back batch by batch as ``propagate`` would write its own."""
+    ref_time, _ = push_labels(graph, starts, deadlines, window)
+    time = init_start(graph, starts).time
+    pulled = []
+    for batch in graph.pulls(time, deadlines, window):
+        for v in batch.to:
+            time[v] = ref_time[v]
+            pulled.append(v)
+    return pulled, ref_time
+
+
+def test_one_start_on_a_deadline_free_line_pulls_only_reachable_states():
+    # without deadlines the states reachable from p are the stretches that
+    # hold p, less those that end with the robot back on p; nothing else
+    # may be pulled, and every one of them exactly once
+    rng = random.Random(41)
+    for n in range(1, 12):
+        line = LineInstance(tuple(range(0, 2 * n, 2)), (INFINITY,) * n)
+        g = StateGraph.from_line(line)
+        for p in {0, n - 1, rng.randrange(n)}:
+            pulled, ref_time = _pulled(g, [p], line.deadlines)
+            holding = {g.id_of(i, j, side) for i in range(p + 1) for j in range(max(p, i + 1), n)
+                       for side in (LEFT, RIGHT) if (i, side) != (p, LEFT) and (j, side) != (p, RIGHT)}
+            assert sorted(pulled) == sorted(holding)
+            assert holding == {uid for uid in range(n, g.node_count) if ref_time[uid] is not INFINITY}
+
+
+def test_narrowed_pass_equals_push_relaxation_at_the_edges_of_the_range():
+    rng = random.Random(43)
+    for _ in range(60):
+        ring = _ring_with_fraction_weights(rng, random_ring(rng, max_n=9, deadline_prob=0.5))
+        n = ring.n
+        g = StateGraph.from_ring(ring)
+        free = RingInstance(ring.edge_weights, (INFINITY,) * n)
+        for topology in (ring, free):
+            for starts in ([0], [n - 1], [n - 1, 0], [n - 2, 1] if n > 3 else [1, 0]):
+                _assert_pull_equals_push(g, topology.deadlines, sorted(starts), lap=ring.total)
+            p = rng.randrange(n)  # a window with lo == hi: every node but p
+            for start in ((p + 1) % n, (p - 1) % n):
+                _assert_pull_equals_push(g, topology.deadlines, [start], (p, p), lap=ring.total)
+    for n in (1, 2):
+        for deadlines in ((INFINITY,) * n, (0,) * n, (1,) * n):
+            line = LineInstance(tuple(range(n)), deadlines)
+            g = StateGraph.from_line(line)
+            for p in range(n):
+                _assert_pull_equals_push(g, deadlines, [p])
+                _assert_pull_equals_push(g, deadlines, [p], (p - 1, p + 1))
+            if n == 2:
+                ring = RingInstance((1, 2), deadlines)
+                g = StateGraph.from_ring(ring)
+                for starts in ([0], [1], [0, 1]):
+                    _assert_pull_equals_push(g, deadlines, starts, lap=3)
+                _assert_pull_equals_push(g, deadlines, [1], (0, 0), lap=3)
+
+
+def test_a_dead_layer_ends_the_pass():
+    # a deadline cap below the time to reach the far end leaves a layer with
+    # no finite label mid-pass: the pass matches the reference and pulls
+    # nothing past that layer
+    rng = random.Random(47)
+    seen_lines = seen_rings = 0
+    for _ in range(150):
+        if rng.random() < 0.5:
+            topology = random_line(rng, min_n=4, max_n=12, deadline_prob=0.4, integral=True)
+            lap = None
+        else:
+            topology = random_ring(rng, min_n=4, max_n=12, deadline_prob=0.4)
+            lap = topology.total
+        n = topology.n
+        cap = rng.randint(1, 8)
+        deadlines = tuple(cap if d is INFINITY or d > cap else d for d in topology.deadlines)
+        g = StateGraph.of(topology)
+        starts = sorted(rng.sample(range(n), rng.choice((1, 1, 2))))
+        _assert_pull_equals_push(g, deadlines, starts, lap=lap)
+        pulled, ref_time = _pulled(g, starts, deadlines)
+        dead = [layer for layer in range(n)
+                if all(ref_time[uid] is INFINITY for uid in g.layer_ids(layer))]
+        if dead:
+            assert all(layer_of(g, uid) <= dead[0] for uid in pulled)
+            if lap is None:
+                seen_lines += 1
+            else:
+                seen_rings += 1
+    assert seen_lines >= 20 and seen_rings >= 20
