@@ -31,7 +31,7 @@ from .single_robot import (
     solve_fixed_start,
     solve_free_start,
 )
-from .multi_line import opt_time, solve_fixed, solve_free
+from .multi_line import solve_fixed, solve_free
 from .fault_line import (
     decide_fixed_faulty,
     resilience,

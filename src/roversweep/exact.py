@@ -111,7 +111,7 @@ class _Infinity:
 INFINITY = _Infinity()
 
 #: A non-negative exact rational, or INFINITY.
-ExactNumber = Union[int, Fraction, _Infinity]
+ExactNumber = int | Fraction | _Infinity
 
 
 def is_finite(x: ExactNumber) -> bool:

@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 from .exact import ExactNumber, INFINITY, format_number, parse_number, scale
 
@@ -169,7 +169,7 @@ class StarInstance:
         return _scaled(self, c)
 
 
-Topology = Union[LineInstance, RingInstance, StarInstance]
+Topology = LineInstance | RingInstance | StarInstance
 
 
 def _numbers(topology: Topology) -> tuple:

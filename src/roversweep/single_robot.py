@@ -106,6 +106,27 @@ def propagate(
     return labels
 
 
+def stretch_reader(labels: TimeLabels):
+    """``read(i, d)``: the fastest exploration of the d + 1 nodes i .. i + d
+    (counterclockwise on a ring, where d <= n - 2), read off the label
+    layers: the cheaper of the robot's two ends, L on ties, INFINITY when
+    neither is reachable.  INFINITY is tested by identity, so no
+    comparison falls back to its Python-level dunders."""
+    time = labels.time
+    first = labels.graph.layer_offsets
+    inf = INFINITY
+
+    def read(i: int, d: int) -> ExactNumber:
+        if d == 0:
+            return time[i]
+        u = first[d] + 2 * i
+        tl = time[u]
+        tr = time[u + 1]
+        return tl if tr is inf or tl is not inf and tl <= tr else tr
+
+    return read
+
+
 def best_target(labels: TimeLabels, i: int, j: int) -> Optional[int]:
     """Cheaper of the two writings of stretch [i, j]; None if unreachable."""
     graph = labels.graph
@@ -121,8 +142,13 @@ def best_target(labels: TimeLabels, i: int, j: int) -> Optional[int]:
 
 def optimal_time(labels: TimeLabels, i: int, j: int) -> ExactNumber:
     """Fastest deadline-respecting exploration of stretch [i, j]."""
-    uid = best_target(labels, i, j)
-    return INFINITY if uid is None else labels.time[uid]
+    n = labels.graph.n
+    d = (j - i) % n
+    if d == n - 1 and labels.graph.kind == "ring":
+        # the whole ring: one state per final robot position
+        uid = best_target(labels, i, j)
+        return INFINITY if uid is None else labels.time[uid]
+    return stretch_reader(labels)(i, d)
 
 
 def interval_table(line: LineInstance, allowed_starts: Iterable[int]) -> TimeLabels:

@@ -172,6 +172,11 @@ class StateGraph:
         i = rem // 2
         return State(i, (i + layer) % n, rem % 2)
 
+    @property
+    def layer_offsets(self) -> list:
+        """Id of the first state of each layer, then the state count."""
+        return self._layer_offsets
+
     def layer_ids(self, layer: int) -> range:
         return range(self._layer_offsets[layer], self._layer_offsets[layer + 1])
 

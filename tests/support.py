@@ -7,7 +7,6 @@ from fractions import Fraction
 from roversweep.exact import INFINITY, format_number
 from roversweep.fault_line import Plan, PlanTable, mask_antichain
 from roversweep.instance import FIXED, FREE, LineInstance, ProblemSpec, RingInstance, StarInstance
-from roversweep.multi_line import TeamTables
 from roversweep.oracle import CapExceeded, _placements, enumerate_walks, walk_track
 from roversweep.ring import replicate_ring
 from roversweep.schedule import Verdict
@@ -272,30 +271,6 @@ def push_labels(graph, starts, deadlines, window=None):
                 time[v] = t
                 parent[v] = u
     return time, parent
-
-
-def free_tables(line, k):
-    """The T[r] tables on the doubling path to k, the k table filled in
-    from ``TeamTables.value``."""
-    solver = TeamTables(line, k)
-    n = line.n
-    tables = dict(solver.tables)
-    tables[k] = [[solver.value(i, j) if j >= i else 0 for j in range(n)] for i in range(n)]
-    return tables
-
-
-def exhaustive_opt_time(table_a, r1, table_b, r2, i, j):
-    """Reference split scan over every k (for cross-checking opt_time)."""
-    if j - i + 1 <= r1 + r2:
-        return 0
-    best = INFINITY
-    for k in range(i, j + 1):
-        left = table_a[i][k] if k >= i else 0
-        right = table_b[k + 1][j] if k + 1 <= j else 0
-        cand = max(left, right)
-        if cand < best:
-            best = cand
-    return best
 
 
 def naive_team_tables(line, k_max):

@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -168,3 +171,34 @@ def test_prune_never_changes_the_optimum():
         original = _walk_optimum(line, start)
         reduced = _walk_optimum(pruned, remap.index(start))
         assert original == reduced
+
+
+REIMPORT = """
+import gc, importlib, sys, weakref
+
+def reimport():
+    for name in [n for n in sys.modules if n == "roversweep" or n.startswith("roversweep.")]:
+        del sys.modules[name]
+    return importlib.import_module("roversweep")
+
+first = reimport()
+old = [weakref.ref(first.exact._Infinity), weakref.ref(first.instance.LineInstance)]
+del first
+for _ in range(3):
+    reimport()
+gc.collect()
+print([r() is None for r in old])
+"""
+
+
+def test_reimport_frees_the_previous_package():
+    # a purge-and-reimport (as a benchmark set-up or importlib.reload does)
+    # must leave nothing of the old package reachable; run apart so the
+    # modules this suite imported stay as they are
+    import roversweep
+
+    src = os.path.dirname(os.path.dirname(roversweep.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", REIMPORT], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split() == ["[True,", "True]"]

@@ -5,18 +5,17 @@ from fractions import Fraction
 import pytest
 
 from support import (
-    exhaustive_opt_time,
     fixed_positions,
-    free_tables,
     naive_team_tables,
     random_line,
     random_ring,
 )
 from roversweep.exact import INFINITY
-from roversweep.instance import FIXED, LineInstance, ProblemSpec, RingInstance, RobotPlacement
-from roversweep.multi_line import TeamTables, opt_time, solve_fixed, solve_free
+from roversweep.instance import FIXED, LineInstance, ProblemSpec, RobotPlacement
+from roversweep.multi_line import solve_fixed, solve_free
 from roversweep.oracle import enumerate_walks, verify_schedule
-from roversweep.single_robot import interval_table, optimal_time, solve_fixed_start
+from roversweep.single_robot import init_start, propagate, solve_fixed_start
+from roversweep.state_graph import StateGraph
 
 UNIT4 = LineInstance((0, 1, 2, 3), (INFINITY,) * 4)
 UNIT5 = LineInstance((0, 1, 2, 3, 4), (INFINITY,) * 5)
@@ -109,65 +108,83 @@ def test_boundary_prefix_counts():
         assert solve_fixed(line, positions).optimum == brute_fixed(line, positions)
 
 
+def sub_line(line, i, j):
+    return LineInstance(line.coordinates[i : j + 1], line.deadlines[i : j + 1])
+
+
+def exhaustive_split(optima, r1, r2, i, j):
+    """Best split of [i, j] between r1 robots on the left and r2 on the right,
+    scanning every split point; optima[(i, j, r)] holds sub-line optima."""
+    if j - i + 1 <= r1 + r2:
+        return 0
+    best = INFINITY
+    for m in range(i, j + 1):
+        left = optima[(i, m, r1)]
+        right = optima[(m + 1, j, r2)] if m + 1 <= j else 0
+        cand = max(left, right)
+        if cand < best:
+            best = cand
+    return best
+
+
 def test_opt_time_examples():
-    t1 = free_tables(UNIT4, 1)[1]
-    assert opt_time(t1, 1, t1, 1, 0, 3) == 1
+    assert solve_free(UNIT4, 2).optimum == 1
     line = LineInstance((0, 1, 3, 4), (INFINITY,) * 4)
-    s1 = free_tables(line, 1)[1]
-    assert opt_time(s1, 1, s1, 1, 0, 3) == exhaustive_opt_time(s1, 1, s1, 1, 0, 3) == 1
-    assert opt_time(s1, 2, s1, 2, 0, 3) == 0  # interval no longer than the team
+    optima = {(i, j, r): solve_free(sub_line(line, i, j), r).optimum
+              for i in range(4) for j in range(i, 4) for r in (1, 2)}
+    assert solve_free(line, 2).optimum == exhaustive_split(optima, 1, 1, 0, 3) == 1
+    assert solve_free(line, 4).optimum == 0  # interval no longer than the team
 
 
 def test_opt_time_agrees_with_exhaustive_scan():
+    # a team of r1 + r2 robots does as well as the best split of the line
+    # between a team of r1 and a team of r2
     rng = random.Random(83)
+    sizes = (1, 2, 4)
+    pairs = [(r1, r2) for r1 in sizes for r2 in sizes if r1 + r2 in (2, 3, 4, 5, 6)]
+    assert len(pairs) == 8
     for _ in range(40):
         line = random_line(rng, max_n=9)
-        tables = free_tables(line, 4)
         n = line.n
-        pairs = [(r1, r2) for r1 in tables for r2 in tables if r1 + r2 in (2, 3, 4, 5, 6)]
-        assert len(pairs) == 8
+        optima = {(i, j, r): solve_free(sub_line(line, i, j), r).optimum
+                  for i in range(n) for j in range(i, n) for r in range(1, 7)}
         for i in range(n):
             for j in range(i, n):
                 for r1, r2 in pairs:
-                    assert opt_time(tables[r1], r1, tables[r2], r2, i, j) == \
-                        exhaustive_opt_time(tables[r1], r1, tables[r2], r2, i, j)
+                    assert optima[(i, j, r1 + r2)] == exhaustive_split(optima, r1, r2, i, j), \
+                        (line, i, j, r1, r2)
 
 
-def test_every_table_cell_is_the_best_split():
-    # int and Fraction lines, finite and infinite deadlines, every table up to k = 7
+def test_free_on_every_sub_line_equals_the_naive_tables():
+    # int and Fraction lines with finite deadlines, every team size up to 7
     rng = random.Random(88)
-    for trial in range(60):
-        line = random_line(rng, max_n=10, integral=trial % 2 == 0)
+    for trial in range(24):
+        line = random_line(rng, min_n=2, max_n=9, deadline_prob=0.6, integral=trial % 2 == 0)
         n = line.n
-        labels = interval_table(line, range(n))
-        for k in (5, 6, 7):
-            solver = TeamTables(line, k)
-            tables = solver.tables
-            assert tables[1] == [
-                [optimal_time(labels, i, j) if j >= i else 0 for j in range(n)] for i in range(n)
-            ]
-            assert k in solver.parts and k not in tables
-            for r, (r1, r2) in solver.parts.items():
-                for i in range(n):
-                    for j in range(i, n):
-                        want = exhaustive_opt_time(tables[r1], r1, tables[r2], r2, i, j)
-                        got = solver.value(i, j) if r == k else tables[r][i][j]
-                        assert got == want, (line, r, i, j)
+        tables = naive_team_tables(line, 7)
+        for i in range(n):
+            for j in range(i, n):
+                part = sub_line(line, i, j)
+                for k in range(1, 8):
+                    assert solve_free(part, k).optimum == tables[k][i][j], (line, i, j, k)
 
 
-@pytest.mark.parametrize("k, kept", [(1, {1}), (2, {1}), (3, {1, 2}), (4, {1, 2}),
-                                     (6, {1, 2, 4}), (7, {1, 2, 4, 6})])
-def test_tables_stop_below_the_team_size(k, kept):
-    # the k table is read on demand through value(), never tabulated
-    line = LineInstance(tuple(range(9)), (INFINITY,) * 9)
-    ring = RingInstance((1,) * 9, (INFINITY,) * 9)
-    for topology in (line, ring):
-        solver = TeamTables(topology, k)
-        assert set(solver.tables) == kept
-        assert set(solver.parts) == {r for r in kept | {k} if r > 1}
+def test_free_optimum_never_rises_with_the_team_size():
+    rng = random.Random(87)
+    for trial in range(40):
+        if trial % 2:
+            topology = random_ring(rng, min_n=2, max_n=9, deadline_prob=0.6)
+        else:
+            topology = random_line(rng, max_n=10, deadline_prob=0.6, integral=trial % 4 == 0)
+        optima = [solve_free(topology, k).optimum for k in range(1, 9)]
+        for small, big in zip(optima, optima[1:]):
+            assert big <= small, (topology, optima)
+        assert optima[-1] == 0 or topology.n > 8
 
 
-def test_cells_and_values_lie_in_the_finite_values():
+def test_free_candidates_are_zero_and_the_label_values():
+    # the candidates of a free solve are 0 and every finite label of the
+    # pass from every start; the optimum is one of them
     rng = random.Random(89)
     for trial in range(40):
         if trial % 2:
@@ -176,17 +193,13 @@ def test_cells_and_values_lie_in_the_finite_values():
                 topology = topology.scaled(Fraction(2, 3))
         else:
             topology = random_line(rng, max_n=10, integral=trial % 4 == 0)
-        n = topology.n
+        graph = StateGraph.of(topology)
+        labels = propagate(graph, init_start(graph, range(topology.n)), topology.deadlines)
+        want = tuple(sorted({0, *labels.finite_values()}))
         for k in (2, 3, 5, 6):
-            solver = TeamTables(topology, k)
-            vals = solver.all_finite_values()
-            for table in solver.tables.values():
-                for row in table:
-                    assert all(v in vals for v in row if v is not INFINITY)
-            for i in range(n):
-                for j in range(i, i + n if solver.ring else n):
-                    v = solver.value(i, j)
-                    assert v is INFINITY or v in vals, (topology, k, i, j)
+            verdict = solve_free(topology, k, collect_candidates=True)
+            assert verdict.candidates == want
+            assert not verdict.feasible or verdict.optimum in want
 
 
 def test_free_examples():
@@ -209,7 +222,7 @@ def test_free_matches_naive_recurrence():
 
 
 def test_free_digit_combination_path():
-    # k = 3 exercises the table combination over the binary digits
+    # odd and even team sizes: Nicol's recursion runs k - 1 levels deep
     rng = random.Random(85)
     for _ in range(60):
         line = random_line(rng, min_n=4, max_n=10)
@@ -236,18 +249,3 @@ def test_free_schedules_verify():
         assert report.makespan == verdict.optimum
         seen += 1
     assert seen > 30
-
-
-def test_table_anti_monotone_in_robot_count():
-    rng = random.Random(87)
-    for _ in range(30):
-        line = random_line(rng, max_n=8)
-        tables = free_tables(line, 4)
-        n = line.n
-        counts = sorted(tables)
-        for r_small, r_big in zip(counts, counts[1:]):
-            for i in range(n):
-                for j in range(i, n):
-                    small = 0 if j - i + 1 <= r_small else tables[r_small][i][j]
-                    big = 0 if j - i + 1 <= r_big else tables[r_big][i][j]
-                    assert big <= small

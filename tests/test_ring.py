@@ -9,6 +9,7 @@ from support import (
     fixed_positions,
     line_span,
     n3dm_brute_force,
+    naive_team_tables,
     profile_plans,
     random_line,
     random_ring,
@@ -27,13 +28,11 @@ from roversweep.instance import (
     RobotPlacement,
     SUBSET,
 )
-from roversweep.multi_line import TeamTables
 from roversweep.multi_line import solve_fixed as line_solve_fixed
 from roversweep.multi_line import solve_free as line_solve_free
 from roversweep.fault_line import decide_fixed_faulty, fixed_faulty_candidates, solve_subset
 from roversweep.oracle import Caps, CapExceeded, brute_solve, enumerate_walks, verify_schedule
 from roversweep.reductions import line_from_n3dm
-from roversweep.single_robot import optimal_time
 from roversweep.ring import (
     decide_ring_fixed_faulty,
     optimize_ring_fixed_faulty,
@@ -125,47 +124,20 @@ def test_ring_free_matches_all_cut_minimum():
         assert got == want, (ring, k)
 
 
-def test_every_ring_table_cell_is_the_best_split():
-    """Ring tables read j on the doubled node order; every cell, including
-    those whose right part starts past node n - 1, must be the minimum over
-    all splits, each part read from the first n rows only."""
+def test_ring_free_equals_the_naive_per_cut_minimum():
+    """Some edge between two parts stays idle, so the ring optimum is the
+    least over cuts of the line optimum, here from the naive reference
+    tables rather than from the solver itself."""
     rng = random.Random(64)
-    wrapped = 0
-    for trial in range(60):
-        ring = random_ring(rng, min_n=3, max_n=10)
+    for trial in range(40):
+        ring = random_ring(rng, min_n=2, max_n=9, deadline_prob=0.6)
         if trial % 2:
             ring = ring.scaled(Fraction(2, 3))
         n = ring.n
-
-        def cell(tables, r, i, j):
-            if j - i + 1 <= r:
-                return 0
-            shift = i - i % n
-            return tables[r][i - shift][j - shift]
-
-        for k in (5, 6, 7):
-            solver = TeamTables(ring, k)
-            tables = solver.tables
-            for i in range(n):
-                for j in range(i, i + n - 1):
-                    assert tables[1][i][j] == optimal_time(solver.labels, i, j % n)
-            for r, table in tables.items():
-                assert table[n:] == [[0] * n + row for row in table[:n]]
-            assert k in solver.parts and k not in tables
-            for r, (r1, r2) in solver.parts.items():
-                for i in range(n):
-                    for j in range(i, i + n):
-                        got = solver.value(i, j) if r == k else tables[r][i][j]
-                        if j - i + 1 <= r:
-                            assert got == 0
-                            continue
-                        want = min(
-                            max(cell(tables, r1, i, s), cell(tables, r2, s + 1, j))
-                            for s in range(i, j)
-                        )
-                        assert got == want, (ring, r, i, j)
-                        wrapped += j >= n
-    assert wrapped > 1000
+        per_cut = [naive_team_tables(cut_to_line(ring, cut)[0], 7) for cut in range(n)]
+        for k in range(2, 8):
+            want = min(tables[k][0][n - 1] for tables in per_cut)
+            assert solve_ring_free(ring, k).optimum == want, (ring, k)
 
 
 def test_ring_free_schedules_verify():
@@ -183,6 +155,29 @@ def test_ring_free_schedules_verify():
         assert report.makespan == verdict.optimum
         seen += 1
     assert seen > 25
+
+
+def test_ring_free_schedules_verify_at_the_optimum():
+    # larger teams than nodes or parts, so some robots idle; parts may wrap
+    rng = random.Random(65)
+    seen = idle = 0
+    for trial in range(60):
+        ring = random_ring(rng, min_n=2, max_n=10, deadline_prob=0.4)
+        if trial % 2:
+            ring = ring.scaled(Fraction(3, 2))
+        k = rng.randint(2, 7)
+        verdict = solve_ring_free(ring, k)
+        if not verdict.feasible:
+            continue
+        tracks = verdict.schedule.tracks
+        assert len(tracks) == k
+        spec = ProblemSpec(ring, RobotPlacement(FREE, count=k), 0, None)
+        report = verify_schedule(spec, verdict.schedule)
+        assert report.passed
+        assert report.makespan == verdict.optimum
+        seen += 1
+        idle += any(len(track.waypoints) == 1 for track in tracks)
+    assert seen > 40 and idle > 10
 
 
 def test_replicate_ring():
