@@ -26,7 +26,6 @@ from .single_robot import (
     init_start,
     interval_table,
     extract_trajectory,
-    optimal_time,
     propagate,
     solve_fixed_start,
     solve_free_start,

@@ -13,18 +13,18 @@ robots at distinct nodes, the polynomial ``multi_line.solve_fixed``
 answers.  Otherwise fixed placement is NP-hard on lines and on rings
 (``ring`` says why the line reduction carries over), and it is decided
 exactly by a branch-and-bound over per-robot coverage plans driven by
-the first under-covered node of a fixed node order:
+the first under-covered node of a fixed node order.  A robot's plans are
+the antichain of the on-time coverage of its walks, read off one table
+per start, which a solve makes once and reads its candidate times and
+every probe's plans off:
 
-* on a line without finite deadlines every feasible assignment goes
-  through a small set of canonical plans (cover the deficient node,
-  reach as far right as possible), which is exhaustive by an exchange
-  argument;
-* otherwise a robot's plans are the antichain of the on-time coverage
-  of its walks, found by growing the visited arc around its start one
-  node at a time and keeping per arc state only the Pareto-minimal
-  (time, coverage) pairs (``PlanTable``).  The pairs kept do not depend
-  on the time bound, so a solve grows one table per start, unbounded,
-  and reads its candidate times and every probe's plans off it.
+* without finite deadlines every visit counts, so the plans are the
+  maximal arcs around the start whose cover cost fits the time bound,
+  found by two pointers (``ArcTable``);
+* with them the visited arc grows around its start one node at a time,
+  and per arc state only the Pareto-minimal (time, coverage) pairs are
+  kept (``PlanTable``); the pairs kept do not depend on the time bound,
+  so the table is grown once, unbounded.
 
 Robots may legally pass nodes after their deadlines (visited or not,
 nodes never block passage); such visits simply do not count as coverage.
@@ -33,7 +33,10 @@ nodes never block passage); such visits simply do not count as coverage.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import partial, reduce
+from operator import or_
 from typing import Iterable, List, Optional, Sequence
 
 from .exact import ExactNumber, INFINITY, is_finite
@@ -41,7 +44,6 @@ from .instance import (
     FIXED,
     FREE,
     InstanceError,
-    LineInstance,
     ProblemSpec,
     RingInstance,
     RobotPlacement,
@@ -128,42 +130,24 @@ def solve_free_faulty(topology, k: int, f: int, collect_candidates: bool = False
 # --------------------------------------------------------------------------
 
 
-def _cover_cost(xa, xb, p):
-    """Time for a robot at p to first-visit all of [xa, xb] (xa <= p <= xb)."""
-    near = p - xa if p - xa <= xb - p else xb - p
-    return (xb - xa) + near
-
-
-@dataclass(frozen=True)
 class Plan:
-    """One robot's trajectory and the nodes it covers on time."""
+    """One robot's trajectory and the nodes it covers on time.  The track
+    may be given as a function that builds it when it is first read, so a
+    plan the search never assigns builds none."""
 
-    mask: int              # bitmask of nodes covered on time
-    track: RobotTrack
+    __slots__ = ("mask", "_track")
 
+    def __init__(self, mask: int, track):
+        self.mask, self._track = mask, track  # mask: the nodes covered on time
 
-def _plain_line(topology) -> bool:
-    """A line without deadlines, whose plans are intervals."""
-    return isinstance(topology, LineInstance) and all(d is INFINITY for d in topology.deadlines)
+    @property
+    def track(self) -> RobotTrack:
+        if callable(self._track):
+            self._track = self._track()
+        return self._track
 
-
-def _interval_plan(line: LineInstance, p_idx: int, a: int, b: int, delta) -> Plan:
-    x = line.coordinates
-    p = x[p_idx]
-    mask = ((1 << (b - a + 1)) - 1) << a
-    left_first = (p - x[a]) + (x[b] - x[a])
-    wps: List[tuple] = [(0, p)]
-    if left_first <= delta:
-        if x[a] < p:
-            wps.append((p - x[a], x[a]))
-        if x[b] > x[a]:
-            wps.append((left_first if x[a] < p else x[b] - p, x[b]))
-    else:
-        if x[b] > p:
-            wps.append((x[b] - p, x[b]))
-        if x[a] < x[b]:
-            wps.append(((x[b] - p) + (x[b] - x[a]), x[a]))
-    return Plan(mask=mask, track=RobotTrack(tuple(wps)))
+    def __eq__(self, other):
+        return (self.mask, self.track) == (other.mask, other.track)
 
 
 def _spots(topology) -> tuple:
@@ -218,8 +202,9 @@ class PlanTable:
     later move.  A dominator is never later than the pair it drops, so
     the pairs kept under any smaller bound are these, cut at it (Martins
     1984); the plans at delta are the pairs that no move extends within
-    delta.  Without deadlines one pair per arc state is left, and the
-    plans are the maximal arcs.
+    delta.  ``plan_tables`` makes one where some node has a finite
+    deadline; without one the plans are the maximal arcs, which
+    ``ArcTable`` lists without growing the O(n^2) arc states.
     """
 
     def __init__(self, topology, p: int, bound=INFINITY):
@@ -264,6 +249,72 @@ class PlanTable:
                 plans.append(entry[5])
         return mask_antichain(plans)
 
+    def times(self) -> set:
+        """The on-time arrival times of the kept pairs."""
+        return {e[0] for e in self.entries if e[4]}
+
+
+class ArcTable:
+    """The plans of a robot at p on a line or ring without finite deadlines.
+
+    Every visit is on time, so a walk covers the arc it has visited, and
+    the fastest walk over the arc a steps clockwise and b counterclockwise
+    of p turns once, at the nearer end: its cover cost is
+    cw[a] + ccw[b] + min(cw[a], ccw[b]).  The plans at delta are the
+    maximal arcs that fit: for each clockwise arm a the longest
+    counterclockwise arm b, which only shrinks as a grows, so two
+    pointers find them; an arc drops when the next one keeps its b, and
+    a whole ring replaces every other arc.  A track goes clockwise first
+    whenever that fits delta.
+    """
+
+    def __init__(self, topology, p: int):
+        self.n = topology.n
+        self.p = p
+        self.x = _spots(topology)[p]
+        self.cw, self.ccw = _arm_lengths(topology, p)
+
+    def times(self) -> set:
+        """Every arc's cover cost: the times at which a plan can grow."""
+        cw, ccw, n = self.cw, self.ccw, self.n
+        return {left + right + min(left, right)
+                for a, left in enumerate(cw) for right in ccw[:n - a]}
+
+    def plans(self, delta) -> List[Plan]:
+        """The maximal arcs whose cover cost fits delta."""
+        cw, ccw, n = self.cw, self.ccw, self.n
+        ends = []  # ends[a]: the longest counterclockwise arm that fits with a
+        b = bisect_right(ccw, delta) - 1
+        for a, left in enumerate(cw):
+            if left > delta:
+                break
+            while left + ccw[b] + (left if left <= ccw[b] else ccw[b]) > delta:
+                b -= 1
+            if a + b == n - 1:  # the whole line or ring: every other arc lies in it
+                return [self._plan(a, b, delta)]
+            ends.append(b)
+        ends.append(-1)
+        return [self._plan(a, b, delta) for a, b in enumerate(ends[:-1]) if ends[a + 1] < b]
+
+    def _plan(self, a: int, b: int, delta) -> Plan:
+        n = self.n
+        span = (1 << (a + b + 1)) - 1
+        shift = (self.p - a) % n
+        mask = (span << shift | span >> (n - shift)) & ((1 << n) - 1)
+        left, right = self.cw[a], self.ccw[b]
+        return Plan(mask, partial(self._track, left, right, 2 * left + right <= delta))
+
+    def _track(self, left, right, cw_first: bool) -> RobotTrack:
+        x = self.x
+        # (length, end) of the arm walked first and of the other
+        (d1, end1), (d2, end2) = ((left, x - left), (right, x + right))[::1 if cw_first else -1]
+        wps = [(0, x)]
+        if d1:
+            wps.append((d1, end1))
+        if d2:
+            wps.append((2 * d1 + d2, end2))
+        return RobotTrack(wps)
+
 
 def _pareto_add(bucket: list, entry: tuple):
     """Insert (time, mask, ...) unless an earlier-or-equal superset is kept."""
@@ -288,47 +339,33 @@ def mask_antichain(plans: List[Plan]) -> List[Plan]:
 class _FixedSearch:
     """Leftmost-deficit branch and bound over per-robot coverage plans.
 
-    On a line without finite deadlines the plans are intervals found by
-    binary search as the branching asks for them.  Otherwise each
-    distinct start gets its complete plan list once, from ``PlanTable``
-    (every trajectory's on-time coverage is contained in some plan's
-    mask).  The exchange argument only needs a fixed node order, in
-    which every node before the branching one is already covered f+1
-    times.  A line is taken left to right.  A ring is taken
-    counterclockwise from the node the fewest robots can reach: only arcs
-    through that anchor wrap around the end of the order, and those arcs
-    are what multiplies the plans that stay maximal on the later nodes.
+    Each distinct start gets its complete plan list once, from its
+    ``plan_tables`` table (every trajectory's on-time coverage is
+    contained in some plan's mask).  The exchange argument only needs a
+    fixed node order, in which every node before the branching one is
+    already covered f+1 times.  A line is taken left to right.  A ring is
+    taken counterclockwise from the node the fewest robots can reach:
+    only arcs through that anchor wrap around the end of the order, and
+    those arcs are what multiplies the plans that stay maximal on the
+    later nodes.
     A branch is dropped once some node can no longer gather f+1 robots,
-    or, with plan lists, once the free robots' largest plans cannot add
-    up to the coverage still missing.
+    or once the free robots' largest plans cannot add up to the coverage
+    still missing.
     """
 
     def __init__(self, topology, positions: Sequence[int], f: int, delta, tables=None):
-        self.topology = topology
         self.positions = tuple(sorted(positions))
-        self.f = f
-        self.delta = delta
         self.n = topology.n
         self.k = len(self.positions)
         self.need = f + 1
-        self.plain = _plain_line(topology)
         self.assigned: List[Optional[Plan]] = [None] * self.k
         self.cover = [0] * self.n
         self._options: dict = {}
-        if self.plain:
-            x = topology.coordinates
-            self.reach = [
-                sum(1 << u for u in range(self.n) if abs(x[u] - x[p]) <= delta)
-                for p in self.positions
-            ]
-        else:
-            tables = tables or plan_tables(topology, self.positions, delta)
-            made = {p: tables[p].plans(delta) for p in set(self.positions)}
-            self.plans = [made[p] for p in self.positions]
-            self.reach = [0] * self.k
-            for r, plan_list in enumerate(self.plans):
-                for pl in plan_list:
-                    self.reach[r] |= pl.mask
+        tables = tables or plan_tables(topology, self.positions, delta)
+        made = {p: tables[p].plans(delta) for p in set(self.positions)}
+        self.plans = [made[p] for p in self.positions]
+        self.masks = [[pl.mask for pl in plan_list] for plan_list in self.plans]
+        self.reach = [reduce(or_, masks, 0) for masks in self.masks]
         # slack[u]: coverage of u so far plus free robots that could still add to it
         self.slack = [0] * self.n
         for mask in self.reach:
@@ -347,49 +384,21 @@ class _FixedSearch:
     def _canonical_options(self, r: int, i: int) -> List[Plan]:
         """Plans for robot r that cover node order[i], maximal on the tail from it."""
         key = (r, i)
-        if key not in self._options:
-            self._options[key] = self._make_options(r, i)
-        return self._options[key]
-
-    def _make_options(self, r: int, i: int) -> List[Plan]:
-        v = self.order[i]
-        p_idx = self.positions[r]
-        delta = self.delta
-        if self.plain:
-            x = self.topology.coordinates
-            if v <= p_idx:
-                if x[p_idx] - x[v] > delta:
-                    return []
-                lo, hi = p_idx, self.n - 1
-                while lo < hi:
-                    mid = (lo + hi + 1) >> 1
-                    if _cover_cost(x[v], x[mid], x[p_idx]) <= delta:
-                        lo = mid
-                    else:
-                        hi = mid - 1
-                return [_interval_plan(self.topology, p_idx, v, lo, delta)]
-            if x[v] - x[p_idx] > delta:
-                return []
-            lo, hi = v, self.n - 1
-            while lo < hi:
-                mid = (lo + hi + 1) >> 1
-                if x[mid] - x[p_idx] <= delta:
-                    lo = mid
-                else:
-                    hi = mid - 1
-            return [_interval_plan(self.topology, p_idx, p_idx, lo, delta)]
-        options: List[Plan] = []
-        bit = 1 << v
+        if key in self._options:
+            return self._options[key]
+        bit = 1 << self.order[i]
         tail = self.tails[i]
+        options: list = []  # (mask on the tail, plan)
         for pl in self.plans[r]:
-            if not pl.mask & bit:
-                continue
-            rest = pl.mask & tail
-            if not any((opt.mask & tail) | rest == (opt.mask & tail) for opt in options):
-                options = [
-                    opt for opt in options if (rest | (opt.mask & tail)) != rest
-                ] + [pl]
-        return options
+            if pl.mask & bit:
+                rest = pl.mask & tail
+                for o, _ in options:
+                    if o | rest == o:
+                        break
+                else:
+                    options = [(o, q) for o, q in options if rest | o != rest] + [(rest, pl)]
+        self._options[key] = [pl for _, pl in options]
+        return self._options[key]
 
     # ---- search ----------------------------------------------------------
 
@@ -413,7 +422,7 @@ class _FixedSearch:
         i = self._leftmost_deficient()
         if i is None:
             return True
-        if not self.plain and not self._enough_capacity():
+        if not self._enough_capacity():
             return False
         missing = self.need - self.cover[self.order[i]]
         cand = []
@@ -446,9 +455,7 @@ class _FixedSearch:
                 missing += need - c
         for r, pl in enumerate(self.assigned):
             if pl is None:
-                missing -= max(
-                    ((p.mask & short).bit_count() for p in self.plans[r]), default=0
-                )
+                missing -= max([(m & short).bit_count() for m in self.masks[r]], default=0)
                 if missing <= 0:
                     return True
         return False
@@ -460,10 +467,13 @@ class _FixedSearch:
 
     @staticmethod
     def _apply(counts: list, mask: int, sign: int):
+        """Add sign to the count of every node in mask, a run of bits at a time."""
         while mask:
             low = mask & -mask
-            counts[low.bit_length() - 1] += sign
-            mask ^= low
+            run = ((mask + low) & ~mask) - low
+            for u in range(low.bit_length() - 1, run.bit_length()):
+                counts[u] += sign
+            mask ^= run
 
 
 def check_caps(topology, k: int, caps: Caps):
@@ -535,17 +545,20 @@ def decide_fixed_faulty(
     """Exact decision: can the fixed multiset of robots on a line or ring,
     up to f of which may crash, visit every node by min(deadline, delta)?
 
-    Reliable robots at distinct nodes are decided by the polynomial
-    ``solve_fixed`` on the topology with deadlines capped at delta, at
-    any size.  Everything else runs the exact search, which never
-    guesses: instances beyond ``caps`` (default: ``fixed_search_caps``)
-    raise CapExceeded.  The plans come from ``tables`` (``plan_tables``
-    grown by a solve) or from tables grown up to delta.  A YES always
-    carries a schedule that ``verify_schedule`` accepts.
+    A negative delta is NO at once.  Reliable robots at distinct nodes
+    are decided by the polynomial ``solve_fixed`` on the topology with
+    deadlines capped at delta, at any size.  Everything else runs the
+    exact search, which never guesses: instances beyond ``caps``
+    (default: ``fixed_search_caps``) raise CapExceeded.  The plans come
+    from ``tables`` (``plan_tables`` made by a solve) or from tables made
+    up to delta.  A YES always carries a schedule that
+    ``verify_schedule`` accepts.
     """
     positions = fixed_team(topology, positions, f)
     if not is_finite(delta):
         raise ValueError("the decision needs a finite time bound")
+    if delta < 0:
+        return Verdict(feasible=False, optimum=None)  # no walk finishes before time 0
     if f == 0 and len(set(positions)) == len(positions):
         reliable = solve_fixed(topology.capped(delta), positions)
         if not reliable.feasible or reliable.optimum > delta:
@@ -557,29 +570,24 @@ def decide_fixed_faulty(
 
 
 def plan_tables(topology, positions: Iterable[int], bound=INFINITY) -> dict:
-    """One ``PlanTable`` per distinct start, grown up to ``bound``."""
+    """One plan table per distinct start: an ``ArcTable`` when no node has
+    a finite deadline, else a ``PlanTable`` grown up to ``bound``."""
+    if all(d is INFINITY for d in topology.deadlines):
+        return {p: ArcTable(topology, p) for p in set(positions)}
     return {p: PlanTable(topology, p, bound) for p in set(positions)}
 
 
 def fixed_faulty_candidates(topology, positions: Iterable[int], tables=None) -> tuple:
     """All times at which the fixed-position decision can change.
 
-    These are the moments some robot's plan gains a node: arc cover costs
-    without deadlines, with them the on-time arrival times of the pairs
-    its ``PlanTable`` keeps (from ``tables`` when given).  A dropped pair
-    adds none: its dominator, never later, matches its whole subtree.
+    These are the moments some robot's plan gains a node, the ``times``
+    of its table (from ``tables`` when given): arc cover costs without
+    deadlines, with them the on-time arrival times of the pairs its
+    ``PlanTable`` keeps.  A dropped pair adds none: its dominator, never
+    later, matches its whole subtree.
     """
-    if any(d is not INFINITY for d in topology.deadlines):
-        tables = tables or plan_tables(topology, positions)
-        return tuple(sorted({e[0] for p in set(positions) for e in tables[p].entries if e[4]}))
-    n = topology.n
-    values = {0}
-    for p in set(positions):
-        cw, ccw = _arm_lengths(topology, p)
-        for a in range(len(cw)):
-            for b in range(min(len(ccw), n - a)):
-                values.add(cw[a] + ccw[b] + min(cw[a], ccw[b]))
-    return tuple(sorted(values))
+    tables = tables or plan_tables(topology, positions)
+    return tuple(sorted({0}.union(*(tables[p].times() for p in set(positions)))))
 
 
 def solve_fixed_faulty(
@@ -593,18 +601,17 @@ def solve_fixed_faulty(
     Feasibility is monotone in delta and can only change at a time from
     ``fixed_faulty_candidates``, so a binary search over them with the
     exact decision yields the optimum; the verdict carries the accepting
-    decision's verified schedule.  Unless the plans are intervals (a line
-    without deadlines), each distinct start's ``PlanTable`` is grown once,
-    without a time bound, and the candidates and every probe read it.
-    Reliable robots at distinct nodes are solved directly by
-    ``solve_fixed``.  Caps as for the decision.
+    decision's verified schedule.  Each distinct start's table from
+    ``plan_tables`` is made once, without a time bound, and the candidates
+    and every probe read it.  Reliable robots at distinct nodes are
+    solved directly by ``solve_fixed``.  Caps as for the decision.
     """
     positions = fixed_team(topology, positions, f)
     if f == 0 and len(set(positions)) == len(positions):
         return solve_fixed(topology, positions, collect_candidates=True)
     caps = caps or fixed_search_caps(topology)
     check_caps(topology, len(positions), caps)
-    tables = None if _plain_line(topology) else plan_tables(topology, positions)
+    tables = plan_tables(topology, positions)
     return least_feasible(
         fixed_faulty_candidates(topology, positions, tables),
         lambda delta: decide_fixed_faulty(topology, positions, f, delta, caps, tables),

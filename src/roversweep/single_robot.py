@@ -140,24 +140,13 @@ def best_target(labels: TimeLabels, i: int, j: int) -> Optional[int]:
     return uid_l if tl <= tr else uid_r
 
 
-def optimal_time(labels: TimeLabels, i: int, j: int) -> ExactNumber:
-    """Fastest deadline-respecting exploration of stretch [i, j]."""
-    n = labels.graph.n
-    d = (j - i) % n
-    if d == n - 1 and labels.graph.kind == "ring":
-        # the whole ring: one state per final robot position
-        uid = best_target(labels, i, j)
-        return INFINITY if uid is None else labels.time[uid]
-    return stretch_reader(labels)(i, d)
-
-
 def interval_table(line: LineInstance, allowed_starts: Iterable[int]) -> TimeLabels:
     """Times to explore every sub-interval from the best start inside it.
 
     A single pass with all permitted starts zeroed yields, at each state
     [i, j], the optimum over starting nodes within [i, j] that are
     allowed.  Stretches containing no allowed start stay at INFINITY;
-    read a stretch with ``optimal_time``.
+    read a stretch with ``stretch_reader``.
     """
     graph = StateGraph.from_line(line)
     return propagate(graph, init_start(graph, allowed_starts), line.deadlines)

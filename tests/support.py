@@ -10,8 +10,25 @@ from roversweep.instance import FIXED, FREE, LineInstance, ProblemSpec, RingInst
 from roversweep.oracle import CapExceeded, _placements, enumerate_walks, walk_track
 from roversweep.ring import replicate_ring
 from roversweep.schedule import Verdict
-from roversweep.single_robot import init_start, interval_table, optimal_time, propagate
+from roversweep.single_robot import (
+    best_target,
+    init_start,
+    interval_table,
+    propagate,
+    stretch_reader,
+)
 from roversweep.state_graph import StateGraph
+
+
+def optimal_time(labels, i, j):
+    """Fastest deadline-respecting exploration of stretch [i, j]."""
+    n = labels.graph.n
+    d = (j - i) % n
+    if d == n - 1 and labels.graph.kind == "ring":
+        # the whole ring: one state per final robot position
+        uid = best_target(labels, i, j)
+        return INFINITY if uid is None else labels.time[uid]
+    return stretch_reader(labels)(i, d)
 
 
 def random_line(rng, min_n=1, max_n=8, deadline_prob=0.5, integral=False):

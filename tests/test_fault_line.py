@@ -30,6 +30,7 @@ from roversweep.multi_line import solve_fixed, solve_free
 from roversweep.oracle import Caps, CapExceeded, brute_solve, verify_schedule
 from roversweep.reductions import line_from_n3dm
 from roversweep.ring import decide_ring_fixed_faulty, optimize_ring_fixed_faulty
+from roversweep.schedule import track_schedule
 
 UNIT5 = LineInstance(tuple(range(5)), (INFINITY,) * 5)
 PAIR = LineInstance((0, 1), (INFINITY, INFINITY))
@@ -104,6 +105,19 @@ def test_positions_out_of_range_are_refused(run, positions):
         run(positions)
 
 
+@pytest.mark.parametrize(
+    "topology",
+    [LineInstance((0, 1, 3), (INFINITY,) * 3), RingInstance((1, 2, 3), (INFINITY, 4, INFINITY))],
+    ids=["line", "ring"],
+)
+@pytest.mark.parametrize("f", [0, 1])
+def test_a_negative_bound_is_decided_no(topology, f):
+    # no walk finishes before time 0; with f = 0 the reliable shortcut
+    # would cap the deadlines at the bound, and a negative deadline is invalid
+    assert not decide_fixed_faulty(topology, (0, 2), f, Fraction(-1, 2)).feasible
+    assert not decide_fixed_faulty(topology, (0, 2), f, -1).feasible
+
+
 def test_decide_refuses_beyond_caps():
     big = LineInstance(tuple(range(60)), (INFINITY,) * 60)
     with pytest.raises(CapExceeded, match="refused"):
@@ -170,8 +184,10 @@ def test_optimizer_examples_and_brute_agreement():
 def test_plan_tables_give_every_probe_its_bounded_plans():
     # one growth per start without a time bound lists, at every candidate
     # time, the plans a growth bounded by that time lists: masks, tracks
-    # and order; a solve that reads its probes off it equals the binary
-    # search over decisions that grow their own
+    # and order.  Without deadlines the arc table lists the same masks,
+    # each walked on time by its track, and its candidates are the cover
+    # costs of the arcs.  Either way a solve that reads its probes off the
+    # tables equals the binary search over decisions that make their own
     rng = random.Random(99)
     checked = 0
     for i in range(40):
@@ -186,13 +202,68 @@ def test_plan_tables_give_every_probe_its_bounded_plans():
         for delta in candidates:
             for p in set(positions):
                 assert tables[p].plans(delta) == walk_plans(topology, p, delta)
-        got = solve_fixed_faulty(topology, positions, 1)
-        want = least_feasible(
-            candidates, lambda delta: search_verdict(topology, positions, 1, delta)
-        )
-        assert (got.optimum, got.schedule) == (want.optimum, want.schedule)
+        assert_solve_reads_its_decisions(topology, positions, 1, candidates)
         checked += 1
     assert checked > 30
+    rng = random.Random(100)
+    shared = fractional = 0
+    for i in range(48):
+        if i % 2:
+            topology = random_ring(rng, min_n=2, max_n=9, deadline_prob=0)
+            if i % 4 == 3:
+                topology = RingInstance(tuple(Fraction(w, 3) for w in topology.edge_weights),
+                                        topology.deadlines)
+        else:
+            topology = random_line(rng, min_n=2, max_n=10, deadline_prob=0, integral=i % 4 == 0)
+        k = rng.randint(2, 4)
+        positions = fixed_positions(rng, topology.n, k, allow_duplicates=True)
+        tables = plan_tables(topology, positions)
+        candidates = fixed_faulty_candidates(topology, positions, tables)
+        assert candidates == cover_costs(topology, positions)
+        for delta in candidates:
+            for p in set(positions):
+                plans = tables[p].plans(delta)
+                assert sorted(pl.mask for pl in plans) == sorted(
+                    pl.mask for pl in walk_plans(topology, p, delta))
+                for pl in plans:
+                    spec = ProblemSpec(topology, RobotPlacement(FIXED, positions=(p,)), 0, delta)
+                    report = verify_schedule(spec, track_schedule(topology, (pl.track,)))
+                    assert sum(1 << c.node for c in report.nodes if c.covered) == pl.mask
+                    assert report.makespan <= delta
+        assert_solve_reads_its_decisions(topology, positions, rng.randint(1, k - 1), candidates)
+        shared += len(set(positions)) < k
+        fractional += any(isinstance(c, Fraction) and c.denominator > 1 for c in candidates)
+    assert shared > 15 and fractional > 10
+
+
+def cover_costs(topology, positions):
+    """{0} and the time to visit each arc around each start: its length
+    plus the shorter of its two arms."""
+    n = topology.n
+    costs = {0}
+    for p in set(positions):
+        for a, b in itertools.product(range(n), repeat=2):
+            if isinstance(topology, RingInstance):
+                if a + b >= n:
+                    continue
+                w = topology.edge_weights
+                left = sum(w[(p - 1 - t) % n] for t in range(a))
+                right = sum(w[(p + t) % n] for t in range(b))
+            elif a <= p < n - b:
+                x = topology.coordinates
+                left, right = x[p] - x[p - a], x[p + b] - x[p]
+            else:
+                continue
+            costs.add(left + right + min(left, right))
+    return tuple(sorted(costs))
+
+
+def assert_solve_reads_its_decisions(topology, positions, f, candidates):
+    got = solve_fixed_faulty(topology, positions, f)
+    want = least_feasible(
+        candidates, lambda delta: search_verdict(topology, positions, f, delta)
+    )
+    assert (got.optimum, got.schedule) == (want.optimum, want.schedule)
 
 
 def test_single_robot_zero_faults_matches_single_solver():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from support import finite_count, random_line, state_time
+from support import finite_count, optimal_time, random_line, state_time
 from roversweep.exact import INFINITY
 from roversweep.instance import LineInstance, ProblemSpec, RobotPlacement, FIXED
 from roversweep.oracle import enumerate_walks, verify_schedule
@@ -13,7 +13,6 @@ from roversweep.single_robot import (
     extract_trajectory,
     init_start,
     interval_table,
-    optimal_time,
     propagate,
     solve_fixed_start,
     solve_free_start,
