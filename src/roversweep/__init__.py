@@ -32,8 +32,10 @@ from .single_robot import (
 )
 from .multi_line import solve_fixed, solve_free
 from .fault_line import (
+    decide,
     decide_fixed_faulty,
     resilience,
+    solve,
     solve_fixed_faulty,
     solve_free_faulty,
 )

@@ -8,8 +8,10 @@ Subcommands:
     verify INSTANCE SCHEDULE [--json]
     oracle INSTANCE [--json]
 
-``solve``, ``decide`` and ``resilience`` solve the instance scaled to
-integers (see ``exact``) and print the answer of the instance as given.
+``solve``, ``decide`` and ``resilience`` ask the one router,
+``fault_line.solve``, ``fault_line.decide`` and ``fault_line.resilience``,
+about the instance scaled to integers (see ``exact``) and print the
+answer of the instance as given.
 
 Exit codes: 0 success / YES / PASS, 1 infeasible / NO / FAIL, 2 usage
 errors, malformed input, or a refused exact search, 3 an internal error
@@ -27,8 +29,8 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
-from . import fault_line, multi_line, reductions
-from .exact import INFINITY, common_denominator, decimal_str, format_number, parse_number, scale
+from . import fault_line, reductions
+from .exact import INFINITY, common_denominator, decimal_str, format_number, scale
 from .instance import (
     FIXED,
     FREE,
@@ -38,11 +40,12 @@ from .instance import (
     RingInstance,
     RobotPlacement,
     StarInstance,
+    parse_amount,
     parse_instance,
     serialize_instance,
 )
 from .oracle import Caps, CapExceeded, brute_solve, verify_schedule
-from .schedule import ScheduleError, Verdict, schedule_from_json
+from .schedule import ScheduleError, schedule_from_json
 
 USAGE_ERROR = 2
 INTERNAL_ERROR = 3
@@ -76,47 +79,12 @@ def _in_integers(spec: ProblemSpec, delta=None) -> tuple:
     return spec.scaled(c), None if delta is None else scale(delta, c), c
 
 
-def _route_solve(spec: ProblemSpec, caps: Caps) -> Verdict:
-    top = spec.topology
-    pl = spec.placement
-    f = spec.faults
-    if isinstance(top, StarInstance):
-        return reductions.star_exact(top, pl, spec.k, f, spec.bound)
-    if pl.mode == FIXED:
-        if f == 0:
-            return multi_line.solve_fixed(top, pl.positions)
-        return fault_line.solve_fixed_faulty(top, pl.positions, f, caps)
-    if pl.mode == FREE:
-        if f == 0:
-            return multi_line.solve_free(top, pl.count)
-        return fault_line.solve_free_faulty(top, pl.count, f)
-    return fault_line.solve_subset(top, pl.allowed, spec.k, f)
-
-
-def _route_decide(spec: ProblemSpec, delta, caps: Caps) -> bool:
-    if delta < 0:
-        return False  # no walk finishes before time 0
-    top = spec.topology
-    pl = spec.placement
-    f = spec.faults
-    if pl.mode == FIXED and not isinstance(top, StarInstance):
-        return fault_line.decide_fixed_faulty(top, pl.positions, f, delta, caps).feasible
-    capped = spec.topology.capped(delta)
-    capped_spec = ProblemSpec(topology=capped, placement=pl, faults=f, bound=delta)
-    verdict = _route_solve(capped_spec, caps)
-    return verdict.feasible and verdict.optimum <= delta
-
-
 def cmd_solve(args) -> int:
     spec = parse_instance(_read(args.instance))
     lowered, _, c = _in_integers(spec)
-    verdict = _route_solve(lowered, _caps_from(args, spec.topology)).scaled(Fraction(1, c))
+    verdict = fault_line.solve(lowered, _caps_from(args, spec.topology)).scaled(Fraction(1, c))
     if verdict.feasible and verdict.schedule is None:
         raise RuntimeError("internal error: a feasible verdict came without a schedule")
-    if verdict.feasible and spec.bound is not None and verdict.optimum > spec.bound:
-        # the optimum is the least certifiable bound, so exceeding the
-        # instance's bound means infeasible within it
-        verdict = Verdict(feasible=False, optimum=INFINITY)
     if args.emit_schedule and verdict.feasible:
         with open(args.emit_schedule, "w", encoding="utf-8") as fh:
             fh.write(verdict.schedule.to_json())
@@ -137,12 +105,12 @@ def cmd_solve(args) -> int:
 
 def cmd_decide(args) -> int:
     spec = parse_instance(_read(args.instance))
-    delta = parse_number(args.delta) if args.delta is not None else spec.bound
+    delta = parse_amount(args.delta, "delta") if args.delta is not None else spec.bound
     if delta is None:
         print("decide needs --delta or a delta field in the instance", file=sys.stderr)
         return USAGE_ERROR
     lowered, delta, _ = _in_integers(spec, delta)
-    answer = _route_decide(lowered, delta, _caps_from(args, spec.topology))
+    answer = fault_line.decide(lowered, delta, _caps_from(args, spec.topology)).feasible
     if args.json:
         print(json.dumps({"answer": "YES" if answer else "NO"}))
     else:
@@ -152,7 +120,7 @@ def cmd_decide(args) -> int:
 
 def cmd_resilience(args) -> int:
     spec = parse_instance(_read(args.instance))
-    delta = parse_number(args.delta) if args.delta is not None else spec.bound
+    delta = parse_amount(args.delta, "delta") if args.delta is not None else spec.bound
     if delta is None:
         print("resilience needs --delta or a delta field in the instance", file=sys.stderr)
         return USAGE_ERROR

@@ -1,4 +1,6 @@
-"""Exploration of lines and rings when up to f robots may crash.
+"""Exploration of lines and rings when up to f robots may crash, and the
+one router over every topology and placement: ``solve``, ``decide``, and
+``resilience``, which is ``decide`` searched over f.
 
 With f possible crashes every node must collect f+1 distinct on-time
 visitors.  Free placement on either topology goes through
@@ -8,9 +10,10 @@ robots explore the ring made of f+1 concatenated copies, since visiting
 every copy once is the same as covering the original ring f+1 times.
 Subset placements are solved for one reliable robot on a line or a
 ring (``solve_subset``).  Fixed placement goes through ``decide_fixed_faulty``
-and ``solve_fixed_faulty``.  They own the reliable shortcut: with f = 0 and
-robots at distinct nodes, the polynomial ``multi_line.solve_fixed``
-answers.  Otherwise fixed placement is NP-hard on lines and on rings
+and ``solve_fixed_faulty``.  With f = 0 the reliable solvers answer:
+``solve_free_faulty`` is ``multi_line.solve_free``, and the fixed pair
+use the polynomial ``multi_line.solve_fixed`` when the robots stand at
+distinct nodes.  Otherwise fixed placement is NP-hard on lines and on rings
 (``ring`` says why the line reduction carries over), and it is decided
 exactly by a branch-and-bound over per-robot coverage plans driven by
 the first under-covered node of a fixed node order.  A robot's plans are
@@ -34,7 +37,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial, reduce
 from operator import or_
 from typing import Iterable, List, Optional, Sequence
@@ -51,6 +54,7 @@ from .instance import (
 )
 from .multi_line import solve_fixed, solve_free
 from .oracle import Caps, CapExceeded, witnessed
+from .reductions import star_exact
 from .schedule import RobotTrack, Verdict, track_schedule
 from .single_robot import solve_free_start
 
@@ -86,9 +90,9 @@ def replicate_ring(ring: RingInstance, f: int) -> ReplicatedRing:
     return ReplicatedRing(base=ring, ring=big, copies=copies)
 
 
-def solve_free_faulty(topology, k: int, f: int, collect_candidates: bool = False) -> Verdict:
+def solve_free_faulty(topology, k: int, f: int) -> Verdict:
     """Replication solve for k freely placed robots on a line or a ring,
-    up to f of which may crash.
+    up to f of which may crash; with f = 0 the reliable ``solve_free``.
 
     Every node needs f+1 distinct on-time visitors.  On a line the value
     is the reliable optimum for floor(k/(f+1)) robots and the schedule
@@ -102,14 +106,16 @@ def solve_free_faulty(topology, k: int, f: int, collect_candidates: bool = False
     """
     if not 0 <= f < k:
         raise ValueError("need 0 <= f < k")
+    if f == 0:
+        return solve_free(topology, k)
     ring = isinstance(topology, RingInstance)
     group = k // (f + 1)
     if ring:
-        base = solve_free(replicate_ring(topology, f).ring, k, collect_candidates=collect_candidates)
+        base = solve_free(replicate_ring(topology, f).ring, k)
     else:
-        base = solve_free(topology, group, collect_candidates=collect_candidates)
+        base = solve_free(topology, group)
     if not base.feasible:
-        return Verdict(feasible=False, optimum=INFINITY, candidates=base.candidates)
+        return Verdict(feasible=False, optimum=INFINITY)
     tracks = base.schedule.tracks
     if ring:
         lap = topology.total
@@ -121,7 +127,7 @@ def solve_free_faulty(topology, k: int, f: int, collect_candidates: bool = False
     # more than one lap, so one robot would have to cover some node twice
     return witnessed(
         topology, RobotPlacement(FREE, count=k), f, None, track_schedule(topology, tracks),
-        optimum=base.optimum, candidates=base.candidates,
+        optimum=base.optimum,
     )
 
 
@@ -498,19 +504,19 @@ def search_verdict(topology, positions: Sequence[int], f: int, delta, tables=Non
     return witnessed(topology, placement, f, delta, track_schedule(topology, tracks))
 
 
-def least_feasible(candidates: Sequence, decide) -> Verdict:
-    """Optimum as the least candidate delta that ``decide`` accepts.
+def least_feasible(candidates: Sequence, probe) -> Verdict:
+    """Optimum as the least candidate delta that the decision ``probe`` accepts.
 
     Feasibility is monotone in delta, so a binary search finds it; the
     verdict carries the schedule of the accepting decision.
     """
     lo, hi = 0, len(candidates) - 1
-    best = decide(candidates[hi])
+    best = probe(candidates[hi])
     if not best.feasible:
         return Verdict(feasible=False, optimum=INFINITY)
     while lo < hi:
         mid = (lo + hi) >> 1
-        verdict = decide(candidates[mid])
+        verdict = probe(candidates[mid])
         if verdict.feasible:
             hi, best = mid, verdict
         else:
@@ -608,7 +614,7 @@ def solve_fixed_faulty(
     """
     positions = fixed_team(topology, positions, f)
     if f == 0 and len(set(positions)) == len(positions):
-        return solve_fixed(topology, positions, collect_candidates=True)
+        return solve_fixed(topology, positions)
     caps = caps or fixed_search_caps(topology)
     check_caps(topology, len(positions), caps)
     tables = plan_tables(topology, positions)
@@ -627,49 +633,67 @@ def solve_subset(topology, allowed: Iterable[int], k: int, f: int) -> Verdict:
 
 
 # --------------------------------------------------------------------------
-# resilience
+# the router: solve, decide, resilience
 # --------------------------------------------------------------------------
 
 
-def resilience(spec: ProblemSpec, delta: ExactNumber, caps: Optional[Caps] = None) -> Optional[int]:
-    """Largest f < k for which an f-reliable schedule within delta exists.
+def solve(spec: ProblemSpec, caps: Optional[Caps] = None) -> Verdict:
+    """Optimal exploration time of ``spec``, infeasible beyond ``spec.bound``.
 
-    Returns None when even f = 0 is impossible.  Any ``faults`` value on
-    the spec itself is ignored; the placement and topology route the
-    appropriate decision procedure, and subset placements answer as
-    ``solve_subset`` does.  The exact fixed-position searches
-    run under ``caps`` (default: ``fixed_search_caps`` of the topology).
+    Stars go to ``star_exact``, fixed robots to ``solve_fixed_faulty``
+    (searching under ``caps``), free robots to ``solve_free_faulty`` and
+    subsets to ``solve_subset``.  A feasible verdict carries a schedule.
+    """
+    top, placement, f = spec.topology, spec.placement, spec.faults
+    if isinstance(top, StarInstance):
+        verdict = star_exact(top, placement, spec.k, f, spec.bound)
+    elif placement.mode == FIXED:
+        verdict = solve_fixed_faulty(top, placement.positions, f, caps)
+    elif placement.mode == FREE:
+        verdict = solve_free_faulty(top, placement.count, f)
+    else:
+        verdict = solve_subset(top, placement.allowed, spec.k, f)
+    if verdict.feasible and spec.bound is not None and verdict.optimum > spec.bound:
+        # the optimum is the least bound a schedule meets
+        return Verdict(feasible=False, optimum=INFINITY)
+    return verdict
+
+
+def decide(spec: ProblemSpec, delta: ExactNumber, caps: Optional[Caps] = None) -> Verdict:
+    """Can ``spec`` be explored with every node visited by min(deadline, delta)?
+
+    A negative delta is NO.  Fixed robots on a line or a ring go to
+    ``decide_fixed_faulty``; everything else is ``solve`` on the spec
+    with its deadlines capped at delta and bound delta.  A YES carries
+    its schedule.
     """
     if not is_finite(delta):
-        raise ValueError("resilience needs a finite time bound")
+        raise ValueError("the decision needs a finite time bound")
     if delta < 0:
-        return None  # no walk finishes before time 0
-    k = spec.k
-    top = spec.topology
-    placement = spec.placement
-    if caps is None:
-        caps = fixed_search_caps(top)
+        return Verdict(feasible=False, optimum=None)  # no walk finishes before time 0
+    top, placement = spec.topology, spec.placement
+    if placement.mode == FIXED and not isinstance(top, StarInstance):
+        return decide_fixed_faulty(top, placement.positions, spec.faults, delta, caps)
+    return solve(replace(spec, topology=top.capped(delta), bound=delta), caps)
 
-    def decide(f: int) -> bool:
-        if isinstance(top, StarInstance):
-            from .reductions import star_exact
 
-            return star_exact(top, placement, k, f, delta).feasible
-        if placement.mode == FIXED:
-            return decide_fixed_faulty(top, placement.positions, f, delta, caps).feasible
-        if placement.mode == FREE:
-            verdict = solve_free_faulty(top, k, f)
-        else:
-            verdict = solve_subset(top, placement.allowed, k, f)
-        return verdict.feasible and verdict.optimum <= delta
+def resilience(spec: ProblemSpec, delta: ExactNumber, caps: Optional[Caps] = None) -> Optional[int]:
+    """Largest f < k for which ``decide`` says YES on ``spec`` with f faults.
 
-    # feasibility is monotone in f: binary-search the largest feasible f
-    if not decide(0):
+    Returns None when even f = 0 is impossible.  The ``faults`` value of
+    the spec itself is ignored.  Feasibility is monotone in f, so a
+    binary search finds it.
+    """
+
+    def holds(f: int) -> bool:
+        return decide(replace(spec, faults=f), delta, caps).feasible
+
+    if not holds(0):
         return None
-    lo, hi = 0, k - 1
+    lo, hi = 0, spec.k - 1
     while lo < hi:
         mid = (lo + hi + 1) >> 1
-        if decide(mid):
+        if holds(mid):
             lo = mid
         else:
             hi = mid - 1

@@ -276,7 +276,8 @@ class ProblemSpec:
 # --------------------------------------------------------------------------
 
 
-def _parse_amount(value, path: str):
+def parse_amount(value, path: str):
+    """The exact number a document spells as a string; else InstanceError at ``path``."""
     if not isinstance(value, str):
         raise InstanceError(path, "numbers must be strings (decimal or p/q)")
     try:
@@ -288,13 +289,13 @@ def _parse_amount(value, path: str):
 def _parse_deadline(value, path: str) -> ExactNumber:
     if value is None:
         return INFINITY
-    return _parse_amount(value, path)
+    return parse_amount(value, path)
 
 
 def _parse_number_list(values, path: str) -> tuple:
     if not isinstance(values, list):
         raise InstanceError(path, "expected a list")
-    return tuple(_parse_amount(v, f"{path}[{i}]") for i, v in enumerate(values))
+    return tuple(parse_amount(v, f"{path}[{i}]") for i, v in enumerate(values))
 
 
 def _parse_deadline_list(values, path: str) -> tuple:
@@ -353,7 +354,7 @@ def parse_instance_dict(doc: dict) -> ProblemSpec:
     if not isinstance(faults, int):
         raise InstanceError("faults", "expected an integer")
     delta = doc.get("delta")
-    bound = None if delta is None else _parse_amount(delta, "delta")
+    bound = None if delta is None else parse_amount(delta, "delta")
     spec = ProblemSpec(topology=topology, placement=placement, faults=faults, bound=bound)
     if mode == FIXED and faults == 0 and len(set(placement.positions)) < spec.k:
         # the reliable fixed-placement solver takes distinct robots only

@@ -95,11 +95,7 @@ def idle_edge_split(starts: Sequence[int], n: int, part_time) -> tuple:
     return prefix[n - 1], parts
 
 
-def solve_fixed(
-    topology: Union[LineInstance, RingInstance],
-    positions: Iterable[int],
-    collect_candidates: bool = False,
-) -> Verdict:
+def solve_fixed(topology: Union[LineInstance, RingInstance], positions: Iterable[int]) -> Verdict:
     """Optimal exploration of a line or ring by robots at given distinct nodes.
 
     Returns the optimum, the chosen idle edges, and one trajectory per
@@ -115,8 +111,8 @@ def solve_fixed(
     ring = isinstance(topology, RingInstance)
     if k == 1:
         if ring:
-            return solve_from(topology, positions, collect_candidates)
-        verdict = solve_fixed_start(topology, positions[0], collect_candidates)
+            return solve_from(topology, positions)
+        verdict = solve_fixed_start(topology, positions[0])
         return replace(verdict, idle_edges=()) if verdict.feasible else verdict
 
     graph = StateGraph.of(topology)
@@ -150,16 +146,9 @@ def solve_fixed(
         if value < best[0]:
             best = (value, head, [(robots[r], (head + i) % n, (head + j) % n) for r, i, j in parts])
 
-    candidates = None
-    if collect_candidates:
-        vals = {0}
-        for labels in forests:
-            vals.update(labels.finite_values())
-        candidates = tuple(sorted(vals))
-
     optimum, head, segments = best
     if segments is None:
-        return Verdict(feasible=False, optimum=INFINITY, candidates=candidates)
+        return Verdict(feasible=False, optimum=INFINITY)
     tracks = [None] * k
     idle = [((head - 1) % n, head)] if ring else []
     for robot, i, j in segments:
@@ -172,7 +161,6 @@ def solve_fixed(
         optimum=optimum,
         schedule=track_schedule(topology, tracks),
         idle_edges=tuple(sorted(idle)),
-        candidates=candidates,
     )
 
 
@@ -181,11 +169,7 @@ def solve_fixed(
 # --------------------------------------------------------------------------
 
 
-def solve_free(
-    topology: Union[LineInstance, RingInstance],
-    k: int,
-    collect_candidates: bool = False,
-) -> Verdict:
+def solve_free(topology: Union[LineInstance, RingInstance], k: int) -> Verdict:
     """Optimal exploration time and placement for k freely placed robots.
 
     A line's optimum is Nicol's recursion over the first part.  A ring's
@@ -199,7 +183,7 @@ def solve_free(
         raise ValueError("need at least one robot")
     n = topology.n
     if k == 1:
-        return solve_from(topology, range(n), collect_candidates)
+        return solve_from(topology, range(n))
     ring = isinstance(topology, RingInstance)
     graph = StateGraph.of(topology)
     labels = propagate(graph, init_start(graph, range(n)), topology.deadlines)
@@ -231,8 +215,8 @@ def solve_free(
             ends.append(i - 1)
         return ends
 
-    values = sorted({0, *labels.finite_values()}) if ring or collect_candidates else None
     if ring:
+        values = sorted({0, *labels.finite_values()})
 
         def head(delta):
             for s in range(1, reach(0, n - 1, delta) + 2):
@@ -273,9 +257,8 @@ def solve_free(
             return rest if t is inf or rest is not inf and rest < t else t
 
         optimum, first = best(0, k), 0
-    candidates = tuple(values) if collect_candidates else None
     if optimum is inf:
-        return Verdict(feasible=False, optimum=INFINITY, candidates=candidates)
+        return Verdict(feasible=False, optimum=INFINITY)
     tracks = []
     i = first
     for j in split(first, first + n - 1, k, optimum):
@@ -287,5 +270,4 @@ def solve_free(
         feasible=True,
         optimum=optimum,
         schedule=track_schedule(topology, tracks),
-        candidates=candidates,
     )

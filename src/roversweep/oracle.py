@@ -13,6 +13,7 @@ visits each node when.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Union
 
@@ -315,21 +316,19 @@ def _check_track_shape(ridx: int, track: RobotTrack, coordinate_kind: bool):
 
 
 def _line_visits(nodes: Sequence, track: RobotTrack) -> dict:
-    first: dict = {}
-
-    def note(v, t):
-        if v not in first or t < first[v]:
-            first[v] = t
-
+    """First visit time of each node the track passes; ``nodes`` are the
+    sorted coordinates, so the start and each segment read only the nodes
+    between their ends, found by bisection."""
     wps = track.waypoints
-    for v, c in enumerate(nodes):
-        if c == wps[0][1]:
-            note(v, 0)
-    for (t1, x1), (t2, x2) in zip(wps, wps[1:]):
+    x0 = wps[0][1]
+    first = {v: 0 for v in range(bisect_left(nodes, x0), bisect_right(nodes, x0))}
+    for (t1, x1), (_, x2) in zip(wps, wps[1:]):
         lo, hi = (x1, x2) if x1 <= x2 else (x2, x1)
-        for v, c in enumerate(nodes):
-            if lo <= c <= hi:
-                note(v, t1 + (c - x1 if c >= x1 else x1 - c))
+        for v in range(bisect_left(nodes, lo), bisect_right(nodes, hi)):
+            c = nodes[v]
+            t = t1 + (c - x1 if c >= x1 else x1 - c)
+            if v not in first or t < first[v]:
+                first[v] = t
     return first
 
 
@@ -503,7 +502,6 @@ def witnessed(
     bound: Optional[ExactNumber],
     schedule: Schedule,
     optimum: Optional[ExactNumber] = None,
-    candidates: Optional[tuple] = None,
 ) -> Verdict:
     """Feasible verdict for ``schedule`` once ``verify_schedule`` accepts it.
 
@@ -524,5 +522,4 @@ def witnessed(
         optimum=optimum,
         schedule=schedule,
         witness={c.node: c.visits for c in report.nodes},
-        candidates=candidates,
     )

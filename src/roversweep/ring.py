@@ -36,19 +36,15 @@ from .schedule import Verdict
 from .single_robot import propagate  # noqa: F401
 
 
-def solve_ring_fixed(
-    ring: RingInstance,
-    positions: Iterable[int],
-    collect_candidates: bool = False,
-) -> Verdict:
+def solve_ring_fixed(ring: RingInstance, positions: Iterable[int]) -> Verdict:
     """``multi_line.solve_fixed`` on a ring: reliable robots at given
     distinct nodes."""
-    return solve_fixed(ring, positions, collect_candidates)
+    return solve_fixed(ring, positions)
 
 
-def solve_ring_free(ring: RingInstance, k: int, collect_candidates: bool = False) -> Verdict:
+def solve_ring_free(ring: RingInstance, k: int) -> Verdict:
     """``multi_line.solve_free`` on a ring: k freely placed robots."""
-    return solve_free(ring, k, collect_candidates)
+    return solve_free(ring, k)
 
 
 def solve_ring_free_faulty(ring: RingInstance, k: int, f: int) -> Verdict:

@@ -26,8 +26,8 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
-from .exact import ExactNumber, format_number, parse_number, scale
-from .instance import RingInstance, StarInstance
+from .exact import ExactNumber, format_number, scale
+from .instance import InstanceError, RingInstance, StarInstance, parse_amount
 
 
 class ScheduleError(ValueError):
@@ -107,21 +107,24 @@ def schedule_from_dict(doc: dict) -> Schedule:
         raise ScheduleError(None, "schedule document must be an object with a 'robots' list")
     circumference = None
     if doc.get("circumference") is not None:
-        circumference = parse_number(doc["circumference"])
+        try:
+            circumference = parse_amount(doc["circumference"], "circumference")
+        except InstanceError as exc:
+            raise ScheduleError(None, str(exc)) from None
     tracks = []
     kind = "ring" if circumference is not None else "line"
     for ridx, robot in enumerate(doc["robots"]):
-        wps = robot.get("waypoints")
+        wps = robot.get("waypoints") if isinstance(robot, dict) else None
         if not isinstance(wps, list) or not wps:
             raise ScheduleError(ridx, "missing waypoints")
         parsed = []
-        star = any("node" in wp for wp in wps)
+        star = any(isinstance(wp, dict) and "node" in wp for wp in wps)
         if star:
             kind = "star"
         for wid, wp in enumerate(wps):
             try:
-                t = parse_number(wp["t"])
-                x = int(wp["node"]) if star else parse_number(wp["x"])
+                t = parse_amount(wp["t"], "t")
+                x = int(wp["node"]) if star else parse_amount(wp["x"], "x")
             except (KeyError, ValueError, TypeError):
                 raise ScheduleError(ridx, f"waypoint {wid} is malformed") from None
             parsed.append((t, x))
@@ -144,7 +147,8 @@ class Verdict:
     ``optimum`` is the optimal exploration time (INFINITY when
     infeasible); decision-only calls leave it at None.  ``witness`` maps
     each node index to the on-time first visits (robot, time) that cover
-    it, and is populated by the fault-tolerant solvers.
+    it, and is populated by the fault-tolerant solvers.  ``candidates``
+    are the times a crash-fault solve searched over (``least_feasible``).
     """
 
     feasible: bool

@@ -193,7 +193,7 @@ def extract_trajectory(labels: TimeLabels, target: int) -> tuple:
     return tuple(waypoints)
 
 
-def solve_from(topology, starts: Iterable[int], collect_candidates: bool = False) -> Verdict:
+def solve_from(topology, starts: Iterable[int]) -> Verdict:
     """One robot exploring a whole line or ring from the best of ``starts``.
 
     One label pass; the optimum is the cheapest full-coverage state, the
@@ -201,34 +201,27 @@ def solve_from(topology, starts: Iterable[int], collect_candidates: bool = False
     """
     graph = StateGraph.of(topology)
     labels = propagate(graph, init_start(graph, starts), topology.deadlines)
-    candidates = tuple(sorted(set(labels.finite_values()))) if collect_candidates else None
     uid = min(graph.terminal_ids(), key=labels.time.__getitem__)
     if labels.time[uid] is INFINITY:
-        return Verdict(feasible=False, optimum=INFINITY, candidates=candidates)
+        return Verdict(feasible=False, optimum=INFINITY)
     return Verdict(
         feasible=True,
         optimum=labels.time[uid],
         schedule=track_schedule(topology, (RobotTrack(extract_trajectory(labels, uid)),)),
-        candidates=candidates,
     )
 
 
-def solve_fixed_start(line: LineInstance, start: int, collect_candidates: bool = False) -> Verdict:
+def solve_fixed_start(line: LineInstance, start: int) -> Verdict:
     """Optimal full-line exploration for one robot at a given node.
 
     Dominated nodes are dropped up front (their deadlines are implied by
     farther ones), which never changes feasibility or the optimum.
     """
     pruned, remap = prune_dominated(line, start)
-    return solve_from(pruned, [remap.index(start)], collect_candidates)
+    return solve_from(pruned, [remap.index(start)])
 
 
-def solve_free_start(
-    topology,
-    allowed: Optional[Iterable[int]] = None,
-    collect_candidates: bool = False,
-) -> Verdict:
+def solve_free_start(topology, allowed: Optional[Iterable[int]] = None) -> Verdict:
     """Optimal exploration of a whole line or ring by one robot that starts
     at a node of ``allowed`` (any node by default): ``solve_from``."""
-    return solve_from(topology, range(topology.n) if allowed is None else allowed,
-                      collect_candidates)
+    return solve_from(topology, range(topology.n) if allowed is None else allowed)

@@ -10,6 +10,7 @@ exact search that replaced it passes (see notes in the README).
 import itertools
 import random
 import time
+from fractions import Fraction
 
 from support import (
     fixed_positions,
@@ -419,30 +420,29 @@ def test_criterion_09_ring_cut_equivalence():
 
 
 def test_criterion_10_decision_tightness():
+    # every bound below the optimum must be refused, so probing just below it
+    # is as strict as probing every smaller candidate time
     rng = random.Random(1010)
     checked = 0
     failures = []
+    below = Fraction(1, 10**6)
 
-    def check(tag, optimum, candidates, decide):
+    def check(tag, optimum, decide):
         nonlocal checked
         if optimum is INFINITY:
             return
         checked += 1
         if not decide(optimum):
             failures.append((tag, "optimum refused"))
-            return
-        below = [c for c in candidates if c < optimum]
-        if below and decide(max(below)):
-            failures.append((tag, f"accepted {max(below)} below optimum {optimum}"))
+        elif optimum >= below and decide(optimum - below):
+            failures.append((tag, f"accepted {optimum - below} below optimum {optimum}"))
 
     for _ in range(40):  # suite 2: single robot, fixed start
         line = random_line(rng, max_n=7)
         start = rng.randrange(line.n)
-        v = solve_fixed_start(line, start, collect_candidates=True)
         check(
             "single",
-            v.optimum,
-            v.candidates,
+            solve_fixed_start(line, start).optimum,
             lambda d, line=line, start=start: solve_fixed_start(line.capped(d), start).optimum <= d,
         )
 
@@ -450,22 +450,18 @@ def test_criterion_10_decision_tightness():
         line = random_line(rng, min_n=2, max_n=7)
         k = rng.randint(1, min(3, line.n))
         positions = fixed_positions(rng, line.n, k, allow_duplicates=False)
-        v = solve_fixed(line, positions, collect_candidates=True)
         check(
             "fixed-team",
-            v.optimum,
-            v.candidates,
+            solve_fixed(line, positions).optimum,
             lambda d, line=line, p=positions: solve_fixed(line.capped(d), p).optimum <= d,
         )
 
     for _ in range(40):  # suite 4: free team
         line = random_line(rng, max_n=10)
         k = rng.randint(1, 5)
-        v = solve_free(line, k, collect_candidates=True)
         check(
             "free-team",
-            v.optimum,
-            v.candidates,
+            solve_free(line, k).optimum,
             lambda d, line=line, k=k: solve_free(line.capped(d), k).optimum <= d,
         )
 
@@ -473,11 +469,9 @@ def test_criterion_10_decision_tightness():
         line = random_line(rng, max_n=8)
         k = rng.randint(2, 6)
         f = rng.randint(1, k - 1)
-        v = solve_free_faulty(line, k, f, collect_candidates=True)
         check(
             "free-faulty",
-            v.optimum,
-            v.candidates,
+            solve_free_faulty(line, k, f).optimum,
             lambda d, line=line, k=k, f=f: solve_free_faulty(line.capped(d), k, f).optimum <= d,
         )
 
@@ -485,11 +479,9 @@ def test_criterion_10_decision_tightness():
         ring = random_ring(rng, max_n=6)
         k = rng.randint(1, min(3, ring.n))
         positions = fixed_positions(rng, ring.n, k, allow_duplicates=False)
-        v = solve_ring_fixed(ring, positions, collect_candidates=True)
         check(
             "ring-fixed",
-            v.optimum,
-            v.candidates,
+            solve_ring_fixed(ring, positions).optimum,
             lambda d, ring=ring, p=positions: solve_ring_fixed(ring.capped(d), p).optimum <= d,
         )
 

@@ -485,6 +485,40 @@ def test_negative_delta_is_no_on_every_route(tmp_path, capsys, route):
     assert (captured.out, captured.err) == ("none\n", "")
 
 
+MALFORMED_SCHEDULES = {
+    "robot not an object": {"robots": [1]},
+    "waypoint not an object": {"robots": [{"waypoints": [1]}]},
+    "time as a JSON number": {"robots": [{"waypoints": [{"t": 0, "x": "1"}]}]},
+    "time divided by zero": {"robots": [{"waypoints": [{"t": "1/0", "x": "1"}]}]},
+    "circumference as a JSON number": {
+        "robots": [{"waypoints": [{"t": "0", "x": "1"}]}], "circumference": 3},
+}
+
+
+def _one_error_line(captured, prefix="error: "):
+    assert captured.out == ""
+    assert captured.err.startswith(prefix) and captured.err.count("\n") == 1, captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_SCHEDULES))
+def test_verify_refuses_a_malformed_schedule_as_bad_input(tmp_path, capsys, case):
+    # exit 2, not 1: a schedule that cannot be read has not failed the check
+    path = write(tmp_path, "inst.json", SKEW3)
+    sched = write(tmp_path, "sched.json", MALFORMED_SCHEDULES[case])
+    assert main(["verify", path, sched]) == 2
+    _one_error_line(capsys.readouterr())
+
+
+@pytest.mark.parametrize("command", ["decide", "resilience"])
+@pytest.mark.parametrize("delta", ["1/0", "abc"])
+def test_a_malformed_delta_is_bad_input(tmp_path, capsys, command, delta):
+    # exit 2, not 1: a bound that cannot be read is not a NO
+    path = write(tmp_path, "inst.json", SKEW3)
+    assert main([command, path, "--delta", delta]) == 2
+    _one_error_line(capsys.readouterr(), "error: delta: ")
+
+
 # --------------------------------------------------------------------------
 # every route agrees with the brute force
 # --------------------------------------------------------------------------
@@ -568,10 +602,10 @@ def test_every_route_agrees_with_the_brute_force(case):
     for spec in pinned + list(specs):
         caps = fault_line.fixed_search_caps(spec.topology)
         want = brute_solve(spec).optimum
-        got = cli._route_solve(spec, caps)
+        got = fault_line.solve(spec, caps)
         assert got.optimum == want, spec
         if got.feasible:
             bounded = ProblemSpec(spec.topology, spec.placement, spec.faults, want)
             assert verify_schedule(bounded, got.schedule).passed, spec
-            assert cli._route_decide(spec, want, caps), spec
-            assert not cli._route_decide(spec, want - F(1, 1000), caps), spec
+            assert fault_line.decide(spec, want, caps).feasible, spec
+            assert not fault_line.decide(spec, want - F(1, 1000), caps).feasible, spec

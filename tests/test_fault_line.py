@@ -1,26 +1,31 @@
 import itertools
 import math
 import random
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from support import fixed_positions, line_span, random_line, random_ring, walk_plans
+from support import fixed_positions, line_span, random_line, random_ring, random_star, walk_plans
 from roversweep.exact import INFINITY
 from roversweep import fault_line
 from roversweep.fault_line import (
+    decide,
     decide_fixed_faulty,
     fixed_faulty_candidates,
     least_feasible,
     plan_tables,
     resilience,
     search_verdict,
+    solve,
     solve_fixed_faulty,
     solve_free_faulty,
 )
 from roversweep.instance import (
     FIXED,
     FREE,
+    SUBSET,
     LineInstance,
     ProblemSpec,
     RingInstance,
@@ -375,6 +380,45 @@ def test_resilience_monotone_and_fixed_mode():
         for f in range(k):
             expected = best is not None and f <= best
             assert decide(f) == expected, (line, placement, delta, f, best)
+
+
+def _router_spec(rng, kind):
+    if kind == "star":
+        top = random_star(rng, max_q=5, fractional=rng.random() < 0.3)
+        k = rng.randint(1, 2)
+        nodes = top.q + 1
+    else:
+        top = random_line(rng, max_n=6) if rng.random() < 0.5 else random_ring(rng, max_n=5)
+        k = 1 if kind == "subset" else rng.randint(1, 4)
+        nodes = top.n
+    if kind == "subset":
+        placement = RobotPlacement(SUBSET, count=1, allowed=rng.sample(range(nodes), rng.randint(1, nodes)))
+    elif kind == "free" or kind == "star" and rng.random() < 0.5:
+        placement = RobotPlacement(FREE, count=k)
+    else:
+        placement = RobotPlacement(FIXED, positions=[rng.randrange(nodes) for _ in range(k)])
+    return ProblemSpec(top, placement, 0, None)
+
+
+def test_resilience_is_the_largest_fault_budget_decide_accepts():
+    rng = random.Random(1414)
+    answers = Counter()
+    for trial in range(120):
+        kind = ("fixed", "free", "subset", "star")[trial % 4]
+        spec = _router_spec(rng, kind)
+        # a bound at the optimum of some fault budget, so answers vary
+        optimum = solve(replace(spec, faults=rng.randrange(spec.k))).optimum
+        delta = optimum if optimum is not INFINITY else Fraction(rng.randint(0, 40), 2)
+        best = resilience(spec, delta)
+        answers[kind, best is not None and best > 0] += 1
+        for f in range(spec.k):
+            verdict = decide(replace(spec, faults=f), delta)
+            assert verdict.feasible == (best is not None and f <= best), (spec, delta, f, best)
+            if verdict.feasible:
+                bounded = replace(spec, faults=f, bound=delta)
+                assert verify_schedule(bounded, verdict.schedule).passed, (spec, delta, f)
+    assert all(answers[kind, False] for kind in ("fixed", "free", "subset", "star"))
+    assert all(answers[kind, True] for kind in ("fixed", "free", "star"))
 
 
 def test_resilience_binary_searches_the_fault_budget(monkeypatch):

@@ -73,10 +73,10 @@ def _line_solvers(line, data):
     crews = tuple(sorted(data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=3))))
     return (
         lambda inst: solve_fixed_faulty(inst, crews, 1),  # verdicts with witnesses
-        lambda inst: solve_fixed_start(inst, positions[0], collect_candidates=True),
-        lambda inst: solve_free_start(inst, positions, collect_candidates=True),
-        lambda inst: solve_fixed(inst, positions, collect_candidates=True),
-        lambda inst: solve_free(inst, k, collect_candidates=True),
+        lambda inst: solve_fixed_start(inst, positions[0]),
+        lambda inst: solve_free_start(inst, positions),
+        lambda inst: solve_fixed(inst, positions),
+        lambda inst: solve_free(inst, k),
     )
 
 
@@ -86,8 +86,8 @@ def _ring_solvers(ring, data):
     crews = tuple(sorted(data.draw(st.lists(st.integers(0, ring.n - 1), min_size=2, max_size=3))))
     return (
         lambda inst: optimize_ring_fixed_faulty(inst, crews, 1),
-        lambda inst: solve_ring_fixed(inst, positions, collect_candidates=True),
-        lambda inst: solve_ring_free(inst, k, collect_candidates=True),
+        lambda inst: solve_ring_fixed(inst, positions),
+        lambda inst: solve_ring_free(inst, k),
     )
 
 
