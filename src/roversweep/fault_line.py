@@ -365,7 +365,9 @@ class _FixedSearch:
         self.k = len(self.positions)
         self.need = f + 1
         self.assigned: List[Optional[Plan]] = [None] * self.k
-        self.cover = [0] * self.n
+        # covered[c]: mask of the nodes that c or more assigned robots cover
+        self.covered = [(1 << self.n) - 1] + [0] * (self.k + 1)
+        self.missing = self.need * self.n  # robots the nodes short of f+1 miss
         self._options: dict = {}
         tables = tables or plan_tables(topology, self.positions, delta)
         made = {p: tables[p].plans(delta) for p in set(self.positions)}
@@ -415,12 +417,12 @@ class _FixedSearch:
 
     def _leftmost_deficient(self) -> Optional[int]:
         """Rank in the node order of the first node still short of f+1."""
-        need = self.need
-        cover = self.cover
-        for i, v in enumerate(self.order):
-            if cover[v] < need:
-                return i
-        return None
+        short = self.covered[0] & ~self.covered[self.need]
+        if not short:
+            return None
+        first = self.order[0]
+        ranks = short >> first | short << (self.n - first)  # bit i: node order[i]
+        return (ranks & -ranks).bit_length() - 1
 
     def _rec(self) -> bool:
         if min(self.slack) < self.need:
@@ -430,7 +432,8 @@ class _FixedSearch:
             return True
         if not self._enough_capacity():
             return False
-        missing = self.need - self.cover[self.order[i]]
+        v = self.order[i]
+        missing = sum(1 for c in self.covered[1:self.need + 1] if not c >> v & 1)
         cand = []
         for r in range(self.k):
             if self.assigned[r] is None:
@@ -452,13 +455,8 @@ class _FixedSearch:
 
     def _enough_capacity(self) -> bool:
         """Can the free robots' best plans add up to the missing coverage?"""
-        need = self.need
-        short = 0
-        missing = 0
-        for u, c in enumerate(self.cover):
-            if c < need:
-                short |= 1 << u
-                missing += need - c
+        short = self.covered[0] & ~self.covered[self.need]
+        missing = self.missing
         for r, pl in enumerate(self.assigned):
             if pl is None:
                 missing -= max([(m & short).bit_count() for m in self.masks[r]], default=0)
@@ -468,8 +466,16 @@ class _FixedSearch:
 
     def _assign(self, r: int, pl: Plan, sign: int):
         self.assigned[r] = pl if sign > 0 else None
-        self._apply(self.cover, pl.mask, sign)
         self._apply(self.slack, self.reach[r] & ~pl.mask, -sign)
+        covered, mask = self.covered, pl.mask  # each node of mask moves one count up or down
+        if sign > 0:
+            self.missing -= (mask & ~covered[self.need]).bit_count()
+            for c in range(self.k, 0, -1):
+                covered[c] |= covered[c - 1] & mask
+        else:
+            for c in range(1, self.k + 1):
+                covered[c] = covered[c] & ~mask | covered[c + 1] & mask
+            self.missing += (mask & ~covered[self.need]).bit_count()
 
     @staticmethod
     def _apply(counts: list, mask: int, sign: int):

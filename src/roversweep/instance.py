@@ -27,7 +27,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
-from typing import Optional
+from itertools import accumulate
+from typing import Iterable, Optional
 
 from .exact import ExactNumber, INFINITY, format_number, parse_number, scale
 
@@ -408,36 +409,40 @@ def serialize_instance(spec: ProblemSpec) -> str:
 
 
 # --------------------------------------------------------------------------
-# dominance pruning for a single fixed-start robot
+# dominance pruning for a single robot on a line
 # --------------------------------------------------------------------------
 
 
-def prune_dominated(line: LineInstance, start: int) -> tuple:
-    """Drop nodes whose deadline is implied by a node further from ``start``.
+def prune_dominated(line: LineInstance, starts: Iterable[int]) -> tuple:
+    """Drop the nodes every walk from ``starts`` passes on its way to a node
+    due no later.
 
-    Walking outward from the start, any node passed on the way to a
-    farther node with an equal-or-smaller deadline is satisfied for free,
-    so it can be removed without changing feasibility or the optimal
-    time.  Returns ``(pruned_line, remap)`` where ``remap[new] = old``.
-    Only valid for a single robot at a fixed start.
+    A walk from a start left of node u reaches every node right of u
+    through u, so u's deadline is implied when some node right of u is
+    due no later; likewise for a start right of u.  u is dropped when
+    that holds on each side of it that holds a start.  Starts are kept,
+    unless every node is one: then a walk from a start dominated on both
+    sides is matched by the same walk from the first kept node it
+    reaches.  Feasibility and the optimal time of one robot starting at a
+    node of ``starts`` do not change.  Returns ``(pruned_line, remap)``
+    where ``remap[new] = old``.
     """
-    if not 0 <= start < line.n:
-        raise InstanceError("start", "start index out of range")
-    keep = [False] * line.n
-    keep[start] = True
-    # Right of the start the surviving deadlines must strictly increase.
-    lowest = None
-    for k in range(line.n - 1, start, -1):
-        if lowest is None or line.deadlines[k] < lowest:
-            keep[k] = True
-            lowest = line.deadlines[k]
-    # Left of the start they must strictly decrease.
-    lowest = None
-    for k in range(0, start):
-        if lowest is None or line.deadlines[k] < lowest:
-            keep[k] = True
-            lowest = line.deadlines[k]
-    remap = tuple(i for i in range(line.n) if keep[i])
+    starts = set(starts)
+    n = line.n
+    if not starts or not all(0 <= s < n for s in starts):
+        raise InstanceError("start", "starts must be one or more node indices")
+    d = line.deadlines
+    first, last, every = min(starts), max(starts), len(starts) == n
+    before = [None, *accumulate(d[:-1], min)]  # the least deadline left of u
+    after = [*accumulate(d[:0:-1], min)][::-1] + [None]  # and right of u
+    keep = []
+    for u in range(n):
+        right = after[u] is not None and after[u] <= d[u]  # a node right of u is due no later
+        left = before[u] is not None and before[u] <= d[u]
+        passed = (right or first >= u) and (left or last <= u)
+        if not passed or u in starts and not (every and left and right):
+            keep.append(u)
+    remap = tuple(keep)
     pruned = LineInstance(
         tuple(line.coordinates[i] for i in remap),
         tuple(line.deadlines[i] for i in remap),

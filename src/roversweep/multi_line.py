@@ -9,8 +9,11 @@ the open window between its neighbours), then a prefix recurrence
 (``idle_edge_split``) that picks the idle edge separating consecutive
 robots' parts.  A line is cut at its own ends; a ring is cut at each
 edge between its closest adjacent pair of robots in turn, and the same
-recurrence runs on the line that remains.  One robot is the
-single-robot pass (``single_robot.solve_from``), pruned on a line.
+recurrence runs on the line that remains.
+
+One robot, fixed or free, is ``single_robot.solve_free_start``: one
+label pass from its start or from every node, on a line after the
+nodes every walk passes on its way to a node due no later are dropped.
 
 Free placements: the robots split the nodes into at most k consecutive
 parts, and a part's time, read off one label pass from every start,
@@ -41,6 +44,7 @@ from .single_robot import (
     init_start,
     propagate,
     solve_fixed_start,
+    solve_free_start,
     solve_from,
     stretch_reader,
 )
@@ -183,7 +187,7 @@ def solve_free(topology: Union[LineInstance, RingInstance], k: int) -> Verdict:
         raise ValueError("need at least one robot")
     n = topology.n
     if k == 1:
-        return solve_from(topology, range(n))
+        return solve_free_start(topology)
     ring = isinstance(topology, RingInstance)
     graph = StateGraph.of(topology)
     labels = propagate(graph, init_start(graph, range(n)), topology.deadlines)

@@ -124,7 +124,9 @@ def schedule_from_dict(doc: dict) -> Schedule:
         for wid, wp in enumerate(wps):
             try:
                 t = parse_amount(wp["t"], "t")
-                x = int(wp["node"]) if star else parse_amount(wp["x"], "x")
+                x = wp["node"] if star else parse_amount(wp["x"], "x")
+                if star and type(x) is not int:  # not 1.9, true or "1"
+                    raise ValueError("a star node is a JSON integer")
             except (KeyError, ValueError, TypeError):
                 raise ScheduleError(ridx, f"waypoint {wid} is malformed") from None
             parsed.append((t, x))

@@ -25,7 +25,7 @@ from array import array
 from typing import Iterable, Optional, Sequence
 
 from .exact import ExactNumber, INFINITY, is_finite
-from .instance import LineInstance, prune_dominated
+from .instance import LineInstance, RingInstance, prune_dominated
 from .schedule import RobotTrack, Verdict, track_schedule
 from .state_graph import LEFT, RIGHT, StateGraph
 
@@ -212,16 +212,17 @@ def solve_from(topology, starts: Iterable[int]) -> Verdict:
 
 
 def solve_fixed_start(line: LineInstance, start: int) -> Verdict:
-    """Optimal full-line exploration for one robot at a given node.
-
-    Dominated nodes are dropped up front (their deadlines are implied by
-    farther ones), which never changes feasibility or the optimum.
-    """
-    pruned, remap = prune_dominated(line, start)
-    return solve_from(pruned, [remap.index(start)])
+    """Optimal full-line exploration for one robot at a given node."""
+    return solve_free_start(line, [start])
 
 
 def solve_free_start(topology, allowed: Optional[Iterable[int]] = None) -> Verdict:
     """Optimal exploration of a whole line or ring by one robot that starts
-    at a node of ``allowed`` (any node by default): ``solve_from``."""
-    return solve_from(topology, range(topology.n) if allowed is None else allowed)
+    at a node of ``allowed`` (any node by default): ``solve_from``.  A line
+    first drops the nodes every such walk passes on its way to a node due
+    no later (``prune_dominated``); a ring walk need not pass them."""
+    starts = set(range(topology.n) if allowed is None else allowed)
+    if isinstance(topology, RingInstance):
+        return solve_from(topology, starts)
+    pruned, remap = prune_dominated(topology, starts)
+    return solve_from(pruned, [i for i, old in enumerate(remap) if old in starts])

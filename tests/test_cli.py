@@ -492,6 +492,19 @@ MALFORMED_SCHEDULES = {
     "time divided by zero": {"robots": [{"waypoints": [{"t": "1/0", "x": "1"}]}]},
     "circumference as a JSON number": {
         "robots": [{"waypoints": [{"t": "0", "x": "1"}]}], "circumference": 3},
+    # on STAR1 each of these would read as node 1 and pass
+    "star node as a float": {"robots": [{"waypoints": [{"t": "0", "node": 1.9}, {"t": "1", "node": 0}]}]},
+    "star node as a boolean": {"robots": [{"waypoints": [{"t": "0", "node": True}, {"t": "1", "node": 0}]}]},
+    "star node as a string": {"robots": [{"waypoints": [{"t": "0", "node": "1"}, {"t": "1", "node": 0}]}]},
+}
+STAR1 = {
+    "topology": "star",
+    "leaf_weights": ["1"],
+    "deadlines": [None],
+    "center_deadline": None,
+    "robots": {"mode": "fixed", "positions": [1]},
+    "faults": 0,
+    "delta": None,
 }
 
 
@@ -504,7 +517,7 @@ def _one_error_line(captured, prefix="error: "):
 @pytest.mark.parametrize("case", sorted(MALFORMED_SCHEDULES))
 def test_verify_refuses_a_malformed_schedule_as_bad_input(tmp_path, capsys, case):
     # exit 2, not 1: a schedule that cannot be read has not failed the check
-    path = write(tmp_path, "inst.json", SKEW3)
+    path = write(tmp_path, "inst.json", STAR1 if case.startswith("star") else SKEW3)
     sched = write(tmp_path, "sched.json", MALFORMED_SCHEDULES[case])
     assert main(["verify", path, sched]) == 2
     _one_error_line(capsys.readouterr())

@@ -186,6 +186,20 @@ def test_optimizer_examples_and_brute_agreement():
         assert got == brute_solve(spec).optimum
 
 
+def test_one_free_robot_on_a_line_routes_to_the_brute_force_optimum():
+    rng = random.Random(95)
+    feasible = 0
+    for _ in range(80):
+        line = random_line(rng, min_n=1, max_n=7)
+        spec = ProblemSpec(line, RobotPlacement(FREE, count=1), 0, None)
+        got = fault_line.solve(spec)
+        assert got.optimum == brute_solve(spec).optimum
+        if got.feasible:
+            feasible += 1
+            assert verify_schedule(spec, got.schedule).passed
+    assert feasible > 20
+
+
 def test_plan_tables_give_every_probe_its_bounded_plans():
     # one growth per start without a time bound lists, at every candidate
     # time, the plans a growth bounded by that time lists: masks, tracks

@@ -133,7 +133,7 @@ def test_round_trip_random_instances():
 
 def test_prune_keeps_monotone_deadlines():
     line = LineInstance((0, 1, 2, 3), (INFINITY, INFINITY, 5, 5))
-    pruned, remap = prune_dominated(line, 0)
+    pruned, remap = prune_dominated(line, [0])
     assert 2 not in remap  # implied by the node behind it
     right = [pruned.deadlines[i] for i in range(1, pruned.n)]
     assert all(right[i] < right[i + 1] for i in range(len(right) - 1))
@@ -141,14 +141,14 @@ def test_prune_keeps_monotone_deadlines():
 
 def test_prune_identity_when_already_monotone():
     line = LineInstance((0, 1, 2, 3, 4), (9, 7, INFINITY, 3, 6))
-    pruned, remap = prune_dominated(line, 2)
+    pruned, remap = prune_dominated(line, [2])
     assert remap == (0, 1, 2, 3, 4)
     assert pruned == line
 
 
 def test_prune_left_side_keeps_smaller_deadline():
     line = LineInstance((0, 1, 2), (3, 7, INFINITY))
-    pruned, remap = prune_dominated(line, 2)
+    pruned, remap = prune_dominated(line, [2])
     assert remap == (0, 2)
     assert pruned.deadlines == (3, INFINITY)
 
@@ -166,7 +166,7 @@ def test_prune_never_changes_the_optimum():
     for _ in range(120):
         line = random_line(rng, max_n=7)
         start = rng.randrange(line.n)
-        pruned, remap = prune_dominated(line, start)
+        pruned, remap = prune_dominated(line, [start])
         assert remap[remap.index(start)] == start
         original = _walk_optimum(line, start)
         reduced = _walk_optimum(pruned, remap.index(start))

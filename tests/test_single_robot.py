@@ -6,7 +6,15 @@ import pytest
 
 from support import finite_count, optimal_time, random_line, state_time
 from roversweep.exact import INFINITY
-from roversweep.instance import LineInstance, ProblemSpec, RobotPlacement, FIXED
+from roversweep.instance import (
+    FIXED,
+    FREE,
+    SUBSET,
+    LineInstance,
+    ProblemSpec,
+    RobotPlacement,
+    prune_dominated,
+)
 from roversweep.oracle import enumerate_walks, verify_schedule
 from roversweep.single_robot import (
     best_target,
@@ -16,6 +24,7 @@ from roversweep.single_robot import (
     propagate,
     solve_fixed_start,
     solve_free_start,
+    solve_from,
 )
 from roversweep.state_graph import LEFT, RIGHT, StateGraph
 
@@ -184,3 +193,53 @@ def test_label_smoke_two_thousand_nodes():
     elapsed = time.monotonic() - started
     assert finite_count(table) == n * n
     assert elapsed < 60
+
+
+def _deadline_line(rng, n, share, integral):
+    """A line with about ``share`` of its deadlines finite, most of them
+    late enough that one robot can still make it."""
+    unit = 1 if integral else Fraction(1, 3)
+    coords = [0]
+    for _ in range(n - 1):
+        coords.append(coords[-1] + unit * rng.randint(1, 6 if integral else 12))
+    units = int(coords[-1] / unit)  # the span
+    deadlines = tuple(
+        unit * rng.randint(units // 2, 3 * units) if rng.random() < share else INFINITY
+        for _ in range(n)
+    )
+    return LineInstance(tuple(coords), deadlines)
+
+
+def test_pruned_free_start_equals_the_unpruned_pass():
+    """One start, a subset or every node: dropping dominated nodes keeps the
+    optimum and the schedule bytes of the pass over every node."""
+    rng = random.Random(15)
+    feasible = 0
+    for trial in range(240):
+        share = (0, 0.3, 0.7, 1)[trial % 4]
+        n = rng.randint(1, 7) if trial % 3 == 0 else rng.randint(1, 40)
+        line = _deadline_line(rng, n, share, integral=trial % 2 == 0)
+        for allowed in ([rng.randrange(n)], sorted(rng.sample(range(n), rng.randint(1, n))), None):
+            starts = range(n) if allowed is None else allowed
+            got = solve_free_start(line, allowed)
+            want = solve_from(line, starts)
+            assert got.optimum == want.optimum, (line, allowed)
+            if n <= 7:
+                assert got.optimum == min(_walk_optimum(line, s) for s in starts)
+            if not got.feasible:
+                continue
+            feasible += 1
+            assert got.schedule.to_json() == want.schedule.to_json(), (line, allowed)
+            placement = (RobotPlacement(FREE, count=1) if allowed is None
+                         else RobotPlacement(SUBSET, count=1, allowed=tuple(allowed)))
+            assert verify_schedule(ProblemSpec(line, placement, 0, None), got.schedule).passed
+    assert feasible > 300
+
+
+def test_subset_lines_of_poly_sweep_size_shrink():
+    rng = random.Random(140)
+    line = random_line(rng, min_n=140, max_n=140, deadline_prob=0.5, integral=True)
+    allowed = sorted(rng.sample(range(line.n), 28))
+    pruned, remap = prune_dominated(line, allowed)
+    assert set(allowed) <= set(remap)
+    assert pruned.n <= 60
