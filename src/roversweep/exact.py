@@ -126,10 +126,21 @@ def simplify(x: ExactNumber) -> ExactNumber:
 
 
 def parse_number(text: str) -> Union[int, Fraction]:
-    """Parse a decimal string ("2", "0.5") or a ratio string ("3/4") exactly."""
+    """Parse a decimal string ("2", "0.5") or a ratio string ("3/4") exactly.
+
+    Plain ASCII digits, alone or on both sides of one "/", are read as
+    ints, which gives the value ``Fraction(text)`` would give, sooner;
+    anything else (signs, decimal points, exponents, underscores, inner
+    spaces, other scripts' digits) goes to ``Fraction(text)``, and so do
+    its errors: ValueError, or ZeroDivisionError for a zero denominator.
+    """
     text = text.strip()
-    if text.isascii() and text.isdecimal():
-        return int(text)  # plain digits: the value Fraction would give, sooner
+    p, slash, q = text.partition("/")
+    if p.isascii() and p.isdecimal():
+        if not slash:
+            return int(p)
+        if q.isascii() and q.isdecimal():
+            return simplify(Fraction(int(p), int(q)))
     return simplify(Fraction(text))
 
 
@@ -163,7 +174,10 @@ def common_denominator(values) -> int:
 
 
 def scale(x: ExactNumber, factor: Union[int, Fraction]) -> ExactNumber:
-    """x times a positive factor; INFINITY stays INFINITY."""
+    """x times a positive factor; INFINITY stays INFINITY.  An int factor
+    that x's denominator divides gives an int without building a Fraction."""
     if x is INFINITY:
         return INFINITY
+    if isinstance(factor, int) and factor % x.denominator == 0:
+        return x.numerator * (factor // x.denominator)
     return simplify(x * factor)

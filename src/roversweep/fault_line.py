@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from functools import partial, reduce
 from operator import or_
 from typing import Iterable, List, Optional, Sequence
@@ -72,22 +72,12 @@ def fixed_search_caps(topology) -> Caps:
     return FIXED_SEARCH_CAPS
 
 
-@dataclass(frozen=True)
-class ReplicatedRing:
-    """f+1 copies of a ring glued end to end; node i maps back to i mod n."""
-
-    base: RingInstance
-    ring: RingInstance
-    copies: int
-
-
-def replicate_ring(ring: RingInstance, f: int) -> ReplicatedRing:
-    """Covering the base ring f+1 times equals exploring this ring once."""
+def replicate_ring(ring: RingInstance, f: int) -> RingInstance:
+    """f+1 copies of ``ring`` glued end to end, node i standing for node
+    i mod n: covering the base ring f+1 times equals exploring it once."""
     if f < 0:
         raise ValueError("fault budget must be non-negative")
-    copies = f + 1
-    big = RingInstance(ring.edge_weights * copies, ring.deadlines * copies)
-    return ReplicatedRing(base=ring, ring=big, copies=copies)
+    return RingInstance(ring.edge_weights * (f + 1), ring.deadlines * (f + 1))
 
 
 def solve_free_faulty(topology, k: int, f: int) -> Verdict:
@@ -98,7 +88,7 @@ def solve_free_faulty(topology, k: int, f: int) -> Verdict:
     is the reliable optimum for floor(k/(f+1)) robots and the schedule
     replicates that group's trajectories across f+1 groups (surplus
     robots double up on the first group).  On a ring it is the optimum of
-    k robots on ``replicate_ring(ring, f).ring``, each track moved back by
+    k robots on ``replicate_ring(ring, f)``, each track moved back by
     whole laps onto the base ring.  Without finite node deadlines this is
     exactly optimal: covers split into f+1 full covers.  Finite deadlines
     can punch holes in coverage profiles, and then a schedule of another
@@ -111,7 +101,7 @@ def solve_free_faulty(topology, k: int, f: int) -> Verdict:
     ring = isinstance(topology, RingInstance)
     group = k // (f + 1)
     if ring:
-        base = solve_free(replicate_ring(topology, f).ring, k)
+        base = solve_free(replicate_ring(topology, f), k)
     else:
         base = solve_free(topology, group)
     if not base.feasible:

@@ -293,16 +293,17 @@ def _parse_deadline(value, path: str) -> ExactNumber:
     return parse_amount(value, path)
 
 
-def _parse_number_list(values, path: str) -> tuple:
+def _parse_list(values, path: str, parse) -> tuple:
+    """``parse`` applied to each element; an element's path, such as
+    ``deadlines[3]``, is spelled out only for the error it fails with."""
     if not isinstance(values, list):
         raise InstanceError(path, "expected a list")
-    return tuple(parse_amount(v, f"{path}[{i}]") for i, v in enumerate(values))
-
-
-def _parse_deadline_list(values, path: str) -> tuple:
-    if not isinstance(values, list):
-        raise InstanceError(path, "expected a list")
-    return tuple(_parse_deadline(v, f"{path}[{i}]") for i, v in enumerate(values))
+    try:
+        return tuple([parse(v, "") for v in values])
+    except InstanceError:
+        pass
+    # some element is bad: parse again with paths, to raise at the first one
+    return tuple(parse(v, f"{path}[{i}]") for i, v in enumerate(values))
 
 
 def parse_instance_dict(doc: dict) -> ProblemSpec:
@@ -311,18 +312,18 @@ def parse_instance_dict(doc: dict) -> ProblemSpec:
     kind = doc.get("topology")
     if kind == "line":
         topology = LineInstance(
-            _parse_number_list(doc.get("coordinates"), "coordinates"),
-            _parse_deadline_list(doc.get("deadlines"), "deadlines"),
+            _parse_list(doc.get("coordinates"), "coordinates", parse_amount),
+            _parse_list(doc.get("deadlines"), "deadlines", _parse_deadline),
         )
     elif kind == "ring":
         topology = RingInstance(
-            _parse_number_list(doc.get("edge_weights"), "edge_weights"),
-            _parse_deadline_list(doc.get("deadlines"), "deadlines"),
+            _parse_list(doc.get("edge_weights"), "edge_weights", parse_amount),
+            _parse_list(doc.get("deadlines"), "deadlines", _parse_deadline),
         )
     elif kind == "star":
         topology = StarInstance(
-            _parse_number_list(doc.get("leaf_weights"), "leaf_weights"),
-            _parse_deadline_list(doc.get("deadlines"), "deadlines"),
+            _parse_list(doc.get("leaf_weights"), "leaf_weights", parse_amount),
+            _parse_list(doc.get("deadlines"), "deadlines", _parse_deadline),
             _parse_deadline(doc.get("center_deadline"), "center_deadline"),
         )
     else:

@@ -7,8 +7,13 @@ ties to L.
 Fixed placements: one windowed label pass per robot (each robot kept to
 the open window between its neighbours), then a prefix recurrence
 (``idle_edge_split``) that picks the idle edge separating consecutive
-robots' parts.  A line is cut at its own ends; a ring is cut at each
-edge between its closest adjacent pair of robots in turn, and the same
+robots' parts.  For a part ending at j, the best split point sits where
+the optimum of the nodes before it, which never falls as the split point
+moves right, crosses the part's time, which never rises as the part
+shrinks and never falls as j grows; so a crossing pointer that only
+moves right finds it in O(1) amortized reads, ties going to the smallest
+split point.  A line is cut at its own ends; a ring is cut at each edge
+between its closest adjacent pair of robots in turn, and the same
 recurrence runs on the line that remains.
 
 One robot, fixed or free, is ``single_robot.solve_free_start``: one
@@ -64,29 +69,50 @@ def idle_edge_split(starts: Sequence[int], n: int, part_time) -> tuple:
     each later part stays idle.  A prefix recurrence over the right end
     of the last part gives (optimum, [(r, m, j), ...] from left to
     right), or (INFINITY, None) when no division meets the deadlines.
+
+    With robot r's part ending at j, a split point m costs
+    max(prefix[m-1], part_time(r, m, j)).  The left side never falls as
+    m grows; the right side never rises as m grows, since a smaller part
+    never takes longer, and never falls as j grows.  So the least cost
+    sits at the crossing c, the first m whose left side reaches its
+    right side: it is left(c) or right(c-1), and c only moves right as j
+    grows, O(1) amortized reads per j.  Ties go to the smallest m, so a
+    winning right(c-1) also walks back over its run of equal right sides.
     """
     prefix: list = [INFINITY] * n
     choice: list = [None] * n
-    for j in range(n):
-        r = bisect_right(starts, j)
-        if r == 0:
-            continue
-        best = INFINITY
-        best_m = None
-        for m in range(starts[r - 2] + 1 if r >= 2 else 0, starts[r - 1] + 1):
-            left = 0 if m == 0 else prefix[m - 1]
-            if left is INFINITY:
+    inf = INFINITY
+    # identity tests keep INFINITY's Python-level comparisons out
+    for r, s in enumerate(starts):
+        first = starts[r - 1] + 1 if r else 0
+        c = first
+        for j in range(s, starts[r + 1] if r + 1 < len(starts) else n):
+            below = None  # right(c - 1), once read at this j
+            while c <= s:
+                top = prefix[c - 1] if c else 0  # left(c)
+                if top is inf:
+                    break
+                right = part_time(r, c, j)
+                if right is not inf and top >= right:
+                    break
+                below = right
+                c += 1
+            else:
+                top = inf
+            if below is None and c > first:
+                below = part_time(r, c - 1, j)
+            if below is None or below is inf or top is not inf and top < below:
+                if top is not inf:
+                    prefix[j], choice[j] = top, c
                 continue
-            right = part_time(r - 1, m, j)
-            # identity tests keep INFINITY's Python-level comparisons out
-            if right is INFINITY:
-                continue
-            cand = left if left >= right else right
-            if best is INFINITY or cand < best:
-                best = cand
-                best_m = m
-        prefix[j] = best
-        choice[j] = best_m
+            m = c - 1
+            while m > first:
+                right = part_time(r, m - 1, j)
+                if right is inf or right != below:
+                    break
+                below = right
+                m -= 1
+            prefix[j], choice[j] = below, m
     if prefix[n - 1] is INFINITY:
         return INFINITY, None
     parts = []

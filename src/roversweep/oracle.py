@@ -333,26 +333,26 @@ def _line_visits(nodes: Sequence, track: RobotTrack) -> dict:
 
 
 def _ring_visits(nodes: Sequence, total, track: RobotTrack) -> dict:
-    import math
-
-    first: dict = {}
-
-    def note(v, t):
-        if v not in first or t < first[v]:
-            first[v] = t
-
+    """First visit time of each node the track passes; ``nodes`` are the
+    sorted arc positions in [0, total), and the waypoints unwrapped
+    coordinates.  The start and each segment [lo, hi] are read lap by lap:
+    the lap from base = floor(lo / total) * total holds the nodes at
+    positions lo - base .. hi - base, found by bisection."""
     wps = track.waypoints
-    for (t1, x1), (t2, x2) in itertools.chain(
-        [((0, wps[0][1]), (0, wps[0][1]))], zip(wps, wps[1:])
+    x0 = wps[0][1]
+    first: dict = {}
+    for t1, x1, x2 in itertools.chain(
+        [(0, x0, x0)], ((t1, x1, x2) for (t1, x1), (_, x2) in zip(wps, wps[1:]))
     ):
         lo, hi = (x1, x2) if x1 <= x2 else (x2, x1)
-        for v, c in enumerate(nodes):
-            # lifts c + m*total inside [lo, hi]
-            m_lo = math.ceil((lo - c) / total)
-            m_hi = math.floor((hi - c) / total)
-            for m in range(m_lo, m_hi + 1):
-                y = c + m * total
-                note(v, t1 + (y - x1 if y >= x1 else x1 - y))
+        base = lo // total * total
+        while base <= hi:
+            for v in range(bisect_left(nodes, lo - base), bisect_right(nodes, hi - base)):
+                y = nodes[v] + base
+                t = t1 + (y - x1 if y >= x1 else x1 - y)
+                if v not in first or t < first[v]:
+                    first[v] = t
+            base += total
     return first
 
 

@@ -2,6 +2,8 @@
 for the test suites."""
 
 import itertools
+import math
+from bisect import bisect_right
 from fractions import Fraction
 
 from roversweep.exact import INFINITY, format_number
@@ -216,7 +218,7 @@ def reach_chain_decide(ring, positions, f, delta):
     positions = tuple(sorted(positions))
     k = len(positions)
     n = ring.n
-    big = replicate_ring(ring, f).ring
+    big = replicate_ring(ring, f)
     big_n = big.n
     graph = StateGraph.from_ring(big)
     labels = init_start(graph, replicated_starts(ring, f, positions))
@@ -346,9 +348,62 @@ def graph_dump(graph):
     return "\n".join(lines)
 
 
-def copy_of(rep, i):
-    """The base node of node i of a replicated ring."""
-    return i % rep.base.n
+def idle_edge_split_scan(starts, n, part_time):
+    """``multi_line.idle_edge_split`` by scanning every split point for
+    every right end, O(n * gap) reads: the reference for its crossing
+    pointer.  Ties go to the smallest split point."""
+    prefix = [INFINITY] * n
+    choice = [None] * n
+    for j in range(n):
+        r = bisect_right(starts, j)
+        if r == 0:
+            continue
+        best = INFINITY
+        best_m = None
+        for m in range(starts[r - 2] + 1 if r >= 2 else 0, starts[r - 1] + 1):
+            left = 0 if m == 0 else prefix[m - 1]
+            if left is INFINITY:
+                continue
+            right = part_time(r - 1, m, j)
+            if right is INFINITY:
+                continue
+            cand = left if left >= right else right
+            if best is INFINITY or cand < best:
+                best = cand
+                best_m = m
+        prefix[j] = best
+        choice[j] = best_m
+    if prefix[n - 1] is INFINITY:
+        return INFINITY, None
+    parts = []
+    j = n - 1
+    while j >= 0:
+        m = choice[j]
+        parts.append((bisect_right(starts, j) - 1, m, j))
+        j = m - 1
+    parts.reverse()
+    return prefix[n - 1], parts
+
+
+def ring_visits_scan(nodes, total, track):
+    """``oracle._ring_visits`` by lifting every node into every segment:
+    the lifts c + m * total inside [lo, hi], O(segments * n) divisions."""
+    first = {}
+    wps = track.waypoints
+    for (t1, x1), (_, x2) in itertools.chain([((0, wps[0][1]), (0, wps[0][1]))], zip(wps, wps[1:])):
+        lo, hi = (x1, x2) if x1 <= x2 else (x2, x1)
+        for v, c in enumerate(nodes):
+            for m in range(math.ceil((lo - c) / total), math.floor((hi - c) / total) + 1):
+                y = c + m * total
+                t = t1 + (y - x1 if y >= x1 else x1 - y)
+                if v not in first or t < first[v]:
+                    first[v] = t
+    return first
+
+
+def copy_of(n, i):
+    """The base node of node i of a ring of n nodes replicated."""
+    return i % n
 
 
 def replicated_starts(ring, f, starts):

@@ -322,9 +322,9 @@ def _brute_ring_cover(ring, positions, f, delta):
 
 def _ring_candidate_times(ring, positions, f, delta_cap):
     rep = replicate_ring(ring, f)
-    graph = StateGraph.from_ring(rep.ring)
+    graph = StateGraph.from_ring(rep)
     labels = propagate(
-        graph, init_start(graph, replicated_starts(ring, f, positions)), rep.ring.deadlines
+        graph, init_start(graph, replicated_starts(ring, f, positions)), rep.deadlines
     )
     values = {0, *labels.finite_values()}
     blank = (INFINITY,) * ring.n

@@ -8,6 +8,7 @@ from roversweep.exact import (
     decimal_str,
     format_number,
     parse_number,
+    scale,
     simplify,
 )
 
@@ -27,9 +28,13 @@ def _outcome(parse, text):
     return type(value), value
 
 
-@pytest.mark.parametrize("text", [" 12 ", "007", "0", "-3", "+4", "12.0", "3/4", "\u0663", "", "1/0"])
+@pytest.mark.parametrize("text", [
+    " 12 ", "007", "0", "-3", "+4", "12.0", "3/4", "\u0663", "", "1/0",
+    "6/3", "0/5", "03/04", " 3/4 ", "3/-4", "+3/4", "3 / 4", "1_000/3", "\u0663/\u0664", "0.5",
+])
 def test_digit_fast_path_parses_as_the_fraction_path(text):
-    # plain ASCII digits skip Fraction; every input must parse (or fail) as before
+    # plain ASCII digits, alone or as p/q, skip Fraction's string parser;
+    # every input must parse (or fail) as before
     assert _outcome(parse_number, text) == _outcome(lambda t: simplify(Fraction(t.strip())), text)
 
 
@@ -42,6 +47,16 @@ def test_digit_fast_path_keeps_values_types_and_errors():
     assert _outcome(parse_number, "1/0") is ZeroDivisionError
     assert _outcome(parse_number, " 12 ") == (int, 12)
     assert _outcome(parse_number, "\u0663") == (int, 3)
+
+
+def test_scale_matches_the_fraction_product():
+    values = [0, 7, 10**30, Fraction(1, 3), Fraction(5, 6), Fraction(7, 4), Fraction(9, 3), INFINITY]
+    factors = [1, 3, 6, 12, 10**20, Fraction(1, 3), Fraction(3, 2), Fraction(6, 1)]
+    for x in values:
+        for c in factors:
+            expected = simplify(x * c)
+            got = scale(x, c)
+            assert (type(got), got) == (type(expected), expected), (x, c)
 
 
 def test_format_round_trip():

@@ -87,6 +87,20 @@ def test_validation_errors_carry_field_paths():
         parse_instance(json.dumps(doc2))
 
 
+def test_a_bad_list_element_is_named_by_its_index():
+    doc = json.loads(MINIMAL_LINE)
+    doc["coordinates"] = ["0", "2", "1/x"]
+    doc["deadlines"] = [None, "4", None]
+    with pytest.raises(InstanceError) as bad_number:
+        parse_instance(json.dumps(doc))
+    assert str(bad_number.value) == "coordinates[2]: cannot parse number '1/x'"
+    doc["coordinates"] = ["0", "2", "3"]
+    doc["deadlines"] = [None, "4", 5]
+    with pytest.raises(InstanceError) as bad_deadline:
+        parse_instance(json.dumps(doc))
+    assert str(bad_deadline.value) == "deadlines[2]: numbers must be strings (decimal or p/q)"
+
+
 def test_ring_and_star_round_trip():
     ring_spec = ProblemSpec(
         topology=RingInstance((1, Fraction(3, 2), 2), (5, INFINITY, Fraction(7, 2))),

@@ -6,13 +6,15 @@ import pytest
 
 from support import (
     fixed_positions,
+    idle_edge_split_scan,
     naive_team_tables,
     random_line,
     random_ring,
 )
 from roversweep.exact import INFINITY
-from roversweep.instance import FIXED, LineInstance, ProblemSpec, RobotPlacement
-from roversweep.multi_line import solve_fixed, solve_free
+from roversweep import multi_line
+from roversweep.instance import FIXED, LineInstance, ProblemSpec, RingInstance, RobotPlacement
+from roversweep.multi_line import idle_edge_split, solve_fixed, solve_free
 from roversweep.oracle import enumerate_walks, verify_schedule
 from roversweep.single_robot import init_start, propagate, solve_fixed_start
 from roversweep.state_graph import StateGraph
@@ -106,6 +108,87 @@ def test_boundary_prefix_counts():
     line = LineInstance((0, 2, 3, 7, 9), (INFINITY,) * 5)
     for positions in [(0, 1), (1, 3), (0, 4), (2, 3)]:
         assert solve_fixed(line, positions).optimum == brute_fixed(line, positions)
+
+
+def _split_case(rng, share):
+    """A line or ring of 6 to 40 nodes, int or Fraction, with k = 2..6
+    robots at distinct nodes; a share of the nodes gets a deadline
+    between span / 2k and three times the span."""
+    n = rng.randint(6, 40)
+    k = rng.randint(2, 6)
+    steps = [rng.randint(1, 6) for _ in range(n)]
+    span = sum(steps)
+    deadlines = tuple(
+        rng.randint(span // (2 * k), 3 * span) if rng.random() < share else INFINITY
+        for _ in range(n)
+    )
+    if rng.random() < 0.5:
+        coords = tuple(itertools.accumulate(steps[:-1], initial=0))
+        topology = LineInstance(coords, deadlines)
+    else:
+        topology = RingInstance(tuple(steps), deadlines)
+    if rng.random() < 0.5:
+        topology = topology.scaled(Fraction(1, 3))
+    return topology, fixed_positions(rng, n, k, allow_duplicates=False)
+
+
+@pytest.mark.parametrize("share", [0, 0.3, 0.7])
+def test_split_pointer_equals_the_scan(share, monkeypatch):
+    rng = random.Random(1600 + int(10 * share))
+    cases = [_split_case(rng, share) for _ in range(60)]
+    pointer = [solve_fixed(topology, positions) for topology, positions in cases]
+    agree = []
+
+    def scan(starts, n, part_time):
+        reference = idle_edge_split_scan(starts, n, part_time)
+        agree.append(idle_edge_split(starts, n, part_time) == reference)
+        return reference
+
+    monkeypatch.setattr(multi_line, "idle_edge_split", scan)
+    feasible = 0
+    for (topology, positions), verdict in zip(cases, pointer):
+        reference = solve_fixed(topology, positions)
+        assert (verdict.feasible, verdict.optimum) == (reference.feasible, reference.optimum)
+        assert type(verdict.optimum) is type(reference.optimum)
+        if verdict.feasible:
+            assert verdict.schedule.to_json() == reference.schedule.to_json()
+            assert verdict.idle_edges == reference.idle_edges
+            feasible += 1
+    assert all(agree) and len(agree) > len(cases)
+    assert feasible >= 20
+
+
+def test_split_pointer_equals_the_scan_on_plateaus():
+    # part times from small tables, monotone as the pointer needs but with
+    # many equal values and INFINITY, so ties and dead ends are common
+    rng = random.Random(1601)
+    for _ in range(400):
+        n = rng.randint(1, 14)
+        starts = sorted(rng.sample(range(n), rng.randint(1, min(4, n))))
+        cap = rng.randint(2, 9)
+        tables = []
+        for s in starts:
+            left = list(itertools.accumulate(rng.randint(0, 1) for _ in range(s + 1)))
+            right = list(itertools.accumulate(rng.randint(0, 1) for _ in range(n - s)))
+            tables.append((s, left, right))
+
+        def part_time(r, m, j):
+            s, left, right = tables[r]
+            t = left[s - m] + right[j - s]
+            return INFINITY if t > cap else t
+
+        assert idle_edge_split(starts, n, part_time) == idle_edge_split_scan(starts, n, part_time)
+
+
+def test_split_ties_go_to_the_smallest_split_point():
+    # robot 1's parts ending at node 3 or 4 take 2 from every split point,
+    # and robot 0's prefix reaches 2 only at node 2: split points 1, 2 and
+    # 3 all cost 2, and the pointer must walk back from 2 to 1
+    def part_time(r, m, j):
+        return j if r == 0 else 2
+
+    assert idle_edge_split([0, 3], 5, part_time) == (2, [(0, 0, 0), (1, 1, 4)])
+    assert idle_edge_split_scan([0, 3], 5, part_time) == (2, [(0, 0, 0), (1, 1, 4)])
 
 
 def sub_line(line, i, j):

@@ -15,8 +15,9 @@ from support import (
     naive_team_tables,
     random_line,
     random_ring,
+    ring_visits_scan,
 )
-from roversweep.exact import INFINITY
+from roversweep.exact import INFINITY, simplify
 from roversweep.instance import (
     FIXED,
     FREE,
@@ -29,6 +30,7 @@ from roversweep.instance import (
 from roversweep.oracle import (
     Caps,
     CapExceeded,
+    _ring_visits,
     brute_solve,
     enumerate_walks,
     verify_schedule,
@@ -196,6 +198,33 @@ def test_verify_checks_where_each_track_starts():
     assert verify_schedule(spec, lap).passed
     with pytest.raises(ScheduleError, match="fixed positions"):
         verify_schedule(spec, Schedule(kind="ring", tracks=(RobotTrack(((0, 4),)),), circumference=4))
+
+
+def test_ring_visits_equal_the_lift_scan():
+    # unwrapped starts below zero, segments over two laps or more, the
+    # zero-length first segment and Fraction weights all take the lap loop
+    rng = random.Random(1602)
+    long_segments = 0
+    for _ in range(1500):
+        ring = random_ring(rng, max_n=7)
+        if rng.random() < 0.5:
+            ring = ring.scaled(Fraction(1, rng.choice((2, 3))))
+        nodes, total = ring.arc_positions(), ring.total
+        t, x = 0, nodes[rng.randrange(ring.n)] + rng.randint(-3, 2) * total
+        waypoints = [(t, x)]
+        for _ in range(rng.randint(0, 4)):
+            step = simplify(total * Fraction(rng.randint(-36, 36), 12))
+            if step == 0:
+                continue
+            long_segments += abs(step) >= 2 * total
+            t, x = t + abs(step) + rng.randint(0, 2), x + step
+            waypoints.append((t, x))
+        track = RobotTrack(tuple(waypoints))
+        fast = _ring_visits(nodes, total, track)
+        assert {v: (type(t), t) for v, t in fast.items()} == {
+            v: (type(t), t) for v, t in ring_visits_scan(nodes, total, track).items()
+        }
+    assert long_segments > 100
 
 
 def test_brute_witness_always_verifies():

@@ -181,15 +181,13 @@ def test_ring_free_schedules_verify_at_the_optimum():
 
 
 def test_replicate_ring():
-    rep = replicate_ring(UNIT3, 0)
-    assert rep.ring == UNIT3
-    assert rep.copies == 1
+    assert replicate_ring(UNIT3, 0) == UNIT3
     rep2 = replicate_ring(UNIT3, 1)
-    assert rep2.ring.n == 6
-    assert rep2.ring.edge_weights == (1,) * 6
-    assert [copy_of(rep2, i) for i in range(6)] == [0, 1, 2, 0, 1, 2]
+    assert rep2.n == 6
+    assert rep2.edge_weights == (1,) * 6
+    assert [copy_of(UNIT3.n, i) for i in range(6)] == [0, 1, 2, 0, 1, 2]
     patterned = replicate_ring(RingInstance((1, 1, 1), (2, 5, 9)), 1)
-    assert patterned.ring.deadlines == (2, 5, 9, 2, 5, 9)
+    assert patterned.deadlines == (2, 5, 9, 2, 5, 9)
     assert replicated_starts(UNIT3, 1, (0, 2)) == (0, 2, 3, 5)
 
 
@@ -241,10 +239,10 @@ def test_replicated_schedule_projects_both_ways():
         k = rng.randint(2, 4)
         f = rng.randint(1, min(2, k - 1))
         rep = replicate_ring(ring, f)
-        big_verdict = solve_ring_free(rep.ring, k)
+        big_verdict = solve_ring_free(rep, k)
         if not big_verdict.feasible:
             continue
-        big_spec = ProblemSpec(rep.ring, RobotPlacement(FREE, count=k), 0, None)
+        big_spec = ProblemSpec(rep, RobotPlacement(FREE, count=k), 0, None)
         assert verify_schedule(big_spec, big_verdict.schedule).passed
         small = solve_ring_free_faulty(ring, k, f)
         assert small.feasible
