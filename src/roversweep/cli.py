@@ -8,10 +8,14 @@ Subcommands:
     verify INSTANCE SCHEDULE [--json]
     oracle INSTANCE [--json]
 
-``solve``, ``decide`` and ``resilience`` ask the one router,
-``fault_line.solve``, ``fault_line.decide`` and ``fault_line.resilience``,
-about the instance scaled to integers (see ``exact``) and print the
-answer of the instance as given.
+Every command reads its documents straight into integers: each number
+times c, the least positive int that makes the instance, ``--delta`` and
+(for ``verify``) the schedule integral (see ``exact``).  ``solve``,
+``decide`` and ``resilience`` ask the one router, ``fault_line.solve``,
+``fault_line.decide`` and ``fault_line.resilience``, ``oracle`` the brute
+force, and ``verify`` replays the schedule, all in integers; only the
+numbers printed (the optimum, the makespan and the schedule) are divided
+back by c, so the output is that of the documents as written.
 
 Exit codes: 0 success / YES / PASS, 1 infeasible / NO / FAIL, 2 usage
 errors, malformed input, or a refused exact search, 3 an internal error
@@ -30,7 +34,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import fault_line, reductions
-from .exact import INFINITY, common_denominator, decimal_str, format_number, scale
+from .exact import INFINITY, decimal_str, format_number, scale
 from .instance import (
     FIXED,
     FREE,
@@ -40,12 +44,14 @@ from .instance import (
     RingInstance,
     RobotPlacement,
     StarInstance,
-    parse_amount,
     parse_instance,
+    read_amount,
+    read_instance,
     serialize_instance,
+    widened,
 )
 from .oracle import Caps, CapExceeded, brute_solve, verify_schedule
-from .schedule import ScheduleError, schedule_from_json
+from .schedule import ScheduleError, read_schedule, schedule_from_json
 
 USAGE_ERROR = 2
 INTERNAL_ERROR = 3
@@ -71,46 +77,46 @@ def _caps_from(args, topology=None) -> Caps:
     )
 
 
-def _in_integers(spec: ProblemSpec, delta=None) -> tuple:
-    """(spec, delta, c): both multiplied by the least c that makes every
-    number an integer.  Answers scale with c, and the DP loops run several
-    times faster on ints than on Fractions."""
-    c = common_denominator(spec.numbers() + (() if delta is None else (delta,)))
-    return spec.scaled(c), None if delta is None else scale(delta, c), c
+def _spec_and_delta(args) -> tuple:
+    """(spec, delta): the instance read in integers, and the time bound
+    (--delta, else the document's delta) in the same units."""
+    spec, c = read_instance(_read(args.instance))
+    if args.delta is None:
+        return spec, spec.bound
+    spec, _, delta = widened(spec, c, read_amount(args.delta, "delta"))
+    return spec, delta
 
 
 def cmd_solve(args) -> int:
-    spec = parse_instance(_read(args.instance))
-    lowered, _, c = _in_integers(spec)
-    verdict = fault_line.solve(lowered, _caps_from(args, spec.topology)).scaled(Fraction(1, c))
+    spec, c = read_instance(_read(args.instance))
+    verdict = fault_line.solve(spec, _caps_from(args, spec.topology))
     if verdict.feasible and verdict.schedule is None:
         raise RuntimeError("internal error: a feasible verdict came without a schedule")
     if args.emit_schedule and verdict.feasible:
         with open(args.emit_schedule, "w", encoding="utf-8") as fh:
-            fh.write(verdict.schedule.to_json())
+            fh.write(verdict.schedule.scaled(Fraction(1, c)).to_json())
+    optimum = scale(verdict.optimum, Fraction(1, c))
     if args.json:
         doc = {
             "feasible": verdict.feasible,
-            "optimum": format_number(verdict.optimum) if verdict.feasible else None,
-            "decimal": decimal_str(verdict.optimum) if verdict.feasible else None,
+            "optimum": format_number(optimum) if verdict.feasible else None,
+            "decimal": decimal_str(optimum) if verdict.feasible else None,
         }
         print(json.dumps(doc, sort_keys=True))
         return 0 if verdict.feasible else 1
     if not verdict.feasible:
         print("infeasible")
         return 1
-    print(_say_number(verdict.optimum))
+    print(_say_number(optimum))
     return 0
 
 
 def cmd_decide(args) -> int:
-    spec = parse_instance(_read(args.instance))
-    delta = parse_amount(args.delta, "delta") if args.delta is not None else spec.bound
+    spec, delta = _spec_and_delta(args)
     if delta is None:
         print("decide needs --delta or a delta field in the instance", file=sys.stderr)
         return USAGE_ERROR
-    lowered, delta, _ = _in_integers(spec, delta)
-    answer = fault_line.decide(lowered, delta, _caps_from(args, spec.topology)).feasible
+    answer = fault_line.decide(spec, delta, _caps_from(args, spec.topology)).feasible
     if args.json:
         print(json.dumps({"answer": "YES" if answer else "NO"}))
     else:
@@ -119,13 +125,11 @@ def cmd_decide(args) -> int:
 
 
 def cmd_resilience(args) -> int:
-    spec = parse_instance(_read(args.instance))
-    delta = parse_amount(args.delta, "delta") if args.delta is not None else spec.bound
+    spec, delta = _spec_and_delta(args)
     if delta is None:
         print("resilience needs --delta or a delta field in the instance", file=sys.stderr)
         return USAGE_ERROR
-    lowered, delta, _ = _in_integers(spec, delta)
-    value = fault_line.resilience(lowered, delta, _caps_from(args, spec.topology))
+    value = fault_line.resilience(spec, delta, _caps_from(args, spec.topology))
     if args.json:
         print(json.dumps({"resilience": value}))
     else:
@@ -195,19 +199,28 @@ def _random_instance(args) -> ProblemSpec:
 
 
 def cmd_verify(args) -> int:
-    spec = parse_instance(_read(args.instance))
-    schedule = schedule_from_json(_read(args.schedule))
-    report = verify_schedule(spec, schedule)
+    instance_text = _read(args.instance)
+    spec, c = read_instance(instance_text)
+    schedule_text = _read(args.schedule)
+    schedule, wide = read_schedule(schedule_text, c)
+    try:
+        report = verify_schedule(spec.scaled(wide // c), schedule)
+    except ScheduleError:
+        if wide == 1:
+            raise
+        # the error may quote a time or a position: raise it as written
+        report = verify_schedule(parse_instance(instance_text), schedule_from_json(schedule_text))
+    makespan = scale(report.makespan, Fraction(1, wide))
     if args.json:
         doc = {
             "passed": report.passed,
-            "makespan": format_number(report.makespan),
+            "makespan": format_number(makespan),
             "first_violation": report.first_violation.node if report.first_violation else None,
         }
         print(json.dumps(doc, sort_keys=True))
         return 0 if report.passed else 1
     if report.passed:
-        print(f"PASS makespan={_say_number(report.makespan)}")
+        print(f"PASS makespan={_say_number(makespan)}")
         return 0
     bad = report.first_violation
     print(f"FAIL node={bad.node} covered={bad.covered} required={bad.required}")
@@ -215,7 +228,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    spec = parse_instance(_read(args.instance))
+    spec, c = read_instance(_read(args.instance))
     caps = _caps_from(args)
     if isinstance(spec.topology, StarInstance):
         verdict = reductions.star_exact(
@@ -223,17 +236,18 @@ def cmd_oracle(args) -> int:
         )
     else:
         verdict = brute_solve(spec, caps)
+    optimum = scale(verdict.optimum, Fraction(1, c))
     if args.json:
         doc = {
             "feasible": verdict.feasible,
-            "optimum": format_number(verdict.optimum) if verdict.feasible else None,
+            "optimum": format_number(optimum) if verdict.feasible else None,
         }
         print(json.dumps(doc, sort_keys=True))
         return 0 if verdict.feasible else 1
     if not verdict.feasible:
         print("infeasible")
         return 1
-    print(_say_number(verdict.optimum))
+    print(_say_number(optimum))
     return 0
 
 

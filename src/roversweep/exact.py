@@ -11,11 +11,11 @@ interoperates exactly with ints, so the library solvers take either.
 The solvers only add, subtract and compare numbers (and count whole
 laps, floor(x / circumference)), so multiplying all numbers of an
 instance by c > 0 multiplies every time in the answer by c and changes
-nothing else, ties included.  The CLI uses that: ``solve``, ``decide``
-and ``resilience`` scale the instance (and the time bound) by the least
-common denominator of its numbers, solve in ints, which are several
-times faster than Fractions in the DP loops, and divide the answer back
-exactly.  ``verify`` and ``oracle`` run on the numbers as given.
+nothing else, ties included.  The CLI uses that: every command reads
+its documents as (numerator, denominator) pairs (``parse_ratio``),
+multiplies every number by their least common denominator, runs in
+ints, which are several times faster than Fractions in the DP loops,
+and divides back exactly the numbers it prints.
 """
 
 from __future__ import annotations
@@ -125,8 +125,9 @@ def simplify(x: ExactNumber) -> ExactNumber:
     return x
 
 
-def parse_number(text: str) -> Union[int, Fraction]:
-    """Parse a decimal string ("2", "0.5") or a ratio string ("3/4") exactly.
+def parse_ratio(text: str) -> tuple:
+    """The exact value of a decimal string ("2", "0.5") or a ratio string
+    ("3/4") as a pair (p, q) of ints in lowest terms with q >= 1.
 
     Plain ASCII digits, alone or on both sides of one "/", are read as
     ints, which gives the value ``Fraction(text)`` would give, sooner;
@@ -138,10 +139,20 @@ def parse_number(text: str) -> Union[int, Fraction]:
     p, slash, q = text.partition("/")
     if p.isascii() and p.isdecimal():
         if not slash:
-            return int(p)
+            return int(p), 1
         if q.isascii() and q.isdecimal():
-            return simplify(Fraction(int(p), int(q)))
-    return simplify(Fraction(text))
+            p, q = int(p), int(q)
+            if q:
+                g = math.gcd(p, q)
+                return p // g, q // g
+    x = Fraction(text)
+    return x.numerator, x.denominator
+
+
+def parse_number(text: str) -> Union[int, Fraction]:
+    """``parse_ratio``'s value as an int, or as a Fraction when it is not integral."""
+    p, q = parse_ratio(text)
+    return p if q == 1 else Fraction(p, q)
 
 
 def format_number(x: ExactNumber) -> str:
@@ -162,15 +173,6 @@ def decimal_str(x: ExactNumber, digits: int = 6) -> str:
         return f"{float(x):.{digits}g}"
     except OverflowError:
         return str(int(x))  # magnitude beyond float range: integer digits suffice
-
-
-def common_denominator(values) -> int:
-    """Least c >= 1 such that c * v is an integer for every finite v."""
-    c = 1
-    for v in values:
-        if isinstance(v, Fraction):
-            c = math.lcm(c, v.denominator)
-    return c
 
 
 def scale(x: ExactNumber, factor: Union[int, Fraction]) -> ExactNumber:

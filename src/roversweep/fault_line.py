@@ -486,44 +486,50 @@ def check_caps(topology, k: int, caps: Caps):
         )
 
 
-def search_verdict(topology, positions: Sequence[int], f: int, delta, tables=None) -> Verdict:
-    """Run the exact search (positions sorted); YES carries a verified schedule."""
-    result = _FixedSearch(topology, positions, f, delta, tables).run()
-    if result is None:
-        return Verdict(feasible=False, optimum=None)
+def search_plans(topology, positions: Sequence[int], f: int, delta, tables=None) -> Optional[list]:
+    """The exact search's plan per robot (None: the robot stays at its
+    start) when the team can cover every node f+1 times by delta, else None."""
+    return _FixedSearch(topology, positions, f, delta, tables).run()
+
+
+def _plans_verdict(topology, positions: Sequence[int], f: int, delta, plans: list, optimum=None) -> Verdict:
+    """The verified verdict of the plans ``search_plans`` found at delta."""
     spots = _spots(topology)
     tracks = tuple(
         plan.track if plan is not None else RobotTrack(((0, spots[p]),))
-        for p, plan in zip(positions, result)
+        for p, plan in zip(positions, plans)
     )
     placement = RobotPlacement(FIXED, positions=positions)
-    return witnessed(topology, placement, f, delta, track_schedule(topology, tracks))
+    return witnessed(topology, placement, f, delta, track_schedule(topology, tracks), optimum)
 
 
-def least_feasible(candidates: Sequence, probe) -> Verdict:
-    """Optimum as the least candidate delta that the decision ``probe`` accepts.
+def search_verdict(topology, positions: Sequence[int], f: int, delta, tables=None) -> Verdict:
+    """Run the exact search (positions sorted); YES carries a verified schedule."""
+    plans = search_plans(topology, positions, f, delta, tables)
+    if plans is None:
+        return Verdict(feasible=False, optimum=None)
+    return _plans_verdict(topology, positions, f, delta, plans)
 
-    Feasibility is monotone in delta, so a binary search finds it; the
-    verdict carries the schedule of the accepting decision.
+
+def least_feasible(candidates: Sequence, probe) -> Optional[tuple]:
+    """(delta, answer): the least candidate delta that the decision
+    ``probe`` accepts, and its answer there; None when it accepts none.
+
+    ``probe`` answers None for NO.  Feasibility is monotone in delta, so
+    a binary search finds it.
     """
     lo, hi = 0, len(candidates) - 1
     best = probe(candidates[hi])
-    if not best.feasible:
-        return Verdict(feasible=False, optimum=INFINITY)
+    if best is None:
+        return None
     while lo < hi:
         mid = (lo + hi) >> 1
-        verdict = probe(candidates[mid])
-        if verdict.feasible:
-            hi, best = mid, verdict
+        answer = probe(candidates[mid])
+        if answer is not None:
+            hi, best = mid, answer
         else:
             lo = mid + 1
-    return Verdict(
-        feasible=True,
-        optimum=candidates[lo],
-        schedule=best.schedule,
-        witness=best.witness,
-        candidates=tuple(candidates),
-    )
+    return candidates[lo], best
 
 
 def fixed_team(topology, positions: Iterable[int], f: int) -> tuple:
@@ -602,8 +608,9 @@ def solve_fixed_faulty(
 
     Feasibility is monotone in delta and can only change at a time from
     ``fixed_faulty_candidates``, so a binary search over them with the
-    exact decision yields the optimum; the verdict carries the accepting
-    decision's verified schedule.  Each distinct start's table from
+    exact search yields the optimum.  Probes return the search's plans, and
+    only the plans accepted at the optimum are built into tracks and
+    verified.  Each distinct start's table from
     ``plan_tables`` is made once, without a time bound, and the candidates
     and every probe read it.  Reliable robots at distinct nodes are
     solved directly by ``solve_fixed``.  Caps as for the decision.
@@ -614,10 +621,14 @@ def solve_fixed_faulty(
     caps = caps or fixed_search_caps(topology)
     check_caps(topology, len(positions), caps)
     tables = plan_tables(topology, positions)
-    return least_feasible(
+    found = least_feasible(
         fixed_faulty_candidates(topology, positions, tables),
-        lambda delta: decide_fixed_faulty(topology, positions, f, delta, caps, tables),
+        lambda delta: search_plans(topology, positions, f, delta, tables),
     )
+    if found is None:
+        return Verdict(feasible=False, optimum=INFINITY)
+    delta, plans = found
+    return _plans_verdict(topology, positions, f, delta, plans, optimum=delta)
 
 
 def solve_subset(topology, allowed: Iterable[int], k: int, f: int) -> Verdict:

@@ -25,12 +25,13 @@ Numbers are decimal strings or "p/q" ratios, parsed exactly.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from itertools import accumulate
 from typing import Iterable, Optional
 
-from .exact import ExactNumber, INFINITY, format_number, parse_number, scale
+from .exact import ExactNumber, INFINITY, format_number, parse_ratio, scale
 
 FIXED = "fixed"
 FREE = "free"
@@ -173,16 +174,9 @@ class StarInstance:
 Topology = LineInstance | RingInstance | StarInstance
 
 
-def _numbers(topology: Topology) -> tuple:
-    """Every field of a topology holds a number or a tuple of numbers."""
-    out = ()
-    for f in fields(topology):
-        value = getattr(topology, f.name)
-        out += value if isinstance(value, tuple) else (value,)
-    return out
-
-
 def _scaled(topology: Topology, c) -> Topology:
+    if c == 1:
+        return topology
     values = (getattr(topology, f.name) for f in fields(topology))
     return type(topology)(*(
         tuple(scale(v, c) for v in value) if isinstance(value, tuple) else scale(value, c)
@@ -259,10 +253,6 @@ class ProblemSpec:
     def k(self) -> int:
         return self.placement.robots
 
-    def numbers(self) -> tuple:
-        """Every number of the problem (INFINITY included); node indices are not numbers."""
-        return _numbers(self.topology) + (() if self.bound is None else (self.bound,))
-
     def scaled(self, c) -> "ProblemSpec":
         """The same problem with every number multiplied by c > 0: every
         time of every answer is multiplied by c, nothing else changes."""
@@ -277,57 +267,98 @@ class ProblemSpec:
 # --------------------------------------------------------------------------
 
 
-def parse_amount(value, path: str):
-    """The exact number a document spells as a string; else InstanceError at ``path``."""
+def read_amount(value, path: str) -> tuple:
+    """The exact number p/q a document spells as a string, as the pair
+    (p, q) in lowest terms (see ``parse_ratio``); else InstanceError at ``path``."""
     if not isinstance(value, str):
         raise InstanceError(path, "numbers must be strings (decimal or p/q)")
     try:
-        return parse_number(value)
+        return parse_ratio(value)
     except (ValueError, ZeroDivisionError):
         raise InstanceError(path, f"cannot parse number {value!r}") from None
 
 
-def _parse_deadline(value, path: str) -> ExactNumber:
+_NO_DEADLINE = (INFINITY, 1)
+
+
+def _read_deadline(value, path: str) -> tuple:
     if value is None:
-        return INFINITY
-    return parse_amount(value, path)
+        return _NO_DEADLINE
+    return read_amount(value, path)
 
 
-def _parse_list(values, path: str, parse) -> tuple:
-    """``parse`` applied to each element; an element's path, such as
-    ``deadlines[3]``, is spelled out only for the error it fails with."""
+def _read_list(values, path: str, read) -> tuple:
+    """(numerators, denominators) of ``read`` applied to each element; an
+    element's path, such as ``deadlines[3]``, is spelled out only for the
+    error it fails with."""
     if not isinstance(values, list):
         raise InstanceError(path, "expected a list")
     try:
-        return tuple([parse(v, "") for v in values])
+        pairs = [read(v, "") for v in values]
     except InstanceError:
-        pass
-    # some element is bad: parse again with paths, to raise at the first one
-    return tuple(parse(v, f"{path}[{i}]") for i, v in enumerate(values))
+        # some element is bad: read again with paths, to raise at the first one
+        pairs = [read(v, f"{path}[{i}]") for i, v in enumerate(values)]
+    return tuple(zip(*pairs)) or ((), ())
 
 
-def parse_instance_dict(doc: dict) -> ProblemSpec:
+def _lowered(column: tuple, c: int) -> tuple:
+    """The numbers p/q of a (numerators, denominators) column times c,
+    which every q divides."""
+    nums, dens = column
+    if c == 1:
+        return nums
+    return tuple([p * (c // q) for p, q in zip(nums, dens)])
+
+
+_LENGTHS = {"line": (LineInstance, "coordinates"), "ring": (RingInstance, "edge_weights"),
+            "star": (StarInstance, "leaf_weights")}
+
+
+def _read_topology(doc: dict) -> tuple:
+    """(topology, c): the document's topology with every number times c,
+    the least positive int that makes them all integers."""
+    kind = doc.get("topology")
+    if not isinstance(kind, str) or kind not in _LENGTHS:
+        raise InstanceError("topology", f"unknown topology {kind!r}")
+    cls, lengths = _LENGTHS[kind]
+    columns = [
+        _read_list(doc.get(lengths), lengths, read_amount),
+        _read_list(doc.get("deadlines"), "deadlines", _read_deadline),
+    ]
+    if cls is StarInstance:
+        p, q = _read_deadline(doc.get("center_deadline"), "center_deadline")
+        columns.append(((p,), (q,)))
+    c = math.lcm(*{q for _, dens in columns for q in dens})
+    values = [_lowered(column, c) for column in columns]
+    if cls is StarInstance:
+        values[2] = values[2][0]  # the center's deadline is one number
+    return cls(*values), c
+
+
+def widened(scalable, c: int, amount: tuple) -> tuple:
+    """(scalable', c', value): ``scalable`` (a topology or a spec) read in
+    units of 1/c, rescaled to units of 1/c', c' = lcm(c, q), in which the
+    amount p/q (a ``read_amount`` pair) is the integer ``value``."""
+    p, q = amount
+    m = math.lcm(c, q) // c  # 1 unless q brings a new prime factor
+    c *= m
+    return scalable.scaled(m), c, p * (c // q)
+
+
+def read_instance(text: str) -> tuple:
+    """(spec, c): the instance document ``text`` with every number,
+    ``delta`` included, multiplied by c, the least positive int that makes
+    them all integers.  Numbers are read as int pairs and validated as
+    integers, with the same errors as written; an integer document gives
+    c = 1 and builds no Fraction.  Every time of every answer of the spec
+    is c times that of the document."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InstanceError("", f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise InstanceError("", "instance document must be a JSON object")
-    kind = doc.get("topology")
-    if kind == "line":
-        topology = LineInstance(
-            _parse_list(doc.get("coordinates"), "coordinates", parse_amount),
-            _parse_list(doc.get("deadlines"), "deadlines", _parse_deadline),
-        )
-    elif kind == "ring":
-        topology = RingInstance(
-            _parse_list(doc.get("edge_weights"), "edge_weights", parse_amount),
-            _parse_list(doc.get("deadlines"), "deadlines", _parse_deadline),
-        )
-    elif kind == "star":
-        topology = StarInstance(
-            _parse_list(doc.get("leaf_weights"), "leaf_weights", parse_amount),
-            _parse_list(doc.get("deadlines"), "deadlines", _parse_deadline),
-            _parse_deadline(doc.get("center_deadline"), "center_deadline"),
-        )
-    else:
-        raise InstanceError("topology", f"unknown topology {kind!r}")
+    topology, c = _read_topology(doc)
 
     robots = doc.get("robots")
     if not isinstance(robots, dict):
@@ -356,21 +387,20 @@ def parse_instance_dict(doc: dict) -> ProblemSpec:
     if not isinstance(faults, int):
         raise InstanceError("faults", "expected an integer")
     delta = doc.get("delta")
-    bound = None if delta is None else parse_amount(delta, "delta")
+    bound = None
+    if delta is not None:
+        topology, c, bound = widened(topology, c, read_amount(delta, "delta"))
     spec = ProblemSpec(topology=topology, placement=placement, faults=faults, bound=bound)
     if mode == FIXED and faults == 0 and len(set(placement.positions)) < spec.k:
         # the reliable fixed-placement solver takes distinct robots only
         raise InstanceError("robots.positions", "duplicate starting positions need a positive fault budget")
-    return spec
+    return spec, c
 
 
 def parse_instance(text: str) -> ProblemSpec:
-    """Parse and validate a UTF-8 instance document."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InstanceError("", f"invalid JSON: {exc}") from None
-    return parse_instance_dict(doc)
+    """Parse and validate a UTF-8 instance document, numbers as written."""
+    spec, c = read_instance(text)
+    return spec.scaled(Fraction(1, c))
 
 
 def _deadline_json(d: ExactNumber):

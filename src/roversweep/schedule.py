@@ -23,11 +23,13 @@ Star tracks use {"t": ..., "node": <int>} waypoints instead.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 from .exact import ExactNumber, format_number, scale
-from .instance import InstanceError, RingInstance, StarInstance, parse_amount
+from .instance import InstanceError, RingInstance, StarInstance, read_amount
 
 
 class ScheduleError(ValueError):
@@ -85,6 +87,8 @@ class Schedule:
 
     def scaled(self, c) -> "Schedule":
         """Every time and coordinate multiplied by c > 0 (star nodes stay)."""
+        if c == 1:
+            return self
         tracks = tuple(
             RobotTrack(tuple(
                 (scale(t, c), x if self.kind == "star" else scale(x, c)) for t, x in tr.waypoints
@@ -102,16 +106,24 @@ def track_schedule(topology, tracks) -> Schedule:
     return Schedule(kind="star" if isinstance(topology, StarInstance) else "line", tracks=tuple(tracks))
 
 
-def schedule_from_dict(doc: dict) -> Schedule:
+def read_schedule(text: str, c: int = 1) -> tuple:
+    """(schedule, c'): the schedule document ``text`` with every time and
+    coordinate multiplied by c', the least multiple of c that makes them
+    all integers (star nodes stay as written).  Numbers are read as int
+    pairs (``read_amount``); with c' = 1 no Fraction is built."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ScheduleError(None, f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("robots"), list):
         raise ScheduleError(None, "schedule document must be an object with a 'robots' list")
     circumference = None
     if doc.get("circumference") is not None:
         try:
-            circumference = parse_amount(doc["circumference"], "circumference")
+            circumference = read_amount(doc["circumference"], "circumference")
         except InstanceError as exc:
             raise ScheduleError(None, str(exc)) from None
-    tracks = []
+    rows = []  # per robot: [(t numerator, t denominator, x numerator, x denominator), ...]
     kind = "ring" if circumference is not None else "line"
     for ridx, robot in enumerate(doc["robots"]):
         wps = robot.get("waypoints") if isinstance(robot, dict) else None
@@ -123,23 +135,37 @@ def schedule_from_dict(doc: dict) -> Schedule:
             kind = "star"
         for wid, wp in enumerate(wps):
             try:
-                t = parse_amount(wp["t"], "t")
-                x = wp["node"] if star else parse_amount(wp["x"], "x")
-                if star and type(x) is not int:  # not 1.9, true or "1"
+                t = read_amount(wp["t"], "t")
+                x = (wp["node"], 1) if star else read_amount(wp["x"], "x")
+                if star and type(x[0]) is not int:  # not 1.9, true or "1"
                     raise ValueError("a star node is a JSON integer")
             except (KeyError, ValueError, TypeError):
                 raise ScheduleError(ridx, f"waypoint {wid} is malformed") from None
-            parsed.append((t, x))
-        tracks.append(RobotTrack(tuple(parsed)))
-    return Schedule(kind=kind, tracks=tuple(tracks), circumference=circumference)
+            parsed.append((*t, *x))
+        rows.append(parsed)
+    star = kind == "star"
+    dens = {tq for row in rows for _, tq, _, _ in row}
+    if not star:  # star nodes are not scaled
+        dens.update(xq for row in rows for _, _, _, xq in row)
+    if circumference is not None:
+        dens.add(circumference[1])
+    c = math.lcm(c, *dens)
+    tracks = [
+        RobotTrack(tuple([
+            (tp * (c // tq), xp if star else xp * (c // xq))
+            for tp, tq, xp, xq in row
+        ]))
+        for row in rows
+    ]
+    if circumference is not None:
+        circumference = circumference[0] * (c // circumference[1])
+    return Schedule(kind=kind, tracks=tuple(tracks), circumference=circumference), c
 
 
 def schedule_from_json(text: str) -> Schedule:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ScheduleError(None, f"invalid JSON: {exc}") from None
-    return schedule_from_dict(doc)
+    """The schedule document ``text``, numbers as written."""
+    schedule, c = read_schedule(text)
+    return schedule.scaled(Fraction(1, c))
 
 
 @dataclass(frozen=True)
@@ -149,8 +175,7 @@ class Verdict:
     ``optimum`` is the optimal exploration time (INFINITY when
     infeasible); decision-only calls leave it at None.  ``witness`` maps
     each node index to the on-time first visits (robot, time) that cover
-    it, and is populated by the fault-tolerant solvers.  ``candidates``
-    are the times a crash-fault solve searched over (``least_feasible``).
+    it, and is populated by the fault-tolerant solvers.
     """
 
     feasible: bool
@@ -158,26 +183,9 @@ class Verdict:
     schedule: Optional[Schedule] = None
     witness: Optional[dict] = None
     idle_edges: Optional[tuple] = None
-    candidates: Optional[tuple] = None
 
     def __bool__(self):
         return self.feasible
-
-    def scaled(self, c) -> "Verdict":
-        """The verdict of the problem with every number multiplied by c > 0."""
-        if c == 1:
-            return self
-        return Verdict(
-            feasible=self.feasible,
-            optimum=None if self.optimum is None else scale(self.optimum, c),
-            schedule=None if self.schedule is None else self.schedule.scaled(c),
-            witness=None if self.witness is None else {
-                node: tuple((robot, scale(t, c)) for robot, t in visits)
-                for node, visits in self.witness.items()
-            },
-            idle_edges=self.idle_edges,
-            candidates=None if self.candidates is None else tuple(scale(v, c) for v in self.candidates),
-        )
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ import math
 from bisect import bisect_right
 from fractions import Fraction
 
-from roversweep.exact import INFINITY, format_number
+from roversweep.exact import INFINITY, format_number, scale
 from roversweep.fault_line import Plan, PlanTable, mask_antichain
 from roversweep.instance import FIXED, FREE, LineInstance, ProblemSpec, RingInstance, StarInstance
 from roversweep.oracle import CapExceeded, _placements, enumerate_walks, walk_track
@@ -31,6 +31,20 @@ def optimal_time(labels, i, j):
         uid = best_target(labels, i, j)
         return INFINITY if uid is None else labels.time[uid]
     return stretch_reader(labels)(i, d)
+
+
+def scaled_verdict(verdict, c):
+    """The verdict of the problem with every number multiplied by c > 0."""
+    return Verdict(
+        feasible=verdict.feasible,
+        optimum=None if verdict.optimum is None else scale(verdict.optimum, c),
+        schedule=None if verdict.schedule is None else verdict.schedule.scaled(c),
+        witness=None if verdict.witness is None else {
+            node: tuple((robot, scale(t, c)) for robot, t in visits)
+            for node, visits in verdict.witness.items()
+        },
+        idle_edges=verdict.idle_edges,
+    )
 
 
 def random_line(rng, min_n=1, max_n=8, deadline_prob=0.5, integral=False):

@@ -2,6 +2,7 @@ import itertools
 import json
 import os
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -12,15 +13,18 @@ from roversweep.exact import INFINITY, decimal_str, format_number
 from roversweep.instance import (
     FIXED,
     FREE,
+    SUBSET,
     LineInstance,
     ProblemSpec,
     RingInstance,
     RobotPlacement,
     StarInstance,
+    node_count,
+    parse_instance,
     serialize_instance,
 )
 from roversweep.oracle import brute_solve, verify_schedule
-from roversweep.schedule import Verdict
+from roversweep.schedule import Verdict, schedule_from_json
 
 SKEW3 = {
     "topology": "line",
@@ -530,6 +534,142 @@ def test_a_malformed_delta_is_bad_input(tmp_path, capsys, command, delta):
     path = write(tmp_path, "inst.json", SKEW3)
     assert main([command, path, "--delta", delta]) == 2
     _one_error_line(capsys.readouterr(), "error: delta: ")
+
+
+# --------------------------------------------------------------------------
+# a ÷c twin prints its original's numbers divided by c
+# --------------------------------------------------------------------------
+
+
+def _said(x):
+    return f"{format_number(x)} ({decimal_str(x)})"
+
+
+def _twin_specs(rng):
+    """Seeded integer lines, rings and stars (n <= 6) with fixed, free and
+    subset robots, k <= 3 (stars: 2) and f <= 2."""
+    for i in range(24):
+        kind = ("line", "ring", "star")[i % 3]
+        if kind == "star":
+            q = rng.randint(1, 4)
+            top = StarInstance(
+                tuple(rng.randint(1, 5) for _ in range(q)),
+                tuple(rng.randint(2, 24) if rng.random() < 0.6 else INFINITY for _ in range(q)),
+                INFINITY,
+            )
+            nodes, k = q + 1, rng.randint(1, 2)
+        else:
+            top = _sweep_topology(rng, kind, False, rng.choice((0, 0.5)))
+            nodes, k = top.n, rng.randint(1, 3)
+        f = rng.randint(0, min(2, k - 1))
+        mode = (FIXED, FREE, SUBSET)[i // 3 % 3]
+        if mode == FIXED:
+            if f:
+                positions = [rng.randrange(nodes) for _ in range(k)]
+            else:
+                positions = rng.sample(range(nodes), min(k, nodes))
+            placement = RobotPlacement(FIXED, positions=positions)
+        elif mode == FREE:
+            placement = RobotPlacement(FREE, count=k)
+        else:
+            k, f = (1, 0) if rng.random() < 0.7 else (k, f)  # the rest are refused
+            placement = RobotPlacement(SUBSET, count=k, allowed=rng.sample(range(nodes), rng.randint(1, nodes)))
+        yield ProblemSpec(top, placement, f, None)
+
+
+@pytest.mark.parametrize("c", [2, 3, 7])
+def test_a_divided_twin_prints_its_originals_numbers_divided(tmp_path, capsys, c):
+    def run(*argv):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def put(name, spec):
+        path = str(tmp_path / name)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(serialize_instance(spec))
+        return path
+
+    def read(path):
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+
+    solved = oracles = 0
+    for i, spec in enumerate(_twin_specs(random.Random(c))):
+        twin = spec.scaled(F(1, c))
+        orig, div = put(f"orig{i}.json", spec), put(f"twin{i}.json", twin)
+        orig_s, div_s = str(tmp_path / f"orig{i}-s.json"), str(tmp_path / f"twin{i}-s.json")
+        o, t = run("solve", orig, "--emit-schedule", orig_s), run("solve", div, "--emit-schedule", div_s)
+        if o[0] != 0:
+            assert t == o, spec  # infeasible, or the same refusal
+            continue
+        opt = F(o[1].split()[0])
+        assert t == (0, _said(opt / c) + "\n", ""), spec
+        assert schedule_from_json(read(div_s)) == schedule_from_json(read(orig_s)).scaled(F(1, c))
+        o, t = run("solve", orig, "--json"), run("solve", div, "--json")
+        want = dict(json.loads(o[1]), optimum=format_number(opt / c), decimal=decimal_str(opt / c))
+        assert json.loads(t[1]) == want
+        # --delta denominators 1000 and 11 are unlike the instance's c
+        for delta, answer in ((opt, "YES"), (opt - F(c, 1000), "NO"), (opt + F(c, 11), "YES")):
+            t = run("decide", div, "--delta", format_number(delta / c))
+            assert t == run("decide", orig, "--delta", format_number(delta)), spec
+            assert t[1] == answer + "\n", spec
+        t = run("resilience", div, "--delta", format_number(opt / c))
+        assert t == run("resilience", orig, "--delta", format_number(opt))
+        # verify: PASS with the makespan divided, FAIL at the same node
+        o, t = run("verify", orig, orig_s), run("verify", div, div_s)
+        makespan = F(o[1].split("=")[1].split()[0])
+        assert t == (0, f"PASS makespan={_said(makespan / c)}\n", ""), spec
+        o, t = run("verify", orig, orig_s, "--json"), run("verify", div, div_s, "--json")
+        assert json.loads(t[1]) == dict(json.loads(o[1]), makespan=format_number(makespan / c))
+        if opt >= 1:
+            late_o = put(f"late-orig{i}.json", replace(spec, bound=opt - 1))
+            late_t = put(f"late-twin{i}.json", replace(twin, bound=(opt - 1) / c))
+            o, t = run("verify", late_o, orig_s), run("verify", late_t, div_s)
+            assert t == o and t[1].startswith("FAIL node="), spec
+        solved += 1
+        # oracle: the brute force (stars: the exact star solver) on the rational spec
+        if node_count(spec.topology) <= 6 and spec.k <= 2:
+            rational = parse_instance(read(div))
+            top = rational.topology
+            if isinstance(top, StarInstance):
+                want = reductions.star_exact(top, rational.placement, rational.k, rational.faults, None)
+            else:
+                want = brute_solve(rational)
+            t = run("oracle", div)
+            assert t == (0, _said(want.optimum) + "\n", "") if want.feasible else (1, "infeasible\n", "")
+            o = run("oracle", orig)
+            assert o[0] == t[0] and (not want.feasible or F(o[1].split()[0]) == want.optimum * c)
+            oracles += 1
+    assert solved >= 12 and oracles >= 8
+
+
+def test_verify_reads_a_schedule_finer_than_its_instance(tmp_path, capsys):
+    # the schedule's thirds widen the instance's halves to sixths
+    path = write(tmp_path, "skew3.json", dict(SKEW3, deadlines=[None, None, "9/2"]))
+    for (back, end), out in (
+        (("4/3", "13/3"), "PASS makespan=13/3 (4.33333)\n"),
+        (("5/3", "14/3"), "FAIL node=2 covered=0 required=1\n"),
+    ):
+        waypoints = [{"t": "0", "x": "1"}, {"t": back, "x": "0"}, {"t": end, "x": "3"}]
+        sched = write(tmp_path, "sched.json", {"robots": [{"start": "1", "waypoints": waypoints}]})
+        main(["verify", path, sched])
+        assert capsys.readouterr() == (out, "")
+
+
+def test_a_divided_schedule_error_quotes_its_numbers_as_written(tmp_path, capsys):
+    line = dict(SKEW3, coordinates=["0", "1/3", "4/3"])
+    path = write(tmp_path, "line.json", line)
+    waypoints = [{"t": "0", "x": "1/2"}, {"t": "5/6", "x": "4/3"}]
+    sched = write(tmp_path, "off-node.json", {"robots": [{"start": "1/2", "waypoints": waypoints}]})
+    assert main(["verify", path, sched]) == 2
+    assert capsys.readouterr() == ("", "error: robot 0: starts at 1/2, not at a node\n")
+    star = dict(STAR1, leaf_weights=["3/7"])
+    path = write(tmp_path, "star.json", star)
+    fast = [{"t": "0", "node": 1}, {"t": "1/7", "node": 0}]
+    sched = write(tmp_path, "fast.json", {"robots": [{"start": 1, "waypoints": fast}]})
+    assert main(["verify", path, sched]) == 2
+    assert capsys.readouterr() == ("", "error: robot 0: segment to waypoint at t=1/7 exceeds unit speed\n")
 
 
 # --------------------------------------------------------------------------

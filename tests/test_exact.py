@@ -8,6 +8,7 @@ from roversweep.exact import (
     decimal_str,
     format_number,
     parse_number,
+    parse_ratio,
     scale,
     simplify,
 )
@@ -36,6 +37,23 @@ def test_digit_fast_path_parses_as_the_fraction_path(text):
     # plain ASCII digits, alone or as p/q, skip Fraction's string parser;
     # every input must parse (or fail) as before
     assert _outcome(parse_number, text) == _outcome(lambda t: simplify(Fraction(t.strip())), text)
+
+
+@pytest.mark.parametrize("text", [
+    " 12 ", "007", "0", "-3", "+4", "12.0", "3/4", "\u0663", "", "1/0", "0/0", "-0/5",
+    "6/3", "0/5", "03/04", " 3/4 ", "3/-4", "+3/4", "3 / 4", "1_000/3", "\u0663/\u0664", "0.5",
+    "10/4", "1e3", "-7/21",
+])
+def test_ratio_is_the_fraction_in_lowest_terms(text):
+    def as_pair(t):
+        x = Fraction(t.strip())
+        return x.numerator, x.denominator
+
+    got, want = _outcome(parse_ratio, text), _outcome(as_pair, text)
+    assert got == want
+    if isinstance(got, tuple):
+        p, q = got[1]
+        assert type(p) is int and type(q) is int and q >= 1
 
 
 def test_digit_fast_path_keeps_values_types_and_errors():

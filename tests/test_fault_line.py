@@ -279,10 +279,11 @@ def cover_costs(topology, positions):
 
 def assert_solve_reads_its_decisions(topology, positions, f, candidates):
     got = solve_fixed_faulty(topology, positions, f)
-    want = least_feasible(
-        candidates, lambda delta: search_verdict(topology, positions, f, delta)
+    found = least_feasible(
+        candidates, lambda delta: search_verdict(topology, positions, f, delta) or None
     )
-    assert (got.optimum, got.schedule) == (want.optimum, want.schedule)
+    want = (INFINITY, None) if found is None else (found[0], found[1].schedule)
+    assert (got.optimum, got.schedule) == want
 
 
 def test_single_robot_zero_faults_matches_single_solver():
@@ -293,11 +294,45 @@ def test_single_robot_zero_faults_matches_single_solver():
     for _ in range(60):
         line = random_line(rng, max_n=7)
         start = rng.randrange(line.n)
-        searched = least_feasible(
+        found = least_feasible(
             fixed_faulty_candidates(line, (start,)),
-            lambda delta: search_verdict(line, (start,), 0, delta),
+            lambda delta: search_verdict(line, (start,), 0, delta) or None,
         )
-        assert searched.optimum == solve_fixed_start(line, start).optimum
+        searched = INFINITY if found is None else found[0]
+        assert searched == solve_fixed_start(line, start).optimum
+
+
+def test_a_fixed_crash_solve_verifies_one_schedule(monkeypatch):
+    # the binary search's probes return plans; only the optimum's are
+    # built into tracks and verified
+    from roversweep import oracle
+
+    verified, accepted = [], []
+    real_verify, real_search = oracle.verify_schedule, fault_line.search_plans
+
+    def counting_verify(spec, schedule):
+        verified.append(spec.bound)
+        return real_verify(spec, schedule)
+
+    def counting_search(*args):
+        plans = real_search(*args)
+        accepted.append(plans is not None)
+        return plans
+
+    monkeypatch.setattr(oracle, "verify_schedule", counting_verify)
+    monkeypatch.setattr(fault_line, "search_plans", counting_search)
+    rng = random.Random(41)
+    solves = 0
+    for _ in range(40):
+        topology = random_line(rng, min_n=3, max_n=7) if rng.random() < 0.5 else random_ring(rng, max_n=6)
+        k = rng.randint(2, 3)
+        positions = fixed_positions(rng, topology.n, k, allow_duplicates=True)
+        verified.clear()
+        verdict = solve_fixed_faulty(topology, positions, rng.randint(1, k - 1))
+        assert verified == ([verdict.optimum] if verdict.feasible else [])
+        solves += verdict.feasible
+    assert solves > 20
+    assert sum(accepted) > 2 * solves  # most solves accept more than one probe
 
 
 def test_reliable_fixed_decision_is_not_capped():

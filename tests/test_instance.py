@@ -21,6 +21,7 @@ from roversweep.instance import (
     StarInstance,
     parse_instance,
     prune_dominated,
+    read_instance,
     serialize_instance,
 )
 from roversweep.oracle import enumerate_walks
@@ -85,6 +86,10 @@ def test_validation_errors_carry_field_paths():
     doc2["robots"] = {"mode": "subset", "count": 1, "allowed": []}
     with pytest.raises(InstanceError, match="allowed"):
         parse_instance(json.dumps(doc2))
+    for kind in ("tree", ["line"], {"line": 1}, None):
+        with pytest.raises(InstanceError) as err:
+            parse_instance(json.dumps(dict(doc, topology=kind)))
+        assert str(err.value) == f"topology: unknown topology {kind!r}"
 
 
 def test_a_bad_list_element_is_named_by_its_index():
@@ -99,6 +104,56 @@ def test_a_bad_list_element_is_named_by_its_index():
     with pytest.raises(InstanceError) as bad_deadline:
         parse_instance(json.dumps(doc))
     assert str(bad_deadline.value) == "deadlines[2]: numbers must be strings (decimal or p/q)"
+
+
+def test_read_instance_lowers_every_number_by_the_least_common_denominator():
+    doc = json.loads(MINIMAL_LINE)
+    doc["coordinates"] = ["0", "1/2", "4/3", "2"]
+    doc["deadlines"] = [None, "5/6", None, "6/4"]
+    doc["robots"] = {"mode": "free", "count": 2}
+    spec, c = read_instance(json.dumps(doc))
+    assert c == 6
+    assert spec.topology == LineInstance((0, 3, 8, 12), (INFINITY, 5, INFINITY, 9))
+    assert parse_instance(json.dumps(doc)) == spec.scaled(Fraction(1, 6))
+    # a delta whose denominator c lacks widens c, and the topology with it
+    doc["delta"] = "7/4"
+    spec, c = read_instance(json.dumps(doc))
+    assert c == 12
+    assert (spec.topology.coordinates, spec.bound) == ((0, 6, 16, 24), 21)
+    assert parse_instance(json.dumps(doc)).bound == Fraction(7, 4)
+    star = {"topology": "star", "leaf_weights": ["1/3", "2"], "deadlines": [None, "1/2"],
+            "center_deadline": "5/4", "robots": {"mode": "fixed", "positions": [2]}}
+    spec, c = read_instance(json.dumps(star))
+    assert (c, spec.topology) == (12, StarInstance((4, 24), (INFINITY, 6), 15))
+
+
+def test_an_integer_document_reads_as_written():
+    rng = random.Random(17)
+    for _ in range(40):
+        line = random_line(rng, max_n=6, integral=True)
+        spec = ProblemSpec(line, RobotPlacement(FREE, count=1), 0, rng.choice((None, 9)))
+        got, c = read_instance(serialize_instance(spec))
+        assert (got, c) == (spec, 1)
+        assert all(type(x) is int for x in line.coordinates + (got.bound or 0,))
+
+
+def test_a_divided_document_fails_validation_as_written():
+    # validation runs on the integers: the same error, at the same path
+    doc = json.loads(MINIMAL_LINE)
+    doc["coordinates"] = ["0", "2/3", "2/3"]
+    doc["deadlines"] = [None, None, "1/2"]
+    doc["delta"] = "x"
+    with pytest.raises(InstanceError) as err:
+        read_instance(json.dumps(doc))
+    assert str(err.value) == "coordinates[2]: coordinates must be strictly increasing"
+    doc["coordinates"] = ["0", "2/3", "5/7"]
+    with pytest.raises(InstanceError) as err:
+        read_instance(json.dumps(doc))
+    assert str(err.value) == "delta: cannot parse number 'x'"
+    doc["delta"] = "-1/5"
+    with pytest.raises(InstanceError) as err:
+        read_instance(json.dumps(doc))
+    assert str(err.value) == "delta: time bound must be a non-negative exact number"
 
 
 def test_ring_and_star_round_trip():

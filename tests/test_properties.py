@@ -8,6 +8,7 @@ from itertools import accumulate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from support import scaled_verdict
 from roversweep.exact import INFINITY
 from roversweep.fault_line import solve_fixed_faulty
 from roversweep.instance import (
@@ -95,14 +96,14 @@ def _ring_solvers(ring, data):
 @given(lines(), factors, st.data())
 def test_scaling_a_line_scales_every_answer(line, c, data):
     for solve in _line_solvers(line, data):
-        assert solve(line.scaled(c)) == solve(line).scaled(c)
+        assert solve(line.scaled(c)) == scaled_verdict(solve(line), c)
 
 
 @SETTINGS
 @given(rings(), factors, st.data())
 def test_scaling_a_ring_scales_every_answer(ring, c, data):
     for solve in _ring_solvers(ring, data):
-        assert solve(ring.scaled(c)) == solve(ring).scaled(c)
+        assert solve(ring.scaled(c)) == scaled_verdict(solve(ring), c)
 
 
 @SETTINGS
@@ -124,7 +125,7 @@ def test_scaling_a_star_scales_every_answer(star, c, data):
     ):
         verdict = star_exact(star, placement, k, f, delta)
         twin = star_exact(star.scaled(c), placement, k, f, None if delta is None else delta * c)
-        assert twin == verdict.scaled(c)
+        assert twin == scaled_verdict(verdict, c)
 
 
 def _mirror(line):

@@ -320,7 +320,7 @@ def test_optimize_ring_fixed_faulty_is_tight():
             continue
         opt = verdict.optimum
         assert decide_ring_fixed_faulty(ring, positions, f, opt).feasible
-        below = [c for c in verdict.candidates if c < opt]
+        below = [c for c in fixed_faulty_candidates(ring, positions) if c < opt]
         if below:
             assert not decide_ring_fixed_faulty(ring, positions, f, max(below)).feasible
         checked += 1

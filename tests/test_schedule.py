@@ -17,6 +17,7 @@ from roversweep.schedule import (
     RobotTrack,
     Schedule,
     ScheduleError,
+    read_schedule,
     schedule_from_json,
 )
 
@@ -45,6 +46,20 @@ def test_schedule_json_round_trip():
     assert schedule_from_json(ring.to_json()) == ring
     star = Schedule(kind="star", tracks=(RobotTrack(((0, 2), (4, 3))),))
     assert schedule_from_json(star.to_json()) == star
+
+
+def test_read_schedule_widens_c_by_its_own_denominators():
+    line = Schedule(kind="line", tracks=(RobotTrack(((0, Fraction(1, 2)), (Fraction(7, 3), 2))),))
+    assert read_schedule(line.to_json(), 3) == (line.scaled(6), 6)
+    assert read_schedule(line.to_json(), 4) == (line.scaled(12), 12)
+    ring = Schedule(kind="ring", tracks=(RobotTrack(((0, 0), (3, -3))),), circumference=Fraction(6, 5))
+    assert read_schedule(ring.to_json()) == (ring.scaled(5), 5)
+    # star nodes are indices, not lengths: only times are scaled
+    star = Schedule(kind="star", tracks=(RobotTrack(((0, 2), (Fraction(9, 2), 1))),))
+    got, c = read_schedule(star.to_json(), 3)
+    assert (c, got.tracks[0].waypoints) == (6, ((0, 2), (27, 1)))
+    integral = Schedule(kind="line", tracks=(RobotTrack(((0, 1), (2, 3))),))
+    assert read_schedule(integral.to_json()) == (integral, 1)
 
 
 def test_sweep_passes_and_reports_makespan():
