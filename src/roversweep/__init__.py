@@ -51,7 +51,6 @@ from .reductions import (
     line_from_n3dm,
     star_exact,
     star_from_partition,
-    star_single_robot,
 )
 from .oracle import Caps, CapExceeded, brute_solve, enumerate_walks, verify_schedule
 

@@ -366,16 +366,16 @@ def read_instance(text: str) -> tuple:
     mode = robots.get("mode")
     if mode == FIXED:
         positions = robots.get("positions")
-        if not isinstance(positions, list) or not all(isinstance(p, int) for p in positions or []):
+        if not isinstance(positions, list) or not all(type(p) is int for p in positions):
             raise InstanceError("robots.positions", "expected a list of node indices")
         placement = RobotPlacement(FIXED, positions=tuple(positions))
     elif mode in (FREE, SUBSET):
         count = robots.get("count")
-        if not isinstance(count, int):
+        if type(count) is not int:  # not true, 1.0 or "1"
             raise InstanceError("robots.count", "expected an integer")
         if mode == SUBSET:
             allowed = robots.get("allowed")
-            if not isinstance(allowed, list) or not all(isinstance(p, int) for p in allowed or []):
+            if not isinstance(allowed, list) or not all(type(p) is int for p in allowed):
                 raise InstanceError("robots.allowed", "expected a list of node indices")
             placement = RobotPlacement(SUBSET, count=count, allowed=tuple(allowed))
         else:
@@ -384,7 +384,7 @@ def read_instance(text: str) -> tuple:
         raise InstanceError("robots.mode", f"unknown mode {mode!r}")
 
     faults = doc.get("faults", 0)
-    if not isinstance(faults, int):
+    if type(faults) is not int:
         raise InstanceError("faults", "expected an integer")
     delta = doc.get("delta")
     bound = None

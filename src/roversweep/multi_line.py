@@ -4,17 +4,19 @@ Both placements read a part's time off label passes through one stretch
 reader (``single_robot.stretch_reader``): the cheaper end of the stretch,
 ties to L.
 
-Fixed placements: one windowed label pass per robot (each robot kept to
-the open window between its neighbours), then a prefix recurrence
-(``idle_edge_split``) that picks the idle edge separating consecutive
-robots' parts.  For a part ending at j, the best split point sits where
-the optimum of the nodes before it, which never falls as the split point
-moves right, crosses the part's time, which never rises as the part
-shrinks and never falls as j grows; so a crossing pointer that only
-moves right finds it in O(1) amortized reads, ties going to the smallest
-split point.  A line is cut at its own ends; a ring is cut at each edge
-between its closest adjacent pair of robots in turn, and the same
-recurrence runs on the line that remains.
+Fixed placements: one label pass per robot on a line of its own, the w
+nodes strictly between its neighbours (on a ring, the counterclockwise
+arc between them, unrolled into increasing arc positions), so a robot's
+labels take O(w^2) room; then a prefix recurrence (``idle_edge_split``)
+that picks the idle edge separating consecutive robots' parts.  For a
+part ending at j, the best split point sits where the optimum of the
+nodes before it, which never falls as the split point moves right,
+crosses the part's time, which never rises as the part shrinks and never
+falls as j grows; so a crossing pointer that only moves right finds it
+in O(1) amortized reads, ties going to the smallest split point.  A
+line is cut at its own ends; a ring is cut at each edge between its
+closest adjacent pair of robots in turn, and the same recurrence runs on
+the line that remains.
 
 One robot, fixed or free, is ``single_robot.solve_free_start``: one
 label pass from its start or from every node, on a line after the
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import replace
+from itertools import accumulate
 from typing import Iterable, List, Sequence, Union
 
 from .exact import INFINITY
@@ -145,13 +148,24 @@ def solve_fixed(topology: Union[LineInstance, RingInstance], positions: Iterable
         verdict = solve_fixed_start(topology, positions[0])
         return replace(verdict, idle_edges=()) if verdict.feasible else verdict
 
-    graph = StateGraph.of(topology)
+    if ring:  # two laps of arc positions: an arc past node n - 1 stays increasing
+        x = list(accumulate(topology.edge_weights * 2, initial=0))
+        deadlines = topology.deadlines * 2
+    else:
+        x, deadlines = topology.coordinates, topology.deadlines
+    firsts: List[int] = []
     forests: List[TimeLabels] = []
     reads = []
     for m, p in enumerate(positions):
         lo = positions[m - 1] if ring or m > 0 else -1
         hi = positions[(m + 1) % k] if ring or m < k - 1 else n
-        labels = propagate(graph, init_start(graph, [p]), topology.deadlines, window=(lo, hi))
+        # the robot's own line: the nodes strictly between its neighbours,
+        # counterclockwise on a ring
+        first, size = (lo + 1) % n, (hi - lo - 1) % n
+        own = LineInstance(x[first:first + size], deadlines[first:first + size])
+        graph = StateGraph.from_line(own)
+        labels = propagate(graph, init_start(graph, [(p - first) % n]), own.deadlines)
+        firsts.append(first)
         forests.append(labels)
         reads.append(stretch_reader(labels))
 
@@ -165,7 +179,8 @@ def solve_fixed(topology: Union[LineInstance, RingInstance], positions: Iterable
 
     def part_time(r: int, i: int, j: int):
         # line nodes i..j of the current cut, explored by its r-th robot
-        return reads[robots[r]]((head + i) % n, j - i)
+        m = robots[r]
+        return reads[m]((head + i - firsts[m]) % n, j - i)
 
     best = (INFINITY, None, None)  # optimum, head, [(robot, first node, last node)]
     for head in heads:
@@ -182,8 +197,11 @@ def solve_fixed(topology: Union[LineInstance, RingInstance], positions: Iterable
     tracks = [None] * k
     idle = [((head - 1) % n, head)] if ring else []
     for robot, i, j in segments:
-        labels = forests[robot]
-        tracks[robot] = RobotTrack(extract_trajectory(labels, best_target(labels, i, j)))
+        labels, first = forests[robot], firsts[robot]
+        waypoints = extract_trajectory(labels, best_target(labels, (i - first) % n, (j - first) % n))
+        if ring and waypoints[0][1] >= x[n]:  # started on the second lap
+            waypoints = [(t, y - x[n]) for t, y in waypoints]
+        tracks[robot] = RobotTrack(waypoints)
         if i != head:
             idle.append(((i - 1) % n, i))
     return Verdict(

@@ -135,32 +135,6 @@ def star_from_partition(values: Sequence[int]) -> ProblemSpec:
 # --------------------------------------------------------------------------
 
 
-def star_single_robot(star: StarInstance) -> Verdict:
-    """Feasibility check for one robot starting at the center.
-
-    Visits leaves in nondecreasing deadline-plus-weight order (smaller
-    index first on ties).  Either this order meets every leaf deadline or
-    no order does; the claim is validated empirically against the
-    permutation oracle in the test suites.
-    """
-    q = star.q
-    order = sorted(range(q), key=lambda i: (star.leaf_deadlines[i] + star.leaf_weights[i], i))
-    t = 0
-    waypoints: List[tuple] = [(0, star.center)]
-    for idx, leaf in enumerate(order):
-        arrive = t + star.leaf_weights[leaf]
-        if arrive > star.leaf_deadlines[leaf]:
-            return Verdict(feasible=False, optimum=INFINITY)
-        waypoints.append((arrive, leaf))
-        if idx < q - 1:
-            t = arrive + star.leaf_weights[leaf]
-            waypoints.append((t, star.center))
-        else:
-            t = arrive
-    schedule = track_schedule(star, (RobotTrack(tuple(waypoints)),))
-    return Verdict(feasible=True, optimum=t, schedule=schedule)
-
-
 # The subset tables mark unreachable cells with a float infinity: it
 # compares with ints and Fractions in C, where INFINITY falls back to
 # Python-level comparisons.  It never leaves star_exact.

@@ -61,7 +61,6 @@ def propagate(
     graph: StateGraph,
     labels: TimeLabels,
     deadlines: Sequence[ExactNumber],
-    window: Optional[tuple] = None,
 ) -> TimeLabels:
     """Set every state's label from its two predecessors, layer by layer.
 
@@ -71,10 +70,10 @@ def propagate(
     time); a tie goes to the predecessor with the smaller id, the one at
     the left end.  This is the first-found parent of relaxing every arc
     once in id order, clockwise before counterclockwise.  ``deadlines``
-    is indexed by instance node.  ``window`` optionally restricts the
-    walks to states strictly inside the open node interval (lo, hi) --
-    on rings the interval is read counterclockwise; the states one step
-    outside it are labelled too.  ``labels`` comes from ``init_start``.
+    is indexed by node of the graph.  ``labels`` comes from
+    ``init_start``.  The same loop serves lines and rings; a walk kept
+    to part of a line or ring runs on a graph of that part alone (as
+    ``multi_line.solve_fixed`` does).
 
     Only live ranges are pulled: each layer visits just the states that a
     finite label of the layer before can reach, and the pass stops at the
@@ -86,7 +85,7 @@ def propagate(
     inf = INFINITY
     # compared only, never added: a float infinity is exact against ints and Fractions
     dls = [math.inf if d is inf else d for d in deadlines]
-    for batch in graph.pulls(time, dls, window):
+    for batch in graph.pulls(time, dls):
         for v, a, b, wa, wb, dl in zip(*batch):
             ta = time[a]
             tb = time[b]

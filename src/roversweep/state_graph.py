@@ -25,7 +25,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from itertools import accumulate, chain
 from operator import sub
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .exact import INFINITY, ExactNumber
 from .instance import LineInstance, RingInstance
@@ -195,13 +195,12 @@ class StateGraph:
     # ------------------------------------------------------------------
 
     def _ids(self, layer: int, first: int, count: int, side: int):
-        """Ids of the states (i, i + layer, side), i = first, first + 1, ..."""
+        """Ids of the ring states (i, i + layer, side), i = first, first + 1, ..."""
         if layer == 0:
             return _run(0, 1, first, count, self.n)
         return _run(self._layer_offsets[layer] + side, 2, first, count, self.n)
 
-    def pulls(self, time: list, deadlines: Sequence,
-              window: Optional[tuple] = None) -> Iterator[Pull]:
+    def pulls(self, time: list, deadlines: Sequence) -> Iterator[Pull]:
         """The live states of layers 1.. in layer order, with their predecessors.
 
         ``time`` is the label list: layer 0 is set, and the caller sets
@@ -212,88 +211,81 @@ class StateGraph:
         i + layer only for i in [a, z].  The ends of the next range are
         the first and last finite labels of the batches just set, found
         by scanning in from both ends, so only the dead margins are read
-        twice.  On a ring without a window the range is cyclic.  The
-        batches stop at the first layer with no finite label.
-
-        ``deadlines`` is indexed by node.  ``window`` = (lo, hi) keeps the
-        predecessors strictly inside the open node interval (lo, hi), read
-        counterclockwise on rings, so the batches cover the stretches
-        inside it plus those that leave it by one node.
+        twice.  On a line the ranges are plain arithmetic runs of ids; on
+        a ring they are cyclic.  The batches stop at the first layer with
+        no finite label.  ``deadlines`` is indexed by node.
         """
         n = self.n
-        first = 0  # where the scan of layer 0 starts
-        if self.kind == "line":
+        offsets = self._layer_offsets
+        line = self.kind == "line"
+        if line:
             x = self._positions
             # coordinates are the prefix sums of the edge lengths
             prefix, edge, dls = x, list(map(sub, x[1:], x)), deadlines
-            lo, hi = window if window is not None else (-1, n)
-            lo, hi = max(lo, -1), min(hi, n)
 
-            def spans(layer, a):  # (first i, count) with the robot at L, at R
-                return ((max(lo, 0), hi - layer - max(lo, 0)),
-                        (lo + 1, min(hi, n - 1) - layer - lo))
+            def ids(layer, first, count, side):
+                if layer == 0:
+                    return range(first, first + count)
+                base = offsets[layer] + 2 * first + side
+                return range(base, base + 2 * count, 2)
         else:
-            # stretch indices i count on from the window's lo, or drift
-            # below 0 without a window, and are read mod n; slices start at
-            # i mod n and end under 3n, so three laps of each list keep
-            # them contiguous; prefix[k] is the arc length to node k
+            # stretch indices i drift below 0 and are read mod n; slices
+            # start at i mod n and end under 3n, so three laps of each list
+            # keep them contiguous; prefix[k] is the arc length to node k
             edge = self._weights * 3
             prefix = list(accumulate(edge, initial=0))
             dls = tuple(deadlines) * 3
-            if window is not None:
-                lo, hi = window
-                first = lo
-                room = (hi - lo - 1) % n  # nodes strictly inside the window
+            ids = self._ids
 
-            def spans(layer, a):
-                if window is None:
-                    return (a - 1, n), (a, n)
-                return (lo, room - layer + 1), (lo + 1, room - layer + 1)
-
-        live = _live(time, 0, 1, first, n, n)
+        live = _live(time, 0, 1, 0, n, n)
         for layer in range(1, n):
             if live is None:
                 return
             a, z = live
-            (s, c), (r, d) = spans(layer, a)
-            # a new left node i needs stretch i + 1 live, a new right node stretch i
-            s, c = max(s, a - 1), min(s + c, z) - max(s, a - 1)
-            r, d = max(r, a), min(r + d, z + 1) - max(r, a)
+            # a new left node i needs stretch i + 1 live, a new right node
+            # stretch i; a line's stretches also end by node n - 1, and a
+            # ring has n stretches per side (the live range [a, z] may hold
+            # one more index, the same stretch a lap apart)
+            if line:
+                s, r = max(a - 1, 0), a
+                c, d = min(z, n - layer) - s, min(z + 1, n - layer) - r
+            else:
+                s, r = a - 1, a
+                c = d = min(z - a + 1, n)
             s0, r0 = s % n, r % n  # where the slices start
-            if self.kind == "ring" and layer == n - 1:
+            if not line and layer == n - 1:
                 # full coverage with the robot at p = s, s + 1, ...: each
                 # predecessor gets there by the edge next to p or by the
                 # rest of the ring, and the shorter way gives the label
-                if c > 0:
-                    total = prefix[n]
-                    yield Pull(
-                        _run(self._layer_offsets[n - 1], 1, s, c, n),
-                        self._ids(n - 2, s + 1, c, LEFT),
-                        self._ids(n - 2, s + 1, c, RIGHT),
-                        [min(w, total - w) for w in edge[s0:s0 + c]],
-                        [min(w, total - w) for w in edge[s0 + n - 1:s0 + n - 1 + c]],
-                        dls[s0:s0 + c],
-                    )
+                total = prefix[n]
+                yield Pull(
+                    _run(offsets[n - 1], 1, s, c, n),
+                    ids(n - 2, s + 1, c, LEFT),
+                    ids(n - 2, s + 1, c, RIGHT),
+                    [min(w, total - w) for w in edge[s0:s0 + c]],
+                    [min(w, total - w) for w in edge[s0 + n - 1:s0 + n - 1 + c]],
+                    dls[s0:s0 + c],
+                )
                 return
             if c > 0:  # robot at L: the stretch grew at its left end i
                 yield Pull(
-                    self._ids(layer, s, c, LEFT),
-                    self._ids(layer - 1, s + 1, c, LEFT),
-                    self._ids(layer - 1, s + 1, c, RIGHT),
+                    ids(layer, s, c, LEFT),
+                    ids(layer - 1, s + 1, c, LEFT),
+                    ids(layer - 1, s + 1, c, RIGHT),
                     edge[s0:s0 + c],
                     list(map(sub, prefix[s0 + layer:s0 + layer + c], prefix[s0:s0 + c])),
                     dls[s0:s0 + c],
                 )
             if d > 0:  # robot at R: the stretch grew at its right end j
                 yield Pull(
-                    self._ids(layer, r, d, RIGHT),
-                    self._ids(layer - 1, r, d, LEFT),
-                    self._ids(layer - 1, r, d, RIGHT),
+                    ids(layer, r, d, RIGHT),
+                    ids(layer - 1, r, d, LEFT),
+                    ids(layer - 1, r, d, RIGHT),
                     list(map(sub, prefix[r0 + layer:r0 + layer + d], prefix[r0:r0 + d])),
                     edge[r0 + layer - 1:r0 + layer - 1 + d],
                     dls[r0 + layer:r0 + layer + d],
                 )
-            base = self._layer_offsets[layer]
+            base = offsets[layer]
             left = _live(time, base + LEFT, 2, s, c, n)
             right = _live(time, base + RIGHT, 2, r, d, n)
             if left is None or right is None:

@@ -5,13 +5,15 @@ import itertools
 import math
 from bisect import bisect_right
 from fractions import Fraction
+from unittest.mock import patch
 
+from roversweep import multi_line
 from roversweep.exact import INFINITY, format_number, scale
 from roversweep.fault_line import Plan, PlanTable, mask_antichain
 from roversweep.instance import FIXED, FREE, LineInstance, ProblemSpec, RingInstance, StarInstance
 from roversweep.oracle import CapExceeded, _placements, enumerate_walks, walk_track
 from roversweep.ring import replicate_ring
-from roversweep.schedule import Verdict
+from roversweep.schedule import RobotTrack, Verdict, track_schedule
 from roversweep.single_robot import (
     best_target,
     init_start,
@@ -90,6 +92,32 @@ def random_star(rng, min_q=1, max_q=7, deadline_prob=0.8, fractional=False):
     )
     center = INFINITY if rng.random() < 0.5 else rng.randint(0, bound)
     return StarInstance(weights, deadlines, center)
+
+
+def star_single_robot(star: StarInstance) -> Verdict:
+    """Feasibility check for one robot starting at the center.
+
+    Visits leaves in nondecreasing deadline-plus-weight order (smaller
+    index first on ties).  Either this order meets every leaf deadline or
+    no order does; the claim is validated empirically against the
+    permutation oracle in test_reductions.
+    """
+    q = star.q
+    order = sorted(range(q), key=lambda i: (star.leaf_deadlines[i] + star.leaf_weights[i], i))
+    t = 0
+    waypoints = [(0, star.center)]
+    for idx, leaf in enumerate(order):
+        arrive = t + star.leaf_weights[leaf]
+        if arrive > star.leaf_deadlines[leaf]:
+            return Verdict(feasible=False, optimum=INFINITY)
+        waypoints.append((arrive, leaf))
+        if idx < q - 1:
+            t = arrive + star.leaf_weights[leaf]
+            waypoints.append((t, star.center))
+        else:
+            t = arrive
+    schedule = track_schedule(star, (RobotTrack(tuple(waypoints)),))
+    return Verdict(feasible=True, optimum=t, schedule=schedule)
 
 
 def _star_plans(star, start, cutoff):
@@ -304,6 +332,45 @@ def push_labels(graph, starts, deadlines, window=None):
                 time[v] = t
                 parent[v] = u
     return time, parent
+
+
+def own_line_passes(topology, positions):
+    """(verdict, [labels, ...]) of ``solve_fixed``: the label pass of each
+    robot, in position order, on the graph of its own line."""
+    with patch.object(multi_line, "propagate", wraps=multi_line.propagate) as spy:
+        verdict = multi_line.solve_fixed(topology, positions)
+    return verdict, [call.args[1] for call in spy.call_args_list]
+
+
+def assert_own_lines_equal_push(topology, positions):
+    """Each robot's own-line labels in ``solve_fixed`` equal, state for
+    state (time and parent), ``push_labels`` over the whole graph kept to
+    the robot's window; the own line holds the window's states and no
+    other."""
+    positions = sorted(positions)
+    n, k = topology.n, len(positions)
+    full = StateGraph.of(topology)
+    ring = full.kind == "ring"
+    _, passes = own_line_passes(topology, positions)
+    assert len(passes) == k
+    for m, (p, labels) in enumerate(zip(positions, passes)):
+        window = (positions[m - 1] if ring or m else -1,
+                  positions[(m + 1) % k] if ring or m < k - 1 else n)
+        ref_time, ref_parent = push_labels(full, [p], topology.deadlines, window)
+        own = labels.graph
+        first = (window[0] + 1) % n
+
+        def local(uid):
+            i, j, side = full.state_of(uid)
+            return own.id_of((i - first) % n, (j - first) % n, side)
+
+        inside = list(window_ids(full, window))
+        assert sorted(map(local, inside)) == list(range(own.node_count))
+        for uid in inside:
+            v = local(uid)
+            assert labels.time[v] == ref_time[uid], (topology, positions, m, full.state_of(uid))
+            parent = ref_parent[uid]
+            assert labels.parent[v] == (-1 if parent < 0 else local(parent))
 
 
 def naive_team_tables(line, k_max):

@@ -21,6 +21,7 @@ from support import (
     random_ring,
     random_star,
     replicated_starts,
+    star_single_robot,
 )
 from roversweep.exact import INFINITY
 from roversweep.fault_line import solve_free_faulty
@@ -42,7 +43,6 @@ from roversweep.reductions import (
     line_from_n3dm,
     star_exact,
     star_from_partition,
-    star_single_robot,
 )
 from roversweep.ring import (
     decide_ring_fixed_faulty,

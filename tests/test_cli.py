@@ -518,6 +518,23 @@ def _one_error_line(captured, prefix="error: "):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("command", ["solve", "decide", "oracle"])
+@pytest.mark.parametrize("field, value", [
+    ("positions", [True, 2]), ("count", True), ("faults", False),
+])
+def test_a_json_boolean_robot_field_is_bad_input(tmp_path, capsys, command, field, value):
+    doc = dict(SKEW3)
+    if field == "faults":
+        doc["faults"] = value
+    elif field == "count":
+        doc["robots"] = {"mode": "free", "count": value}
+    else:
+        doc["robots"] = {"mode": "fixed", "positions": value}
+    path = write(tmp_path, "inst.json", doc)
+    assert main([command, path, "--delta", "3"] if command == "decide" else [command, path]) == 2
+    _one_error_line(capsys.readouterr(), f"error: {'faults' if field == 'faults' else 'robots.' + field}: ")
+
+
 @pytest.mark.parametrize("case", sorted(MALFORMED_SCHEDULES))
 def test_verify_refuses_a_malformed_schedule_as_bad_input(tmp_path, capsys, case):
     # exit 2, not 1: a schedule that cannot be read has not failed the check

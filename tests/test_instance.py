@@ -92,6 +92,24 @@ def test_validation_errors_carry_field_paths():
         assert str(err.value) == f"topology: unknown topology {kind!r}"
 
 
+@pytest.mark.parametrize("field, robots, faults", [
+    ("robots.positions", {"mode": "fixed", "positions": [True, 3]}, 0),
+    ("robots.positions", {"mode": "fixed", "positions": [0, 1.0]}, 0),
+    ("robots.count", {"mode": "free", "count": True}, 0),
+    ("robots.count", {"mode": "subset", "count": True, "allowed": [0, 1]}, 0),
+    ("robots.allowed", {"mode": "subset", "count": 1, "allowed": [False, 2]}, 0),
+    ("faults", {"mode": "free", "count": 2}, False),
+    ("faults", {"mode": "fixed", "positions": [0, 3]}, True),
+])
+def test_a_json_boolean_is_not_an_integer(field, robots, faults):
+    # JSON true and false are Python bools, which isinstance counts as ints
+    doc = {"topology": "line", "coordinates": ["0", "1", "3", "4"], "deadlines": [None] * 4,
+           "robots": robots, "faults": faults}
+    with pytest.raises(InstanceError) as err:
+        read_instance(json.dumps(doc))
+    assert str(err.value).startswith(field + ": expected ")
+
+
 def test_a_bad_list_element_is_named_by_its_index():
     doc = json.loads(MINIMAL_LINE)
     doc["coordinates"] = ["0", "2", "1/x"]

@@ -1,6 +1,8 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 
@@ -8,10 +10,11 @@ from support import (
     fixed_positions,
     idle_edge_split_scan,
     naive_team_tables,
+    own_line_passes,
     random_line,
     random_ring,
 )
-from roversweep.exact import INFINITY
+from roversweep.exact import INFINITY, format_number
 from roversweep import multi_line
 from roversweep.instance import FIXED, LineInstance, ProblemSpec, RingInstance, RobotPlacement
 from roversweep.multi_line import idle_edge_split, solve_fixed, solve_free
@@ -108,6 +111,109 @@ def test_boundary_prefix_counts():
     line = LineInstance((0, 2, 3, 7, 9), (INFINITY,) * 5)
     for positions in [(0, 1), (1, 3), (0, 4), (2, 3)]:
         assert solve_fixed(line, positions).optimum == brute_fixed(line, positions)
+
+
+PINNED_SHAPES = (  # kind, n, k, where the robots sit
+    ("line", 2, 2, "any"), ("line", 3, 2, "any"), ("line", 3, 3, "any"), ("line", 9, 2, "any"),
+    ("line", 17, 3, "any"), ("line", 30, 5, "any"), ("line", 30, 4, "adjacent"),
+    ("ring", 2, 2, "any"), ("ring", 3, 2, "any"), ("ring", 3, 3, "any"), ("ring", 4, 2, "inner"),
+    ("ring", 5, 2, "inner"), ("ring", 12, 3, "inner"), ("ring", 12, 3, "across"),
+    ("ring", 25, 4, "inner"), ("ring", 25, 2, "adjacent"), ("ring", 25, 2, "across"),
+)
+
+# sha256 of each pinned case's optimum, idle edges and schedule JSON, as
+# solve_fixed wrote them when every robot's pass ran on the whole graph
+PINNED_FIXED_DIGESTS = (
+    "919088dfe628615cbd103f04239f38d1a53afc1137cf0f8448cfd166baba0a5e",
+    "c3279c9c4c83aa58e1d8ff0066ca5f5d399be2b01a7416a49fac130d6ca8cb10",
+    "ed0b0d7b28c654883ec800c27800c3062abab812f5160bd0468e07735d962e89",
+    "35a2deb093813eb0eaf8f7dd35089303de6c4ad5ef32cf50385f03bb21619ae3",
+    "4519b1ff7cef280e1c36597e8d2245f94f4aaeca3d3d43970c0f59a1ef8e9e30",
+    "03b21efeb702781116b638a3930a58f1368a6a64687630af3eb923b02c3d4dfd",
+    "eac47013f3f4a14d80e87e27d9f58614e3ef9018da8b48fbe0b2a29188bf35f8",
+    "84e08f3588dc2bf4dafa027dcee915e70132bafd7660a093b2d9d1b0cda71ded",
+    "24c390a0399c4f9c6a80a835874d3e3810e1c1de730a5da05428b634ee02ea6d",
+    "28916677bbe421b1e317b0f5d3b15445d3ab34bfd716d8d3996b9794f9493f56",
+    "338cdcabd627ec4b524e8a1885fd46f9877fefa95222dec74a53026a741650d3",
+    "1954826fab840dcbf7f79560a010b00b851097a6d76f9632a1a38c93b4294488",
+    "4454982ea2431dfba5bc36381867d5472bc37243d8c6f6713cfe15fcebd35745",
+    "97ccccd1d887d1cf0c6e12bcae314128242119828593fc69f10c1831fb081bd2",
+    "75940f5c2bc2d6e63886a0d60a23e426c20590e84a1a5d1dc0c9dbece4fb9c39",
+    "9cd12a0807099d2d2bd84f9768b9d96be4d3759ff02c5d42add8617b43d80f16",
+    "b08f3a63a8e837f479712dd9e7a7055c8eb1f5c87ef11358fbf58e91bc44dbc8",
+    "d6be7cb22997c280da2d14587cf2afed16992d5169658558aeabaa5b3b10d4a5",
+    "26e55046b8ca24d22387556de605d140085d88bfaa8ad171ad7d196a2b0eba7d",
+    "2040ede3ba8d7deb92d5a899c0b7051e32b10833ec21b659c5eb6b8279438785",
+    "156d8c024737f2f0582bfca9d798ca89459393bb1ddced5986cff9b85742fe10",
+    "7e50a4b586c00a209e3eb0800cac1e7a43fbad2cef8d5c5d9351552f09787061",
+    "d4e4d9f4ef9c1bc0229fc9db6cb0cefa551b6364dee0485956d7d583c2ca8f8b",
+    "06990eb3dce04b647d36738cc35bc60325167641e8b508febb60608f148e3f59",
+    "12e7e5667b553fb43d2dfd09e68d3d0b30d41c83dffa2f0de9337828d2821fea",
+    "2051f9cd8ec9497e2c830ba2925934bdb6b53c09c4fdc60ca6631a8b571c5ec5",
+    "d2966df795a92b54f788a32438c070f19e868cce2b159a1d6e0fe87daf18ec8c",
+    "7a2f9afca61522dcdb75aab2ddca990c31776077a5a35f4da7e6a76e1912788a",
+    "ea3749dbe69d32a203fde3f9dbd107025a18c4ddde8451912d4a60c11367a5e1",
+    "e9052936c405ea76c8041308f043bdf26e2430232b0e4212562031f24e50a1cf",
+    "6bda34383b5ff36f43140e558aadb720536e40dd75fef29237fb26f44eddb4ed",
+    "5900f2306692452ab10b8f3525e6156b5a3205fe7e747d1c1328433967b3d4d4",
+    "4c86101873d1ed96c758983582fc400639114311841ed01f18eb83c9c81dce79",
+    "7ac10632331292aeb5b764f1881d5380d77db73a90b056260b3da2b8cd4fc9bd",
+)
+
+
+def pinned_fixed_cases():
+    """(topology, positions) of seeded lines and rings, each followed by
+    its ÷3 twin.  "inner" keeps robots off nodes 0 and n - 1, so the first
+    robot's window passes node 0 and its start lies on the window's second
+    lap; "across" puts neighbours on nodes n - 1 and 0."""
+    rng = random.Random(1817)
+    for kind, n, k, where in PINNED_SHAPES:
+        weights = [rng.randint(1, 5) for _ in range(n if kind == "ring" else n - 1)]
+        span = sum(weights)
+        deadlines = tuple(INFINITY if rng.random() < 0.5 else rng.randint(span // 2, 2 * span)
+                          for _ in range(n))
+        if kind == "line":
+            topology = LineInstance(tuple([0] + [sum(weights[:i + 1]) for i in range(n - 1)]), deadlines)
+        else:
+            topology = RingInstance(tuple(weights), deadlines)
+        if where == "inner":
+            positions = sorted(rng.sample(range(1, n - 1), k))
+        elif where == "across":
+            positions = sorted({0, n - 1, *rng.sample(range(2, n - 2), k - 2)})
+        elif where == "adjacent":
+            first = rng.randrange(1, n - k)
+            positions = list(range(first, first + k))
+        else:
+            positions = sorted(rng.sample(range(n), k))
+        yield topology, positions
+        yield topology.scaled(Fraction(1, 3)), positions
+
+
+def test_fixed_schedule_bytes_are_pinned():
+    digests = []
+    for topology, positions in pinned_fixed_cases():
+        v = solve_fixed(topology, positions)
+        text = f"{format_number(v.optimum)} {v.idle_edges}\n" + v.schedule.to_json()
+        digests.append(hashlib.sha256(text.encode()).hexdigest())
+    assert digests == list(PINNED_FIXED_DIGESTS)
+
+
+def test_each_fixed_pass_builds_only_its_window():
+    # n = 240, k = 6: every graph built is one robot's own line, the w
+    # nodes strictly between its neighbours, with w^2 states
+    rng = random.Random(84)
+    n = 240
+    weights = [rng.randint(1, 9) for _ in range(n)]
+    line = LineInstance(tuple([0] + [sum(weights[:i + 1]) for i in range(n - 1)]), (INFINITY,) * n)
+    ring = RingInstance(tuple(weights), (INFINITY,) * n)
+    positions = [20, 60, 100, 140, 180, 230]
+    for topology, sizes in ((line, [60, 79, 79, 79, 89, 59]), (ring, [69, 79, 79, 79, 89, 79])):
+        with patch.object(StateGraph, "from_ring", wraps=StateGraph.from_ring) as whole_rings:
+            with patch.object(StateGraph, "from_line", wraps=StateGraph.from_line) as lines:
+                verdict, passes = own_line_passes(topology, positions)
+        assert verdict.feasible and not whole_rings.called
+        assert [call.args[0].n for call in lines.call_args_list] == sizes
+        assert [labels.graph.node_count for labels in passes] == [w * w for w in sizes]
 
 
 def _split_case(rng, share):

@@ -3,7 +3,13 @@ import random
 
 import pytest
 
-from support import n3dm_brute_force, partition_brute_force, random_star, star_brute
+from support import (
+    n3dm_brute_force,
+    partition_brute_force,
+    random_star,
+    star_brute,
+    star_single_robot,
+)
 from roversweep.exact import INFINITY
 from roversweep.fault_line import decide_fixed_faulty
 from roversweep.instance import (
@@ -19,7 +25,6 @@ from roversweep.reductions import (
     line_from_n3dm,
     star_exact,
     star_from_partition,
-    star_single_robot,
 )
 
 WIDE_CAPS = Caps(max_n=500, max_k=8, max_f=7)

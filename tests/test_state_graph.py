@@ -4,7 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from support import graph_dump, layer_of, push_labels, random_line, random_ring
+from support import (
+    assert_own_lines_equal_push,
+    graph_dump,
+    layer_of,
+    push_labels,
+    random_line,
+    random_ring,
+)
 from roversweep.exact import INFINITY
 from roversweep.instance import LineInstance, RingInstance
 from roversweep.single_robot import extract_trajectory, init_start, propagate
@@ -128,9 +135,9 @@ def test_ring_arc_weights_match_walk_distances():
                 assert 0 < w
 
 
-def _assert_pull_equals_push(graph, deadlines, starts, window=None, lap=None):
-    labels = propagate(graph, init_start(graph, starts), deadlines, window=window)
-    ref_time, ref_parent = push_labels(graph, starts, deadlines, window)
+def _assert_pull_equals_push(graph, deadlines, starts, lap=None):
+    labels = propagate(graph, init_start(graph, starts), deadlines)
+    ref_time, ref_parent = push_labels(graph, starts, deadlines)
     assert labels.time == ref_time
     assert list(labels.parent) == ref_parent
     ref = init_start(graph, starts)
@@ -169,15 +176,14 @@ def test_pull_pass_equals_push_relaxation_on_lines(integral):
         g = StateGraph.from_line(line)
         _assert_pull_equals_push(g, line.deadlines, [rng.randrange(n)])
         _assert_pull_equals_push(g, line.deadlines, sorted(rng.sample(range(n), rng.randint(1, n))))
-        lo = rng.randint(-1, n - 2)
-        hi = rng.randint(lo + 2, n)
-        _assert_pull_equals_push(g, line.deadlines, [rng.randint(lo + 1, hi - 1)], (lo, hi))
+        if n > 1:  # fixed robots, each on the line between its neighbours
+            assert_own_lines_equal_push(line, rng.sample(range(n), rng.randint(2, n)))
         assert g.arc_count == sum(len(list(g.arcs_from(u))) for u in range(g.node_count))
 
 
 def test_pull_pass_equals_push_relaxation_on_rings():
     rng = random.Random(37)
-    seen_equal_ends = seen_two = False
+    seen_equal_ends = seen_two = seen_wrap = False
     for _ in range(120):
         ring = _ring_with_fraction_weights(
             rng, random_ring(rng, max_n=9, deadline_prob=rng.choice((0, 0.5, 0.9))))
@@ -187,24 +193,25 @@ def test_pull_pass_equals_push_relaxation_on_rings():
         _assert_pull_equals_push(g, ring.deadlines, [rng.randrange(n)], lap=lap)
         _assert_pull_equals_push(g, ring.deadlines, sorted(rng.sample(range(n), rng.randint(1, n))),
                                  lap=lap)
-        k = rng.randint(2, n)
-        positions = sorted(rng.sample(range(n), k))
-        m = rng.randrange(k)
-        window = (positions[m - 1], positions[(m + 1) % k])
-        seen_equal_ends |= window[0] == window[1]
+        pulled, _ = _pulled(g, range(n), ring.deadlines)  # every start: a full live range
+        assert len(pulled) == len(set(pulled))
+        # fixed robots, each on the ccw arc between its neighbours
+        positions = sorted(rng.sample(range(n), rng.randint(2, n)))
+        assert_own_lines_equal_push(ring, positions)
+        seen_equal_ends |= len(positions) == 2  # the window is every node but one
         seen_two |= n == 2
-        _assert_pull_equals_push(g, ring.deadlines, [positions[m]], window, lap)
+        seen_wrap |= 0 < positions[0] and positions[-1] < n - 1  # the first window passes node 0
         assert g.arc_count == sum(len(list(g.arcs_from(u))) for u in range(g.node_count))
-    assert seen_equal_ends and seen_two
+    assert seen_equal_ends and seen_two and seen_wrap
 
 
-def _pulled(graph, starts, deadlines, window=None):
+def _pulled(graph, starts, deadlines):
     """The ids ``pulls`` hands out, in order, with the reference labels
     written back batch by batch as ``propagate`` would write its own."""
-    ref_time, _ = push_labels(graph, starts, deadlines, window)
+    ref_time, _ = push_labels(graph, starts, deadlines)
     time = init_start(graph, starts).time
     pulled = []
-    for batch in graph.pulls(time, deadlines, window):
+    for batch in graph.pulls(time, deadlines):
         for v in batch.to:
             time[v] = ref_time[v]
             pulled.append(v)
@@ -237,22 +244,22 @@ def test_narrowed_pass_equals_push_relaxation_at_the_edges_of_the_range():
         for topology in (ring, free):
             for starts in ([0], [n - 1], [n - 1, 0], [n - 2, 1] if n > 3 else [1, 0]):
                 _assert_pull_equals_push(g, topology.deadlines, sorted(starts), lap=ring.total)
-            p = rng.randrange(n)  # a window with lo == hi: every node but p
+            p = rng.randrange(n)  # two robots: the other's window is every node but p
             for start in ((p + 1) % n, (p - 1) % n):
-                _assert_pull_equals_push(g, topology.deadlines, [start], (p, p), lap=ring.total)
+                assert_own_lines_equal_push(topology, [p, start])
     for n in (1, 2):
         for deadlines in ((INFINITY,) * n, (0,) * n, (1,) * n):
             line = LineInstance(tuple(range(n)), deadlines)
             g = StateGraph.from_line(line)
             for p in range(n):
                 _assert_pull_equals_push(g, deadlines, [p])
-                _assert_pull_equals_push(g, deadlines, [p], (p - 1, p + 1))
             if n == 2:
+                assert_own_lines_equal_push(line, [0, 1])
                 ring = RingInstance((1, 2), deadlines)
                 g = StateGraph.from_ring(ring)
                 for starts in ([0], [1], [0, 1]):
                     _assert_pull_equals_push(g, deadlines, starts, lap=3)
-                _assert_pull_equals_push(g, deadlines, [1], (0, 0), lap=3)
+                assert_own_lines_equal_push(ring, [0, 1])
 
 
 def test_a_dead_layer_ends_the_pass():
