@@ -503,9 +503,9 @@ def _plans_verdict(topology, positions: Sequence[int], f: int, delta, plans: lis
     return witnessed(topology, placement, f, delta, track_schedule(topology, tracks), optimum)
 
 
-def search_verdict(topology, positions: Sequence[int], f: int, delta, tables=None) -> Verdict:
+def search_verdict(topology, positions: Sequence[int], f: int, delta) -> Verdict:
     """Run the exact search (positions sorted); YES carries a verified schedule."""
-    plans = search_plans(topology, positions, f, delta, tables)
+    plans = search_plans(topology, positions, f, delta)
     if plans is None:
         return Verdict(feasible=False, optimum=None)
     return _plans_verdict(topology, positions, f, delta, plans)
@@ -548,7 +548,6 @@ def decide_fixed_faulty(
     f: int,
     delta: ExactNumber,
     caps: Optional[Caps] = None,
-    tables: Optional[dict] = None,
 ) -> Verdict:
     """Exact decision: can the fixed multiset of robots on a line or ring,
     up to f of which may crash, visit every node by min(deadline, delta)?
@@ -558,8 +557,7 @@ def decide_fixed_faulty(
     deadlines capped at delta, at any size.  Everything else runs the
     exact search, which never guesses: instances beyond ``caps``
     (default: ``fixed_search_caps``) raise CapExceeded.  The plans come
-    from ``tables`` (``plan_tables`` made by a solve) or from tables made
-    up to delta.  A YES always carries a schedule that
+    from tables made up to delta.  A YES always carries a schedule that
     ``verify_schedule`` accepts.
     """
     positions = fixed_team(topology, positions, f)
@@ -574,7 +572,7 @@ def decide_fixed_faulty(
         placement = RobotPlacement(FIXED, positions=positions)
         return witnessed(topology, placement, f, delta, reliable.schedule)
     check_caps(topology, len(positions), caps or fixed_search_caps(topology))
-    return search_verdict(topology, positions, f, delta, tables)
+    return search_verdict(topology, positions, f, delta)
 
 
 def plan_tables(topology, positions: Iterable[int], bound=INFINITY) -> dict:

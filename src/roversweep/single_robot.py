@@ -7,15 +7,16 @@ label of stretch [i, j] with the robot at i is the better of [i+1, j]
 with the robot at either end plus the walk to i, and likewise at j:
 the O(n^2) line-with-deadlines dynamic program of Tsitsiklis (Networks,
 1992) and Psaraftis et al. (1990).  A ring is the same pass with the
-stretches read counterclockwise and one full-coverage state per final
-robot position.  Labels that would arrive after the newly visited node's
-deadline stay at INFINITY.  The recorded parent links form a forest from
-which optimal trajectories are read back.
+stretches read counterclockwise, up to the full-coverage layer.  Labels
+that would arrive after the newly visited node's deadline stay at
+INFINITY.  The recorded parent links form a forest from which optimal
+trajectories are read back.
 
 Ties go to the predecessor with the robot at the left end, the one
 with the smaller id, which makes extracted trajectories deterministic.
 One robot exploring a whole line or ring (``solve_from``) ends in the
-cheapest full-coverage state, again the smaller id on ties.
+cheapest full-coverage state; ties go to the smaller final node, then to
+the state with the robot at the left end.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import math
 from array import array
 from typing import Iterable, Optional, Sequence
 
-from .exact import ExactNumber, INFINITY, is_finite
+from .exact import ExactNumber, INFINITY
 from .instance import LineInstance, RingInstance, prune_dominated
 from .schedule import RobotTrack, Verdict, track_schedule
 from .state_graph import LEFT, RIGHT, StateGraph
@@ -107,7 +108,7 @@ def propagate(
 
 def stretch_reader(labels: TimeLabels):
     """``read(i, d)``: the fastest exploration of the d + 1 nodes i .. i + d
-    (counterclockwise on a ring, where d <= n - 2), read off the label
+    (counterclockwise on a ring, d = n - 1 included), read off the label
     layers: the cheaper of the robot's two ends, L on ties, INFINITY when
     neither is reachable.  INFINITY is tested by identity, so no
     comparison falls back to its Python-level dunders."""
@@ -131,8 +132,6 @@ def best_target(labels: TimeLabels, i: int, j: int) -> Optional[int]:
     graph = labels.graph
     uid_l = graph.id_of(i, j, LEFT)
     uid_r = graph.id_of(i, j, RIGHT)
-    if uid_l == uid_r:
-        return uid_l if is_finite(labels.time[uid_l]) else None
     tl, tr = labels.time[uid_l], labels.time[uid_r]
     if tl is INFINITY and tr is INFINITY:
         return None
@@ -156,7 +155,9 @@ def extract_trajectory(labels: TimeLabels, target: int) -> tuple:
 
     Walks the parent links back to a source and emits (time, coordinate)
     at the start and at every turning point; the final waypoint time is
-    the target's label.  Raises if the target was never reached.
+    the target's label.  Each step moves toward the end of the stretch
+    the robot occupies in the state it reaches: down at L, up at R.
+    Raises if the target was never reached.
     """
     graph = labels.graph
     if labels.time[target] is INFINITY:
@@ -171,18 +172,8 @@ def extract_trajectory(labels: TimeLabels, target: int) -> tuple:
     waypoints = [(labels.time[chain[0]], graph.position(chain[0]))]
     prev_dir = 0
     for prev, cur in zip(chain, chain[1:]):
-        # recover the arc taken (two parallel arcs may join a ring pair)
         step = labels.time[cur] - labels.time[prev]
-        direction = None
-        for v, w, d in graph.arcs_from(prev):
-            if v == cur and w == step:
-                direction = d
-                break
-        if direction is None:  # fall back to any connecting arc
-            for v, w, d in graph.arcs_from(prev):
-                if v == cur:
-                    direction = d
-                    break
+        direction = -1 if graph.state_of(cur).side == LEFT else 1
         new_pos = waypoints[-1][1] + direction * step
         if direction == prev_dir:
             waypoints[-1] = (labels.time[cur], new_pos)
@@ -196,11 +187,17 @@ def solve_from(topology, starts: Iterable[int]) -> Verdict:
     """One robot exploring a whole line or ring from the best of ``starts``.
 
     One label pass; the optimum is the cheapest full-coverage state, the
-    one with the smaller id on ties.
+    one with the smaller final node on ties, then the one at L.
     """
     graph = StateGraph.of(topology)
     labels = propagate(graph, init_start(graph, starts), topology.deadlines)
-    uid = min(graph.terminal_ids(), key=labels.time.__getitem__)
+    time = labels.time
+
+    def rank(uid: int) -> tuple:
+        i, j, side = graph.state_of(uid)
+        return time[uid], j if side == RIGHT else i, side
+
+    uid = min(graph.terminal_ids(), key=rank)
     if labels.time[uid] is INFINITY:
         return Verdict(feasible=False, optimum=INFINITY)
     return Verdict(

@@ -8,16 +8,16 @@ whole traverse plus one edge).  States with j - i = layer sit in layer
 order, so every arc joins one layer to the next.
 
 States are packed into dense integer ids laid out layer-major with the
-left index ascending and L before R.  No arc is stored: each state of
-layer >= 1 has exactly two predecessors, the same stretch without its
-newly visited node with the robot at either end (``pulls`` lists them
-layer by layer, with arc weights read off the coordinates, for the
-states a finite label can reach), and
-``arcs_from`` rebuilds a state's out-arcs on demand.  A ring's
-full-coverage state for robot position p is the one exception: the two
-predecessors (p+1, p-1, L/R) each reach it both clockwise and
-counterclockwise (for n = 2, the single state p+1 twice).  The graph is
-immutable and may be shared by concurrently running label computations.
+left index ascending and L before R, by one formula on lines and rings.
+No arc is stored: each state of layer >= 1 has exactly two
+predecessors, the same stretch without its newly visited node with the
+robot at either end (``pulls`` lists them layer by layer, with arc
+weights read off the coordinates, for the states a finite label can
+reach).  A ring's full-coverage layer is no exception: the robot ends
+at p with [p, p + n - 1] at L or [p + 1, p + n] at R, so no two arcs
+join the same pair of states and the side of a state is the direction
+of the step that reached it.  The graph is immutable and may be shared
+by concurrently running label computations.
 """
 
 from __future__ import annotations
@@ -124,14 +124,8 @@ class StateGraph:
         n = ring.n
         self.kind = "ring"
         self.n = n
-        # layer 0: n single-node states; layers 1..n-2: 2n states each;
-        # layer n-1: n full-coverage states, one per final robot position
-        # (the L and R writings of a full stretch describe the same
-        # physical state and are merged).
-        offsets = [0, n]
-        for layer in range(1, n - 1):
-            offsets.append(offsets[-1] + 2 * n)
-        offsets.append(offsets[-1] + n)
+        # layer 0: n single-node states; layers 1..n-1: 2n states each
+        offsets = [0] + [n + 2 * n * layer for layer in range(n)]
         self._layer_offsets = offsets
         self.node_count = offsets[-1]
         self._positions = ring.arc_positions()
@@ -143,34 +137,17 @@ class StateGraph:
     # ------------------------------------------------------------------
 
     def id_of(self, left: int, right: int, side: int = RIGHT) -> int:
-        n = self.n
-        if self.kind == "line":
-            layer = right - left
-            if layer == 0:
-                return left
-            return self._layer_offsets[layer] + 2 * left + side
-        layer = (right - left) % n
+        layer = (right - left) % self.n
         if layer == 0:
             return left
-        if layer == n - 1:
-            return self._layer_offsets[n - 1] + (right if side == RIGHT else left)
         return self._layer_offsets[layer] + 2 * left + side
 
     def state_of(self, uid: int) -> State:
-        n = self.n
-        if uid < n:
+        if uid < self.n:
             return State(uid, uid, RIGHT)
-        if self.kind == "line":
-            layer = bisect_right(self._layer_offsets, uid) - 1
-            rem = uid - self._layer_offsets[layer]
-            return State(rem // 2, rem // 2 + layer, rem % 2)
-        if uid >= self._layer_offsets[n - 1]:
-            p = uid - self._layer_offsets[n - 1]
-            return State((p + 1) % n, p, RIGHT)
-        layer = 1 + (uid - n) // (2 * n)
-        rem = uid - self._layer_offsets[layer]
-        i = rem // 2
-        return State(i, (i + layer) % n, rem % 2)
+        layer = bisect_right(self._layer_offsets, uid) - 1
+        i, side = divmod(uid - self._layer_offsets[layer], 2)
+        return State(i, (i + layer) % self.n, side)
 
     @property
     def layer_offsets(self) -> list:
@@ -182,8 +159,6 @@ class StateGraph:
 
     def terminal_ids(self) -> range:
         """States in which every node of the instance has been visited."""
-        if self.n == 1:
-            return range(0, 1)
         return self.layer_ids(self.n - 1)
 
     def position(self, uid: int) -> ExactNumber:
@@ -253,20 +228,6 @@ class StateGraph:
                 s, r = a - 1, a
                 c = d = min(z - a + 1, n)
             s0, r0 = s % n, r % n  # where the slices start
-            if not line and layer == n - 1:
-                # full coverage with the robot at p = s, s + 1, ...: each
-                # predecessor gets there by the edge next to p or by the
-                # rest of the ring, and the shorter way gives the label
-                total = prefix[n]
-                yield Pull(
-                    _run(offsets[n - 1], 1, s, c, n),
-                    ids(n - 2, s + 1, c, LEFT),
-                    ids(n - 2, s + 1, c, RIGHT),
-                    [min(w, total - w) for w in edge[s0:s0 + c]],
-                    [min(w, total - w) for w in edge[s0 + n - 1:s0 + n - 1 + c]],
-                    dls[s0:s0 + c],
-                )
-                return
             if c > 0:  # robot at L: the stretch grew at its left end i
                 yield Pull(
                     ids(layer, s, c, LEFT),
@@ -293,43 +254,6 @@ class StateGraph:
             else:
                 live = min(left[0], right[0]), max(left[1], right[1])
 
-    # ------------------------------------------------------------------
-    # arcs, on demand
-    # ------------------------------------------------------------------
-
-    def arcs_from(self, uid: int) -> Iterator[tuple]:
-        """(target id, weight, direction) of each out-arc, clockwise first."""
-        n = self.n
-        si, sj, side = self.state_of(uid)
-        pos = self._positions
-        offsets = self._layer_offsets
-        if self.kind == "line":
-            layer = sj - si
-            here = pos[si] if (layer > 0 and side == LEFT) else pos[sj]
-            if si > 0:
-                yield offsets[layer + 1] + 2 * (si - 1) + LEFT, here - pos[si - 1], -1
-            if sj < n - 1:
-                yield offsets[layer + 1] + 2 * si + RIGHT, pos[sj + 1] - here, 1
-            return
-        layer = (sj - si) % n
-        if layer == n - 1:
-            return
-        w = self._weights
-        here = si if side == LEFT else sj
-        full = layer + 1 == n - 1
-        tgt = (si - 1) % n  # clockwise extension
-        to = offsets[n - 1] + tgt if full else offsets[layer + 1] + 2 * tgt + LEFT
-        yield to, self._ccw(si, here) + w[tgt], -1
-        tgt = (sj + 1) % n  # counterclockwise extension
-        to = offsets[n - 1] + tgt if full else offsets[layer + 1] + 2 * si + RIGHT
-        yield to, self._ccw(here, sj) + w[sj], 1
-
-    def _ccw(self, a: int, b: int) -> ExactNumber:
-        pos = self._positions
-        if b >= a:
-            return pos[b] - pos[a]
-        return pos[-1] + self._weights[-1] - (pos[a] - pos[b])
-
     @property
     def arc_count(self) -> int:
         """Number of arcs: one per end at which a stretch can still grow."""
@@ -337,4 +261,3 @@ class StateGraph:
         if self.kind == "line":
             return 2 * (n - 1) ** 2
         return 2 * n * (2 * n - 3)
-

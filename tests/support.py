@@ -15,24 +15,51 @@ from roversweep.oracle import CapExceeded, _placements, enumerate_walks, walk_tr
 from roversweep.ring import replicate_ring
 from roversweep.schedule import RobotTrack, Verdict, track_schedule
 from roversweep.single_robot import (
-    best_target,
     init_start,
     interval_table,
     propagate,
     stretch_reader,
 )
-from roversweep.state_graph import StateGraph
+from roversweep.state_graph import LEFT, RIGHT, StateGraph
 
 
 def optimal_time(labels, i, j):
     """Fastest deadline-respecting exploration of stretch [i, j]."""
-    n = labels.graph.n
-    d = (j - i) % n
-    if d == n - 1 and labels.graph.kind == "ring":
-        # the whole ring: one state per final robot position
-        uid = best_target(labels, i, j)
-        return INFINITY if uid is None else labels.time[uid]
-    return stretch_reader(labels)(i, d)
+    return stretch_reader(labels)(i, (j - i) % labels.graph.n)
+
+
+def arcs_from(graph, uid):
+    """(target id, weight, direction) of each out-arc of state ``uid``,
+    clockwise first: the arcs that ``StateGraph.pulls`` reads backwards."""
+    n = graph.n
+    si, sj, side = graph.state_of(uid)
+    pos = graph._positions
+    offsets = graph.layer_offsets
+    if graph.kind == "line":
+        layer = sj - si
+        here = pos[si] if (layer > 0 and side == LEFT) else pos[sj]
+        if si > 0:
+            yield offsets[layer + 1] + 2 * (si - 1) + LEFT, here - pos[si - 1], -1
+        if sj < n - 1:
+            yield offsets[layer + 1] + 2 * si + RIGHT, pos[sj + 1] - here, 1
+        return
+    layer = (sj - si) % n
+    if layer == n - 1:
+        return
+    w = graph._weights
+    here = si if side == LEFT else sj
+    tgt = (si - 1) % n  # clockwise extension
+    yield offsets[layer + 1] + 2 * tgt + LEFT, _ccw(graph, si, here) + w[tgt], -1
+    tgt = (sj + 1) % n  # counterclockwise extension
+    yield offsets[layer + 1] + 2 * si + RIGHT, _ccw(graph, here, sj) + w[sj], 1
+
+
+def _ccw(graph, a, b):
+    """Counterclockwise arc length from node a to node b of a ring graph."""
+    pos = graph._positions
+    if b >= a:
+        return pos[b] - pos[a]
+    return pos[-1] + graph._weights[-1] - (pos[a] - pos[b])
 
 
 def scaled_verdict(verdict, c):
@@ -324,7 +351,7 @@ def push_labels(graph, starts, deadlines, window=None):
     for u in order:
         if time[u] is INFINITY:
             continue
-        for v, w, _ in graph.arcs_from(u):
+        for v, w, _ in arcs_from(graph, u):
             t = time[u] + w
             st = graph.state_of(v)
             new = st.left if st.side == 0 else st.right  # the node visited on arrival
@@ -424,7 +451,7 @@ def graph_dump(graph):
     lines = []
     for u in range(graph.node_count):
         su = graph.state_of(u)
-        for v, weight, _ in graph.arcs_from(u):
+        for v, weight, _ in arcs_from(graph, u):
             lines.append(f"{su} -> {graph.state_of(v)} w={format_number(weight)}")
     return "\n".join(lines)
 

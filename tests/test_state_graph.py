@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from support import (
+    arcs_from,
     assert_own_lines_equal_push,
     graph_dump,
     layer_of,
@@ -56,7 +57,7 @@ def test_golden_arc_dump():
 
 def test_specific_arcs_and_non_arcs():
     g = StateGraph.from_line(LineInstance((0, 1, 3), (INFINITY,) * 3))
-    arcs = {(u, v): w for u in range(g.node_count) for v, w, _ in g.arcs_from(u)}
+    arcs = {(u, v): w for u in range(g.node_count) for v, w, _ in arcs_from(g, u)}
     assert arcs[(g.id_of(0, 1, RIGHT), g.id_of(0, 2, RIGHT))] == 2
     assert (g.id_of(0, 1, RIGHT), g.id_of(0, 2, LEFT)) not in arcs
     assert arcs[(g.id_of(1, 1), g.id_of(1, 2, RIGHT))] == 2
@@ -71,11 +72,11 @@ def test_every_non_source_has_incoming_and_layers_are_consecutive():
         indeg = [0] * g.node_count
         for u in range(g.node_count):
             lu = layer_of(g, u)
-            for v, w, _ in g.arcs_from(u):
+            for v, w, _ in arcs_from(g, u):
                 assert layer_of(g, v) == lu + 1
                 assert w > 0
                 indeg[v] += 1
-            assert len(list(g.arcs_from(u))) <= 2
+            assert len(list(arcs_from(g, u))) <= 2
         for v in range(g.n, g.node_count):
             assert indeg[v] >= 1
         assert max(indeg) <= 2
@@ -88,7 +89,7 @@ def test_arc_weights_are_exact_walk_distances():
         g = StateGraph.from_line(line)
         for u in range(g.node_count):
             pu = g.position(u)
-            for v, w, direction in g.arcs_from(u):
+            for v, w, direction in arcs_from(g, u):
                 pv = g.position(v)
                 assert w == abs(pv - pu)
                 assert w == direction * (pv - pu)
@@ -98,14 +99,16 @@ def test_ring_two_nodes():
     g = StateGraph.from_ring(RingInstance((1, 1), (INFINITY, INFINITY)))
     assert [g.state_of(uid) for uid in g.layer_ids(0)] == [(0, 0, RIGHT), (1, 1, RIGHT)]
     assert g.layer_ids(1) == g.terminal_ids()
-    assert len(g.terminal_ids()) == 2
+    # every writing of the whole ring: the robot stands on node i at [i, i + 1]@L, on 1 - i at @R
+    assert [g.state_of(uid) for uid in g.terminal_ids()] == [(0, 1, LEFT), (0, 1, RIGHT),
+                                                           (1, 0, LEFT), (1, 0, RIGHT)]
 
 
 def test_ring_five_nodes_structure():
     g = StateGraph.from_ring(RingInstance((1,) * 5, (INFINITY,) * 5))
     sizes = [len(g.layer_ids(layer)) for layer in range(5)]
-    assert sizes == [5, 10, 10, 10, 5]
-    assert g.node_count == 2 * 25 - 10
+    assert sizes == [5, 10, 10, 10, 10]
+    assert g.node_count == 5 + 2 * 5 * 4
     for uid in g.terminal_ids():
         st = g.state_of(uid)
         assert (st.right - st.left) % 5 == 4  # whole ring explored
@@ -113,7 +116,7 @@ def test_ring_five_nodes_structure():
 
 def test_unit_ring_both_directions_from_source():
     g = StateGraph.from_ring(RingInstance((1, 1, 1), (INFINITY,) * 3))
-    weights = sorted(w for _, w, _ in g.arcs_from(g.id_of(0, 0)))
+    weights = sorted(w for _, w, _ in arcs_from(g, g.id_of(0, 0)))
     assert weights == [1, 1]
 
 
@@ -125,7 +128,7 @@ def test_ring_arc_weights_match_walk_distances():
         total = ring.total
         for u in range(g.node_count):
             pu = g.position(u)
-            for v, w, direction in g.arcs_from(u):
+            for v, w, direction in arcs_from(g, u):
                 pv = g.position(v)
                 # unwrapped displacement matches the declared direction
                 if direction == 1:
@@ -178,7 +181,7 @@ def test_pull_pass_equals_push_relaxation_on_lines(integral):
         _assert_pull_equals_push(g, line.deadlines, sorted(rng.sample(range(n), rng.randint(1, n))))
         if n > 1:  # fixed robots, each on the line between its neighbours
             assert_own_lines_equal_push(line, rng.sample(range(n), rng.randint(2, n)))
-        assert g.arc_count == sum(len(list(g.arcs_from(u))) for u in range(g.node_count))
+        assert g.arc_count == sum(len(list(arcs_from(g, u))) for u in range(g.node_count))
 
 
 def test_pull_pass_equals_push_relaxation_on_rings():
@@ -201,8 +204,12 @@ def test_pull_pass_equals_push_relaxation_on_rings():
         seen_equal_ends |= len(positions) == 2  # the window is every node but one
         seen_two |= n == 2
         seen_wrap |= 0 < positions[0] and positions[-1] < n - 1  # the first window passes node 0
-        assert g.arc_count == sum(len(list(g.arcs_from(u))) for u in range(g.node_count))
+        assert g.arc_count == sum(len(list(arcs_from(g, u))) for u in range(g.node_count))
     assert seen_equal_ends and seen_two and seen_wrap
+    for n in range(2, 9):  # no two arcs join the same pair of states
+        g = StateGraph.from_ring(RingInstance((1,) * n, (INFINITY,) * n))
+        pairs = [(u, v) for u in range(g.node_count) for v, _, _ in arcs_from(g, u)]
+        assert len(pairs) == len(set(pairs)) == g.arc_count
 
 
 def _pulled(graph, starts, deadlines):
