@@ -52,7 +52,7 @@ from .instance import (
     RobotPlacement,
     StarInstance,
 )
-from .multi_line import solve_fixed, solve_free
+from .multi_line import least_feasible, solve_fixed, solve_free
 from .oracle import Caps, CapExceeded, witnessed
 from .reductions import star_exact
 from .schedule import RobotTrack, Verdict, track_schedule
@@ -88,9 +88,9 @@ def solve_free_faulty(topology, k: int, f: int) -> Verdict:
     is the reliable optimum for floor(k/(f+1)) robots and the schedule
     replicates that group's trajectories across f+1 groups (surplus
     robots double up on the first group).  On a ring it is the optimum of
-    k robots on ``replicate_ring(ring, f)``, each track moved back by
-    whole laps onto the base ring.  Without finite node deadlines this is
-    exactly optimal: covers split into f+1 full covers.  Finite deadlines
+    k robots on ``replicate_ring(ring, f)``, whose tracks ``track_schedule``
+    moves back by whole laps onto the base ring.  Without finite node
+    deadlines this is exactly optimal: covers split into f+1 full covers.  Finite deadlines
     can punch holes in coverage profiles, and then a schedule of another
     shape may finish sooner; the returned schedule is verified either way.
     """
@@ -107,11 +107,7 @@ def solve_free_faulty(topology, k: int, f: int) -> Verdict:
     if not base.feasible:
         return Verdict(feasible=False, optimum=INFINITY)
     tracks = base.schedule.tracks
-    if ring:
-        lap = topology.total
-        tracks = [RobotTrack(tuple((t, x - tr.start // lap * lap) for t, x in tr.waypoints))
-                  for tr in tracks]
-    else:
+    if not ring:
         tracks = tracks * (f + 1) + tuple(tracks[i % group] for i in range(k - group * (f + 1)))
     # on a ring, a failed verification means a replication segment spanned
     # more than one lap, so one robot would have to cover some node twice
@@ -511,27 +507,6 @@ def search_verdict(topology, positions: Sequence[int], f: int, delta) -> Verdict
     return _plans_verdict(topology, positions, f, delta, plans)
 
 
-def least_feasible(candidates: Sequence, probe) -> Optional[tuple]:
-    """(delta, answer): the least candidate delta that the decision
-    ``probe`` accepts, and its answer there; None when it accepts none.
-
-    ``probe`` answers None for NO.  Feasibility is monotone in delta, so
-    a binary search finds it.
-    """
-    lo, hi = 0, len(candidates) - 1
-    best = probe(candidates[hi])
-    if best is None:
-        return None
-    while lo < hi:
-        mid = (lo + hi) >> 1
-        answer = probe(candidates[mid])
-        if answer is not None:
-            hi, best = mid, answer
-        else:
-            lo = mid + 1
-    return candidates[lo], best
-
-
 def fixed_team(topology, positions: Iterable[int], f: int) -> tuple:
     """``positions`` sorted, once checked: 0 <= f < k and every robot on a node."""
     positions = tuple(sorted(positions))
@@ -670,7 +645,9 @@ def decide(spec: ProblemSpec, delta: ExactNumber, caps: Optional[Caps] = None) -
     A negative delta is NO.  Fixed robots on a line or a ring go to
     ``decide_fixed_faulty``; everything else is ``solve`` on the spec
     with its deadlines capped at delta and bound delta.  A YES carries
-    its schedule.
+    its schedule, which ``verify_schedule`` has accepted: the routes that
+    do not verify their own (reliable free teams and subsets) are checked
+    here, and a rejected schedule raises RuntimeError.
     """
     if not is_finite(delta):
         raise ValueError("the decision needs a finite time bound")
@@ -679,27 +656,21 @@ def decide(spec: ProblemSpec, delta: ExactNumber, caps: Optional[Caps] = None) -
     top, placement = spec.topology, spec.placement
     if placement.mode == FIXED and not isinstance(top, StarInstance):
         return decide_fixed_faulty(top, placement.positions, spec.faults, delta, caps)
-    return solve(replace(spec, topology=top.capped(delta), bound=delta), caps)
+    verdict = solve(replace(spec, topology=top.capped(delta), bound=delta), caps)
+    if verdict.feasible and verdict.witness is None:
+        verdict = witnessed(top, placement, spec.faults, delta, verdict.schedule, verdict.optimum)
+    return verdict
 
 
 def resilience(spec: ProblemSpec, delta: ExactNumber, caps: Optional[Caps] = None) -> Optional[int]:
     """Largest f < k for which ``decide`` says YES on ``spec`` with f faults.
 
     Returns None when even f = 0 is impossible.  The ``faults`` value of
-    the spec itself is ignored.  Feasibility is monotone in f, so a
-    binary search finds it.
+    the spec itself is ignored.  Feasibility is monotone in f, so
+    ``least_feasible`` over f = k-1 .. 0 finds it, probing f = 0 first.
     """
-
-    def holds(f: int) -> bool:
-        return decide(replace(spec, faults=f), delta, caps).feasible
-
-    if not holds(0):
-        return None
-    lo, hi = 0, spec.k - 1
-    while lo < hi:
-        mid = (lo + hi + 1) >> 1
-        if holds(mid):
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
+    found = least_feasible(
+        range(spec.k - 1, -1, -1),
+        lambda f: decide(replace(spec, faults=f), delta, caps).feasible or None,
+    )
+    return None if found is None else found[0]

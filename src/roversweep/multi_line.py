@@ -40,7 +40,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import replace
 from itertools import accumulate
-from typing import Iterable, List, Sequence, Union
+from typing import Iterable, List, Optional, Sequence, Union
 
 from .exact import INFINITY
 from .instance import LineInstance, RingInstance
@@ -57,6 +57,30 @@ from .single_robot import (
     stretch_reader,
 )
 from .state_graph import StateGraph
+
+
+def least_feasible(candidates: Sequence, probe) -> Optional[tuple]:
+    """(delta, answer): the least candidate delta that the decision
+    ``probe`` accepts, and its answer there; None when it accepts none.
+
+    ``probe`` answers None for NO and, once it accepts a candidate,
+    accepts every later one, so a binary search finds the least: the last
+    candidate first, then the lower middle of the range left.  Ring
+    ``solve_free``, ``fault_line.solve_fixed_faulty`` and
+    ``fault_line.resilience`` all search with it.
+    """
+    lo, hi = 0, len(candidates) - 1
+    best = probe(candidates[hi])
+    if best is None:
+        return None
+    while lo < hi:
+        mid = (lo + hi) >> 1
+        answer = probe(candidates[mid])
+        if answer is not None:
+            hi, best = mid, answer
+        else:
+            lo = mid + 1
+    return candidates[lo], best
 
 
 # --------------------------------------------------------------------------
@@ -198,10 +222,9 @@ def solve_fixed(topology: Union[LineInstance, RingInstance], positions: Iterable
     idle = [((head - 1) % n, head)] if ring else []
     for robot, i, j in segments:
         labels, first = forests[robot], firsts[robot]
-        waypoints = extract_trajectory(labels, best_target(labels, (i - first) % n, (j - first) % n))
-        if ring and waypoints[0][1] >= x[n]:  # started on the second lap
-            waypoints = [(t, y - x[n]) for t, y in waypoints]
-        tracks[robot] = RobotTrack(waypoints)
+        target = best_target(labels, (i - first) % n, (j - first) % n)
+        # a ring track that starts on the second lap goes back one in track_schedule
+        tracks[robot] = RobotTrack(extract_trajectory(labels, target))
         if i != head:
             idle.append(((i - 1) % n, i))
     return Verdict(
@@ -272,16 +295,7 @@ def solve_free(topology: Union[LineInstance, RingInstance], k: int) -> Verdict:
                     return s
             return None
 
-        lo, hi = 0, len(values) - 1
-        first = head(values[hi])  # always head(values[hi]) below
-        while first is not None and lo < hi:
-            mid = (lo + hi) >> 1
-            s = head(values[mid])
-            if s is None:
-                lo = mid + 1
-            else:
-                hi, first = mid, s
-        optimum = inf if first is None else values[hi]
+        optimum, first = least_feasible(values, head) or (inf, None)
     else:
 
         def best(i: int, r: int):

@@ -141,9 +141,6 @@ def walk_track(walk: Walk) -> RobotTrack:
 # exhaustive solving
 # --------------------------------------------------------------------------
 
-_NO_DEADLINES: dict = {}
-
-
 def _free_walks(topology, start) -> List[Walk]:
     """Unpruned maximal walks (deadlines ignored during expansion)."""
     n = topology.n
@@ -315,49 +312,43 @@ def _check_track_shape(ridx: int, track: RobotTrack, coordinate_kind: bool):
                 raise ScheduleError(ridx, f"waypoint {widx}: exceeds unit speed")
 
 
-def _line_visits(nodes: Sequence, track: RobotTrack) -> dict:
-    """First visit time of each node the track passes; ``nodes`` are the
-    sorted coordinates, so the start and each segment read only the nodes
-    between their ends, found by bisection."""
-    wps = track.waypoints
-    x0 = wps[0][1]
-    first = {v: 0 for v in range(bisect_left(nodes, x0), bisect_right(nodes, x0))}
-    for (t1, x1), (_, x2) in zip(wps, wps[1:]):
-        lo, hi = (x1, x2) if x1 <= x2 else (x2, x1)
-        for v in range(bisect_left(nodes, lo), bisect_right(nodes, hi)):
-            c = nodes[v]
-            t = t1 + (c - x1 if c >= x1 else x1 - c)
-            if v not in first or t < first[v]:
-                first[v] = t
-    return first
+def _coordinate_visits(nodes: Sequence, total, track: RobotTrack) -> tuple:
+    """(first visit time of each node the track passes, end of its last
+    move) on a line or a ring.
 
-
-def _ring_visits(nodes: Sequence, total, track: RobotTrack) -> dict:
-    """First visit time of each node the track passes; ``nodes`` are the
-    sorted arc positions in [0, total), and the waypoints unwrapped
-    coordinates.  The start and each segment [lo, hi] are read lap by lap:
-    the lap from base = floor(lo / total) * total holds the nodes at
-    positions lo - base .. hi - base, found by bisection."""
+    ``nodes`` are the sorted coordinates of a line (``total`` None) or the
+    sorted arc positions in [0, total) of a ring, whose waypoints are
+    unwrapped coordinates.  The start and each segment [lo, hi] are read
+    lap by lap: the lap from base = floor(lo / total) * total holds the
+    nodes at positions lo - base .. hi - base, found by bisection.  A line
+    is one lap, from base 0.
+    """
     wps = track.waypoints
     x0 = wps[0][1]
     first: dict = {}
+    end = 0
     for t1, x1, x2 in itertools.chain(
         [(0, x0, x0)], ((t1, x1, x2) for (t1, x1), (_, x2) in zip(wps, wps[1:]))
     ):
         lo, hi = (x1, x2) if x1 <= x2 else (x2, x1)
-        base = lo // total * total
-        while base <= hi:
+        if lo != hi:
+            end = t1 + (hi - lo)
+        bases = (0,) if total is None else [m * total for m in range(lo // total, hi // total + 1)]
+        for base in bases:
             for v in range(bisect_left(nodes, lo - base), bisect_right(nodes, hi - base)):
                 y = nodes[v] + base
                 t = t1 + (y - x1 if y >= x1 else x1 - y)
                 if v not in first or t < first[v]:
                     first[v] = t
-            base += total
-    return first
+    return first, end
 
 
-def _star_visits(star: StarInstance, ridx: int, track: RobotTrack) -> dict:
+def _star_visits(star: StarInstance, ridx: int, track: RobotTrack) -> tuple:
+    """(first visit time of each node the track passes, end of its last
+    move) on a star, where a move between two leaves passes the center;
+    unknown nodes and moves faster than unit speed raise ScheduleError."""
     first: dict = {}
+    end = 0
 
     def note(v, t):
         if v not in first or t < first[v]:
@@ -385,8 +376,9 @@ def _star_visits(star: StarInstance, ridx: int, track: RobotTrack) -> dict:
             raise ScheduleError(ridx, f"segment to waypoint at t={t2} exceeds unit speed")
         if mid is not None:
             note(mid[0], mid[1])
-        note(b, t1 + length)
-    return first
+        end = t1 + length
+        note(b, end)
+    return first, end
 
 
 def _check_starts(spec: ProblemSpec, nodes: Sequence, schedule: Schedule):
@@ -422,6 +414,7 @@ def verify_schedule(spec: ProblemSpec, schedule: Schedule) -> VerificationReport
     need = spec.faults + 1
     bound = spec.bound
 
+    total = top.total if isinstance(top, RingInstance) else None
     if isinstance(top, LineInstance):
         nodes = top.coordinates
         deadline_of = top.deadlines
@@ -436,7 +429,7 @@ def verify_schedule(spec: ProblemSpec, schedule: Schedule) -> VerificationReport
         expected_kind = "star"
     if schedule.kind != expected_kind:
         raise ScheduleError(None, f"schedule kind {schedule.kind!r} does not match the instance")
-    if expected_kind == "ring" and schedule.circumference != top.total:
+    if expected_kind == "ring" and schedule.circumference != total:
         raise ScheduleError(None, "declared circumference does not match the ring")
     if len(schedule.tracks) != spec.k:
         raise ScheduleError(None, f"expected {spec.k} robot tracks, got {len(schedule.tracks)}")
@@ -445,32 +438,13 @@ def verify_schedule(spec: ProblemSpec, schedule: Schedule) -> VerificationReport
     per_robot_visits = []
     for ridx, track in enumerate(schedule.tracks):
         _check_track_shape(ridx, track, coordinate_kind=expected_kind != "star")
-        if expected_kind == "line":
-            visits = _line_visits(nodes, track)
-        elif expected_kind == "ring":
-            visits = _ring_visits(nodes, top.total, track)
+        if expected_kind == "star":
+            visits, end = _star_visits(top, ridx, track)
         else:
-            visits = _star_visits(top, ridx, track)
+            visits, end = _coordinate_visits(nodes, total, track)
         per_robot_visits.append(visits)
-        last_move = 0
-        wps = track.waypoints
-        for (t1, x1), (t2, x2) in zip(wps, wps[1:]):
-            if x1 == x2:
-                continue
-            if expected_kind == "star":
-                a, b = x1, x2
-                length = (
-                    top.leaf_weights[b if a == top.center else a]
-                    if top.center in (a, b)
-                    else top.leaf_weights[a] + top.leaf_weights[b]
-                )
-                arrive = t1 + length
-            else:
-                arrive = t1 + (x2 - x1 if x2 >= x1 else x1 - x2)
-            if arrive > last_move:
-                last_move = arrive
-        if last_move > makespan:
-            makespan = last_move
+        if end > makespan:
+            makespan = end
     _check_starts(spec, nodes, schedule)
 
     checks = []

@@ -135,6 +135,8 @@ def star_from_partition(values: Sequence[int]) -> ProblemSpec:
 # --------------------------------------------------------------------------
 
 
+STAR_MAX_Q = 14  # star_exact refuses larger stars: its tables hold 2^q cells
+
 # The subset tables mark unreachable cells with a float infinity: it
 # compares with ints and Fractions in C, where INFINITY falls back to
 # Python-level comparisons.  It never leaves star_exact.
@@ -225,7 +227,6 @@ def star_exact(
     k: int,
     f: int = 0,
     delta: Optional[ExactNumber] = None,
-    max_q: int = 14,
 ) -> Verdict:
     """Exact star feasibility and optimal completion time for k <= 2 robots.
 
@@ -237,12 +238,12 @@ def star_exact(
     one O(2^q) pass (fixed robots try both roles); when every robot must
     visit every node (k = 1 or f = 1) it is C[full].  The schedule takes
     the first U in ascending order, and per robot the first start in pool
-    order, that attain the optimum.  Refuses instances beyond the size
-    caps.
+    order, that attain the optimum.  Stars of more than ``STAR_MAX_Q``
+    leaves and teams of more than two robots raise CapExceeded.
     """
     q = star.q
-    if q > max_q:
-        raise CapExceeded(f"exact star search refused: q={q} exceeds cap {max_q}")
+    if q > STAR_MAX_Q:
+        raise CapExceeded(f"exact star search refused: q={q} exceeds cap {STAR_MAX_Q}")
     if k > 2:
         raise CapExceeded("exact star search supports one or two robots")
     if not 0 <= f < k:

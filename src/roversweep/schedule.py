@@ -100,9 +100,14 @@ class Schedule:
 
 
 def track_schedule(topology, tracks) -> Schedule:
-    """The schedule of ``tracks`` on a line, a ring or a star."""
+    """The schedule of ``tracks`` on a line, a ring or a star.  A ring
+    track that starts outside [0, circumference) is moved back by whole
+    laps, so that it starts there; the others are kept as they are."""
     if isinstance(topology, RingInstance):
-        return Schedule(kind="ring", tracks=tuple(tracks), circumference=topology.total)
+        lap = topology.total
+        tracks = [tr if 0 <= tr.start < lap else
+                  RobotTrack(tuple((t, x - tr.start // lap * lap) for t, x in tr.waypoints)) for tr in tracks]
+        return Schedule(kind="ring", tracks=tracks, circumference=lap)
     return Schedule(kind="star" if isinstance(topology, StarInstance) else "line", tracks=tuple(tracks))
 
 

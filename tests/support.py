@@ -493,9 +493,24 @@ def idle_edge_split_scan(starts, n, part_time):
     return prefix[n - 1], parts
 
 
+def line_visits_scan(nodes, track):
+    """``oracle._coordinate_visits`` on a line by testing every node
+    against every segment, the start included: O(segments * n)."""
+    first = {}
+    wps = track.waypoints
+    for (t1, x1), (_, x2) in itertools.chain([(wps[0], wps[0])], zip(wps, wps[1:])):
+        for v, c in enumerate(nodes):
+            if min(x1, x2) <= c <= max(x1, x2):
+                t = t1 + abs(c - x1)
+                if v not in first or t < first[v]:
+                    first[v] = t
+    return first
+
+
 def ring_visits_scan(nodes, total, track):
-    """``oracle._ring_visits`` by lifting every node into every segment:
-    the lifts c + m * total inside [lo, hi], O(segments * n) divisions."""
+    """``oracle._coordinate_visits`` on a ring by lifting every node into
+    every segment: the lifts c + m * total inside [lo, hi], O(segments * n)
+    divisions."""
     first = {}
     wps = track.waypoints
     for (t1, x1), (_, x2) in itertools.chain([((0, wps[0][1]), (0, wps[0][1]))], zip(wps, wps[1:])):

@@ -24,7 +24,7 @@ from roversweep.instance import (
     serialize_instance,
 )
 from roversweep.oracle import brute_solve, verify_schedule
-from roversweep.schedule import Verdict, schedule_from_json
+from roversweep.schedule import RobotTrack, Verdict, schedule_from_json, track_schedule
 
 SKEW3 = {
     "topology": "line",
@@ -360,6 +360,26 @@ def test_feasible_verdict_without_schedule_is_an_internal_error(tmp_path, capsys
     assert captured.out == ""
     assert captured.err.startswith("error: internal error") and captured.err.count("\n") == 1
     assert not os.path.exists(sched)
+
+
+@pytest.mark.parametrize("robots, solver", [
+    ({"mode": "free", "count": 2}, "solve_free"),
+    ({"mode": "subset", "count": 1, "allowed": [0, 2]}, "solve_free_start"),
+])
+def test_decide_verifies_a_reliable_team_schedule(tmp_path, capsys, monkeypatch, robots, solver):
+    # reliable free teams and subsets answer through solvers that verify
+    # nothing themselves: a schedule that leaves nodes unvisited must not
+    # come out as YES
+    def idle(topology, *args):
+        still = RobotTrack(((0, topology.coordinates[0]),))
+        return Verdict(feasible=True, optimum=0, schedule=track_schedule(topology, [still] * robots["count"]))
+
+    monkeypatch.setattr(fault_line, solver, idle)
+    path = write(tmp_path, "team.json", dict(SKEW3, robots=robots))
+    assert main(["decide", path, "--delta", "9"]) == cli.INTERNAL_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: internal error: line schedule failed verification\n"
 
 
 # --------------------------------------------------------------------------

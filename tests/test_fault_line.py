@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -8,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from support import fixed_positions, line_span, random_line, random_ring, random_star, walk_plans
-from roversweep.exact import INFINITY
+from roversweep.exact import INFINITY, format_number
 from roversweep import fault_line
 from roversweep.fault_line import (
     decide,
@@ -35,7 +36,7 @@ from roversweep.multi_line import solve_fixed, solve_free
 from roversweep.oracle import Caps, CapExceeded, brute_solve, verify_schedule
 from roversweep.reductions import line_from_n3dm
 from roversweep.ring import decide_ring_fixed_faulty, optimize_ring_fixed_faulty
-from roversweep.schedule import track_schedule
+from roversweep.schedule import Verdict, track_schedule
 
 UNIT5 = LineInstance(tuple(range(5)), (INFINITY,) * 5)
 PAIR = LineInstance((0, 1), (INFINITY, INFINITY))
@@ -484,3 +485,106 @@ def test_resilience_binary_searches_the_fault_budget(monkeypatch):
     # robots per group: f = 1 (groups of 4) is the most that fits
     assert resilience(spec, 1) == 1
     assert len(calls) <= math.ceil(math.log2(k)) + 1
+
+# sha256 of each pinned ring's optimum and schedule JSON for f = 1 and 2,
+# as solve_free_faulty wrote them when it moved its tracks back by whole
+# laps itself
+PINNED_REPLICATION_DIGESTS = (
+    "0d26f7bb7b00c553649751cf8da5d5c7b11ca7357b46a15e67b2ed752575f476",
+    "aa16eacd21ee2f89ba7fd7ed0869139d0bac0c6c37c22ad7965cea3a8bdaf62e",
+    "c53ea4b22c7690fae4d4da43a7c0aa196066659eadcf6e8005024cb69bd6955c",
+    "c88176424202839f987e62ee6a9bb53dfc736f421c7af6ca64ca259d89e7d9ae",
+    "79439da2563563a5c2481a2b59dad9ad4dd1cca5ea5c2eac0d895b0e8cccac28",
+    "6060b49c329f06e202282c46dc8d8b86e10bd4257b3e124d90d313133c8f4b8d",
+    "7a15cd994ee9f98f58d419928b067743b2afdda1b6b48bc5e883971ed8b8fd95",
+    "0a9bf9a17769bfe514420bbec3d6da729943c3a7c4ba24a9fabf1265b775d6c8",
+    "17bcf7f56aaab35b66f290b06bdf562dab1b458869b147a690f66f397cb85cef",
+    "f7c15c5c7ace28e599432f04b59964753c2b18df2837902c34ad96ba40971a9d",
+    "0f413a914afb522e97bda3463ee22c8ae57cb74f32dd108a6936c7f6d2dfbcb4",
+    "c52ed50fbeb8e663cc361eae8a7d30da524c98c02d4108858ee57973ca1cdb63",
+    "ce6ceccdce7d5ce35611797a4185da1b39892c8b430660ad5a7a992ab48d66a0",
+    "0014e0eaa4ff2cbcebfa6731107b710d4bd0c0463521ce49771fe8e6c4697bbf",
+    "f8a0cc35d0c8a7c7389061dd3d7329a5653fd558dd9f4e7cbf5d3765ff8cf9e9",
+    "ecc80495e08690a7d83130537a0c9dfd95b5ea7325b9889407b942d35798e736",
+    "e82fc753c2340c8833b0411e6639ff97b627178f62e88f7aa950e28aaa66ba70",
+    "88e78ee6b9a9bdb7d90ba7c2f117bc507a97e5924ddf7655e02546dfc8b7dd8d",
+    "7736925f2e9aa0f9e0804e9d31bc6b5e383fe5037fb7c5ecafc698b974e05a9c",
+    "ad8f65bbe3e09d5f8dc0f1425c75b1afe6d4d060c9bdcdb7fd8dd81ba30d3bc2",
+    "d9bc5389fe3a85c2c0ad7c0ef1a08a62a516de6a5d87158523c2389ee48a6ba7",
+    "5b651e50c02cf1cdce9329f7c9aac1678e5fca371d5316cca2086e5d0c2701c8",
+    "38b9566128719f90a299b8bee00818a3d268b491aa09bc3e34d5667689be2788",
+    "7b888689e37cf7d25d65da0d0db1b12db40198641f46721b8ee134c718ddc7a7",
+    "359260e7a11fa38c61681165b43ffa31a0167cfde82f8bf3b7978bc659d44e3b",
+    "43b2e8169afea822595ecd1e0c5439799521763d64a8147cab20fe62b1d727c8",
+    "6a82bc7d657accee0025465bfa18e1ca4595aeef5248032b5f39da7b63220ca2",
+    "705753908869592073979e0c15f86ec24f95fcbf2295f27ee2c378797096ca58",
+    "f69011ad223ee075062b4d6cef34c0ad87816483a1c7afbf3fbfc120898d2611",
+    "6a979ce39cd5f2ccd2a328e4815fb6237caca434176344bda0ee56477080e34b",
+    "fff7b64f86de69706a09a7458c0b0a79618b15114537faa406692fb4d1e7edc6",
+    "10843d81172f33aca5c55d3d3eae2c6d43a4cdc3207dbc54218f4e86b708d2a9",
+    "df3a56c0daa4adf2e8194ee65d0b0b7632ed892d4b1cf9dc04e63a1148081b15",
+    "5b382f043e3c5f66167e3974a6a0c421b8ba0021fc175fe3db4b3220330ad47d",
+    "4b5de47f8446ae51cc4da2def7e0637b45c8af2a8b42e485e2a1143500535387",
+    "4b5de47f8446ae51cc4da2def7e0637b45c8af2a8b42e485e2a1143500535387",
+    "4db371e34b23198960250b4d4c4c47f5bab9e5c5e09535079e0ebae064eb1609",
+    "557e88e3ebd7d0a09c4c964c94235b154fcf897bd9628087a7ee69d5cb40b547",
+    "0430dd9bc00911bfe74003638943c5d4197dfc9d5e9bb44c6bf8b6360d5855a2",
+    "ab5cc31e814fb02826fb5624b15a58d08f9c9d32ae8c2e6fa6195bacce5b07fd",
+)
+
+
+def pinned_replication_ring_texts():
+    """Optimum and schedule JSON of ``solve_free_faulty`` on seeded rings of
+    2 to 9 nodes, with f = 1 and with f = 2; one text per ring, each ring
+    followed by its ÷3 twin.  Most of the replicated solves' tracks start
+    past the first lap, so track_schedule moves them back."""
+    rng = random.Random(2020)
+    for trial in range(20):
+        share = (0, 0.3, 0.7)[trial % 3]
+        n = rng.randint(2, 9)
+        weights = tuple(rng.randint(1, 4) for _ in range(n))
+        total = sum(weights)
+        deadlines = tuple(rng.randint(1, 2 * total) if rng.random() < share else INFINITY
+                          for _ in range(n))
+        ring = RingInstance(weights, deadlines)
+        teams = [(f, rng.randint(f + 1, f + 3)) for f in (1, 2)]
+        for topology in (ring, ring.scaled(Fraction(1, 3))):
+            text = ""
+            for f, k in teams:
+                v = solve_free_faulty(topology, k, f)
+                text += format_number(v.optimum) + "\n" + (v.schedule.to_json() if v.feasible else "") + "\n"
+            yield text
+
+
+def test_replication_ring_schedule_bytes_are_pinned():
+    digests = [hashlib.sha256(text.encode()).hexdigest() for text in pinned_replication_ring_texts()]
+    assert digests == list(PINNED_REPLICATION_DIGESTS)
+
+
+def test_resilience_probes_the_fault_budgets_of_its_own_binary_search(monkeypatch):
+    def reference(k, holds):
+        # resilience's search before it ran on least_feasible
+        if not holds(0):
+            return None
+        lo, hi = 0, k - 1
+        while lo < hi:
+            mid = (lo + hi + 1) >> 1
+            if holds(mid):
+                lo = mid
+            else:
+                hi = mid - 1
+        return lo
+
+    for k in range(1, 9):
+        spec = ProblemSpec(UNIT5, RobotPlacement(FREE, count=k), 0, None)
+        for threshold in range(-1, k):  # decide says YES for f <= threshold
+            probed, expected = [], []
+
+            def recorded(s, delta, caps=None):
+                probed.append(s.faults)
+                return Verdict(feasible=s.faults <= threshold)
+
+            monkeypatch.setattr(fault_line, "decide", recorded)
+            got = resilience(spec, 1)
+            want = reference(k, lambda f: expected.append(f) or f <= threshold)
+            assert (got, probed) == (want, expected), (k, threshold)

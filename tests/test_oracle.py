@@ -12,9 +12,11 @@ from support import (
     brute_solve_alt,
     fixed_positions,
     line_span,
+    line_visits_scan,
     naive_team_tables,
     random_line,
     random_ring,
+    random_star,
     ring_visits_scan,
 )
 from roversweep.exact import INFINITY, simplify
@@ -30,7 +32,7 @@ from roversweep.instance import (
 from roversweep.oracle import (
     Caps,
     CapExceeded,
-    _ring_visits,
+    _coordinate_visits,
     brute_solve,
     enumerate_walks,
     verify_schedule,
@@ -200,31 +202,68 @@ def test_verify_checks_where_each_track_starts():
         verify_schedule(spec, Schedule(kind="ring", tracks=(RobotTrack(((0, 4),)),), circumference=4))
 
 
+def _last_move_end(track, length):
+    """The time the track's last move ends: the latest arrival over its
+    segments that move, 0 for a track that never moves."""
+    wps = track.waypoints
+    return max((t1 + length(a, b) for (t1, a), (_, b) in zip(wps, wps[1:]) if a != b), default=0)
+
+
 def test_ring_visits_equal_the_lift_scan():
     # unwrapped starts below zero, segments over two laps or more, the
-    # zero-length first segment and Fraction weights all take the lap loop
+    # zero-length first segment and Fraction weights all take the lap loop;
+    # a line (total None) is one lap, read against a plain scan.  The end of
+    # the last move is returned too, also for tracks that wait at their
+    # last spot
     rng = random.Random(1602)
-    long_segments = 0
-    for _ in range(1500):
-        ring = random_ring(rng, max_n=7)
-        if rng.random() < 0.5:
-            ring = ring.scaled(Fraction(1, rng.choice((2, 3))))
-        nodes, total = ring.arc_positions(), ring.total
-        t, x = 0, nodes[rng.randrange(ring.n)] + rng.randint(-3, 2) * total
+    long_segments = waits = 0
+    for trial in range(3000):
+        if trial % 2:
+            line = random_line(rng, max_n=7)
+            nodes, total, span = line.coordinates, None, max(line.coordinates[-1], 1)
+            t, x = 0, rng.choice(nodes) + Fraction(rng.randint(-2, 2), 2)
+        else:
+            ring = random_ring(rng, max_n=7)
+            if rng.random() < 0.5:
+                ring = ring.scaled(Fraction(1, rng.choice((2, 3))))
+            nodes, total = ring.arc_positions(), ring.total
+            span = total
+            t, x = 0, nodes[rng.randrange(ring.n)] + rng.randint(-3, 2) * total
         waypoints = [(t, x)]
         for _ in range(rng.randint(0, 4)):
-            step = simplify(total * Fraction(rng.randint(-36, 36), 12))
+            step = simplify(span * Fraction(rng.randint(-36, 36), 12))
             if step == 0:
                 continue
-            long_segments += abs(step) >= 2 * total
+            long_segments += total is not None and abs(step) >= 2 * total
             t, x = t + abs(step) + rng.randint(0, 2), x + step
             waypoints.append((t, x))
+        if rng.random() < 0.3:
+            waits += 1
+            waypoints.append((t + rng.randint(1, 3), x))
         track = RobotTrack(tuple(waypoints))
-        fast = _ring_visits(nodes, total, track)
-        assert {v: (type(t), t) for v, t in fast.items()} == {
-            v: (type(t), t) for v, t in ring_visits_scan(nodes, total, track).items()
-        }
-    assert long_segments > 100
+        fast, end = _coordinate_visits(nodes, total, track)
+        scan = line_visits_scan(nodes, track) if total is None else ring_visits_scan(nodes, total, track)
+        assert {v: (type(t), t) for v, t in fast.items()} == {v: (type(t), t) for v, t in scan.items()}
+        assert end == _last_move_end(track, lambda a, b: abs(b - a))
+    assert long_segments > 100 and waits > 500
+
+    for _ in range(300):
+        star = random_star(rng, fractional=rng.random() < 0.5)
+        w, center = star.leaf_weights, star.center
+
+        def length(a, b):
+            return sum(w[u] for u in (a, b) if u != center)
+
+        t, here = 0, rng.randrange(star.q + 1)
+        waypoints = [(t, here)]
+        for _ in range(rng.randint(0, 5)):
+            there = rng.randrange(star.q + 1)
+            t += length(here, there) + rng.randint(0 if there != here else 1, 2)
+            here = there
+            waypoints.append((t, here))
+        track = RobotTrack(tuple(waypoints))
+        _, end = oracle._star_visits(star, 0, track)
+        assert end == _last_move_end(track, length)
 
 
 def test_brute_witness_always_verifies():

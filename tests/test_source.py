@@ -1,0 +1,78 @@
+"""Static checks on the package source: nothing in it is dead.
+
+Every module of ``roversweep`` is parsed with ``ast``.  A module-level
+``_private`` name that no module of the package reads is dead, and so is
+an import that its own module never reads.  Imports on a line marked
+``# noqa: F401`` are kept on purpose (names bound for other code to
+find), and the package ``__init__`` imports are its public names.
+"""
+
+import ast
+import os
+
+import roversweep
+
+PACKAGE = os.path.dirname(roversweep.__file__)
+
+
+def _modules():
+    for name in sorted(os.listdir(PACKAGE)):
+        if name.endswith(".py"):
+            with open(os.path.join(PACKAGE, name), encoding="utf-8") as fh:
+                text = fh.read()
+            yield name, text.splitlines(), ast.parse(text)
+
+
+def _loaded(tree) -> set:
+    """The names a module reads as variables."""
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+
+
+def _read_anywhere(trees) -> set:
+    """The names any module reads: as variables, as attributes, or by
+    importing them from another module."""
+    out = set()
+    for tree in trees:
+        out |= _loaded(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                out.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                out.update(alias.name for alias in node.names)
+    return out
+
+
+def _private_definitions(tree):
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [stmt.name]
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield stmt.lineno, name
+
+
+def _unused_imports(lines, tree):
+    loaded = _loaded(tree)
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", "") == "__future__":
+            continue
+        for alias in node.names:
+            bound = alias.asname or alias.name.split(".")[0]
+            if bound not in loaded and "# noqa: F401" not in lines[alias.lineno - 1]:
+                yield alias.lineno, bound
+
+
+def test_the_package_holds_no_dead_names_or_unused_imports():
+    modules = list(_modules())
+    read = _read_anywhere(tree for _, _, tree in modules)
+    dead = []
+    for name, lines, tree in modules:
+        dead += [f"{name}:{line}: {n} is never read" for line, n in _private_definitions(tree) if n not in read]
+        if name != "__init__.py":
+            dead += [f"{name}:{line}: import {n} is unused" for line, n in _unused_imports(lines, tree)]
+    assert dead == []
