@@ -1,7 +1,7 @@
 """Exact solvers for deadline-constrained exploration of lines, rings and
 stars by collections of mobile robots, some of which may crash."""
 
-from .exact import ExactNumber, INFINITY, format_number, parse_number
+from .exact import ExactNumber, INFINITY, format_number
 from .instance import (
     InstanceError,
     LineInstance,

@@ -12,14 +12,16 @@ Every command reads its documents straight into integers: each number
 times c, the least positive int that makes the instance, ``--delta`` and
 (for ``verify``) the schedule integral (see ``exact``).  ``solve``,
 ``decide`` and ``resilience`` ask the one router, ``fault_line.solve``,
-``fault_line.decide`` and ``fault_line.resilience``, ``oracle`` the brute
-force, and ``verify`` replays the schedule, all in integers; only the
+``fault_line.decide`` and ``fault_line.resilience``, which verifies every
+answer it gives; ``oracle`` asks the brute force on lines and rings and
+the router on stars, where the exact star solver is the reference; and
+``verify`` replays the schedule, all in integers; only the
 numbers printed (the optimum, the makespan and the schedule) are divided
 back by c, so the output is that of the documents as written.
 
 Exit codes: 0 success / YES / PASS, 1 infeasible / NO / FAIL, 2 usage
 errors, malformed input, or a refused exact search, 3 an internal error
-(a solver's answer failed its own verification).  Output is
+(a solver's answer failed the router's verification).  Output is
 deterministic: identical inputs produce identical bytes.
 """
 
@@ -90,8 +92,6 @@ def _spec_and_delta(args) -> tuple:
 def cmd_solve(args) -> int:
     spec, c = read_instance(_read(args.instance))
     verdict = fault_line.solve(spec, _caps_from(args, spec.topology))
-    if verdict.feasible and verdict.schedule is None:
-        raise RuntimeError("internal error: a feasible verdict came without a schedule")
     if args.emit_schedule and verdict.feasible:
         with open(args.emit_schedule, "w", encoding="utf-8") as fh:
             fh.write(verdict.schedule.scaled(Fraction(1, c)).to_json())
@@ -229,13 +229,10 @@ def cmd_verify(args) -> int:
 
 def cmd_oracle(args) -> int:
     spec, c = read_instance(_read(args.instance))
-    caps = _caps_from(args)
     if isinstance(spec.topology, StarInstance):
-        verdict = reductions.star_exact(
-            spec.topology, spec.placement, spec.k, spec.faults, spec.bound
-        )
+        verdict = fault_line.solve(spec)
     else:
-        verdict = brute_solve(spec, caps)
+        verdict = brute_solve(spec, _caps_from(args))
     optimum = scale(verdict.optimum, Fraction(1, c))
     if args.json:
         doc = {

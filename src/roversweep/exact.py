@@ -149,12 +149,6 @@ def parse_ratio(text: str) -> tuple:
     return x.numerator, x.denominator
 
 
-def parse_number(text: str) -> Union[int, Fraction]:
-    """``parse_ratio``'s value as an int, or as a Fraction when it is not integral."""
-    p, q = parse_ratio(text)
-    return p if q == 1 else Fraction(p, q)
-
-
 def format_number(x: ExactNumber) -> str:
     """Render exactly: ints as "p", proper fractions as "p/q", INFINITY as "inf"."""
     if x is INFINITY:

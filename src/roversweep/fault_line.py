@@ -31,6 +31,11 @@ every probe's plans off:
 
 Robots may legally pass nodes after their deadlines (visited or not,
 nodes never block passage); such visits simply do not count as coverage.
+
+Answers are verified at one exit: ``solve`` and ``decide`` hand every
+feasible verdict to ``oracle.witnessed``, which checks its schedule at
+the optimum it claims (at delta, for a decision) and attaches the
+witness.  The route solvers they call return their schedules unverified.
 """
 
 from __future__ import annotations
@@ -49,7 +54,6 @@ from .instance import (
     InstanceError,
     ProblemSpec,
     RingInstance,
-    RobotPlacement,
     StarInstance,
 )
 from .multi_line import least_feasible, solve_fixed, solve_free
@@ -92,7 +96,10 @@ def solve_free_faulty(topology, k: int, f: int) -> Verdict:
     moves back by whole laps onto the base ring.  Without finite node
     deadlines this is exactly optimal: covers split into f+1 full covers.  Finite deadlines
     can punch holes in coverage profiles, and then a schedule of another
-    shape may finish sooner; the returned schedule is verified either way.
+    shape may finish sooner.  The schedule is not verified here; the
+    router verifies it, and on a ring a rejection would mean that a
+    replication segment spanned more than one lap, so one robot would have
+    to cover some node twice.
     """
     if not 0 <= f < k:
         raise ValueError("need 0 <= f < k")
@@ -109,12 +116,7 @@ def solve_free_faulty(topology, k: int, f: int) -> Verdict:
     tracks = base.schedule.tracks
     if not ring:
         tracks = tracks * (f + 1) + tuple(tracks[i % group] for i in range(k - group * (f + 1)))
-    # on a ring, a failed verification means a replication segment spanned
-    # more than one lap, so one robot would have to cover some node twice
-    return witnessed(
-        topology, RobotPlacement(FREE, count=k), f, None, track_schedule(topology, tracks),
-        optimum=base.optimum,
-    )
+    return Verdict(feasible=True, optimum=base.optimum, schedule=track_schedule(topology, tracks))
 
 
 # --------------------------------------------------------------------------
@@ -488,23 +490,22 @@ def search_plans(topology, positions: Sequence[int], f: int, delta, tables=None)
     return _FixedSearch(topology, positions, f, delta, tables).run()
 
 
-def _plans_verdict(topology, positions: Sequence[int], f: int, delta, plans: list, optimum=None) -> Verdict:
-    """The verified verdict of the plans ``search_plans`` found at delta."""
+def _plans_verdict(topology, positions: Sequence[int], plans: list, optimum=None) -> Verdict:
+    """The feasible verdict of the plans ``search_plans`` found."""
     spots = _spots(topology)
     tracks = tuple(
         plan.track if plan is not None else RobotTrack(((0, spots[p]),))
         for p, plan in zip(positions, plans)
     )
-    placement = RobotPlacement(FIXED, positions=positions)
-    return witnessed(topology, placement, f, delta, track_schedule(topology, tracks), optimum)
+    return Verdict(feasible=True, optimum=optimum, schedule=track_schedule(topology, tracks))
 
 
 def search_verdict(topology, positions: Sequence[int], f: int, delta) -> Verdict:
-    """Run the exact search (positions sorted); YES carries a verified schedule."""
+    """Run the exact search (positions sorted); YES carries its schedule."""
     plans = search_plans(topology, positions, f, delta)
     if plans is None:
         return Verdict(feasible=False, optimum=None)
-    return _plans_verdict(topology, positions, f, delta, plans)
+    return _plans_verdict(topology, positions, plans)
 
 
 def fixed_team(topology, positions: Iterable[int], f: int) -> tuple:
@@ -532,8 +533,8 @@ def decide_fixed_faulty(
     deadlines capped at delta, at any size.  Everything else runs the
     exact search, which never guesses: instances beyond ``caps``
     (default: ``fixed_search_caps``) raise CapExceeded.  The plans come
-    from tables made up to delta.  A YES always carries a schedule that
-    ``verify_schedule`` accepts.
+    from tables made up to delta.  A YES carries its schedule, which
+    ``decide`` verifies.
     """
     positions = fixed_team(topology, positions, f)
     if not is_finite(delta):
@@ -544,8 +545,7 @@ def decide_fixed_faulty(
         reliable = solve_fixed(topology.capped(delta), positions)
         if not reliable.feasible or reliable.optimum > delta:
             return Verdict(feasible=False, optimum=None)
-        placement = RobotPlacement(FIXED, positions=positions)
-        return witnessed(topology, placement, f, delta, reliable.schedule)
+        return replace(reliable, optimum=None)
     check_caps(topology, len(positions), caps or fixed_search_caps(topology))
     return search_verdict(topology, positions, f, delta)
 
@@ -582,8 +582,8 @@ def solve_fixed_faulty(
     Feasibility is monotone in delta and can only change at a time from
     ``fixed_faulty_candidates``, so a binary search over them with the
     exact search yields the optimum.  Probes return the search's plans, and
-    only the plans accepted at the optimum are built into tracks and
-    verified.  Each distinct start's table from
+    only the plans accepted at the optimum are built into tracks.  Each
+    distinct start's table from
     ``plan_tables`` is made once, without a time bound, and the candidates
     and every probe read it.  Reliable robots at distinct nodes are
     solved directly by ``solve_fixed``.  Caps as for the decision.
@@ -601,7 +601,7 @@ def solve_fixed_faulty(
     if found is None:
         return Verdict(feasible=False, optimum=INFINITY)
     delta, plans = found
-    return _plans_verdict(topology, positions, f, delta, plans, optimum=delta)
+    return _plans_verdict(topology, positions, plans, optimum=delta)
 
 
 def solve_subset(topology, allowed: Iterable[int], k: int, f: int) -> Verdict:
@@ -622,7 +622,9 @@ def solve(spec: ProblemSpec, caps: Optional[Caps] = None) -> Verdict:
 
     Stars go to ``star_exact``, fixed robots to ``solve_fixed_faulty``
     (searching under ``caps``), free robots to ``solve_free_faulty`` and
-    subsets to ``solve_subset``.  A feasible verdict carries a schedule.
+    subsets to ``solve_subset``.  A feasible verdict carries a schedule
+    that ``verify_schedule`` has accepted at the optimum, and its witness;
+    a missing or rejected schedule raises RuntimeError.
     """
     top, placement, f = spec.topology, spec.placement, spec.faults
     if isinstance(top, StarInstance):
@@ -635,19 +637,19 @@ def solve(spec: ProblemSpec, caps: Optional[Caps] = None) -> Verdict:
         verdict = solve_subset(top, placement.allowed, spec.k, f)
     if verdict.feasible and spec.bound is not None and verdict.optimum > spec.bound:
         # the optimum is the least bound a schedule meets
-        return Verdict(feasible=False, optimum=INFINITY)
-    return verdict
+        verdict = Verdict(feasible=False, optimum=INFINITY)
+    return witnessed(spec, verdict)
 
 
 def decide(spec: ProblemSpec, delta: ExactNumber, caps: Optional[Caps] = None) -> Verdict:
     """Can ``spec`` be explored with every node visited by min(deadline, delta)?
 
     A negative delta is NO.  Fixed robots on a line or a ring go to
-    ``decide_fixed_faulty``; everything else is ``solve`` on the spec
-    with its deadlines capped at delta and bound delta.  A YES carries
-    its schedule, which ``verify_schedule`` has accepted: the routes that
-    do not verify their own (reliable free teams and subsets) are checked
-    here, and a rejected schedule raises RuntimeError.
+    ``decide_fixed_faulty``, whose YES is verified here at delta;
+    everything else is ``solve`` on the spec with its deadlines capped at
+    delta and bound delta, which has verified its answer.  So a YES
+    carries a schedule that ``verify_schedule`` has accepted, and its
+    witness; a missing or rejected schedule raises RuntimeError.
     """
     if not is_finite(delta):
         raise ValueError("the decision needs a finite time bound")
@@ -655,11 +657,9 @@ def decide(spec: ProblemSpec, delta: ExactNumber, caps: Optional[Caps] = None) -
         return Verdict(feasible=False, optimum=None)  # no walk finishes before time 0
     top, placement = spec.topology, spec.placement
     if placement.mode == FIXED and not isinstance(top, StarInstance):
-        return decide_fixed_faulty(top, placement.positions, spec.faults, delta, caps)
-    verdict = solve(replace(spec, topology=top.capped(delta), bound=delta), caps)
-    if verdict.feasible and verdict.witness is None:
-        verdict = witnessed(top, placement, spec.faults, delta, verdict.schedule, verdict.optimum)
-    return verdict
+        verdict = decide_fixed_faulty(top, placement.positions, spec.faults, delta, caps)
+        return witnessed(replace(spec, bound=delta), verdict)
+    return solve(replace(spec, topology=top.capped(delta), bound=delta), caps)
 
 
 def resilience(spec: ProblemSpec, delta: ExactNumber, caps: Optional[Caps] = None) -> Optional[int]:

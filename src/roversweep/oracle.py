@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Union
 
 from .exact import ExactNumber, INFINITY, format_number
@@ -25,7 +25,6 @@ from .instance import (
     LineInstance,
     ProblemSpec,
     RingInstance,
-    RobotPlacement,
     StarInstance,
     node_count,
 )
@@ -469,31 +468,26 @@ def verify_schedule(spec: ProblemSpec, schedule: Schedule) -> VerificationReport
     )
 
 
-def witnessed(
-    topology,
-    placement: RobotPlacement,
-    f: int,
-    bound: Optional[ExactNumber],
-    schedule: Schedule,
-    optimum: Optional[ExactNumber] = None,
-) -> Verdict:
-    """Feasible verdict for ``schedule`` once ``verify_schedule`` accepts it.
+def witnessed(spec: ProblemSpec, verdict: Verdict) -> Verdict:
+    """``verdict`` once ``verify_schedule`` accepts its schedule.
 
-    The tracks must start as ``placement`` says and give every node f+1
-    distinct visitors by min(deadline, bound); the witness lists them.  A
-    rejected schedule is a solver bug, not bad input, and raises
-    RuntimeError.
+    An infeasible verdict passes unchanged.  A feasible one must carry a
+    schedule whose tracks start as the placement says and give every node
+    f+1 distinct visitors by min(deadline, t), where t is the optimum the
+    verdict claims, else ``spec.bound``; the witness lists them.  A
+    missing or rejected schedule is a solver bug, not bad input, and
+    raises RuntimeError.
     """
-    spec = ProblemSpec(topology=topology, placement=placement, faults=f, bound=bound)
+    if not verdict.feasible:
+        return verdict
+    schedule = verdict.schedule
+    if schedule is None:
+        raise RuntimeError("internal error: a feasible verdict came without a schedule")
+    bound = spec.bound if verdict.optimum is None else verdict.optimum
     try:
-        report = verify_schedule(spec, schedule)
+        report = verify_schedule(replace(spec, bound=bound), schedule)
     except ScheduleError as exc:
         raise RuntimeError(f"internal error: {schedule.kind} schedule is malformed: {exc}") from None
     if not report.passed:
         raise RuntimeError(f"internal error: {schedule.kind} schedule failed verification")
-    return Verdict(
-        feasible=True,
-        optimum=optimum,
-        schedule=schedule,
-        witness={c.node: c.visits for c in report.nodes},
-    )
+    return replace(verdict, witness={c.node: c.visits for c in report.nodes})

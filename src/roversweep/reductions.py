@@ -29,7 +29,7 @@ from .instance import (
     RobotPlacement,
     StarInstance,
 )
-from .oracle import CapExceeded, witnessed
+from .oracle import CapExceeded
 from .schedule import RobotTrack, Verdict, track_schedule
 
 
@@ -320,5 +320,6 @@ def star_exact(
         s = next(s for s in pool if (t := tables_at(s)[serves]) is not None and t[cover] == cell)
         tracks.append((s, made[s][0].track(cover, serves)))
     tracks.sort(key=lambda start_track: start_track[0])
-    schedule = track_schedule(star, (track for _, track in tracks))
-    return witnessed(star, placement, f, delta, schedule, optimum=optimum)
+    return Verdict(
+        feasible=True, optimum=optimum, schedule=track_schedule(star, (track for _, track in tracks))
+    )

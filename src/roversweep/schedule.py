@@ -180,7 +180,9 @@ class Verdict:
     ``optimum`` is the optimal exploration time (INFINITY when
     infeasible); decision-only calls leave it at None.  ``witness`` maps
     each node index to the on-time first visits (robot, time) that cover
-    it, and is populated by the fault-tolerant solvers.
+    it.  The router (``fault_line.solve`` and ``decide``) fills it in
+    when it verifies the schedule, and so does ``brute_solve``; the route
+    solvers leave it at None.
     """
 
     feasible: bool

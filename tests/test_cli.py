@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from roversweep import cli, fault_line, multi_line, reductions, ring
+from roversweep import cli, fault_line, multi_line, oracle, reductions, ring
 from roversweep.cli import main
 from roversweep.exact import INFINITY, decimal_str, format_number
 from roversweep.instance import (
@@ -362,24 +362,88 @@ def test_feasible_verdict_without_schedule_is_an_internal_error(tmp_path, capsys
     assert not os.path.exists(sched)
 
 
-@pytest.mark.parametrize("robots, solver", [
-    ({"mode": "free", "count": 2}, "solve_free"),
-    ({"mode": "subset", "count": 1, "allowed": [0, 2]}, "solve_free_start"),
-])
-def test_decide_verifies_a_reliable_team_schedule(tmp_path, capsys, monkeypatch, robots, solver):
-    # reliable free teams and subsets answer through solvers that verify
-    # nothing themselves: a schedule that leaves nodes unvisited must not
-    # come out as YES
+@pytest.mark.parametrize("command", ["solve", "decide"])
+@pytest.mark.parametrize("robots, solver, starts", [
+    ({"mode": "free", "count": 2}, "solve_free", (0, 0)),
+    ({"mode": "subset", "count": 1, "allowed": [0, 2]}, "solve_free_start", (0,)),
+    ({"mode": "fixed", "positions": [0, 2]}, "solve_fixed", (0, 2)),
+], ids=["free", "subset", "fixed"])
+def test_the_router_verifies_a_reliable_team_schedule(
+    tmp_path, capsys, monkeypatch, command, robots, solver, starts
+):
+    # reliable teams answer through solvers that verify nothing
+    # themselves: a schedule that leaves nodes unvisited must come out
+    # neither as an optimum nor as YES
     def idle(topology, *args):
-        still = RobotTrack(((0, topology.coordinates[0]),))
-        return Verdict(feasible=True, optimum=0, schedule=track_schedule(topology, [still] * robots["count"]))
+        tracks = [RobotTrack(((0, topology.coordinates[p]),)) for p in starts]
+        return Verdict(feasible=True, optimum=0, schedule=track_schedule(topology, tracks))
 
     monkeypatch.setattr(fault_line, solver, idle)
     path = write(tmp_path, "team.json", dict(SKEW3, robots=robots))
-    assert main(["decide", path, "--delta", "9"]) == cli.INTERNAL_ERROR
+    sched = tmp_path / "sched.json"
+    argv = ["--emit-schedule", str(sched)] if command == "solve" else ["--delta", "9"]
+    assert main([command, path, *argv]) == cli.INTERNAL_ERROR
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: internal error: line schedule failed verification\n"
+    assert not sched.exists()
+
+
+def test_solve_verifies_the_optimum_it_claims(tmp_path, capsys, monkeypatch):
+    # a schedule that meets every deadline but not the optimum printed is
+    # a solver bug too
+    real = fault_line.solve_fixed
+
+    def one_less(topology, positions):
+        verdict = real(topology, positions)
+        return replace(verdict, optimum=verdict.optimum - 1)
+
+    path = write(tmp_path, "skew3.json", SKEW3)
+    assert main(["solve", path]) == 0
+    assert capsys.readouterr().out == "4 (4)\n"
+    monkeypatch.setattr(fault_line, "solve_fixed", one_less)
+    assert main(["solve", path]) == cli.INTERNAL_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: internal error: line schedule failed verification\n"
+
+
+LINE4 = {"topology": "line", "coordinates": ["0", "1", "3", "4"], "deadlines": [None, None, "6", None]}
+RING4 = {"topology": "ring", "edge_weights": ["1", "2", "1", "3"], "deadlines": [None, "5", None, None]}
+STAR3 = {"topology": "star", "leaf_weights": ["1", "2", "3"], "deadlines": [None, "9", "8"],
+         "center_deadline": None}
+
+
+@pytest.mark.parametrize("topology", [LINE4, RING4, STAR3], ids=["line", "ring", "star"])
+@pytest.mark.parametrize("robots, faults", [
+    ({"mode": "fixed", "positions": [0, 2]}, 0),
+    ({"mode": "free", "count": 2}, 0),
+    ({"mode": "subset", "count": 1, "allowed": [0, 2]}, 0),
+    ({"mode": "fixed", "positions": [1, 1]}, 1),
+    ({"mode": "free", "count": 2}, 1),
+], ids=["fixed", "free", "subset", "fixed crash", "free crash"])
+def test_every_answer_is_verified_once(tmp_path, capsys, monkeypatch, topology, robots, faults):
+    # the router checks each feasible answer exactly once, at its exit,
+    # and an infeasible one not at all
+    calls = []
+    real = oracle.verify_schedule
+
+    def counting(spec, schedule):
+        calls.append(spec.bound)
+        return real(spec, schedule)
+
+    monkeypatch.setattr(oracle, "verify_schedule", counting)
+    doc = dict(topology, robots=robots, faults=faults, delta=None)
+    assert main(["solve", write(tmp_path, "late.json", dict(doc, delta="0"))]) == 1
+    assert capsys.readouterr().out == "infeasible\n" and calls == []
+    path = write(tmp_path, "doc.json", doc)
+    assert main(["solve", path]) == 0
+    optimum = capsys.readouterr().out.split()[0]
+    assert [format_number(bound) for bound in calls] == [optimum]  # checked at the optimum
+    for delta, code in ((optimum, 0), ("0", 1), ("-1", 1)):
+        calls.clear()
+        assert main(["decide", path, "--delta", delta]) == code
+        assert len(calls) == 1 - code
 
 
 # --------------------------------------------------------------------------

@@ -7,7 +7,6 @@ from roversweep.exact import (
     INFINITY,
     decimal_str,
     format_number,
-    parse_number,
     parse_ratio,
     scale,
     simplify,
@@ -15,10 +14,10 @@ from roversweep.exact import (
 
 
 def test_parse_decimal_and_ratio():
-    assert parse_number("0.5") == Fraction(1, 2)
-    assert parse_number("3/4") == Fraction(3, 4)
-    assert parse_number("2") == 2
-    assert isinstance(parse_number("4/2"), int)
+    assert parse_ratio("0.5") == (1, 2)
+    assert parse_ratio("3/4") == (3, 4)
+    assert parse_ratio("2") == (2, 1)
+    assert parse_ratio("4/2") == (2, 1)
 
 
 def _outcome(parse, text):
@@ -29,6 +28,11 @@ def _outcome(parse, text):
     return type(value), value
 
 
+def _fraction_pair(text):
+    x = Fraction(text.strip())
+    return x.numerator, x.denominator
+
+
 @pytest.mark.parametrize("text", [
     " 12 ", "007", "0", "-3", "+4", "12.0", "3/4", "\u0663", "", "1/0",
     "6/3", "0/5", "03/04", " 3/4 ", "3/-4", "+3/4", "3 / 4", "1_000/3", "\u0663/\u0664", "0.5",
@@ -36,7 +40,7 @@ def _outcome(parse, text):
 def test_digit_fast_path_parses_as_the_fraction_path(text):
     # plain ASCII digits, alone or as p/q, skip Fraction's string parser;
     # every input must parse (or fail) as before
-    assert _outcome(parse_number, text) == _outcome(lambda t: simplify(Fraction(t.strip())), text)
+    assert _outcome(parse_ratio, text) == _outcome(_fraction_pair, text)
 
 
 @pytest.mark.parametrize("text", [
@@ -45,11 +49,7 @@ def test_digit_fast_path_parses_as_the_fraction_path(text):
     "10/4", "1e3", "-7/21",
 ])
 def test_ratio_is_the_fraction_in_lowest_terms(text):
-    def as_pair(t):
-        x = Fraction(t.strip())
-        return x.numerator, x.denominator
-
-    got, want = _outcome(parse_ratio, text), _outcome(as_pair, text)
+    got, want = _outcome(parse_ratio, text), _outcome(_fraction_pair, text)
     assert got == want
     if isinstance(got, tuple):
         p, q = got[1]
@@ -57,14 +57,14 @@ def test_ratio_is_the_fraction_in_lowest_terms(text):
 
 
 def test_digit_fast_path_keeps_values_types_and_errors():
-    assert _outcome(parse_number, "007") == (int, 7)
-    assert _outcome(parse_number, "-3") == (int, -3)
-    assert _outcome(parse_number, "12.0") == (int, 12)
-    assert _outcome(parse_number, "3/4") == (Fraction, Fraction(3, 4))
-    assert _outcome(parse_number, "") is ValueError
-    assert _outcome(parse_number, "1/0") is ZeroDivisionError
-    assert _outcome(parse_number, " 12 ") == (int, 12)
-    assert _outcome(parse_number, "\u0663") == (int, 3)
+    assert parse_ratio("007") == (7, 1)
+    assert parse_ratio("-3") == (-3, 1)
+    assert parse_ratio("12.0") == (12, 1)
+    assert parse_ratio("6/4") == (3, 2)
+    assert _outcome(parse_ratio, "") is ValueError
+    assert _outcome(parse_ratio, "1/0") is ZeroDivisionError
+    assert parse_ratio(" 12 ") == (12, 1)
+    assert parse_ratio("\u0663") == (3, 1)
 
 
 def test_scale_matches_the_fraction_product():
@@ -79,8 +79,8 @@ def test_scale_matches_the_fraction_product():
 
 def test_format_round_trip():
     for text in ["0", "7", "1/3", "22/7", "0.125"]:
-        value = parse_number(text)
-        assert parse_number(format_number(value)) == value
+        p, q = parse_ratio(text)
+        assert parse_ratio(format_number(simplify(Fraction(p, q)))) == (p, q)
 
 
 def test_infinity_ordering():

@@ -305,7 +305,7 @@ def test_single_robot_zero_faults_matches_single_solver():
 
 def test_a_fixed_crash_solve_verifies_one_schedule(monkeypatch):
     # the binary search's probes return plans; only the optimum's are
-    # built into tracks and verified
+    # built into tracks, and the router verifies them once, at the optimum
     from roversweep import oracle
 
     verified, accepted = [], []
@@ -329,7 +329,8 @@ def test_a_fixed_crash_solve_verifies_one_schedule(monkeypatch):
         k = rng.randint(2, 3)
         positions = fixed_positions(rng, topology.n, k, allow_duplicates=True)
         verified.clear()
-        verdict = solve_fixed_faulty(topology, positions, rng.randint(1, k - 1))
+        f = rng.randint(1, k - 1)
+        verdict = solve(ProblemSpec(topology, RobotPlacement(FIXED, positions=positions), f, None))
         assert verified == ([verdict.optimum] if verdict.feasible else [])
         solves += verdict.feasible
     assert solves > 20
@@ -382,7 +383,8 @@ def test_witness_survives_any_crash_subset():
         f = rng.randint(1, k - 1)
         positions = fixed_positions(rng, line.n, k, allow_duplicates=True)
         span = int(line_span(line)) + 1
-        verdict = decide_fixed_faulty(line, positions, f, 2 * span)
+        spec = ProblemSpec(line, RobotPlacement(FIXED, positions=positions), f, None)
+        verdict = decide(spec, 2 * span)
         if not verdict.feasible:
             continue
         # deleting any f robots leaves every node covered on time

@@ -1,6 +1,7 @@
 import importlib
 import pkgutil
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -38,7 +39,7 @@ from roversweep.oracle import (
     verify_schedule,
     witnessed,
 )
-from roversweep.schedule import RobotTrack, Schedule, ScheduleError
+from roversweep.schedule import RobotTrack, Schedule, ScheduleError, Verdict
 
 UNIT3 = LineInstance((0, 1, 2), (INFINITY,) * 3)
 
@@ -189,7 +190,7 @@ def test_verify_checks_where_each_track_starts():
             verify_schedule(ProblemSpec(line, placement), sweep)
         # a solver whose schedule ignores its placement is at fault
         with pytest.raises(RuntimeError, match="internal error"):
-            witnessed(line, placement, 0, None, sweep)
+            witnessed(ProblemSpec(line, placement), Verdict(feasible=True, schedule=sweep))
     between = Schedule(kind="line", tracks=(RobotTrack(((0, Fraction(1, 2)), (3, 3))),))
     with pytest.raises(ScheduleError, match="not at a node"):
         verify_schedule(ProblemSpec(line, RobotPlacement(FREE, count=1)), between)
@@ -200,6 +201,24 @@ def test_verify_checks_where_each_track_starts():
     assert verify_schedule(spec, lap).passed
     with pytest.raises(ScheduleError, match="fixed positions"):
         verify_schedule(spec, Schedule(kind="ring", tracks=(RobotTrack(((0, 4),)),), circumference=4))
+
+
+def test_witnessed_checks_the_time_the_verdict_claims():
+    line = LineInstance((0, 1, 3), (INFINITY,) * 3)
+    spec = ProblemSpec(line, RobotPlacement(FREE, count=1))
+    sweep = Schedule(kind="line", tracks=(RobotTrack(((0, 0), (3, 3))),))
+    no = Verdict(feasible=False, optimum=INFINITY)
+    assert witnessed(spec, no) is no
+    yes = witnessed(spec, Verdict(feasible=True, optimum=3, schedule=sweep, idle_edges=()))
+    assert (yes.optimum, yes.schedule, yes.idle_edges) == (3, sweep, ())
+    assert yes.witness == {0: ((0, 0),), 1: ((0, 1),), 2: ((0, 3),)}
+    # a decision claims no optimum and is checked at the spec's bound
+    assert witnessed(replace(spec, bound=3), Verdict(feasible=True, schedule=sweep)).witness == yes.witness
+    for claimed, bound in ((2, None), (2, 3), (None, 2)):
+        with pytest.raises(RuntimeError, match="internal error: line schedule failed verification"):
+            witnessed(replace(spec, bound=bound), Verdict(feasible=True, optimum=claimed, schedule=sweep))
+    with pytest.raises(RuntimeError, match="internal error: a feasible verdict came without a schedule"):
+        witnessed(spec, Verdict(feasible=True, optimum=3))
 
 
 def _last_move_end(track, length):

@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 
 from support import scaled_verdict
 from roversweep.exact import INFINITY
-from roversweep.fault_line import solve_fixed_faulty
+from roversweep.fault_line import solve, solve_fixed_faulty
 from roversweep.instance import (
     FIXED,
     FREE,
     SUBSET,
     LineInstance,
+    ProblemSpec,
     RingInstance,
     RobotPlacement,
     StarInstance,
@@ -73,7 +74,9 @@ def _line_solvers(line, data):
     k = data.draw(st.integers(1, 3))
     crews = tuple(sorted(data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=3))))
     return (
-        lambda inst: solve_fixed_faulty(inst, crews, 1),  # verdicts with witnesses
+        lambda inst: solve_fixed_faulty(inst, crews, 1),
+        # the router's verdicts carry witnesses
+        lambda inst: solve(ProblemSpec(inst, RobotPlacement(FIXED, positions=crews), 1, None)),
         lambda inst: solve_fixed_start(inst, positions[0]),
         lambda inst: solve_free_start(inst, positions),
         lambda inst: solve_fixed(inst, positions),

@@ -5,6 +5,8 @@ Every module of ``roversweep`` is parsed with ``ast``.  A module-level
 an import that its own module never reads.  Imports on a line marked
 ``# noqa: F401`` are kept on purpose (names bound for other code to
 find), and the package ``__init__`` imports are its public names.
+Answers are verified at one exit: ``oracle.witnessed`` is called only
+by the router, ``fault_line.solve`` and ``fault_line.decide``.
 """
 
 import ast
@@ -76,3 +78,18 @@ def test_the_package_holds_no_dead_names_or_unused_imports():
         if name != "__init__.py":
             dead += [f"{name}:{line}: import {n} is unused" for line, n in _unused_imports(lines, tree)]
     assert dead == []
+
+
+def _callers(tree, callee: str):
+    """The top-level definition around each call of ``callee``."""
+    for stmt in tree.body:
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Call):
+                func = node.func
+                if getattr(func, "id", None) == callee or getattr(func, "attr", None) == callee:
+                    yield getattr(stmt, "name", None)
+
+
+def test_only_the_router_verifies_answers():
+    callers = [(name, caller) for name, _, tree in _modules() for caller in _callers(tree, "witnessed")]
+    assert sorted(callers) == [("fault_line.py", "decide"), ("fault_line.py", "solve")]
