@@ -139,9 +139,7 @@ def cmd_resilience(args) -> int:
 
 def cmd_generate(args) -> int:
     if args.kind == "n3dm":
-        spec = reductions.line_from_n3dm(
-            args.a, args.b, args.c, args.s, sparse=args.sparse
-        )
+        spec = reductions.line_from_n3dm(args.a, args.b, args.c, args.s)
     elif args.kind == "partition":
         spec = reductions.star_from_partition(args.values)
     else:
@@ -229,7 +227,7 @@ def cmd_verify(args) -> int:
 
 def cmd_oracle(args) -> int:
     spec, c = read_instance(_read(args.instance))
-    if isinstance(spec.topology, StarInstance):
+    if spec.topology.kind == "star":
         verdict = fault_line.solve(spec)
     else:
         verdict = brute_solve(spec, _caps_from(args))
@@ -287,7 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     g_n3dm.add_argument("--b", type=int, nargs="+", required=True)
     g_n3dm.add_argument("--c", type=int, nargs="+", required=True)
     g_n3dm.add_argument("--s", type=int, required=True)
-    g_n3dm.add_argument("--sparse", action="store_true")
     g_n3dm.add_argument("-o", "--output")
     g_n3dm.set_defaults(func=cmd_generate)
     g_part = gen_sub.add_parser("partition", help="Partition reduction onto a two-robot star")

@@ -54,7 +54,6 @@ from .instance import (
     InstanceError,
     ProblemSpec,
     RingInstance,
-    StarInstance,
 )
 from .multi_line import least_feasible, solve_fixed, solve_free
 from .oracle import Caps, CapExceeded, witnessed
@@ -71,7 +70,7 @@ FIXED_RING_DEADLINE_CAPS = Caps(max_n=16, max_k=8, max_f=7)
 
 def fixed_search_caps(topology) -> Caps:
     """Default caps of the exact fixed-position search on ``topology``."""
-    if isinstance(topology, RingInstance) and any(d is not INFINITY for d in topology.deadlines):
+    if topology.lap is not None and any(d is not INFINITY for d in topology.deadlines):
         return FIXED_RING_DEADLINE_CAPS
     return FIXED_SEARCH_CAPS
 
@@ -105,7 +104,7 @@ def solve_free_faulty(topology, k: int, f: int) -> Verdict:
         raise ValueError("need 0 <= f < k")
     if f == 0:
         return solve_free(topology, k)
-    ring = isinstance(topology, RingInstance)
+    ring = topology.lap is not None
     group = k // (f + 1)
     if ring:
         base = solve_free(replicate_ring(topology, f), k)
@@ -144,26 +143,14 @@ class Plan:
         return (self.mask, self.track) == (other.mask, other.track)
 
 
-def _spots(topology) -> tuple:
-    """Track coordinate of each node (arc length from node 0 on a ring)."""
-    if isinstance(topology, RingInstance):
-        return topology.arc_positions()
-    return topology.coordinates
-
-
 def _arm_lengths(topology, p: int) -> tuple:
     """Distances from p to the node a steps clockwise (left, on a line) and
     to the node b steps counterclockwise (right), for every such node."""
-    n = topology.n
-    if isinstance(topology, RingInstance):
-        w = topology.edge_weights
-        cw, ccw = [0], [0]
-        for t in range(n - 1):
-            ccw.append(ccw[-1] + w[(p + t) % n])
-            cw.append(cw[-1] + w[(p - 1 - t) % n])
-        return cw, ccw
-    x = topology.coordinates
-    return [x[p] - x[p - a] for a in range(p + 1)], [x[p + b] - x[p] for b in range(n - p)]
+    x, n, lap = topology.positions, topology.n, topology.lap
+    if lap is None:
+        return [x[p] - x[p - a] for a in range(p + 1)], [x[p + b] - x[p] for b in range(n - p)]
+    x += tuple(y + lap for y in x)  # two laps: p and p + n are the same node
+    return [x[p + n] - x[p + n - a] for a in range(n)], [x[p + b] - x[p] for b in range(n)]
 
 
 def _grow(n: int, cw: list, ccw: list, p: int, a: int, b: int, side: int) -> tuple:
@@ -204,7 +191,7 @@ class PlanTable:
     def __init__(self, topology, p: int, bound=INFINITY):
         n = topology.n
         d = topology.deadlines
-        x = _spots(topology)[p]
+        x = topology.positions[p]
         cw, ccw = _arm_lengths(topology, p)
         capped = bound is not INFINITY
         # kept pairs as [time, earliest extension or None, mask, waypoints,
@@ -265,7 +252,7 @@ class ArcTable:
     def __init__(self, topology, p: int):
         self.n = topology.n
         self.p = p
-        self.x = _spots(topology)[p]
+        self.x = topology.positions[p]
         self.cw, self.ccw = _arm_lengths(topology, p)
 
     def times(self) -> set:
@@ -367,7 +354,7 @@ class _FixedSearch:
         for mask in self.reach:
             self._apply(self.slack, mask, +1)
         start = 0
-        if isinstance(topology, RingInstance):
+        if topology.lap is not None:
             start = min(range(self.n), key=self.slack.__getitem__)
         self.order = [(start + i) % self.n for i in range(self.n)]
         # tails[i]: the nodes from order[i] on
@@ -492,7 +479,7 @@ def search_plans(topology, positions: Sequence[int], f: int, delta, tables=None)
 
 def _plans_verdict(topology, positions: Sequence[int], plans: list, optimum=None) -> Verdict:
     """The feasible verdict of the plans ``search_plans`` found."""
-    spots = _spots(topology)
+    spots = topology.positions
     tracks = tuple(
         plan.track if plan is not None else RobotTrack(((0, spots[p]),))
         for p, plan in zip(positions, plans)
@@ -627,7 +614,7 @@ def solve(spec: ProblemSpec, caps: Optional[Caps] = None) -> Verdict:
     a missing or rejected schedule raises RuntimeError.
     """
     top, placement, f = spec.topology, spec.placement, spec.faults
-    if isinstance(top, StarInstance):
+    if top.kind == "star":
         verdict = star_exact(top, placement, spec.k, f, spec.bound)
     elif placement.mode == FIXED:
         verdict = solve_fixed_faulty(top, placement.positions, f, caps)
@@ -656,7 +643,7 @@ def decide(spec: ProblemSpec, delta: ExactNumber, caps: Optional[Caps] = None) -
     if delta < 0:
         return Verdict(feasible=False, optimum=None)  # no walk finishes before time 0
     top, placement = spec.topology, spec.placement
-    if placement.mode == FIXED and not isinstance(top, StarInstance):
+    if placement.mode == FIXED and top.kind != "star":
         verdict = decide_fixed_faulty(top, placement.positions, spec.faults, delta, caps)
         return witnessed(replace(spec, bound=delta), verdict)
     return solve(replace(spec, topology=top.capped(delta), bound=delta), caps)

@@ -3,6 +3,13 @@
 All instance types are immutable after construction and safe to share
 across threads; every operation in this module is pure.
 
+Every topology answers the same geometry: its ``kind`` ("line", "ring"
+or "star"), its node count ``n`` (q + 1 on a star), the ``positions``
+of its nodes on the track (a line's coordinates, a ring's arc lengths
+counterclockwise from node 0, a star's node indices), the ``lap`` of a
+ring (its circumference; None elsewhere: a line is a ring of one lap),
+and one deadline per node in ``deadlines`` (a star's center last).
+
 The instance file format is JSON:
 
     {
@@ -27,6 +34,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from fractions import Fraction
 from itertools import accumulate
 from typing import Iterable, Optional
@@ -57,6 +65,8 @@ def _check_deadline(value, path):
 class LineInstance:
     """Nodes on the real line at strictly increasing coordinates."""
 
+    kind = "line"
+    lap = None
     coordinates: tuple
     deadlines: tuple
 
@@ -79,6 +89,10 @@ class LineInstance:
     def n(self) -> int:
         return len(self.coordinates)
 
+    @property
+    def positions(self) -> tuple:
+        return self.coordinates
+
     def capped(self, delta: ExactNumber) -> "LineInstance":
         """Same line with every deadline capped at ``delta``."""
         return replace(self, deadlines=tuple(min(d, delta) for d in self.deadlines))
@@ -92,6 +106,7 @@ class LineInstance:
 class RingInstance:
     """Cycle of n nodes; weight i joins node i to its counterclockwise neighbour (i+1) mod n."""
 
+    kind = "ring"
     edge_weights: tuple
     deadlines: tuple
 
@@ -112,16 +127,13 @@ class RingInstance:
     def n(self) -> int:
         return len(self.edge_weights)
 
-    @property
-    def total(self) -> ExactNumber:
-        return sum(self.edge_weights)
+    @cached_property
+    def positions(self) -> tuple:
+        return tuple(accumulate(self.edge_weights[:-1], initial=0))
 
-    def arc_positions(self) -> tuple:
-        """Arc-length coordinate of each node, measured counterclockwise from node 0."""
-        pos = [0]
-        for w in self.edge_weights[:-1]:
-            pos.append(pos[-1] + w)
-        return tuple(pos)
+    @cached_property
+    def lap(self) -> ExactNumber:
+        return self.positions[-1] + self.edge_weights[-1]
 
     def capped(self, delta: ExactNumber) -> "RingInstance":
         return replace(self, deadlines=tuple(min(d, delta) for d in self.deadlines))
@@ -134,6 +146,8 @@ class RingInstance:
 class StarInstance:
     """Star with q leaves around a center.  Node indices: leaves 0..q-1, center q."""
 
+    kind = "star"
+    lap = None
     leaf_weights: tuple
     leaf_deadlines: tuple
     center_deadline: ExactNumber
@@ -160,6 +174,18 @@ class StarInstance:
     def center(self) -> int:
         return self.q
 
+    @property
+    def n(self) -> int:
+        return self.q + 1
+
+    @property
+    def positions(self) -> tuple:
+        return tuple(range(self.n))
+
+    @property
+    def deadlines(self) -> tuple:
+        return self.leaf_deadlines + (self.center_deadline,)
+
     def capped(self, delta: ExactNumber) -> "StarInstance":
         return StarInstance(
             self.leaf_weights,
@@ -182,12 +208,6 @@ def _scaled(topology: Topology, c) -> Topology:
         tuple(scale(v, c) for v in value) if isinstance(value, tuple) else scale(value, c)
         for value in values
     ))
-
-
-def node_count(topology: Topology) -> int:
-    if isinstance(topology, StarInstance):
-        return topology.q + 1
-    return topology.n
 
 
 @dataclass(frozen=True)
@@ -234,7 +254,7 @@ class ProblemSpec:
             raise InstanceError("faults", "faults must be non-negative")
         if self.faults >= k:
             raise InstanceError("faults", "f must be < k")
-        nodes = node_count(self.topology)
+        nodes = self.topology.n
         if self.placement.mode == FIXED:
             for idx, p in enumerate(self.placement.positions):
                 if not 0 <= p < nodes:
@@ -409,20 +429,12 @@ def _deadline_json(d: ExactNumber):
 
 def instance_dict(spec: ProblemSpec) -> dict:
     top = spec.topology
-    doc: dict = {}
-    if isinstance(top, LineInstance):
-        doc["topology"] = "line"
-        doc["coordinates"] = [format_number(x) for x in top.coordinates]
-        doc["deadlines"] = [_deadline_json(d) for d in top.deadlines]
-    elif isinstance(top, RingInstance):
-        doc["topology"] = "ring"
-        doc["edge_weights"] = [format_number(w) for w in top.edge_weights]
-        doc["deadlines"] = [_deadline_json(d) for d in top.deadlines]
-    else:
-        doc["topology"] = "star"
-        doc["leaf_weights"] = [format_number(w) for w in top.leaf_weights]
-        doc["deadlines"] = [_deadline_json(d) for d in top.leaf_deadlines]
-        doc["center_deadline"] = _deadline_json(top.center_deadline)
+    deadlines = [_deadline_json(d) for d in top.deadlines]
+    lengths = _LENGTHS[top.kind][1]
+    doc: dict = {"topology": top.kind, lengths: [format_number(w) for w in getattr(top, lengths)],
+                 "deadlines": deadlines}
+    if top.kind == "star":  # the center's deadline has a field of its own
+        doc["deadlines"], doc["center_deadline"] = deadlines[:-1], deadlines[-1]
     pl = spec.placement
     if pl.mode == FIXED:
         doc["robots"] = {"mode": FIXED, "positions": list(pl.positions)}

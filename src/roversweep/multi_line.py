@@ -28,11 +28,11 @@ never falls as the part grows.  A bound therefore fits exactly when
 greedy parts cover the nodes, each the longest from the first uncovered
 node whose time fits, found by binary search (chains-on-chains
 partitioning: Nicol 1994; Pinar and Aykanat 2004).  A line's optimum is
-Nicol's recursion over the first part, O(k^2 log^2 n) reads; a ring's
-is a binary search over the candidate values, each probe starting the
-greedy parts at the few nodes where some part of a fitting split must
-start.  Ring parts run on the doubled node order i .. i+n-2, so a part
-may wrap past node n-1.
+Nicol's recursion over the first part, run as a loop over the robots,
+O(k^2 log^2 n) reads; a ring's is a binary search over the candidate
+values, each probe starting the greedy parts at the few nodes where
+some part of a fitting split must start.  Ring parts run on the
+doubled node order i .. i+n-2, so a part may wrap past node n-1.
 """
 
 from __future__ import annotations
@@ -165,7 +165,7 @@ def solve_fixed(topology: Union[LineInstance, RingInstance], positions: Iterable
     if any(not 0 <= p < n for p in positions):
         raise ValueError("robot position out of range")
     k = len(positions)
-    ring = isinstance(topology, RingInstance)
+    ring = topology.lap is not None
     if k == 1:
         if ring:
             return solve_from(topology, positions)
@@ -243,7 +243,8 @@ def solve_fixed(topology: Union[LineInstance, RingInstance], positions: Iterable
 def solve_free(topology: Union[LineInstance, RingInstance], k: int) -> Verdict:
     """Optimal exploration time and placement for k freely placed robots.
 
-    A line's optimum is Nicol's recursion over the first part.  A ring's
+    A line's optimum is Nicol's recursion over the first part, run as a
+    loop, so k may exceed the interpreter's recursion limit.  A ring's
     is the least candidate value at which greedy parts from one of the
     nodes 1 .. e0 + 1 cover the ring, where [0, e0] is the longest part
     from node 0 that fits: the part after the one holding node 0 starts
@@ -255,7 +256,7 @@ def solve_free(topology: Union[LineInstance, RingInstance], k: int) -> Verdict:
     n = topology.n
     if k == 1:
         return solve_free_start(topology)
-    ring = isinstance(topology, RingInstance)
+    ring = topology.lap is not None
     graph = StateGraph.of(topology)
     labels = propagate(graph, init_start(graph, range(n)), topology.deadlines)
     read = stretch_reader(labels)
@@ -298,27 +299,29 @@ def solve_free(topology: Union[LineInstance, RingInstance], k: int) -> Verdict:
         optimum, first = least_feasible(values, head) or (inf, None)
     else:
 
-        def best(i: int, r: int):
-            """Nicol: the least j whose part [i, j] leaves a rest that r - 1
-            robots cover within its time; the optimum is that time, or the
-            rest's own optimum from j when the first part ends before j."""
-            if n - i <= r:
-                return 0
-            if r == 1:
-                return read(i, n - 1 - i)
-            lo, hi = i, n - 1
-            while lo < hi:
-                mid = (lo + hi) >> 1
-                t = read(i, mid - i)
-                if t is inf or split(mid + 1, n - 1, r - 1, t) is not None:
-                    hi = mid
-                else:
-                    lo = mid + 1
-            t = read(i, lo - i)
-            rest = best(lo, r - 1)
-            return rest if t is inf or rest is not inf and rest < t else t
+        def part_times():
+            """Nicol's recursion as a loop: for r = k, k - 1, .. robots from
+            node i, the time of the first part [i, j] with the least j whose
+            rest r - 1 robots cover within that time, then i = j; last, the
+            time of the rest.  The optimum is the least of them."""
+            i = 0
+            for r in range(k, 1, -1):
+                if n - i <= r:
+                    yield 0
+                    return
+                lo, hi = i, n - 1
+                while lo < hi:
+                    mid = (lo + hi) >> 1
+                    t = read(i, mid - i)
+                    if t is inf or split(mid + 1, n - 1, r - 1, t) is not None:
+                        hi = mid
+                    else:
+                        lo = mid + 1
+                yield read(i, lo - i)
+                i = lo
+            yield 0 if n - i <= 1 else read(i, n - 1 - i)
 
-        optimum, first = best(0, k), 0
+        optimum, first = min(part_times()), 0
     if optimum is inf:
         return Verdict(feasible=False, optimum=INFINITY)
     tracks = []

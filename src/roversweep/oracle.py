@@ -26,7 +26,6 @@ from .instance import (
     ProblemSpec,
     RingInstance,
     StarInstance,
-    node_count,
 )
 from .schedule import (
     NodeCheck,
@@ -93,7 +92,7 @@ def enumerate_walks(
         w = topology.edge_weights
         cw = list(itertools.accumulate((w[(start - 1 - t) % n] for t in range(n - 1)), initial=0))
         ccw = list(itertools.accumulate((w[(start + t) % n] for t in range(n - 1)), initial=0))
-        origin = topology.arc_positions()[start]
+        origin = topology.positions[start]
 
         def spot(a, b, side):  # unwrapped: clockwise is negative
             return origin - cw[a] if side == 0 else origin + ccw[b]
@@ -182,7 +181,7 @@ def _profiles(topology, start, deadlines, bound) -> List[tuple]:
 
 def _placements(spec: ProblemSpec):
     k = spec.k
-    nodes = node_count(spec.topology)
+    nodes = spec.topology.n
     if spec.placement.mode == FIXED:
         yield spec.placement.positions
         return
@@ -311,16 +310,16 @@ def _check_track_shape(ridx: int, track: RobotTrack, coordinate_kind: bool):
                 raise ScheduleError(ridx, f"waypoint {widx}: exceeds unit speed")
 
 
-def _coordinate_visits(nodes: Sequence, total, track: RobotTrack) -> tuple:
+def _coordinate_visits(nodes: Sequence, lap, track: RobotTrack) -> tuple:
     """(first visit time of each node the track passes, end of its last
     move) on a line or a ring.
 
-    ``nodes`` are the sorted coordinates of a line (``total`` None) or the
-    sorted arc positions in [0, total) of a ring, whose waypoints are
-    unwrapped coordinates.  The start and each segment [lo, hi] are read
-    lap by lap: the lap from base = floor(lo / total) * total holds the
-    nodes at positions lo - base .. hi - base, found by bisection.  A line
-    is one lap, from base 0.
+    ``nodes`` are a topology's sorted ``positions``, in [0, lap) on a ring
+    (``lap`` None on a line), whose waypoints are unwrapped coordinates.
+    The start and each segment [lo, hi] are read lap by lap: the lap from
+    base = floor(lo / lap) * lap holds the nodes at positions
+    lo - base .. hi - base, found by bisection.  A line is one lap, from
+    base 0.
     """
     wps = track.waypoints
     x0 = wps[0][1]
@@ -332,7 +331,7 @@ def _coordinate_visits(nodes: Sequence, total, track: RobotTrack) -> tuple:
         lo, hi = (x1, x2) if x1 <= x2 else (x2, x1)
         if lo != hi:
             end = t1 + (hi - lo)
-        bases = (0,) if total is None else [m * total for m in range(lo // total, hi // total + 1)]
+        bases = (0,) if lap is None else [m * lap for m in range(lo // lap, hi // lap + 1)]
         for base in bases:
             for v in range(bisect_left(nodes, lo - base), bisect_right(nodes, hi - base)):
                 y = nodes[v] + base
@@ -380,15 +379,14 @@ def _star_visits(star: StarInstance, ridx: int, track: RobotTrack) -> tuple:
     return first, end
 
 
-def _check_starts(spec: ProblemSpec, nodes: Sequence, schedule: Schedule):
-    """Every track starts at a node (a ring's modulo the circumference), and
-    the start nodes are the fixed positions or lie in the allowed set."""
-    ring = schedule.kind == "ring"
-    placement = spec.placement
-    index = {c: v for v, c in enumerate(nodes)}
+def _check_starts(spec: ProblemSpec, schedule: Schedule):
+    """Every track starts at a node (on a ring, modulo its lap), and the
+    start nodes are the fixed positions or lie in the allowed set."""
+    placement, lap = spec.placement, spec.topology.lap
+    index = {c: v for v, c in enumerate(spec.topology.positions)}
     starts = []
     for ridx, track in enumerate(schedule.tracks):
-        v = index.get(track.start % spec.topology.total if ring else track.start)
+        v = index.get(track.start if lap is None else track.start % lap)
         if v is None:
             raise ScheduleError(ridx, f"starts at {format_number(track.start)}, not at a node")
         if placement.mode == SUBSET and v not in placement.allowed:
@@ -404,31 +402,22 @@ def _check_starts(spec: ProblemSpec, nodes: Sequence, schedule: Schedule):
 def verify_schedule(spec: ProblemSpec, schedule: Schedule) -> VerificationReport:
     """Simulate the motion and check f+1 distinct on-time visitors per node.
 
-    A visit counts if its time is at or before min(node deadline, global
-    bound).  The makespan is the last moment any robot is in motion.
-    Malformed schedules raise ScheduleError rather than failing checks,
-    and so do tracks that start where the placement puts no robot.
+    The schedule must be of the topology's ``kind``, and a ring schedule
+    must declare the ring's ``lap`` as its circumference.  Lines and
+    rings are read through one simulator over the topology's
+    ``positions`` and ``lap``, stars through their own.  A visit counts
+    if its time is at or before min(node deadline, global bound).  The
+    makespan is the last moment any robot is in motion.  Malformed
+    schedules raise ScheduleError rather than failing checks, and so do
+    tracks that start where the placement puts no robot.
     """
     top = spec.topology
     need = spec.faults + 1
     bound = spec.bound
-
-    total = top.total if isinstance(top, RingInstance) else None
-    if isinstance(top, LineInstance):
-        nodes = top.coordinates
-        deadline_of = top.deadlines
-        expected_kind = "line"
-    elif isinstance(top, RingInstance):
-        nodes = top.arc_positions()
-        deadline_of = top.deadlines
-        expected_kind = "ring"
-    else:
-        nodes = tuple(range(top.q + 1))
-        deadline_of = top.leaf_deadlines + (top.center_deadline,)
-        expected_kind = "star"
-    if schedule.kind != expected_kind:
+    star = top.kind == "star"
+    if schedule.kind != top.kind:
         raise ScheduleError(None, f"schedule kind {schedule.kind!r} does not match the instance")
-    if expected_kind == "ring" and schedule.circumference != total:
+    if top.kind == "ring" and schedule.circumference != top.lap:
         raise ScheduleError(None, "declared circumference does not match the ring")
     if len(schedule.tracks) != spec.k:
         raise ScheduleError(None, f"expected {spec.k} robot tracks, got {len(schedule.tracks)}")
@@ -436,20 +425,20 @@ def verify_schedule(spec: ProblemSpec, schedule: Schedule) -> VerificationReport
     makespan = 0
     per_robot_visits = []
     for ridx, track in enumerate(schedule.tracks):
-        _check_track_shape(ridx, track, coordinate_kind=expected_kind != "star")
-        if expected_kind == "star":
+        _check_track_shape(ridx, track, coordinate_kind=not star)
+        if star:
             visits, end = _star_visits(top, ridx, track)
         else:
-            visits, end = _coordinate_visits(nodes, total, track)
+            visits, end = _coordinate_visits(top.positions, top.lap, track)
         per_robot_visits.append(visits)
         if end > makespan:
             makespan = end
-    _check_starts(spec, nodes, schedule)
+    _check_starts(spec, schedule)
 
     checks = []
     failures = []
-    for v in range(len(nodes)):
-        cutoff = deadline_of[v] if bound is None else min(deadline_of[v], bound)
+    for v, deadline in enumerate(top.deadlines):
+        cutoff = deadline if bound is None else min(deadline, bound)
         on_time = []
         for ridx, visits in enumerate(per_robot_visits):
             t = visits.get(v)

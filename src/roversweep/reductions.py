@@ -43,7 +43,6 @@ def line_from_n3dm(
     b_values: Sequence[int],
     c_values: Sequence[int],
     target: int,
-    sparse: bool = False,
 ) -> ProblemSpec:
     """Encode an N3DM instance as a fixed-position faulty line decision.
 
@@ -51,11 +50,6 @@ def line_from_n3dm(
     make every triple sum to ``target``.  The output line has unit-spaced
     nodes 0..L, one robot per input value at scaled offsets, fault budget
     q-1 and time bound I-1; the decision answers match.
-
-    With ``sparse`` only the robot nodes and the endpoints are kept.
-    That shrinks the document but is NOT answer-preserving in general:
-    coverage multiplicity may develop holes strictly between surviving
-    nodes, so sparse output is for size experiments only.
     """
     q = len(a_values)
     if not (q >= 1 and len(b_values) == q and len(c_values) == q):
@@ -78,17 +72,10 @@ def line_from_n3dm(
         + [big + 2 * v for v in b_values]
         + [2 * big + 4 * v for v in c_values]
     )
-    if sparse:
-        keep = sorted({0, length, *robots})
-        coords = tuple(keep)
-        positions = tuple(keep.index(p) for p in robots)
-    else:
-        coords = tuple(range(length + 1))
-        positions = tuple(robots)
-    line = LineInstance(coords, (INFINITY,) * len(coords))
+    line = LineInstance(tuple(range(length + 1)), (INFINITY,) * (length + 1))
     return ProblemSpec(
         topology=line,
-        placement=RobotPlacement(FIXED, positions=positions),
+        placement=RobotPlacement(FIXED, positions=tuple(robots)),
         faults=q - 1,
         bound=big - 1,
     )

@@ -10,7 +10,9 @@ counterclockwise, and a node is visited whenever the position passes any
 lift ``node_position + m * circumference``.
 
 On stars a track is a sequence of timed node indices; motion between
-consecutive nodes follows the unique path through the center.
+consecutive nodes follows the unique path through the center.  A
+schedule's ``kind`` and ``circumference`` are the ``kind`` and ``lap``
+of the topology its tracks run on (``track_schedule``).
 
 Schedule JSON:
 
@@ -29,7 +31,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .exact import ExactNumber, format_number, scale
-from .instance import InstanceError, RingInstance, StarInstance, read_amount
+from .instance import InstanceError, read_amount
 
 
 class ScheduleError(ValueError):
@@ -103,12 +105,11 @@ def track_schedule(topology, tracks) -> Schedule:
     """The schedule of ``tracks`` on a line, a ring or a star.  A ring
     track that starts outside [0, circumference) is moved back by whole
     laps, so that it starts there; the others are kept as they are."""
-    if isinstance(topology, RingInstance):
-        lap = topology.total
+    lap = topology.lap
+    if lap is not None:
         tracks = [tr if 0 <= tr.start < lap else
                   RobotTrack(tuple((t, x - tr.start // lap * lap) for t, x in tr.waypoints)) for tr in tracks]
-        return Schedule(kind="ring", tracks=tracks, circumference=lap)
-    return Schedule(kind="star" if isinstance(topology, StarInstance) else "line", tracks=tuple(tracks))
+    return Schedule(kind=topology.kind, tracks=tracks, circumference=lap)
 
 
 def read_schedule(text: str, c: int = 1) -> tuple:

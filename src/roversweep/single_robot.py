@@ -26,7 +26,7 @@ from array import array
 from typing import Iterable, Optional, Sequence
 
 from .exact import ExactNumber, INFINITY
-from .instance import LineInstance, RingInstance, prune_dominated
+from .instance import LineInstance, prune_dominated
 from .schedule import RobotTrack, Verdict, track_schedule
 from .state_graph import LEFT, RIGHT, StateGraph
 
@@ -218,7 +218,7 @@ def solve_free_start(topology, allowed: Optional[Iterable[int]] = None) -> Verdi
     first drops the nodes every such walk passes on its way to a node due
     no later (``prune_dominated``); a ring walk need not pass them."""
     starts = set(range(topology.n) if allowed is None else allowed)
-    if isinstance(topology, RingInstance):
+    if topology.lap is not None:
         return solve_from(topology, starts)
     pruned, remap = prune_dominated(topology, starts)
     return solve_from(pruned, [i for i, old in enumerate(remap) if old in starts])

@@ -8,7 +8,9 @@ whole traverse plus one edge).  States with j - i = layer sit in layer
 order, so every arc joins one layer to the next.
 
 States are packed into dense integer ids laid out layer-major with the
-left index ascending and L before R, by one formula on lines and rings.
+left index ascending and L before R, by one formula on lines and rings;
+one layout method reads the topology's ``kind``, ``n`` and
+``positions`` (``from_line`` and ``from_ring`` both call it).
 No arc is stored: each state of layer >= 1 has exactly two
 predecessors, the same stretch without its newly visited node with the
 robot at either end (``pulls`` lists them layer by layer, with arc
@@ -98,38 +100,27 @@ class StateGraph:
     @classmethod
     def of(cls, topology) -> "StateGraph":
         """The graph of a line or a ring."""
-        if isinstance(topology, RingInstance):
-            return cls.from_ring(topology)
-        return cls.from_line(topology)
+        return cls.from_line(topology) if topology.lap is None else cls.from_ring(topology)
 
     @classmethod
     def from_line(cls, line: LineInstance) -> "StateGraph":
-        self = object.__new__(cls)
-        n = line.n
-        self.kind = "line"
-        self.n = n
-        # layer 0 holds n single-node states; layer j >= 1 holds 2(n-j).
-        offsets = [0, n]
-        for layer in range(1, n):
-            offsets.append(offsets[-1] + 2 * (n - layer))
-        self._layer_offsets = offsets
-        self.node_count = offsets[-1]
-        self._positions = line.coordinates
-        self._weights = None
-        return self
+        return cls._laid_out(line, None)
 
     @classmethod
     def from_ring(cls, ring: RingInstance) -> "StateGraph":
+        return cls._laid_out(ring, ring.edge_weights)
+
+    @classmethod
+    def _laid_out(cls, topology, weights) -> "StateGraph":
+        """The graph of ``topology``, a ring's with its edge ``weights``."""
         self = object.__new__(cls)
-        n = ring.n
-        self.kind = "ring"
-        self.n = n
-        # layer 0: n single-node states; layers 1..n-1: 2n states each
-        offsets = [0] + [n + 2 * n * layer for layer in range(n)]
-        self._layer_offsets = offsets
-        self.node_count = offsets[-1]
-        self._positions = ring.arc_positions()
-        self._weights = ring.edge_weights
+        n = self.n = topology.n
+        self.kind, self._positions, self._weights = topology.kind, topology.positions, weights
+        # layer 0 holds n single-node states, and layer j >= 1 holds two per
+        # stretch: n - j of them on a line, n on a ring
+        sizes = (2 * (n - j if topology.lap is None else n) for j in range(1, n))
+        self._layer_offsets = [0, *accumulate(sizes, initial=n)]
+        self.node_count = self._layer_offsets[-1]
         return self
 
     # ------------------------------------------------------------------

@@ -347,7 +347,7 @@ def test_criterion_08_ring_decision_vs_exhaustive():
         else:
             k = rng.randint(2, 3)
             positions = fixed_positions(rng, ring.n, k, allow_duplicates=True)
-        for delta in _ring_candidate_times(ring, positions, f, 2 * ring.total):
+        for delta in _ring_candidate_times(ring, positions, f, 2 * ring.lap):
             got = decide_ring_fixed_faulty(ring, positions, f, delta).feasible
             want = _brute_ring_cover(ring, positions, f, delta)
             decisions += 1

@@ -19,12 +19,11 @@ from roversweep.instance import (
     RingInstance,
     RobotPlacement,
     StarInstance,
-    node_count,
     parse_instance,
     serialize_instance,
 )
 from roversweep.oracle import brute_solve, verify_schedule
-from roversweep.schedule import RobotTrack, Verdict, schedule_from_json, track_schedule
+from roversweep.schedule import RobotTrack, ScheduleError, Verdict, schedule_from_json, track_schedule
 
 SKEW3 = {
     "topology": "line",
@@ -104,6 +103,31 @@ def test_verify_rejects_a_track_that_starts_away_from_the_fixed_robot(tmp_path, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "fixed positions" in captured.err
+
+
+RING3 = {key: value for key, value in SKEW3.items() if key != "coordinates"}
+RING3.update(topology="ring", edge_weights=["1", "1", "1"])
+STAYS_AT_1 = {"robots": [{"start": "1", "waypoints": [{"t": "0", "x": "1"}]}]}
+
+
+@pytest.mark.parametrize("instance, schedule, message", [
+    pytest.param(RING3, STAYS_AT_1, "schedule kind 'line' does not match the instance",
+                 id="line schedule on a ring"),
+    pytest.param(SKEW3, dict(STAYS_AT_1, circumference="3"), "schedule kind 'ring' does not match the instance",
+                 id="ring schedule on a line"),
+    pytest.param(SKEW3, {"robots": [{"start": 1, "waypoints": [{"t": "0", "node": 1}]}]},
+                 "schedule kind 'star' does not match the instance", id="star schedule on a line"),
+    pytest.param(RING3, dict(STAYS_AT_1, circumference="4"), "declared circumference does not match the ring",
+                 id="wrong circumference"),
+])
+def test_verify_refuses_a_schedule_of_another_topology(tmp_path, capsys, instance, schedule, message):
+    spec = parse_instance(json.dumps(instance))
+    with pytest.raises(ScheduleError) as exc:
+        verify_schedule(spec, schedule_from_json(json.dumps(schedule)))
+    assert str(exc.value) == message
+    assert main(["verify", write(tmp_path, "instance.json", instance), write(tmp_path, "schedule.json", schedule)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
 
 
 def test_verify_reports_first_violated_node(tmp_path, capsys):
@@ -730,7 +754,7 @@ def test_a_divided_twin_prints_its_originals_numbers_divided(tmp_path, capsys, c
             assert t == o and t[1].startswith("FAIL node="), spec
         solved += 1
         # oracle: the brute force (stars: the exact star solver) on the rational spec
-        if node_count(spec.topology) <= 6 and spec.k <= 2:
+        if spec.topology.n <= 6 and spec.k <= 2:
             rational = parse_instance(read(div))
             top = rational.topology
             if isinstance(top, StarInstance):

@@ -191,6 +191,23 @@ def test_ring_and_star_round_trip():
     assert parse_instance(serialize_instance(star_spec)) == star_spec
 
 
+
+def test_every_topology_answers_the_same_geometry():
+    line = LineInstance((0, 2, Fraction(7, 2)), (1, INFINITY, 4))
+    ring = RingInstance((1, Fraction(3, 2), 2), (5, INFINITY, Fraction(7, 2)))
+    star = StarInstance((1, 2), (3, INFINITY), 10)
+    assert [(top.kind, top.n, top.positions, top.lap, top.deadlines) for top in (line, ring, star)] == [
+        ("line", 3, (0, 2, Fraction(7, 2)), None, (1, INFINITY, 4)),
+        ("ring", 3, (0, 1, Fraction(5, 2)), Fraction(9, 2), (5, INFINITY, Fraction(7, 2))),
+        ("star", 3, (0, 1, 2), None, (3, INFINITY, 10)),  # the center is node q, due last
+    ]
+    doubled = ring.scaled(2)
+    assert (doubled.positions, doubled.lap) == ((0, 2, 5), 9)
+    # the star's center is a node: a robot may start there, and not beyond it
+    ProblemSpec(star, RobotPlacement(FIXED, positions=(2,)))
+    with pytest.raises(InstanceError, match="out of range 0..2"):
+        ProblemSpec(star, RobotPlacement(FIXED, positions=(3,)))
+
 def test_round_trip_random_instances():
     rng = random.Random(7)
     for _ in range(60):

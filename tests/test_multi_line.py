@@ -1,6 +1,8 @@
 import hashlib
 import itertools
 import random
+import sys
+from dataclasses import replace
 from fractions import Fraction
 from unittest.mock import patch
 
@@ -16,7 +18,7 @@ from support import (
 )
 from roversweep.exact import INFINITY, format_number
 from roversweep import multi_line
-from roversweep.instance import FIXED, LineInstance, ProblemSpec, RingInstance, RobotPlacement
+from roversweep.instance import FIXED, FREE, LineInstance, ProblemSpec, RingInstance, RobotPlacement
 from roversweep.multi_line import idle_edge_split, solve_fixed, solve_free
 from roversweep.oracle import enumerate_walks, verify_schedule
 from roversweep.single_robot import init_start, propagate, solve_fixed_start
@@ -410,7 +412,7 @@ def test_free_matches_naive_recurrence():
 
 
 def test_free_digit_combination_path():
-    # odd and even team sizes: Nicol's recursion runs k - 1 levels deep
+    # odd and even team sizes: Nicol's search takes k - 1 first parts
     rng = random.Random(85)
     for _ in range(60):
         line = random_line(rng, min_n=4, max_n=10)
@@ -429,11 +431,25 @@ def test_free_schedules_verify():
         verdict = solve_free(line, k)
         if not verdict.feasible:
             continue
-        from roversweep.instance import FREE
-
         spec = ProblemSpec(line, RobotPlacement(FREE, count=k), 0, None)
         report = verify_schedule(spec, verdict.schedule)
         assert report.passed
         assert report.makespan == verdict.optimum
         seen += 1
     assert seen > 30
+
+
+def test_a_free_line_team_may_outnumber_the_recursion_limit():
+    # Nicol's search takes one first part per robot; it once recursed per
+    # robot, and a team of 260 raised RecursionError under a limit of 200
+    line = LineInstance(tuple(range(300)), (INFINITY,) * 300)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        verdict = solve_free(line, 260)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert verdict.optimum == 1  # 150 robots sweep two nodes each, 110 idle
+    assert len(verdict.schedule.tracks) == 260
+    spec = ProblemSpec(line, RobotPlacement(FREE, count=260), 0, None)
+    assert verify_schedule(replace(spec, bound=1), verdict.schedule).passed

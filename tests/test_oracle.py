@@ -245,7 +245,7 @@ def test_ring_visits_equal_the_lift_scan():
             ring = random_ring(rng, max_n=7)
             if rng.random() < 0.5:
                 ring = ring.scaled(Fraction(1, rng.choice((2, 3))))
-            nodes, total = ring.arc_positions(), ring.total
+            nodes, total = ring.positions, ring.lap
             span = total
             t, x = 0, nodes[rng.randrange(ring.n)] + rng.randint(-3, 2) * total
         waypoints = [(t, x)]

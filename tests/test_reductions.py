@@ -70,14 +70,6 @@ def test_matching_two_by_two_instance():
     assert want and got
 
 
-def test_sparse_emission_keeps_robot_nodes_only():
-    dense = line_from_n3dm([1], [1], [1], 3)
-    sparse = line_from_n3dm([1], [1], [1], 3, sparse=True)
-    assert sparse.topology.n == 5  # endpoints plus the three robots
-    assert sparse.topology.coordinates == (0, 1, 38, 76, 95)
-    assert dense.bound == sparse.bound
-
-
 def test_generated_instances_have_exclusive_anchor_reach():
     # only the first group reaches the left end, only the second the
     # scaled midpoint, only the third the right end, within the bound

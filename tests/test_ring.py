@@ -284,7 +284,7 @@ def test_decide_agrees_with_fixed_solver_when_reliable():
         k = rng.randint(1, min(3, ring.n))
         positions = fixed_positions(rng, ring.n, k, allow_duplicates=False)
         opt = solve_ring_fixed(ring, positions).optimum
-        total = ring.total
+        total = ring.lap
         for delta in (0, total // 2, total, 2 * total):
             assert decide_ring_fixed_faulty(ring, positions, 0, delta).feasible == (opt <= delta)
 
@@ -297,7 +297,7 @@ def test_decide_witness_schedules_verify():
         k = rng.randint(2, 3)
         f = rng.randint(1, k - 1)
         positions = fixed_positions(rng, ring.n, k, allow_duplicates=True)
-        delta = rng.choice((ring.total, 2 * ring.total))
+        delta = rng.choice((ring.lap, 2 * ring.lap))
         verdict = decide_ring_fixed_faulty(ring, positions, f, delta)
         if not verdict.feasible or verdict.schedule is None:
             continue
@@ -370,7 +370,7 @@ def test_walk_plans_and_candidates_match_walks():
                     assert masks(topology, p, t) == masks(topology, p, below)
             # every time is a whole number on rings and a multiple of 1/2 on lines
             if isinstance(topology, RingInstance):
-                span, step = topology.total, 1
+                span, step = topology.lap, 1
             else:
                 span, step = line_span(topology), Fraction(1, 2)
             for delta in (i * step for i in range(int(2 * span / step) + 1)):

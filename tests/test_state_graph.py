@@ -125,7 +125,7 @@ def test_ring_arc_weights_match_walk_distances():
     for _ in range(20):
         ring = random_ring(rng, max_n=6)
         g = StateGraph.from_ring(ring)
-        total = ring.total
+        total = ring.lap
         for u in range(g.node_count):
             pu = g.position(u)
             for v, w, direction in arcs_from(g, u):
@@ -192,7 +192,7 @@ def test_pull_pass_equals_push_relaxation_on_rings():
             rng, random_ring(rng, max_n=9, deadline_prob=rng.choice((0, 0.5, 0.9))))
         n = ring.n
         g = StateGraph.from_ring(ring)
-        lap = ring.total
+        lap = ring.lap
         _assert_pull_equals_push(g, ring.deadlines, [rng.randrange(n)], lap=lap)
         _assert_pull_equals_push(g, ring.deadlines, sorted(rng.sample(range(n), rng.randint(1, n))),
                                  lap=lap)
@@ -250,7 +250,7 @@ def test_narrowed_pass_equals_push_relaxation_at_the_edges_of_the_range():
         free = RingInstance(ring.edge_weights, (INFINITY,) * n)
         for topology in (ring, free):
             for starts in ([0], [n - 1], [n - 1, 0], [n - 2, 1] if n > 3 else [1, 0]):
-                _assert_pull_equals_push(g, topology.deadlines, sorted(starts), lap=ring.total)
+                _assert_pull_equals_push(g, topology.deadlines, sorted(starts), lap=ring.lap)
             p = rng.randrange(n)  # two robots: the other's window is every node but p
             for start in ((p + 1) % n, (p - 1) % n):
                 assert_own_lines_equal_push(topology, [p, start])
@@ -281,7 +281,7 @@ def test_a_dead_layer_ends_the_pass():
             lap = None
         else:
             topology = random_ring(rng, min_n=4, max_n=12, deadline_prob=0.4)
-            lap = topology.total
+            lap = topology.lap
         n = topology.n
         cap = rng.randint(1, 8)
         deadlines = tuple(cap if d is INFINITY or d > cap else d for d in topology.deadlines)
