@@ -27,12 +27,13 @@ parts, and a part's time, read off one label pass from every start,
 never falls as the part grows.  A bound therefore fits exactly when
 greedy parts cover the nodes, each the longest from the first uncovered
 node whose time fits, found by binary search (chains-on-chains
-partitioning: Nicol 1994; Pinar and Aykanat 2004).  A line's optimum is
-Nicol's recursion over the first part, run as a loop over the robots,
-O(k^2 log^2 n) reads; a ring's is a binary search over the candidate
-values, each probe starting the greedy parts at the few nodes where
-some part of a fitting split must start.  Ring parts run on the
-doubled node order i .. i+n-2, so a part may wrap past node n-1.
+partitioning: Nicol 1994; Pinar and Aykanat 2004).  Every part time is
+a label value or 0, so the optimum is the least of these candidates
+that fits, found by binary search: an O(n^2) label pass, O(n^2 log n)
+to sort the labels, and O(log n) probes of O(k log n) reads each.  A
+ring's probe tries the few nodes where some part of a fitting split
+must start.  Ring parts run on the doubled node order i .. i+n-2, so a
+part may wrap past node n-1.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ def least_feasible(candidates: Sequence, probe) -> Optional[tuple]:
 
     ``probe`` answers None for NO and, once it accepts a candidate,
     accepts every later one, so a binary search finds the least: the last
-    candidate first, then the lower middle of the range left.  Ring
+    candidate first, then the lower middle of the range left.
     ``solve_free``, ``fault_line.solve_fixed_faulty`` and
     ``fault_line.resilience`` all search with it.
     """
@@ -243,13 +244,13 @@ def solve_fixed(topology: Union[LineInstance, RingInstance], positions: Iterable
 def solve_free(topology: Union[LineInstance, RingInstance], k: int) -> Verdict:
     """Optimal exploration time and placement for k freely placed robots.
 
-    A line's optimum is Nicol's recursion over the first part, run as a
-    loop, so k may exceed the interpreter's recursion limit.  A ring's
-    is the least candidate value at which greedy parts from one of the
-    nodes 1 .. e0 + 1 cover the ring, where [0, e0] is the longest part
-    from node 0 that fits: the part after the one holding node 0 starts
-    there.  The schedule is the greedy split at the optimum; robots left
-    over idle at its first node.
+    The optimum is the least candidate, 0 or a finite label, at which
+    greedy parts cover the nodes: from node 0 on a line; on a ring from
+    one of the nodes 1 .. e0 + 1, where [0, e0] is the longest part from
+    node 0 that fits, since the next part starts there.  An O(n^2) label
+    pass, O(n^2 log n) to sort the labels, and O(log n) probes of
+    O(k log n) reads each on a line.  The schedule is the greedy split
+    at the optimum; robots left over idle at its first node.
     """
     if k < 1:
         raise ValueError("need at least one robot")
@@ -276,57 +277,31 @@ def solve_free(topology: Union[LineInstance, RingInstance], k: int) -> Verdict:
                 hi = mid - 1
         return lo
 
-    def split(i: int, end: int, r: int, delta):
-        """Last nodes of the greedy parts of i .. end within delta, or None
-        if r parts do not cover them."""
+    def split(i: int, delta):
+        """Last nodes of the greedy parts of i .. i + n - 1 within delta, or
+        None if k parts do not cover them."""
         ends = []
+        end = i + n - 1
         while i <= end:
-            if len(ends) == r:
+            if len(ends) == k:
                 return None
             i = reach(i, end, delta) + 1
             ends.append(i - 1)
         return ends
 
-    if ring:
-        values = sorted({0, *labels.finite_values()})
+    def head(delta):
+        for s in range(1, reach(0, n - 1, delta) + 2) if ring else (0,):
+            if split(s, delta) is not None:
+                return s
+        return None
 
-        def head(delta):
-            for s in range(1, reach(0, n - 1, delta) + 2):
-                if split(s, s + n - 1, k, delta) is not None:
-                    return s
-            return None
-
-        optimum, first = least_feasible(values, head) or (inf, None)
-    else:
-
-        def part_times():
-            """Nicol's recursion as a loop: for r = k, k - 1, .. robots from
-            node i, the time of the first part [i, j] with the least j whose
-            rest r - 1 robots cover within that time, then i = j; last, the
-            time of the rest.  The optimum is the least of them."""
-            i = 0
-            for r in range(k, 1, -1):
-                if n - i <= r:
-                    yield 0
-                    return
-                lo, hi = i, n - 1
-                while lo < hi:
-                    mid = (lo + hi) >> 1
-                    t = read(i, mid - i)
-                    if t is inf or split(mid + 1, n - 1, r - 1, t) is not None:
-                        hi = mid
-                    else:
-                        lo = mid + 1
-                yield read(i, lo - i)
-                i = lo
-            yield 0 if n - i <= 1 else read(i, n - 1 - i)
-
-        optimum, first = min(part_times()), 0
+    values = sorted({0, *labels.finite_values()})
+    optimum, first = least_feasible(values, head) or (inf, None)
     if optimum is inf:
         return Verdict(feasible=False, optimum=INFINITY)
     tracks = []
     i = first
-    for j in split(first, first + n - 1, k, optimum):
+    for j in split(first, optimum):
         tracks.append(RobotTrack(extract_trajectory(labels, best_target(labels, i % n, j % n))))
         i = j + 1
     idle = RobotTrack(extract_trajectory(labels, first % n))

@@ -318,8 +318,9 @@ def _coordinate_visits(nodes: Sequence, lap, track: RobotTrack) -> tuple:
     (``lap`` None on a line), whose waypoints are unwrapped coordinates.
     The start and each segment [lo, hi] are read lap by lap: the lap from
     base = floor(lo / lap) * lap holds the nodes at positions
-    lo - base .. hi - base, found by bisection.  A line is one lap, from
-    base 0.
+    lo - base .. hi - base, found by bisection; on a ring only the one lap
+    from the departure point onwards, which holds all first visits.  A
+    line is one lap, from base 0.
     """
     wps = track.waypoints
     x0 = wps[0][1]
@@ -331,7 +332,10 @@ def _coordinate_visits(nodes: Sequence, lap, track: RobotTrack) -> tuple:
         lo, hi = (x1, x2) if x1 <= x2 else (x2, x1)
         if lo != hi:
             end = t1 + (hi - lo)
-        bases = (0,) if lap is None else [m * lap for m in range(lo // lap, hi // lap + 1)]
+        bases = (0,)
+        if lap is not None:
+            lo, hi = max(lo, x1 - lap), min(hi, x1 + lap)
+            bases = [m * lap for m in range(lo // lap, hi // lap + 1)]
         for base in bases:
             for v in range(bisect_left(nodes, lo - base), bisect_right(nodes, hi - base)):
                 y = nodes[v] + base

@@ -18,6 +18,7 @@ from support import (
 )
 from roversweep.exact import INFINITY, format_number
 from roversweep import multi_line
+from roversweep.fault_line import solve_free_faulty
 from roversweep.instance import FIXED, FREE, LineInstance, ProblemSpec, RingInstance, RobotPlacement
 from roversweep.multi_line import idle_edge_split, solve_fixed, solve_free
 from roversweep.oracle import enumerate_walks, verify_schedule
@@ -412,7 +413,7 @@ def test_free_matches_naive_recurrence():
 
 
 def test_free_digit_combination_path():
-    # odd and even team sizes: Nicol's search takes k - 1 first parts
+    # odd and even team sizes, each probe splitting the line into up to k parts
     rng = random.Random(85)
     for _ in range(60):
         line = random_line(rng, min_n=4, max_n=10)
@@ -439,9 +440,113 @@ def test_free_schedules_verify():
     assert seen > 30
 
 
+FREE_SHAPES = (  # kind, n, k, f: k >= n on some, crash teams last
+    ("line", 1, 2, 0), ("line", 3, 2, 0), ("line", 4, 4, 0), ("line", 5, 8, 0),
+    ("line", 6, 3, 0), ("line", 8, 2, 0), ("line", 10, 5, 0), ("line", 12, 7, 0),
+    ("line", 17, 3, 0), ("line", 20, 8, 0), ("line", 30, 4, 0), ("line", 40, 6, 0),
+    ("ring", 2, 2, 0), ("ring", 3, 3, 0), ("ring", 3, 5, 0), ("ring", 4, 2, 0),
+    ("ring", 6, 3, 0), ("ring", 9, 4, 0), ("ring", 12, 2, 0), ("ring", 15, 6, 0),
+    ("ring", 20, 8, 0), ("ring", 25, 3, 0),
+    ("line", 9, 4, 1), ("line", 14, 6, 1), ("line", 20, 7, 2), ("line", 25, 3, 2),
+    ("ring", 5, 4, 1), ("ring", 8, 5, 1), ("ring", 10, 6, 2), ("ring", 12, 3, 2),
+)
+
+# sha256 of each pinned case's optimum and schedule JSON, as solve_free
+# wrote them when a line's optimum came from Nicol's recursion
+PINNED_FREE_DIGESTS = (
+    "af1698e33731776e18595895ac3190fc6ce68c44bcbe24d17f518951ef1ff958",
+    "af1698e33731776e18595895ac3190fc6ce68c44bcbe24d17f518951ef1ff958",
+    "a7bf797e2cbe70a90cf3a2116a20dd6557ff35d997526468011260e85401003f",
+    "d0fc313b616ca855ef00503cb08bab3bdcc9c8be3b28b7fa23f210594b757abc",
+    "7f2c8810299dbe80b7dff9b2c9b9c6322fefe70f7f532204fdf11630e0b8f76b",
+    "aceac68cdcf0d0e8a58d0f4a161120172a41a3393bd70a05edfa52dda9a85675",
+    "4c177ceb974074593af35d38eb0aae9458c4365a580d2bd3f212a18f4b4c474e",
+    "c06ca987b62d6e41df848b59ed088d9cf2f3a3cfd9b6427bc48d3e4ac16f8668",
+    "1fe975a2f3bec37d6db29044e1b5bce9155d1f0e2e14024daf0e850ccf932e16",
+    "f8cc032036a538f378bf8b0436b0859cccea701bfacf7f20d1e6514b72207efd",
+    "48e188852d3158a0549e6edaec5fc6bf849e44f3c19bf14c20eb3aace058e17e",
+    "0aa0be59b1f1487af784b7b326a0dc00159249d94c4d6f37c8c5632cfc611c2e",
+    "84db0501edc9b1ce4c22c514e176d47d618f565e5b4c74e229b1f0d450085172",
+    "b326a9fd70e9a165660db8d8a7473a7b6e01da7c1ad1ebed12e4e2cef0ab92b2",
+    "e99d669edc53a75764cad2a3bebc3a98d75f053035c6b19f2c761c68f35fdc9d",
+    "eb42882a8acee87162fc09fe5f7ecbf2ba78af5d58c184b264d3a178c1bdbac2",
+    "8fbc0879319a41f0856c42e1ef8ca6872a4d9375bef8a265a367c6709ed20c5a",
+    "501ba2d0450c21497b24bada7ab1f565a5131063fbe8efd3ef56bef976894429",
+    "e7d79db744fc4dc903f1c017df102df16900f83a2fa9147a412e662726393860",
+    "2893fc055ca11d410dbe3db2602ed40755ecd3514e19d70f1e76b9d0449cf0d1",
+    "ddabfea6497f9c958ae10a49528463d664f1fd5dcd2bdc81624bdcc6c859e12c",
+    "92317af259bb06a46942ea03aab66baff28b5f497ebce65d01803ffb8f450941",
+    "db59c77bcf4d9f11007328e41a117c042ae7a4e91fab865f2d97275b7d9ba006",
+    "4213763d87fdfa6ea6c7bb27ed400539ba70843fb58b68143d21321398bb4dc5",
+    "6ed0aa227412771ee0f178352d33461c0826bfecf83b99a9ba05c149b7203782",
+    "766ee50963278ca130170381e853383fd6edf9d7b0c79a65ed71493a10d3b056",
+    "95bb004593c73df9460d1293dae092e03a372df67798a42665cfa96939a005ec",
+    "6a35784b5eec5844650853928a8f39acecdc1fbe67078bb0be7f208b6ccc6f3b",
+    "b948039b4d61540d14567a195d6b89e81b66ad3e97ba6c28358a7b223717fa1c",
+    "40a772939c7a7162baacefebca55dcb0d43acf91ed9ca3e1f6af18a0dc489873",
+    "57cccf4f3d4f8578928e865e2779643b0e686aedc9d3d17127d06bb820f3a9e7",
+    "f1ad38d9b4d91a6533dfc112cf0e6a95e1bbc3063ae76a0cd89695f68ba7b8e4",
+    "87167544222d3bd3b25f8d478a7a012773694007f09dd89130911f9f5119e1f0",
+    "cc6e75dd2a54a18db680344d04bb4749db2eb292537e903aa2c503f929c6d2d6",
+    "7906f3639a1b83fe8fddf2b6a988248cab7d4a2772f7690746eb6502e7d26bd4",
+    "7f96b07e7887eeb173c3eb3283a17903d38d0777127286736e376becd1c6deee",
+    "1b19ea7e165bb2d600659f4cd57a6c39e848c300718daa0bedee1359fed580ff",
+    "1dfc925034c75cf199457b7845ebc7b7813d07288112680bef1fb573501f359f",
+    "525674b18fe087d053bd8fe55ad1adab95db13b431b47a637e7584714f93c97c",
+    "45bf2e647b651f352220269e0aa08ebe17caa14235da4bbefa91beaaf6fe871a",
+    "17af014f57f03192c029e7a344c41847148a9e7db5169beb73b02070034dfe33",
+    "fdab73be6e1d29ae8259b5182e0c9397aaa560a76f1c5f291a236b0ed68fd90c",
+    "5b07b0ec44a685cd59720e5ba84282640b8ec311c5ba349802334df3962dcdb8",
+    "e120466ee6ff8fe8816c944adc3dc9eb0d8d26f381bfb9561ce9ebd4d5e2b5e8",
+    "3a13ab45884a9dff4260fd9b9323383b98fc962f5b03b27817341adf1f829427",
+    "e606e778fa70bc9e89b598cf44a2f13a1ae05edba92b037014000d846a0dbd14",
+    "4e3706dcf687cc3955bd3feadf6e4a4c762873298d2b608c74f73ace72ae8900",
+    "5d2535171db17bce1758044514a12e5963efab95a569f4d3a3dda0b49e6c52bf",
+    "2e2ad5f8039cdde89a01b9a556cd4b7f3867c97af7b011467dad4a507ae5e1be",
+    "f73941f4913599bbce39091f2b6a7bbaaff9c3e2249c733f63d93b22dbe2dd7e",
+    "e99270c4fa9f6ea70486c8a763d7519b57ce1a4a9a0c6e0ca3bec74a82e38c24",
+    "e99270c4fa9f6ea70486c8a763d7519b57ce1a4a9a0c6e0ca3bec74a82e38c24",
+    "d557dabf78e90fa71d453a4af40924b37ab9a52e9572dd60550e385693a40f79",
+    "d3b974ccc00229abfbb955b869838112a7031a930a898a85c940d281272697e0",
+    "e88b1734cbbf8dc9eb5fa63a6586832f1ba6ab90e4c19c762d93f4779a0836ff",
+    "8ff9d6e019f2285366c88c86dd4008376eb3a40eacd6d949c85fcb45abd1dc76",
+    "be607a711a6c498581054d1869a430102b6004cf0e010e953fc451d2133189ce",
+    "c0229ba89f1f313bc893a0dab2792598f4018d743430237bf40ecd5097af2fac",
+    "0e913c1ea3cb28ff64cb6c6df4157ac209079d95f18379dba8325f59a8c72d17",
+    "cd133aec949d213dc7d033a6b5b5fd08ee18b10e0af2bc9fd5c2fc7841642d50",
+)
+
+
+def pinned_free_cases():
+    """(topology, k, f) of seeded lines and rings, each followed by its
+    ÷3 twin; half the nodes get a deadline between span / k and twice
+    the span."""
+    rng = random.Random(2318)
+    for kind, n, k, f in FREE_SHAPES:
+        weights = [rng.randint(1, 5) for _ in range(n if kind == "ring" else n - 1)]
+        span = max(sum(weights), 1)
+        deadlines = tuple(INFINITY if rng.random() < 0.5 else rng.randint(span // k, 2 * span)
+                          for _ in range(n))
+        if kind == "line":
+            topology = LineInstance(tuple(itertools.accumulate(weights, initial=0)), deadlines)
+        else:
+            topology = RingInstance(tuple(weights), deadlines)
+        yield topology, k, f
+        yield topology.scaled(Fraction(1, 3)), k, f
+
+
+def test_free_schedule_bytes_are_pinned():
+    digests = []
+    for topology, k, f in pinned_free_cases():
+        v = solve_free_faulty(topology, k, f) if f else solve_free(topology, k)
+        text = format_number(v.optimum) + ("\n" + v.schedule.to_json() if v.feasible else "")
+        digests.append(hashlib.sha256(text.encode()).hexdigest())
+    assert digests == list(PINNED_FREE_DIGESTS)
+
+
 def test_a_free_line_team_may_outnumber_the_recursion_limit():
-    # Nicol's search takes one first part per robot; it once recursed per
-    # robot, and a team of 260 raised RecursionError under a limit of 200
+    # the search over candidate times recurses on nothing, so a team of 260
+    # solves under a recursion limit of 200
     line = LineInstance(tuple(range(300)), (INFINITY,) * 300)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(200)
@@ -453,3 +558,25 @@ def test_a_free_line_team_may_outnumber_the_recursion_limit():
     assert len(verdict.schedule.tracks) == 260
     spec = ProblemSpec(line, RobotPlacement(FREE, count=260), 0, None)
     assert verify_schedule(replace(spec, bound=1), verdict.schedule).passed
+
+
+def test_a_large_free_team_reads_few_labels(monkeypatch):
+    # O(log n) probes of O(k log n) label reads each; a search whose every
+    # probe walks the greedy parts of the rest of the line reads ~500,000
+    reads = 0
+    reader = multi_line.stretch_reader
+
+    def counted(labels):
+        read = reader(labels)
+
+        def count(i, d):
+            nonlocal reads
+            reads += 1
+            return read(i, d)
+
+        return count
+
+    monkeypatch.setattr(multi_line, "stretch_reader", counted)
+    verdict = solve_free(LineInstance(tuple(range(300)), (INFINITY,) * 300), 260)
+    assert verdict.optimum == 1
+    assert 0 < reads <= 20_000

@@ -285,6 +285,24 @@ def test_ring_visits_equal_the_lift_scan():
         assert end == _last_move_end(track, length)
 
 
+def test_a_ring_segment_is_read_for_one_lap_only():
+    # first visits lie within one lap of a segment's departure point, so a
+    # segment of 10**15 laps verifies as fast as the same track cut at one
+    # lap, with the same visits and its full length as the makespan
+    ring = RingInstance((1, 2, 2), (INFINITY, 4, 3))
+    spec = ProblemSpec(ring, RobotPlacement(FREE, count=2), 0, None)
+    far = 10**15
+
+    def sweep(length):
+        tracks = (RobotTrack(((0, 0), (length, length))), RobotTrack(((0, 1), (length, 1 - length))))
+        return Schedule(kind="ring", tracks=tracks, circumference=ring.lap)
+
+    long, cut = verify_schedule(spec, sweep(far)), verify_schedule(spec, sweep(ring.lap))
+    assert long.passed and long.makespan == far
+    assert long.nodes == cut.nodes
+    assert [check.visits for check in long.nodes] == [((0, 0), (1, 1)), ((1, 0), (0, 1)), ((0, 3), (1, 3))]
+
+
 def test_brute_witness_always_verifies():
     rng = random.Random(72)
     seen = 0
