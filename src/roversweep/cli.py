@@ -75,7 +75,6 @@ def _caps_from(args, topology=None) -> Caps:
     return Caps(
         max_n=args.max_n if args.max_n is not None else default.max_n,
         max_k=args.max_k if args.max_k is not None else default.max_k,
-        max_f=default.max_f,
     )
 
 

@@ -1,10 +1,15 @@
 """Exact arithmetic for weights, times and deadlines.
 
-Finite values are plain ints or ``fractions.Fraction`` (never floats: the
-solvers compare sums of weights for equality, and a float tie would make
-feasibility verdicts platform-dependent).  ``INFINITY`` is a shared
-sentinel that compares greater than every finite value and absorbs
-addition; it doubles as "no deadline" and "unreachable".
+Finite values are plain ints or ``fractions.Fraction``, never floats:
+the solvers compare sums of weights for equality, and a float tie would
+make feasibility verdicts platform-dependent.  ``INFINITY`` is
+``math.inf``, the one float: Python compares it exactly with ints and
+Fractions, above every finite value.  It doubles as "no deadline" and
+"unreachable".  The package makes no other infinity object for a value
+it tests by identity (``x is INFINITY``, the cheapest test in the DP
+loops): arithmetic on INFINITY makes a new float, so code that may add
+to it or scale it keeps INFINITY itself, as ``scale`` does, or only
+compares the result.
 
 Integral values are kept as ints where convenient.  ``Fraction``
 interoperates exactly with ints, so the library solvers take either.
@@ -25,93 +30,10 @@ from fractions import Fraction
 from typing import Union
 
 
-class _Infinity:
-    """Positive infinity.  A single shared instance, see ``INFINITY``."""
-
-    __slots__ = ()
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "INFINITY"
-
-    # --- ordering: greater than every finite number, equal to itself ---
-
-    def __eq__(self, other):
-        return other is self
-
-    def __ne__(self, other):
-        return other is not self
-
-    def __hash__(self):
-        return hash("roversweep.INFINITY")
-
-    def __lt__(self, other):
-        if isinstance(other, (_Infinity, int, Fraction)):
-            return False
-        return NotImplemented
-
-    def __le__(self, other):
-        if isinstance(other, _Infinity):
-            return True
-        if isinstance(other, (int, Fraction)):
-            return False
-        return NotImplemented
-
-    def __gt__(self, other):
-        if isinstance(other, _Infinity):
-            return False
-        if isinstance(other, (int, Fraction)):
-            return True
-        return NotImplemented
-
-    def __ge__(self, other):
-        if isinstance(other, (_Infinity, int, Fraction)):
-            return True
-        return NotImplemented
-
-    # --- arithmetic: absorbs addition, rejects indeterminate forms ---
-
-    def __add__(self, other):
-        if isinstance(other, (_Infinity, int, Fraction)):
-            return self
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, _Infinity):
-            raise ArithmeticError("INFINITY - INFINITY is undefined")
-        if isinstance(other, (int, Fraction)):
-            return self
-        return NotImplemented
-
-    def __rsub__(self, other):
-        raise ArithmeticError("cannot subtract INFINITY from a finite value")
-
-    def __mul__(self, other):
-        if isinstance(other, _Infinity):
-            return self
-        if isinstance(other, (int, Fraction)):
-            if other > 0:
-                return self
-            raise ArithmeticError("INFINITY times a non-positive value is undefined")
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __bool__(self):
-        return True
-
-
-INFINITY = _Infinity()
+INFINITY = math.inf
 
 #: A non-negative exact rational, or INFINITY.
-ExactNumber = int | Fraction | _Infinity
+ExactNumber = int | Fraction | float
 
 
 def is_finite(x: ExactNumber) -> bool:
@@ -159,12 +81,13 @@ def format_number(x: ExactNumber) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def decimal_str(x: ExactNumber, digits: int = 6) -> str:
-    """Human-readable decimal approximation (display only, never computed with)."""
+def decimal_str(x: ExactNumber) -> str:
+    """Human-readable decimal approximation to 6 significant digits
+    (display only, never computed with)."""
     if x is INFINITY:
         return "inf"
     try:
-        return f"{float(x):.{digits}g}"
+        return f"{float(x):.6g}"
     except OverflowError:
         return str(int(x))  # magnitude beyond float range: integer digits suffice
 

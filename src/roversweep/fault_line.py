@@ -61,11 +61,11 @@ from .reductions import star_exact
 from .schedule import RobotTrack, Verdict, track_schedule
 from .single_robot import solve_free_start
 
-FIXED_SEARCH_CAPS = Caps(max_n=40, max_k=8, max_f=7)
+FIXED_SEARCH_CAPS = Caps(max_n=40, max_k=8)
 # with finite deadlines a ring robot's plans are Pareto sets of partial
 # walks, which can still grow exponentially in n, and the wrap-around arcs
 # widen the branching; rings stop at 16 nodes by default
-FIXED_RING_DEADLINE_CAPS = Caps(max_n=16, max_k=8, max_f=7)
+FIXED_RING_DEADLINE_CAPS = Caps(max_n=16, max_k=8)
 
 
 def fixed_search_caps(topology) -> Caps:

@@ -323,11 +323,11 @@ def _read_list(values, path: str, read) -> tuple:
 
 def _lowered(column: tuple, c: int) -> tuple:
     """The numbers p/q of a (numerators, denominators) column times c,
-    which every q divides."""
+    which every q divides; INFINITY stays the same object."""
     nums, dens = column
     if c == 1:
         return nums
-    return tuple([p * (c // q) for p, q in zip(nums, dens)])
+    return tuple([p if p is INFINITY else p * (c // q) for p, q in zip(nums, dens)])
 
 
 _LENGTHS = {"line": (LineInstance, "coordinates"), "ring": (RingInstance, "edge_weights"),
@@ -410,11 +410,7 @@ def read_instance(text: str) -> tuple:
     bound = None
     if delta is not None:
         topology, c, bound = widened(topology, c, read_amount(delta, "delta"))
-    spec = ProblemSpec(topology=topology, placement=placement, faults=faults, bound=bound)
-    if mode == FIXED and faults == 0 and len(set(placement.positions)) < spec.k:
-        # the reliable fixed-placement solver takes distinct robots only
-        raise InstanceError("robots.positions", "duplicate starting positions need a positive fault budget")
-    return spec, c
+    return ProblemSpec(topology=topology, placement=placement, faults=faults, bound=bound), c
 
 
 def parse_instance(text: str) -> ProblemSpec:

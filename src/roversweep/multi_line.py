@@ -110,7 +110,7 @@ def idle_edge_split(starts: Sequence[int], n: int, part_time) -> tuple:
     prefix: list = [INFINITY] * n
     choice: list = [None] * n
     inf = INFINITY
-    # identity tests keep INFINITY's Python-level comparisons out
+    # identity tests skip the comparisons with unreachable parts
     for r, s in enumerate(starts):
         first = starts[r - 1] + 1 if r else 0
         c = first

@@ -17,7 +17,6 @@ visit, give the two-robot optimum in one more O(2^q) pass over leaf sets
 
 from __future__ import annotations
 
-import math
 from typing import List, Optional, Sequence
 
 from .exact import ExactNumber, INFINITY
@@ -124,18 +123,13 @@ def star_from_partition(values: Sequence[int]) -> ProblemSpec:
 
 STAR_MAX_Q = 14  # star_exact refuses larger stars: its tables hold 2^q cells
 
-# The subset tables mark unreachable cells with a float infinity: it
-# compares with ints and Fractions in C, where INFINITY falls back to
-# Python-level comparisons.  It never leaves star_exact.
-_UNREACHED = math.inf
-
 
 class _StarRobot:
     """Subset DP for one start: the earliest last first-visit of each leaf set.
 
     ``comp[U]`` is the time at which a robot from ``start`` that tours the
     leaves of U (its own leaf excluded), each on time, reaches the last
-    one, or ``_UNREACHED``.  The last leaf l of U is reached at
+    one, or INFINITY.  The last leaf l of U is reached at
     offset + 2 * total[U] - w[l], so the best last leaf is the heaviest
     one that is on time with the rest of U tourable; ``leaves`` lists the
     candidates heaviest first.
@@ -143,7 +137,7 @@ class _StarRobot:
 
     __slots__ = ("star", "start", "offset", "own_bit", "comp", "leaves", "twice")
 
-    def __init__(self, star: StarInstance, start: int, deadlines, twice, heavy_first):
+    def __init__(self, star: StarInstance, start: int, twice, heavy_first):
         self.star = star
         self.start = start
         self.twice = twice
@@ -156,21 +150,21 @@ class _StarRobot:
             self.own_bit = own = 1 << start
         # (bit, the largest 2 * total[U] that reaches the leaf on time, weight)
         self.leaves = leaves = [
-            (1 << leaf, deadlines[leaf] + w[leaf] - offset, w[leaf])
+            (1 << leaf, star.leaf_deadlines[leaf] + w[leaf] - offset, w[leaf])
             for leaf in heavy_first
             if leaf != start
         ]
-        comp: list = [_UNREACHED] * len(twice)
+        comp: list = [INFINITY] * len(twice)
         comp[0] = 0
         for mask in range(1, len(twice)):
             if mask & own:
                 comp[mask] = comp[mask ^ own]  # own leaf never needs touring
                 continue
-            if comp[mask ^ (mask & -mask)] is _UNREACHED:
+            if comp[mask ^ (mask & -mask)] is INFINITY:
                 continue  # a leaf set with an untourable part is untourable
             t2 = twice[mask]
             for bit, room, wl in leaves:
-                if mask & bit and t2 <= room and comp[mask ^ bit] is not _UNREACHED:
+                if mask & bit and t2 <= room and comp[mask ^ bit] is not INFINITY:
                     comp[mask] = offset + t2 - wl
                     break
         self.comp = comp
@@ -185,7 +179,7 @@ class _StarRobot:
             t2 = self.twice[tour]
             fits = [
                 bit for bit, room, _ in self.leaves
-                if tour & bit and t2 <= room and self.comp[tour ^ bit] is not _UNREACHED
+                if tour & bit and t2 <= room and self.comp[tour ^ bit] is not INFINITY
             ]
             # the DP's last leaf, then the lowest-numbered leaf that fits
             bit = min(fits) if order else fits[0]
@@ -236,7 +230,6 @@ def star_exact(
     if not 0 <= f < k:
         raise ValueError("need 0 <= f < k")
     capped = star if delta is None else star.capped(delta)
-    leaf_dl = [_UNREACHED if d is INFINITY else d for d in capped.leaf_deadlines]
     center_dl = capped.center_deadline
     w = star.leaf_weights
     full = (1 << q) - 1
@@ -250,7 +243,7 @@ def star_exact(
     def tables_at(s: int) -> tuple:
         """(B, C) of one start; C is None when it cannot visit the center on time."""
         if s not in made:
-            robot = _StarRobot(capped, s, leaf_dl, twice, heavy_first)
+            robot = _StarRobot(capped, s, twice, heavy_first)
             off = robot.offset
             if s == star.center:
                 center = robot.comp
@@ -275,7 +268,7 @@ def star_exact(
     else:
         pools = [tuple(range(q + 1)) if placement.mode == FREE else placement.allowed] * k
 
-    optimum = _UNREACHED
+    optimum = INFINITY
     roles: list = []  # per robot: (pool, cover, serves the center, table cell)
     if f + 1 == k:
         # every robot tours every leaf and visits the center on time
@@ -300,7 +293,7 @@ def star_exact(
                     (serving, cover, True, c[cover]),
                     (other, full ^ cover, False, b[full ^ cover]),
                 ]
-    if optimum is _UNREACHED:
+    if optimum is INFINITY:
         return Verdict(feasible=False, optimum=INFINITY)
     tracks = []
     for pool, cover, serves, cell in roles:

@@ -21,7 +21,6 @@ the state with the robot at the left end.
 
 from __future__ import annotations
 
-import math
 from array import array
 from typing import Iterable, Optional, Sequence
 
@@ -84,9 +83,8 @@ def propagate(
     time = labels.time
     parent = labels.parent
     inf = INFINITY
-    # compared only, never added: a float infinity is exact against ints and Fractions
-    dls = [math.inf if d is inf else d for d in deadlines]
-    for batch in graph.pulls(time, dls):
+    # identity tests skip the additions from unreached predecessors
+    for batch in graph.pulls(time, deadlines):
         for v, a, b, wa, wb, dl in zip(*batch):
             ta = time[a]
             tb = time[b]
@@ -110,11 +108,9 @@ def stretch_reader(labels: TimeLabels):
     """``read(i, d)``: the fastest exploration of the d + 1 nodes i .. i + d
     (counterclockwise on a ring, d = n - 1 included), read off the label
     layers: the cheaper of the robot's two ends, L on ties, INFINITY when
-    neither is reachable.  INFINITY is tested by identity, so no
-    comparison falls back to its Python-level dunders."""
+    neither is reachable."""
     time = labels.time
     first = labels.graph.layer_offsets
-    inf = INFINITY
 
     def read(i: int, d: int) -> ExactNumber:
         if d == 0:
@@ -122,7 +118,7 @@ def stretch_reader(labels: TimeLabels):
         u = first[d] + 2 * i
         tl = time[u]
         tr = time[u + 1]
-        return tl if tr is inf or tl is not inf and tl <= tr else tr
+        return tl if tl <= tr else tr
 
     return read
 

@@ -824,9 +824,12 @@ def _sweep_topology(rng, kind, frac, share):
 
 def _sweep_specs(case, rng):
     """Seeded lines and rings, n <= 7, k <= 4, f <= 2, int and Fraction,
-    taken in turn from each cell of topology, number type and deadline share."""
+    taken in turn from each cell of topology, number type and deadline share.
+    Reliable robots that share starts are read back from their document,
+    as the CLI reads them."""
     mode = FIXED if case.startswith("fixed") else FREE
     faulty = "crashes" in case
+    shared = "shared" in case
     if case == "free crashes, no deadlines":
         shares = (0,)
     elif faulty and mode == FREE:
@@ -837,9 +840,9 @@ def _sweep_specs(case, rng):
     for kind, frac, share in cells:
         top = _sweep_topology(rng, kind, frac, share)
         n = top.n
-        if faulty:
+        if faulty or shared:
             k = rng.randint(2, 4)
-            f = rng.randint(1, min(2, k - 1))
+            f = 0 if shared else rng.randint(1, min(2, k - 1))
         elif mode == FREE:
             k = rng.randint(1, 4)  # may exceed n: the extra robots share or idle
             f = 0
@@ -850,9 +853,13 @@ def _sweep_specs(case, rng):
             placement = RobotPlacement(FREE, count=k)
         elif faulty:
             placement = RobotPlacement(FIXED, positions=[rng.randrange(n) for _ in range(k)])
+        elif shared:
+            positions = [rng.randrange(n) for _ in range(k - 1)]
+            placement = RobotPlacement(FIXED, positions=positions + [rng.choice(positions)])
         else:
             placement = RobotPlacement(FIXED, positions=rng.sample(range(n), k))
-        yield ProblemSpec(top, placement, f, None)
+        spec = ProblemSpec(top, placement, f, None)
+        yield parse_instance(serialize_instance(spec)) if shared else spec
 
 
 # the counterexample of ROADMAP item 1: the routes answer 21, brute force 15
@@ -870,6 +877,7 @@ ITEM_1 = pytest.mark.xfail(
 @pytest.mark.parametrize("case", [
     "fixed, reliable",
     "fixed crashes",
+    "fixed, reliable, shared starts",
     "free, reliable",
     "free crashes, no deadlines",
     pytest.param("free crashes, finite deadlines", marks=ITEM_1),

@@ -1,8 +1,11 @@
+import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from roversweep import multi_line, oracle, reductions
 from roversweep.exact import (
     INFINITY,
     decimal_str,
@@ -10,6 +13,16 @@ from roversweep.exact import (
     parse_ratio,
     scale,
     simplify,
+)
+from roversweep.instance import (
+    FIXED,
+    FREE,
+    LineInstance,
+    ProblemSpec,
+    RingInstance,
+    RobotPlacement,
+    StarInstance,
+    read_instance,
 )
 
 
@@ -96,14 +109,44 @@ def test_infinity_ordering():
     assert INFINITY <= INFINITY
 
 
-def test_infinity_arithmetic():
-    assert INFINITY + 5 is INFINITY
-    assert Fraction(1, 2) + INFINITY is INFINITY
-    assert INFINITY - 3 is INFINITY
-    with pytest.raises(ArithmeticError):
-        INFINITY - INFINITY
-    with pytest.raises(ArithmeticError):
-        3 - INFINITY
+def test_every_infinity_the_package_makes_is_the_one_object():
+    # INFINITY is math.inf; arithmetic on it makes a new float, so every
+    # infinity the package stores must be this object for `is INFINITY`
+    assert INFINITY is math.inf
+    docs = [  # two null deadlines each, and c > 1
+        {"topology": "line", "coordinates": ["0", "1/2", "3"], "deadlines": [None, "5/3", None]},
+        {"topology": "ring", "edge_weights": ["1/2", "1", "1/3"], "deadlines": [None, None, "2"]},
+        {"topology": "star", "leaf_weights": ["1/2", "3"], "deadlines": [None, "7/5"], "center_deadline": None},
+    ]
+    for doc in docs:
+        doc.update(robots={"mode": "free", "count": 2}, faults=0, delta=None)
+        spec, c = read_instance(json.dumps(doc))
+        assert c > 1
+        top = spec.topology
+        for made in (top, top.capped(INFINITY), spec.scaled(Fraction(1, c)).topology, spec.scaled(5).topology):
+            infinite = [d for d in made.deadlines if d == INFINITY]
+            assert len(infinite) == 2 and all(d is INFINITY for d in infinite), made
+    for factor in (1, 3, Fraction(1, 3), Fraction(6, 1)):
+        assert scale(INFINITY, factor) is INFINITY
+    assert ProblemSpec(LineInstance((0,), (INFINITY,)), RobotPlacement(FREE, count=1), 0, INFINITY).bound is None
+
+    # infeasible: the far node's deadline passes before any robot arrives
+    line = LineInstance((0, 10), (INFINITY, 1))
+    ends = LineInstance((0, 10, 20), (1, INFINITY, 1))
+    ring = RingInstance((10, 10, 10), (1, INFINITY, 1))
+    star = StarInstance((10, 10), (1, 1), 1)
+    verdicts = [
+        multi_line.solve_fixed(line, (0,)),
+        multi_line.solve_fixed(ring, (1,)),
+        multi_line.solve_free(ends, 1),
+        multi_line.solve_free(ring, 1),
+        reductions.star_exact(star, RobotPlacement(FIXED, positions=(2,)), 1),
+        reductions.star_exact(star, RobotPlacement(FREE, count=2), 2, 1),
+        oracle.brute_solve(ProblemSpec(line, RobotPlacement(FIXED, positions=(0,)))),
+        oracle.brute_solve(ProblemSpec(ring, RobotPlacement(FREE, count=1))),
+    ]
+    for verdict in verdicts:
+        assert not verdict.feasible and verdict.optimum is INFINITY, verdict
 
 
 def test_decimal_str():

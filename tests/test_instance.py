@@ -60,7 +60,8 @@ def test_faults_must_be_below_robot_count():
         parse_instance(json.dumps(doc))
 
 
-def test_duplicate_fixed_positions_need_faults():
+def test_duplicate_fixed_positions_are_read_with_any_fault_budget():
+    # the fixed search solves shared starts exactly, with or without faults
     doc = {
         "topology": "line",
         "coordinates": ["0", "1"],
@@ -69,11 +70,10 @@ def test_duplicate_fixed_positions_need_faults():
         "faults": 0,
         "delta": None,
     }
-    with pytest.raises(InstanceError):
-        parse_instance(json.dumps(doc))
-    doc["faults"] = 1
-    spec = parse_instance(json.dumps(doc))
-    assert spec.placement.positions == (0, 0)
+    for faults in (0, 1):
+        doc["faults"] = faults
+        spec = parse_instance(json.dumps(doc))
+        assert (spec.placement.positions, spec.faults) == ((0, 0), faults)
 
 
 def test_validation_errors_carry_field_paths():
@@ -286,7 +286,7 @@ def reimport():
     return importlib.import_module("roversweep")
 
 first = reimport()
-old = [weakref.ref(first.exact._Infinity), weakref.ref(first.instance.LineInstance)]
+old = [weakref.ref(first.schedule.Verdict), weakref.ref(first.instance.LineInstance)]
 del first
 for _ in range(3):
     reimport()

@@ -2,7 +2,8 @@
 
 Every module of ``roversweep`` is parsed with ``ast``.  A module-level
 ``_private`` name that no module of the package reads is dead, and so is
-an import that its own module never reads.  Imports on a line marked
+an import that its own module never reads.  Only ``exact`` spells an
+infinity; every other module uses its ``INFINITY``.  Imports on a line marked
 ``# noqa: F401`` are kept on purpose (names bound for other code to
 find), and the package ``__init__`` imports are its public names.
 Answers are verified at one exit: ``oracle.witnessed`` is called only
@@ -91,6 +92,17 @@ def _callers(tree, callee: str):
                 func = node.func
                 if getattr(func, "id", None) == callee or getattr(func, "attr", None) == callee:
                     yield getattr(stmt, "name", None)
+
+
+def test_only_exact_spells_infinity():
+    # one "never" value: every other module takes INFINITY from exact
+    spelled = [
+        f"{name}:{number}"
+        for name, lines, _ in _modules() if name != "exact.py"
+        for number, line in enumerate(lines, 1)
+        if any(word in line for word in ("math.inf", 'float("inf")', "float('inf')"))
+    ]
+    assert spelled == []
 
 
 def test_only_the_router_verifies_answers():
