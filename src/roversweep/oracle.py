@@ -13,6 +13,7 @@ visits each node when.
 from __future__ import annotations
 
 import itertools
+import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Union
@@ -151,32 +152,21 @@ def _profiles(topology, start, deadlines, bound) -> List[tuple]:
     A profile lists, per node, the first visit time if it lands by
     min(deadline, bound), else None.  Profiles that are pointwise no
     better than another are dropped; this never changes exact optima.
+    While the antichain is built a missed node reads INFINITY, so one
+    profile dominates another when ``all(map(operator.le, ...))`` holds,
+    compared in C; the profiles returned read None again.
     """
-    n = topology.n
-    raw = []
-    for walk in _free_walks(topology, start):
-        prof = []
-        for v in range(n):
-            t = walk.first_visit[v]
-            if t is None or t > deadlines[v] or (bound is not None and t > bound):
-                prof.append(None)
-            else:
-                prof.append(t)
-        raw.append((tuple(prof), walk))
-    raw.sort(key=lambda pw: (sum(1 for t in pw[0] if t is None), pw[1].completion, pw[1].turns))
+    cutoff = deadlines if bound is None else [min(d, bound) for d in deadlines]
+    raw = [
+        (tuple(INFINITY if t is None or t > c else t for t, c in zip(walk.first_visit, cutoff)), walk)
+        for walk in _free_walks(topology, start)
+    ]
+    raw.sort(key=lambda pw: (pw[0].count(INFINITY), pw[1].completion, pw[1].turns))
     kept: List[tuple] = []
     for prof, walk in raw:
-        dominated = False
-        for kp, _ in kept:
-            if all(
-                (t is None) or (kp[v] is not None and kp[v] <= t)
-                for v, t in enumerate(prof)
-            ):
-                dominated = True
-                break
-        if not dominated:
+        if not any(all(map(operator.le, kept_prof, prof)) for kept_prof, _ in kept):
             kept.append((prof, walk))
-    return kept
+    return [(tuple(None if t is INFINITY else t for t in prof), walk) for prof, walk in kept]
 
 
 def _placements(spec: ProblemSpec):

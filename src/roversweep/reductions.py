@@ -9,14 +9,18 @@ test suites.
 Star solving is exact via subset dynamic programming (Held and Karp
 1962): after a robot returns to the center, the elapsed time depends
 only on the set of leaves toured so far, so minimal completion times are
-computed over bitmasks in O(q 2^q) per start.  The best of those tables
-over the starts a robot may take, with and without an on-time center
-visit, give the two-robot optimum in one more O(2^q) pass over leaf sets
-(see ``star_exact``).
+computed over bitmasks in O(q 2^q) per start.  The tables are built in
+whole-list passes: leaf-set weights one leaf at a time, and a leaf
+start's table on the sets without its own leaf, the rest copied by
+slices.  Two fixed robots share one table of their pairwise worst; the
+best tables over the starts of a free or subset pool, with and without
+an on-time center visit, give the two-robot optimum in one more O(2^q)
+pass over leaf sets (see ``star_exact``).
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import List, Optional, Sequence
 
 from .exact import ExactNumber, INFINITY
@@ -132,7 +136,9 @@ class _StarRobot:
     one, or INFINITY.  The last leaf l of U is reached at
     offset + 2 * total[U] - w[l], so the best last leaf is the heaviest
     one that is on time with the rest of U tourable; ``leaves`` lists the
-    candidates heaviest first.
+    candidates heaviest first.  The DP runs on the sets without the own
+    leaf only, and the sets that hold it are slice copies of those that
+    do not, as the own leaf never needs touring.
     """
 
     __slots__ = ("star", "start", "offset", "own_bit", "comp", "leaves", "twice")
@@ -154,12 +160,21 @@ class _StarRobot:
             for leaf in heavy_first
             if leaf != start
         ]
-        comp: list = [INFINITY] * len(twice)
+        # the sets without the own leaf, as slices of the masks: blocks of
+        # `own` consecutive masks or strides of 2 * own, whichever are fewer;
+        # the subsets of a set lie in its own slice or an earlier one
+        size = len(twice)
+        step = 2 * own
+        if not own:
+            parts = [slice(0, size)]
+        elif own * own >= size:
+            parts = [slice(base, base + own) for base in range(0, size, step)]
+        else:
+            parts = [slice(j, size, step) for j in range(own)]
+        comp: list = [INFINITY] * size
         comp[0] = 0
-        for mask in range(1, len(twice)):
-            if mask & own:
-                comp[mask] = comp[mask ^ own]  # own leaf never needs touring
-                continue
+        masks = range(size)
+        for mask in chain.from_iterable(masks[part] for part in parts):
             if comp[mask ^ (mask & -mask)] is INFINITY:
                 continue  # a leaf set with an untourable part is untourable
             t2 = twice[mask]
@@ -167,6 +182,9 @@ class _StarRobot:
                 if mask & bit and t2 <= room and comp[mask ^ bit] is not INFINITY:
                     comp[mask] = offset + t2 - wl
                     break
+        if own:  # the own leaf never needs touring
+            for part in parts:
+                comp[part.start + own:part.stop + own:part.step] = comp[part]
         self.comp = comp
 
     def track(self, cover: int, touch_center: bool) -> RobotTrack:
@@ -212,14 +230,21 @@ def star_exact(
     """Exact star feasibility and optimal completion time for k <= 2 robots.
 
     One subset DP per start, O(q 2^q), with no reliance on the
-    deadline-plus-weight ordering.  Over the starts a robot may take, B[U]
-    is the fastest tour of the leaf set U and C[U] the same with the
-    center also visited on time.  Two reliable robots need one of them on
-    the center, so the optimum is the least max(C[U], B[full - U]) over U,
-    one O(2^q) pass (fixed robots try both roles); when every robot must
-    visit every node (k = 1 or f = 1) it is C[full].  The schedule takes
-    the first U in ascending order, and per robot the first start in pool
-    order, that attain the optimum.  Stars of more than ``STAR_MAX_Q``
+    deadline-plus-weight ordering.  B[U] is the fastest tour of the leaf
+    set U from a start, and C[U] = max(B[U], offset) the same with the
+    center also visited on time, which a leaf start reaches at its
+    offset (no C when that is past the center deadline).  Two reliable
+    robots need one of them on the center, so the optimum is the least
+    max(C[U], B[full - U]) over U.  Two fixed robots a and b share one
+    table M[U] = max(B_a[U], B_b[full - U]): "a serves" is worth
+    max(offset_a, min M) and "b serves" max(offset_b, min M), and a
+    serves on ties, touring the first U with M[U] at most that value,
+    while b tours full minus the last such U.  Free and subset robots
+    take, per U, the best B and C over the starts of their pool, one
+    more O(2^q) pass.  When every robot must visit every node (k = 1 or
+    f = 1) the optimum is C[full].  The schedule takes the first U in
+    ascending order, and per robot the first start in pool order, that
+    attain the optimum.  Stars of more than ``STAR_MAX_Q``
     leaves and teams of more than two robots raise CapExceeded.
     """
     q = star.q
@@ -233,32 +258,43 @@ def star_exact(
     center_dl = capped.center_deadline
     w = star.leaf_weights
     full = (1 << q) - 1
-    twice = [0] * (full + 1)  # twice the weight of each leaf set
-    for mask in range(1, full + 1):
-        low = mask & -mask
-        twice[mask] = twice[mask ^ low] + 2 * w[low.bit_length() - 1]
+    twice = [0]  # twice the weight of each leaf set, grown one leaf at a time
+    for weight in w:
+        two = 2 * weight
+        twice += [t + two for t in twice]
     heavy_first = sorted(range(q), key=lambda leaf: -w[leaf])
-    made: dict = {}  # start -> (its subset DP, its C table or None), built once
+    robots: dict = {}  # start -> its subset DP, built once
 
-    def tables_at(s: int) -> tuple:
-        """(B, C) of one start; C is None when it cannot visit the center on time."""
-        if s not in made:
-            robot = _StarRobot(capped, s, twice, heavy_first)
-            off = robot.offset
-            if s == star.center:
-                center = robot.comp
-            elif off <= center_dl:  # a leaf start is at the center at `off`
-                center = [c if c > off else off for c in robot.comp]
-            else:
-                center = None
-            made[s] = (robot, center)
-        robot, center = made[s]
-        return robot.comp, center
+    def robot_at(s: int) -> _StarRobot:
+        if s not in robots:
+            robots[s] = _StarRobot(capped, s, twice, heavy_first)
+        return robots[s]
+
+    def at_center(robot: _StarRobot, t):
+        """A tour of ``t`` that also visits the center on time, which a leaf
+        start reaches at its offset: max(t, offset), or INFINITY when the
+        offset is past the center deadline."""
+        off = robot.offset
+        if off > center_dl:
+            return INFINITY
+        return t if t > off else off
+
+    def cell(s: int, cover: int, serves: bool):
+        """B[cover] of one start, or C[cover] when the robot ``serves`` the center."""
+        robot = robot_at(s)
+        t = robot.comp[cover]
+        return at_center(robot, t) if serves else t
 
     def table(pool, serves: bool) -> Optional[list]:
         """Cellwise best over ``pool`` of B, or of C when the robot ``serves``
         the center; None when no start of ``pool`` can."""
-        found = [t for t in (tables_at(s)[serves] for s in pool) if t is not None]
+        found = []
+        for robot in map(robot_at, pool):
+            off = robot.offset
+            if not serves:
+                found.append(robot.comp)
+            elif off <= center_dl:
+                found.append([t if t > off else off for t in robot.comp])
         if len(found) < 2:
             return found[0] if found else None
         return list(map(min, *found))
@@ -269,36 +305,43 @@ def star_exact(
         pools = [tuple(range(q + 1)) if placement.mode == FREE else placement.allowed] * k
 
     optimum = INFINITY
-    roles: list = []  # per robot: (pool, cover, serves the center, table cell)
+    roles: list = []  # per robot: (pool, cover, serves the center)
     if f + 1 == k:
         # every robot tours every leaf and visits the center on time
-        cells = [table(pool, True) for pool in pools]
-        if None not in cells:
-            roles = [(pool, full, True, c[full]) for pool, c in zip(pools, cells)]
-            optimum = max(cell for *_, cell in roles)
+        optimum = max(min(cell(s, full, True) for s in pool) for pool in pools)
+        roles = [(pool, full, True) for pool in pools]
+    elif placement.mode == FIXED:
+        # two reliable fixed robots share M[U] = max(B_a[U], B_b[full - U]);
+        # "a serves U" is worth max(offset_a, M[U]), "b serves U" max(offset_b, M[full - U])
+        a, b = placement.positions
+        robot_a, robot_b = robot_at(a), robot_at(b)
+        m = list(map(max, robot_a.comp, reversed(robot_b.comp)))
+        least = min(m)
+        value_a, value_b = at_center(robot_a, least), at_center(robot_b, least)
+        if value_a <= value_b:
+            optimum = value_a
+            cover = next(u for u in range(full + 1) if m[u] <= optimum)
+            roles = [((a,), cover, True), ((b,), full ^ cover, False)]
+        else:
+            optimum = value_b
+            cover = full ^ next(u for u in range(full, -1, -1) if m[u] <= optimum)
+            roles = [((b,), cover, True), ((a,), full ^ cover, False)]
     else:
-        # two reliable robots: one tours U and visits the center, one the rest
-        orders = [pools, pools[::-1]] if placement.mode == FIXED else [pools]
-        for serving, other in orders:
-            c = table(serving, True)
-            if c is None:
-                continue
-            b = table(other, False)
-            values = list(map(max, c, reversed(b)))  # b[full ^ U] is b[full - U]
-            value = min(values)
-            if value < optimum:
-                cover = values.index(value)
-                optimum = value
-                roles = [
-                    (serving, cover, True, c[cover]),
-                    (other, full ^ cover, False, b[full ^ cover]),
-                ]
+        # two reliable pooled robots: one tours U and visits the center, one the rest
+        pool = pools[0]
+        c = table(pool, True)
+        if c is not None:
+            values = list(map(max, c, reversed(table(pool, False))))  # reversed: B[full - U]
+            optimum = min(values)
+            cover = values.index(optimum)
+            roles = [(pool, cover, True), (pool, full ^ cover, False)]
     if optimum is INFINITY:
         return Verdict(feasible=False, optimum=INFINITY)
     tracks = []
-    for pool, cover, serves, cell in roles:
-        s = next(s for s in pool if (t := tables_at(s)[serves]) is not None and t[cover] == cell)
-        tracks.append((s, made[s][0].track(cover, serves)))
+    for pool, cover, serves in roles:
+        # the first start of the pool that attains the role's table cell
+        s = min(pool, key=lambda p: cell(p, cover, serves))
+        tracks.append((s, robot_at(s).track(cover, serves)))
     tracks.sort(key=lambda start_track: start_track[0])
     return Verdict(
         feasible=True, optimum=optimum, schedule=track_schedule(star, (track for _, track in tracks))

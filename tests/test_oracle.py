@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import pkgutil
 import random
@@ -20,7 +21,7 @@ from support import (
     random_star,
     ring_visits_scan,
 )
-from roversweep.exact import INFINITY, simplify
+from roversweep.exact import INFINITY, format_number, simplify
 from roversweep.instance import (
     FIXED,
     FREE,
@@ -381,3 +382,96 @@ def test_solvers_do_not_bind_the_walk_enumeration():
         if any(value is oracle.enumerate_walks for value in vars(module).values()):
             binders.add(module.__name__)
     assert binders == {"roversweep", "roversweep.oracle"}
+
+
+# sha256 of each pinned case's optimum, schedule JSON and witness from
+# brute_solve, recorded before the profile antichain was compared in C
+PINNED_BRUTE_DIGESTS = (
+    "d4b0104f6d9672d1b50ab41e0db8dd12db5565cd09572b8ccce57970319e6d30",
+    "854a9d62beddd9a4b7d3bbf23ebeb3385a2513412bb08cf98b1cd6d694d8f01e",
+    "44254904384d9afb433b4bec02bc8e135728f25142123b5dc5c8334042950123",
+    "0b326e62f26cb8d4df0f91f0a265a81e7b96a0a921691eab9bdfe50e7402b68f",
+    "f1bfec2562b894f2094c5d632d3db8356f804bbf0f4b96b5d9216b68fb07c915",
+    "e99270c4fa9f6ea70486c8a763d7519b57ce1a4a9a0c6e0ca3bec74a82e38c24",
+    "d63262ad3a203e0878503408c994551b388d1ffaba07e537e3a77cd222626df5",
+    "f9c771371d694a0800b0999a91b1f5601bcae737a216c38ac5c3eca82ebd5ca3",
+    "97fa4f20e331b16b90d284e594e371ac58f69f7286d921561a78866605c65143",
+    "cb0ea4c1228bf61068550025cbd29c9f6fc0d58faecdd10a142cf09a3a85b2ce",
+    "a0533e00d516225052731e81a4bb4a75e14bbb1c7ef49fb07c0bd102c8e33f1b",
+    "982e5e0811ae59a5a4bbd46edd998abcd9f952243571eb873282e6d754318a96",
+    "d612ba5914e74468d5266b07025aeb80b1e58e2d15c8ed082ff5e250a1770c78",
+    "67c5ef85bc694694a155e8ae3f1304df94f9da1d63ca7194feeb7920cc3f586b",
+    "e99270c4fa9f6ea70486c8a763d7519b57ce1a4a9a0c6e0ca3bec74a82e38c24",
+    "e8e77c31e7d1746c1068b2dc7d5c7681e52ec97bebe037bb9f1a7cbe3094bf06",
+    "80c1d410b34ba2f53da058d294088961c487fa265d1a3ebe6c099bf6cd6ba21c",
+    "f0cf5618038b67a5406bb519c7592bbd1f7fb4880f7567c921e4fb6150535ae6",
+    "e99270c4fa9f6ea70486c8a763d7519b57ce1a4a9a0c6e0ca3bec74a82e38c24",
+    "e072c658682027183842fda0400f66f08bfcfe841fe5181e6d92dd0d03299cb5",
+    "92f5e14b3f07044e32f69558e8630408416676b9f658fa0c8c72390c99f8ae72",
+    "a1c816c3f371e4d92deb4484250fd3ee037affc0834cd66d099d27b1150aebfb",
+    "bf6787d6e9e06b2a6a27a7c084ed8a1a625988ecdad34e6fe6d20400b7344836",
+    "fc7591b3bffe80c0897b9993adae3efa6c5d2148e4240ccf973ad7f4d55c522f",
+    "c806cf34c68c78cf396f894d93aee96f50991a10516aa20c8557c36dd458450a",
+    "69c8cb2642efe767184e99cc62c335daaf69dd9590537841321595b3e90e79b4",
+    "90958d8f5513ca2da141665c9da4cae289c0673e5164201232e7117ffb24c7d8",
+    "7d483aea8da7d3c330a9739a277d263d275211da84839a7401130ececcd652a3",
+    "6879d0989c75f0ab05e600b5d1c7782518ebf2c656b4135122c5127f32d09f46",
+    "f07ae4a4112cd12c4627811be06b5acd8c1ae87129843bfd25507e3096c053d8",
+    "0b0b6197004d59af6f1dd7ed595532f1eadc24feb135cb511f688f930252006a",
+    "3210f8855cf41a405ff5045d4b4ff3119e00e9938f9c0341fb477e634caaebcf",
+    "9e7add655e1ebedc733c769bb003fcfcfd72e59e20a3fbed7dd161291b5a3372",
+    "d852d492e45cd6e82fa452cd494fefa76be7305e75eed4bf3d29f7ac30f5f5eb",
+    "8b67c69f142c91d51de43115c68f96a828d203274b43cd52a8bf2a58a7785480",
+    "3cb71cc487ddf2f2b14efa7956e05611f94058e5612e366bbe63c02a7e4aedd1",
+    "e612a4d6d4aa6f1d8b6b22961d20be55764cdc5112ed13d83de28a9d519238b9",
+    "fa64e2589fd7900a4a43a57cf4124e4c99387fbc3e320f0873670260ee5e4529",
+    "f3825163958da13ef7d03b1c3a641715f8933bfbb26dada9fdc6ca429a825966",
+    "6a13e042a4d68cf7f2bf003ee01fa9ae95cb855fe86bdc257725e96675bbafad",
+    "4fd048d577e0bf465a8a1e81bc79e5ecd3cef98c6479f5e017853f6cc632889c",
+    "384bb6ae45c5806c353d1fea1480ea798fb47e47788236f25abcf7add974299f",
+    "3f80f113c39cef11da1f5215c8c1b30eda13b3d733d921ba827503c6ff1a6b50",
+    "155d69e6cf47286db8f87690e3ebd0902336528720f5de6360b0a7dd88c2184a",
+    "3e6a822fef72c9a575e1570abb30849ec660c003971943cbc1ab1ced29059d74",
+    "a789ff91d837db71ff5ef21ce8ff475e13d25e0e8dd6b47829c2d4ee486e9080",
+    "b0c95e4279272fa1f6aeec93d73ab7232796c34fd2199d5c180591f013754b94",
+    "781f1a5c1a634f77ea6a293369481cecf6c475f6835f7a5b3d8e354721412b52",
+)
+
+
+def pinned_brute_cases():
+    """ProblemSpecs of 48 seeded lines and rings (n <= 8, k <= 3, f <= 2)
+    with fixed, free and subset starts, half of them with a bound."""
+    rng = random.Random(2520)
+    for idx in range(48):
+        kind = ("line", "ring")[idx % 2]
+        mode = (FIXED, FREE, SUBSET)[idx // 2 % 3]
+        k = 1 + idx // 6 % 3
+        f = rng.randint(0, min(2, k - 1))
+        if kind == "line":
+            top = random_line(rng, max_n=8, deadline_prob=0.3)
+        else:
+            top = random_ring(rng, max_n=8, deadline_prob=0.3)
+        if mode == FIXED:
+            placement = RobotPlacement(FIXED, positions=fixed_positions(rng, top.n, k, f > 0))
+        elif mode == FREE:
+            placement = RobotPlacement(FREE, count=k)
+        else:
+            allowed = rng.sample(range(top.n), rng.randint(1, top.n))
+            placement = RobotPlacement(SUBSET, count=k, allowed=tuple(allowed))
+        extent = int(top.lap or top.positions[-1]) + 1
+        bound = None if idx // 24 else Fraction(rng.randint(extent, 3 * extent), rng.choice((1, 2)))
+        yield ProblemSpec(top, placement, f, bound)
+
+
+def test_brute_solve_bytes_are_pinned():
+    digests = []
+    for spec in pinned_brute_cases():
+        v = brute_solve(spec)
+        text = format_number(v.optimum)
+        if v.feasible:
+            text += "\n" + v.schedule.to_json() + "\n" + ";".join(
+                f"{node}:" + ",".join(f"{r}@{format_number(t)}" for r, t in visits)
+                for node, visits in sorted(v.witness.items())
+            )
+        digests.append(hashlib.sha256(text.encode()).hexdigest())
+    assert digests == list(PINNED_BRUTE_DIGESTS)
