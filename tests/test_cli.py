@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import os
@@ -895,3 +896,121 @@ def test_every_route_agrees_with_the_brute_force(case):
             assert verify_schedule(bounded, got.schedule).passed, spec
             assert fault_line.decide(spec, want, caps).feasible, spec
             assert not fault_line.decide(spec, want - F(1, 1000), caps).feasible, spec
+
+
+# --------------------------------------------------------------------------
+# the bytes of every answering command are pinned
+# --------------------------------------------------------------------------
+
+
+def pinned_cli_specs():
+    """Seeded lines, rings and stars of at most 6 nodes with fixed, free
+    and subset robots, with and without crashes; each followed by its ÷3
+    twin."""
+    rng = random.Random(2626)
+    for i in range(10):
+        kind = ("line", "ring", "star")[i % 3]
+        mode = (FIXED, FREE, SUBSET)[i // 3 % 3]
+        if kind == "star":
+            q = rng.randint(1, 4)
+            top = StarInstance(
+                tuple(rng.randint(1, 5) for _ in range(q)),
+                tuple(rng.randint(2, 24) if rng.random() < 0.6 else INFINITY for _ in range(q)),
+                rng.randint(4, 30) if i % 2 else INFINITY,
+            )
+            nodes = q + 1
+        else:
+            top = _sweep_topology(rng, kind, False, (0, 0.5)[i // 2 % 2])
+            nodes = top.n
+        k = (1 if mode == SUBSET else 2) + i % 2
+        f = rng.randint(1, k - 1) if i % 2 else 0
+        if mode == FIXED:
+            placement = RobotPlacement(FIXED, positions=[rng.randrange(nodes) for _ in range(k)])
+        elif mode == FREE:
+            placement = RobotPlacement(FREE, count=k)
+        else:
+            placement = RobotPlacement(SUBSET, count=k, allowed=rng.sample(range(nodes), rng.randint(1, nodes)))
+        spec = ProblemSpec(top, placement, f, None)
+        yield spec
+        yield spec.scaled(F(1, 3))
+
+
+def pinned_cli_runs(tmp_path, capsys, spec, name):
+    """(exit code, stdout, stderr) of solve, plain and --json; decide at
+    the optimum and 1/1000 below it (at 5 without one); resilience at the
+    same bound; oracle, plain and --json; and verify of the schedule that
+    solve wrote, whose bytes close the list."""
+    path, sched = str(tmp_path / f"{name}.json"), str(tmp_path / f"{name}-s.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(serialize_instance(spec))
+
+    def run(*argv):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    runs = [run("solve", path, "--emit-schedule", sched), run("solve", path, "--json")]
+    code, out, _ = runs[0]
+    opt = F(out.split()[0]) if code == 0 else None
+    delta = format_number(opt) if code == 0 else "5"
+    runs.append(run("decide", path, "--delta", delta))
+    if code == 0:
+        runs.append(run("decide", path, "--delta", format_number(opt - F(1, 1000))))
+    runs += [run("resilience", path, "--delta", delta), run("oracle", path), run("oracle", path, "--json")]
+    if os.path.exists(sched):
+        runs.append(run("verify", path, sched))
+        with open(sched, encoding="utf-8") as fh:
+            runs.append(fh.read())
+    return runs
+
+
+# sha256 of the repr of ``pinned_cli_runs`` for each of ``pinned_cli_specs``
+PINNED_CLI_DIGESTS = (
+    "3e376c8c923e8f0426eb5541655d4db4494af3bbcb721088849b3175f10e6c19",
+    "1eac76191642bafce73d1723e1b79730e0dc7fa9ab7784c81a8967ae048561d3",
+    "a55028409b15318fa18550e654af834953328eb6d9747b0e09e2fc7462203570",
+    "6a5d0b3bfe58a9a78e98ffd81126b08818f8fdd1f97986fc2611ab8576d871da",
+    "17cf2e727aa5e0bc7405a93e9bd89aae155c89f37fea1a497a24c7aea50edbf4",
+    "17cf2e727aa5e0bc7405a93e9bd89aae155c89f37fea1a497a24c7aea50edbf4",
+    "38268645d893642f5ba0fd5b49cd41e366bcfc7e33c72e0400774dd59da3ade4",
+    "38268645d893642f5ba0fd5b49cd41e366bcfc7e33c72e0400774dd59da3ade4",
+    "31678ebe6038262a506d148a3c8460147131d1ee446cc3ac77d6a7428471e62c",
+    "d38ccdbd31a6608b4786f8f2f6994c134d0b7103a3398ab1ab823460f9ea9df1",
+    "43ed7210e0bd51e5659cadf088096a3f568e63a9989b198acc624af6e5a0e122",
+    "43ed7210e0bd51e5659cadf088096a3f568e63a9989b198acc624af6e5a0e122",
+    "6651c6331ecbce9033a861b4a226e238cc10ce62c692c69b9c37bc568b9bfd39",
+    "6651c6331ecbce9033a861b4a226e238cc10ce62c692c69b9c37bc568b9bfd39",
+    "c57108db0da0c3042bdd117ee8419b49ea80a9f5f1f86c2adb43465b1fb694cc",
+    "ad57cfc00739efd6f36dc08cd7c38f9e9ee88095c76e1e8df555f1d4b52f7ea1",
+    "77ad4d7fc552cf874ea1e211f151a1e0868a427ca7d781c5cd12cfccd5fc4fdf",
+    "a5e3546bf46f741bf150b8ed0558d3cbb9698c1c9d6a8d6e10afeffd284612e5",
+    "4254e468a4c58ffecc7874c1960a98b1741a60de4cf5bf47a4119f826482f126",
+    "377e73011a427f7204d43b9166cc21c3a852c59d2476e7d351712217c618e099",
+)
+
+# sha256 of ``--help`` for the top level and each subcommand, at 80 columns
+PINNED_HELP_DIGESTS = {
+    "": "c0b72a35a0bc94a7846662d9b8bb770340f361bc4b48d5ae960e199afb9c4bdb",
+    "solve": "15c1739c2f75be5eddedc37d13f300f5851267529e18010f4c4bbc2ceaa41948",
+    "decide": "8be074a9fcf48f047be79498eded169c7ea74a5530b564d3dbad02dbe1e5ec48",
+    "resilience": "02b66d301c3a0822ff1d76107d00a37a3414edc924653023b897ef7bd5943fc2",
+    "generate": "97bccd66cb719e3fb804f77d634eb0adaaa49fe918bce3f73e1a2e6331bc5c2c",
+    "verify": "0ee4be539dec2bdf3500990239157c1e7e95ee55309c9649a7e4e5145693acb3",
+    "oracle": "79cbc3afa8328cf7fec148eca77ebdcb0bda52bfefef0e2a59057faad274ec8c",
+}
+
+
+def test_cli_bytes_are_pinned(tmp_path, capsys, monkeypatch):
+    digests = [
+        hashlib.sha256(repr(pinned_cli_runs(tmp_path, capsys, spec, f"i{i}")).encode()).hexdigest()
+        for i, spec in enumerate(pinned_cli_specs())
+    ]
+    assert digests == list(PINNED_CLI_DIGESTS)
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its help to the terminal width
+    helps = {}
+    for command in ("", "solve", "decide", "resilience", "generate", "verify", "oracle"):
+        with pytest.raises(SystemExit) as done:
+            main([command, "--help"] if command else ["--help"])
+        captured = capsys.readouterr()
+        helps[command] = (done.value.code, hashlib.sha256(captured.out.encode()).hexdigest(), captured.err)
+    assert helps == {command: (0, digest, "") for command, digest in PINNED_HELP_DIGESTS.items()}

@@ -124,6 +124,39 @@ def test_a_negative_bound_is_decided_no(topology, f):
     assert not decide_fixed_faulty(topology, (0, 2), f, -1).feasible
 
 
+@pytest.mark.parametrize(
+    "run",
+    [lambda p, f: decide_fixed_faulty(UNIT3, p, f, 5), lambda p, f: solve_fixed_faulty(UNIT3, p, f)],
+    ids=["decide", "solve"],
+)
+def test_both_fixed_doors_check_the_team(run):
+    for positions, f in (((0, 1), 2), ((0, 1), 3), ((1,), -1), ((), 0)):
+        with pytest.raises(ValueError, match=r"need 0 <= f < k"):
+            run(positions, f)
+    with pytest.raises(ValueError, match="robot position out of range"):
+        run((0, 3), 1)
+
+
+def test_a_decision_checks_its_team_before_its_bound():
+    with pytest.raises(ValueError, match="the decision needs a finite time bound"):
+        decide_fixed_faulty(UNIT3, (0, 1), 1, INFINITY)
+    with pytest.raises(ValueError, match=r"need 0 <= f < k"):
+        decide_fixed_faulty(UNIT3, (0, 1), 2, INFINITY)
+    with pytest.raises(ValueError, match="robot position out of range"):
+        decide_fixed_faulty(UNIT3, (0, 5), 1, INFINITY)
+
+
+@pytest.mark.parametrize(
+    "positions, f",
+    [((0, 2), 0), ((0, 2), 1), ((1, 1), 0)],
+    ids=["reliable distinct", "search", "reliable shared"],
+)
+def test_a_negative_bound_answers_no_without_an_optimum(positions, f):
+    for topology in (UNIT3, RING3):
+        for delta in (-1, Fraction(-1, 1000)):
+            verdict = decide_fixed_faulty(topology, positions, f, delta)
+            assert (verdict.feasible, verdict.optimum, verdict.schedule) == (False, None, None)
+
 def test_decide_refuses_beyond_caps():
     big = LineInstance(tuple(range(60)), (INFINITY,) * 60)
     with pytest.raises(CapExceeded, match="refused"):
@@ -590,3 +623,121 @@ def test_resilience_probes_the_fault_budgets_of_its_own_binary_search(monkeypatc
             got = resilience(spec, 1)
             want = reference(k, lambda f: expected.append(f) or f <= threshold)
             assert (got, probed) == (want, expected), (k, threshold)
+
+
+def pinned_fixed_cases():
+    """Seeded lines and rings of 2 to 8 nodes, without and with finite
+    deadlines, with distinct and with repeated starts, k <= 4 and any
+    f < k; each followed by its ÷3 twin."""
+    rng = random.Random(2026)
+    for trial in range(30):
+        ring = trial % 2
+        share = (0, 0.5)[trial // 2 % 2]
+        n = rng.randint(2, 8)
+        gaps = [rng.randint(1, 4) for _ in range(n if ring else n - 1)]
+        deadlines = tuple(rng.randint(0, 2 * sum(gaps)) if rng.random() < share else INFINITY
+                          for _ in range(n))
+        if ring:
+            topology = RingInstance(tuple(gaps), deadlines)
+        else:
+            topology = LineInstance(tuple(itertools.accumulate([0] + gaps)), deadlines)
+        if trial // 4 % 2:
+            starts = [rng.randrange(n) for _ in range(rng.randint(1, 3))]
+            positions = tuple(sorted(starts + [rng.choice(starts)]))
+        else:
+            positions = tuple(sorted(rng.sample(range(n), rng.randint(1, min(4, n)))))
+        f = rng.randrange(len(positions))
+        yield topology, positions, f
+        yield topology.scaled(Fraction(1, 3)), positions, f
+
+
+def pinned_fixed_text(topology, positions, f):
+    """The optimum and schedule JSON of ``solve_fixed_faulty``, then the
+    answer and schedule JSON of ``decide_fixed_faulty`` at the optimum,
+    just below it and one above it (at 100 when there is no optimum)."""
+    v = solve_fixed_faulty(topology, positions, f)
+    text = format_number(v.optimum) + "\n" + (v.schedule.to_json() if v.feasible else "") + "\n"
+    deltas = (v.optimum, v.optimum - Fraction(1, 1000), v.optimum + 1) if v.feasible else (100,)
+    for delta in deltas:
+        d = decide_fixed_faulty(topology, positions, f, delta)
+        text += f"{d.feasible} {d.optimum}\n" + (d.schedule.to_json() if d.feasible else "") + "\n"
+    return text
+
+
+# sha256 of ``pinned_fixed_text`` for each of ``pinned_fixed_cases``, as
+# written when the solve and the decision had separate bodies
+PINNED_FIXED_DIGESTS = (
+    "e494c4ffb8f24150d048f53ec77a3afa6264b23f9ad5a9d6de870b0bc869f912",
+    "88dc087f4516bd77cb3996fee9ee1a2c682b7a233f530b79da21473572694c7d",
+    "dd8855a4d48fc05980a59463a5934685089f74dd0fa4130615377be2bd4959dc",
+    "8e5cdf7dafa2652862454d03eba4a33c8b80ffcbe31da06b5f53641d0bee0c12",
+    "efa4ad7ea528944d06053c1416b786e7979f2b317ed884307290e849c64b563d",
+    "2a21290e8282546f69a80b386d9c34db959aec1049f318237470443dbf6f986c",
+    "e580c14c2893ab97bb7a6d9ded914538349911c5a94250b6f50b99d0a7698833",
+    "2d6304b45de79954addcd1b6b820349140692b722705956a22926dec21c50bbb",
+    "aaf6dcddfea5d923bf1395c6f0818200c905556a6c13d615e8525b4ea67aff69",
+    "a874d0eafc6375d7fd6701b5b7e85b6bb782ee79646ddfa9f4ddc008eea14fae",
+    "afd2c926d098479be92979e4c68f49c970d052eca987bad3003411666e72ed0f",
+    "c0677a335c77fe00036c7d2d0d39d9d6340d9b17a8eabd60d1633bfb63b67f15",
+    "ba539522d257d9a903a426f5c0b2ab3d5d2c51a25cde1f1cd0e6cb48d0383ca1",
+    "3cb5bc90934768f86c9f9f25bff3c7190e592888a3f90d04cd96451e1b6a7a42",
+    "1eaa4ba22887d08fe43ba8ed6e946f518840cae3212b6f1773c3d1e7e3a1ab34",
+    "1eaa4ba22887d08fe43ba8ed6e946f518840cae3212b6f1773c3d1e7e3a1ab34",
+    "0acc94548d9ad4fb1e53953ac407a0d53468248117f1e33f06f3b1abb77e471f",
+    "b826facb785b9a745ef3a07afb6d28b6ec533ea825f7d9a8a1f1f44eb566cfd7",
+    "d57a3314e1819f67ba254b692fe4c488b944c464ba7ced2a710a03817bd59799",
+    "3c44354326a54531a3db46597f629dd3e48a0b17c305861a2246e3e90efbf596",
+    "66f048e9cd939a93cbdda7fafd02fa014cc8af366d6a6e75cd635730236afc86",
+    "75ecdc88dd7012a64db2ac2a1652ab2aeeb27249971796a4e441081b5e1da10d",
+    "00cd7c725ab915e648df2c27907b1b3cdb7ee65b08ae345c3bbe413d5c014ef0",
+    "6da65ca478c0f5e0098b11a38b5c7d35ffc8a4ae71f1ce67a0e1c5c4c33a511f",
+    "160cf701fe503bd63d3c068ca7325f06bb7f8a259946999b388f2e1f3890fe08",
+    "b27c3acccdf02c71b4030a44cd2456dc828d8018966a87650b9caf739efcb2cb",
+    "00912e806e3f7fe16f69f8322f0acd90e26184494538bbe4091f6731a9333584",
+    "51d72889da231bd29675a4fe8af7596eca9bcb8efb91487324cf8b288d14cb55",
+    "1eaa4ba22887d08fe43ba8ed6e946f518840cae3212b6f1773c3d1e7e3a1ab34",
+    "1eaa4ba22887d08fe43ba8ed6e946f518840cae3212b6f1773c3d1e7e3a1ab34",
+    "1eaa4ba22887d08fe43ba8ed6e946f518840cae3212b6f1773c3d1e7e3a1ab34",
+    "1eaa4ba22887d08fe43ba8ed6e946f518840cae3212b6f1773c3d1e7e3a1ab34",
+    "cabd998ac10b76c10058176817cb9ceb76c41c298bc8439eab206dd54e688792",
+    "7562b5fcf5e70a3b275c31c18d2f062c109fbb3707b3431c95d20def21d7f142",
+    "d79994d66f8a072525574c737199e1c8da1cbabfa86f067e12cf2610099ad0f8",
+    "cdca638e848d2810a0fe3a9aa891ddfa8200999e955d7b9eb71bda2118491ba5",
+    "5cd77e221eff1e8bcc7d6c886aa078155ae1fd7f9b6cd3a4879ff68780d335a1",
+    "498625856ad4e8e1dbfa5d952f3963b6383aadd2907c15d5cd6bdd07a846d551",
+    "e2a74f0ef484a6e22b1ee5e15d1f596813b1bc1c032dd581d035b221504cabf0",
+    "d74c8168f23965fc5d610a132dc247096dd676a4b64a67301d6d66f710d0995a",
+    "034be005ee26526ba9c01418daf4a56896a334464c18965e58628499ed8b8a79",
+    "35f4a40f4d7a30356df64d77c950fe0015a0f5c72e4ff9a874d02bd667c5d7ba",
+    "dc0c21fedac895b1b03370fcbce6c47a540cd605315f2d00fbc4041798b26f3b",
+    "33e6533e31a35d7cdde80664759fdd277f6da98da8bdaba9312d57743030fff4",
+    "770d9cbb598b7770c5b6fe832a9b93b77156df7d01970a658c550fe278c74726",
+    "7c1b6f87dd6c48338ea9c59180a598c9857497134fd8a4d1e282e699cd96428c",
+    "1eaa4ba22887d08fe43ba8ed6e946f518840cae3212b6f1773c3d1e7e3a1ab34",
+    "1eaa4ba22887d08fe43ba8ed6e946f518840cae3212b6f1773c3d1e7e3a1ab34",
+    "5cd77e221eff1e8bcc7d6c886aa078155ae1fd7f9b6cd3a4879ff68780d335a1",
+    "498625856ad4e8e1dbfa5d952f3963b6383aadd2907c15d5cd6bdd07a846d551",
+    "ec92319c66e944677809596909c463ac579ebc02cb56f3bf55b43a752436fd18",
+    "d3de89bd21633625b8d706aa5f8ea0e92690c498c36cc43a35379c7d5b7cd0f5",
+    "1eaa4ba22887d08fe43ba8ed6e946f518840cae3212b6f1773c3d1e7e3a1ab34",
+    "1eaa4ba22887d08fe43ba8ed6e946f518840cae3212b6f1773c3d1e7e3a1ab34",
+    "1eaa4ba22887d08fe43ba8ed6e946f518840cae3212b6f1773c3d1e7e3a1ab34",
+    "1eaa4ba22887d08fe43ba8ed6e946f518840cae3212b6f1773c3d1e7e3a1ab34",
+    "ae24b66f02b900703fb3b1b57335e44a44812015707c4f5085809937cca2fe90",
+    "8971eb475812747aacfef3754c3a30e9fda8a0de6b59223647ea569140516b02",
+    "5ef5be6cc1b1a01fb54bebd016306ed5898b0faae7d545bfd14052b3364b4698",
+    "21b9af5f7bba610ecc5447317d35e4d40ba42b8e6180c36e843a09bb15325e97",
+)
+
+
+def test_fixed_search_schedule_bytes_are_pinned():
+    digests = [hashlib.sha256(pinned_fixed_text(*case).encode()).hexdigest()
+               for case in pinned_fixed_cases()]
+    assert digests == list(PINNED_FIXED_DIGESTS)
+    line = LineInstance(tuple(range(41)), (INFINITY,) * 41)
+    for run in (lambda: solve_fixed_faulty(line, (0, 0), 1),
+                lambda: decide_fixed_faulty(line, (0, 0), 1, 10)):
+        with pytest.raises(CapExceeded) as refused:
+            run()
+        assert str(refused.value) == ("exact search refused: n=41, k=2 exceeds caps "
+                                      "(max_n=40, max_k=8); raise the caps to force it")
