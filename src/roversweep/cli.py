@@ -1,12 +1,21 @@
 """Command-line front end.
 
 Subcommands:
-    solve INSTANCE [--emit-schedule PATH] [--json]
-    decide INSTANCE --delta D [--json]
-    resilience INSTANCE --delta D [--json]
-    generate n3dm|partition|random ... [-o PATH]
+    solve INSTANCE [--emit-schedule PATH] [--json] [--max-n N] [--max-k K]
+    decide INSTANCE [--delta D] [--json] [--max-n N] [--max-k K]
+    resilience INSTANCE [--delta D] [--json] [--max-n N] [--max-k K]
+    generate n3dm --a A [A ...] --b B [B ...] --c C [C ...] --s S [-o PATH]
+    generate partition --values V [V ...] [-o PATH]
+    generate random [--topology line|ring|star] [--n N] [--k K] [--f F]
+                    [--placement fixed|free] [--seed SEED] [-o PATH]
     verify INSTANCE SCHEDULE [--json]
-    oracle INSTANCE [--json]
+    oracle INSTANCE [--json] [--max-n N] [--max-k K]
+
+``decide`` and ``resilience`` take the document's delta when --delta is
+not given.  --max-n and --max-k override the caps of the exact search
+for fixed robots on lines and rings (``oracle``: of the brute force).
+``solve`` and ``oracle`` print their answer the same way; only
+``solve --json`` adds the decimal.
 
 Every command reads its documents straight into integers: each number
 times c, the least positive int that makes the instance, ``--delta`` and
@@ -88,26 +97,27 @@ def _spec_and_delta(args) -> tuple:
     return spec, delta
 
 
+def _print_answer(args, verdict, c: int, decimal: bool = False) -> int:
+    """Print the optimum divided back by c, or "infeasible"; with --json a
+    document, which ``decimal`` extends by the optimum's decimal."""
+    optimum = scale(verdict.optimum, Fraction(1, c))
+    if args.json:
+        doc = {"feasible": verdict.feasible, "optimum": format_number(optimum) if verdict.feasible else None}
+        if decimal:
+            doc["decimal"] = decimal_str(optimum) if verdict.feasible else None
+        print(json.dumps(doc, sort_keys=True))
+    else:
+        print(_say_number(optimum) if verdict.feasible else "infeasible")
+    return 0 if verdict.feasible else 1
+
+
 def cmd_solve(args) -> int:
     spec, c = read_instance(_read(args.instance))
     verdict = fault_line.solve(spec, _caps_from(args, spec.topology))
     if args.emit_schedule and verdict.feasible:
         with open(args.emit_schedule, "w", encoding="utf-8") as fh:
             fh.write(verdict.schedule.scaled(Fraction(1, c)).to_json())
-    optimum = scale(verdict.optimum, Fraction(1, c))
-    if args.json:
-        doc = {
-            "feasible": verdict.feasible,
-            "optimum": format_number(optimum) if verdict.feasible else None,
-            "decimal": decimal_str(optimum) if verdict.feasible else None,
-        }
-        print(json.dumps(doc, sort_keys=True))
-        return 0 if verdict.feasible else 1
-    if not verdict.feasible:
-        print("infeasible")
-        return 1
-    print(_say_number(optimum))
-    return 0
+    return _print_answer(args, verdict, c, decimal=True)
 
 
 def cmd_decide(args) -> int:
@@ -230,19 +240,20 @@ def cmd_oracle(args) -> int:
         verdict = fault_line.solve(spec)
     else:
         verdict = brute_solve(spec, _caps_from(args))
-    optimum = scale(verdict.optimum, Fraction(1, c))
-    if args.json:
-        doc = {
-            "feasible": verdict.feasible,
-            "optimum": format_number(optimum) if verdict.feasible else None,
-        }
-        print(json.dumps(doc, sort_keys=True))
-        return 0 if verdict.feasible else 1
-    if not verdict.feasible:
-        print("infeasible")
-        return 1
-    print(_say_number(optimum))
-    return 0
+    return _print_answer(args, verdict, c)
+
+
+def _add_answering(sub, name: str, func, about: str, flag: Optional[str] = None, metavar=None):
+    """A subcommand answering about INSTANCE: its own option ``flag``,
+    then --json, --max-n and --max-k."""
+    p = sub.add_parser(name, help=about)
+    p.add_argument("instance")
+    if flag:
+        p.add_argument(flag, metavar=metavar)
+    p.add_argument("--json", action="store_true")
+    p.add_argument("--max-n", type=int, default=None, help="override the exact-search node cap")
+    p.add_argument("--max-k", type=int, default=None, help="override the exact-search robot cap")
+    p.set_defaults(func=func)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -251,31 +262,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact deadline-constrained exploration solvers for lines, rings and stars.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_caps(p):
-        p.add_argument("--max-n", type=int, default=None, help="override the exact-search node cap")
-        p.add_argument("--max-k", type=int, default=None, help="override the exact-search robot cap")
-
-    p_solve = sub.add_parser("solve", help="optimal exploration time")
-    p_solve.add_argument("instance")
-    p_solve.add_argument("--emit-schedule", metavar="PATH")
-    p_solve.add_argument("--json", action="store_true")
-    add_caps(p_solve)
-    p_solve.set_defaults(func=cmd_solve)
-
-    p_dec = sub.add_parser("decide", help="is exploration possible within --delta")
-    p_dec.add_argument("instance")
-    p_dec.add_argument("--delta")
-    p_dec.add_argument("--json", action="store_true")
-    add_caps(p_dec)
-    p_dec.set_defaults(func=cmd_decide)
-
-    p_res = sub.add_parser("resilience", help="largest tolerable number of crashes within --delta")
-    p_res.add_argument("instance")
-    p_res.add_argument("--delta")
-    p_res.add_argument("--json", action="store_true")
-    add_caps(p_res)
-    p_res.set_defaults(func=cmd_resilience)
+    for name, func, about, flag, metavar in (
+        ("solve", cmd_solve, "optimal exploration time", "--emit-schedule", "PATH"),
+        ("decide", cmd_decide, "is exploration possible within --delta", "--delta", None),
+        ("resilience", cmd_resilience, "largest tolerable number of crashes within --delta", "--delta", None),
+    ):
+        _add_answering(sub, name, func, about, flag, metavar)
 
     p_gen = sub.add_parser("generate", help="emit instance documents")
     gen_sub = p_gen.add_subparsers(dest="kind", required=True)
@@ -306,15 +298,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--json", action="store_true")
     p_ver.set_defaults(func=cmd_verify)
 
-    p_orc = sub.add_parser(
-        "oracle",
-        help="brute-force verdict on lines and rings (capped); on stars the exact "
-        "star solver, the same as solve",
+    _add_answering(
+        sub, "oracle", cmd_oracle,
+        "brute-force verdict on lines and rings (capped); on stars the exact star solver, the same as solve",
     )
-    p_orc.add_argument("instance")
-    p_orc.add_argument("--json", action="store_true")
-    add_caps(p_orc)
-    p_orc.set_defaults(func=cmd_oracle)
     return parser
 
 

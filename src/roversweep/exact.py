@@ -36,10 +36,6 @@ INFINITY = math.inf
 ExactNumber = int | Fraction | float
 
 
-def is_finite(x: ExactNumber) -> bool:
-    return x is not INFINITY
-
-
 def simplify(x: ExactNumber) -> ExactNumber:
     """Collapse integral Fractions to plain ints (value-preserving)."""
     if isinstance(x, Fraction) and x.denominator == 1:

@@ -10,16 +10,19 @@ robots explore the ring made of f+1 concatenated copies, since visiting
 every copy once is the same as covering the original ring f+1 times.
 Subset placements are solved for one reliable robot on a line or a
 ring (``solve_subset``).  Fixed placement goes through ``decide_fixed_faulty``
-and ``solve_fixed_faulty``.  With f = 0 the reliable solvers answer:
-``solve_free_faulty`` is ``multi_line.solve_free``, and the fixed pair
-use the polynomial ``multi_line.solve_fixed`` when the robots stand at
-distinct nodes.  Otherwise fixed placement is NP-hard on lines and on rings
-(``ring`` says why the line reduction carries over), and it is decided
-exactly by a branch-and-bound over per-robot coverage plans driven by
-the first under-covered node of a fixed node order.  A robot's plans are
-the antichain of the on-time coverage of its walks, read off one table
-per start, which a solve makes once and reads its candidate times and
-every probe's plans off:
+and ``solve_fixed_faulty``, two doors onto one body that checks the team
+and the caps, searches, and builds the tracks: a decision searches the
+one candidate time delta, a solve every candidate time.  With f = 0 the
+reliable solvers answer: ``solve_free_faulty`` is ``multi_line.solve_free``,
+and the fixed pair use the polynomial ``multi_line.solve_fixed`` when
+the robots stand at distinct nodes.  Otherwise fixed placement is NP-hard
+on lines and on rings (``ring`` says why the line reduction carries
+over), and it is decided exactly by a branch-and-bound over per-robot
+coverage plans driven by the first under-covered node of a fixed node
+order.  A robot's plans are the antichain of the on-time coverage of its
+walks, read off one table per start, which a decision grows up to delta
+and a solve grows once, unbounded, reading its candidate times and every
+probe's plans off it:
 
 * without finite deadlines every visit counts, so the plans are the
   maximal arcs around the start whose cover cost fits the time bound,
@@ -27,7 +30,7 @@ every probe's plans off:
 * with them the visited arc grows around its start one node at a time,
   and per arc state only the Pareto-minimal (time, coverage) pairs are
   kept (``PlanTable``); the pairs kept do not depend on the time bound,
-  so the table is grown once, unbounded.
+  so a solve's table serves every probe.
 
 Robots may legally pass nodes after their deadlines (visited or not,
 nodes never block passage); such visits simply do not count as coverage.
@@ -47,7 +50,7 @@ from functools import partial, reduce
 from operator import or_
 from typing import Iterable, List, Optional, Sequence
 
-from .exact import ExactNumber, INFINITY, is_finite
+from .exact import ExactNumber, INFINITY
 from .instance import (
     FIXED,
     FREE,
@@ -334,7 +337,7 @@ class _FixedSearch:
     still missing.
     """
 
-    def __init__(self, topology, positions: Sequence[int], f: int, delta, tables=None):
+    def __init__(self, topology, positions: Sequence[int], f: int, delta, tables: dict):
         self.positions = tuple(sorted(positions))
         self.n = topology.n
         self.k = len(self.positions)
@@ -344,7 +347,6 @@ class _FixedSearch:
         self.covered = [(1 << self.n) - 1] + [0] * (self.k + 1)
         self.missing = self.need * self.n  # robots the nodes short of f+1 miss
         self._options: dict = {}
-        tables = tables or plan_tables(topology, self.positions, delta)
         made = {p: tables[p].plans(delta) for p in set(self.positions)}
         self.plans = [made[p] for p in self.positions]
         self.masks = [[pl.mask for pl in plan_list] for plan_list in self.plans]
@@ -463,46 +465,53 @@ class _FixedSearch:
             mask ^= run
 
 
-def check_caps(topology, k: int, caps: Caps):
-    if topology.n > caps.max_n or k > caps.max_k:
-        raise CapExceeded(
-            f"exact search refused: n={topology.n}, k={k} exceeds caps "
-            f"(max_n={caps.max_n}, max_k={caps.max_k}); raise the caps to force it"
-        )
-
-
-def search_plans(topology, positions: Sequence[int], f: int, delta, tables=None) -> Optional[list]:
+def search_plans(topology, positions: Sequence[int], f: int, delta, tables: dict) -> Optional[list]:
     """The exact search's plan per robot (None: the robot stays at its
-    start) when the team can cover every node f+1 times by delta, else None."""
+    start) when the team can cover every node f+1 times by delta, reading
+    each start's plans off ``tables``, else None."""
     return _FixedSearch(topology, positions, f, delta, tables).run()
 
 
-def _plans_verdict(topology, positions: Sequence[int], plans: list, optimum=None) -> Verdict:
-    """The feasible verdict of the plans ``search_plans`` found."""
-    spots = topology.positions
-    tracks = tuple(
-        plan.track if plan is not None else RobotTrack(((0, spots[p]),))
-        for p, plan in zip(positions, plans)
-    )
-    return Verdict(feasible=True, optimum=optimum, schedule=track_schedule(topology, tracks))
-
-
-def search_verdict(topology, positions: Sequence[int], f: int, delta) -> Verdict:
-    """Run the exact search (positions sorted); YES carries its schedule."""
-    plans = search_plans(topology, positions, f, delta)
-    if plans is None:
-        return Verdict(feasible=False, optimum=None)
-    return _plans_verdict(topology, positions, plans)
-
-
-def fixed_team(topology, positions: Iterable[int], f: int) -> tuple:
-    """``positions`` sorted, once checked: 0 <= f < k and every robot on a node."""
+def _fixed_faulty(topology, positions: Iterable[int], f: int, caps: Optional[Caps], delta=None) -> Verdict:
+    """The one body of ``decide_fixed_faulty`` at delta and, for delta
+    None, of ``solve_fixed_faulty``: a decision searches its one
+    candidate, delta, with tables made up to it, and a solve searches
+    every candidate time with tables made unbounded."""
     positions = tuple(sorted(positions))
     if not 0 <= f < len(positions):
         raise ValueError("need 0 <= f < k")
     if any(not 0 <= p < topology.n for p in positions):
         raise ValueError("robot position out of range")
-    return positions
+    if delta is INFINITY:
+        raise ValueError("the decision needs a finite time bound")
+    no = Verdict(feasible=False, optimum=INFINITY if delta is None else None)
+    if delta is not None and delta < 0:
+        return no  # no walk finishes before time 0
+    if f == 0 and len(set(positions)) == len(positions):
+        if delta is None:
+            return solve_fixed(topology, positions)
+        reliable = solve_fixed(topology.capped(delta), positions)
+        return replace(reliable, optimum=None) if reliable.feasible and reliable.optimum <= delta else no
+    caps = caps or fixed_search_caps(topology)
+    if topology.n > caps.max_n or len(positions) > caps.max_k:
+        raise CapExceeded(
+            f"exact search refused: n={topology.n}, k={len(positions)} exceeds caps "
+            f"(max_n={caps.max_n}, max_k={caps.max_k}); raise the caps to force it"
+        )
+    tables = plan_tables(topology, positions, INFINITY if delta is None else delta)
+    found = least_feasible(
+        (delta,) if delta is not None else fixed_faulty_candidates(topology, positions, tables),
+        lambda t: search_plans(topology, positions, f, t, tables),
+    )
+    if found is None:
+        return no
+    spots = topology.positions
+    tracks = tuple(
+        plan.track if plan is not None else RobotTrack(((0, spots[p]),))
+        for p, plan in zip(positions, found[1])
+    )
+    optimum = found[0] if delta is None else None
+    return Verdict(feasible=True, optimum=optimum, schedule=track_schedule(topology, tracks))
 
 
 def decide_fixed_faulty(
@@ -523,18 +532,7 @@ def decide_fixed_faulty(
     from tables made up to delta.  A YES carries its schedule, which
     ``decide`` verifies.
     """
-    positions = fixed_team(topology, positions, f)
-    if not is_finite(delta):
-        raise ValueError("the decision needs a finite time bound")
-    if delta < 0:
-        return Verdict(feasible=False, optimum=None)  # no walk finishes before time 0
-    if f == 0 and len(set(positions)) == len(positions):
-        reliable = solve_fixed(topology.capped(delta), positions)
-        if not reliable.feasible or reliable.optimum > delta:
-            return Verdict(feasible=False, optimum=None)
-        return replace(reliable, optimum=None)
-    check_caps(topology, len(positions), caps or fixed_search_caps(topology))
-    return search_verdict(topology, positions, f, delta)
+    return _fixed_faulty(topology, positions, f, caps, delta)
 
 
 def plan_tables(topology, positions: Iterable[int], bound=INFINITY) -> dict:
@@ -575,20 +573,7 @@ def solve_fixed_faulty(
     and every probe read it.  Reliable robots at distinct nodes are
     solved directly by ``solve_fixed``.  Caps as for the decision.
     """
-    positions = fixed_team(topology, positions, f)
-    if f == 0 and len(set(positions)) == len(positions):
-        return solve_fixed(topology, positions)
-    caps = caps or fixed_search_caps(topology)
-    check_caps(topology, len(positions), caps)
-    tables = plan_tables(topology, positions)
-    found = least_feasible(
-        fixed_faulty_candidates(topology, positions, tables),
-        lambda delta: search_plans(topology, positions, f, delta, tables),
-    )
-    if found is None:
-        return Verdict(feasible=False, optimum=INFINITY)
-    delta, plans = found
-    return _plans_verdict(topology, positions, plans, optimum=delta)
+    return _fixed_faulty(topology, positions, f, caps)
 
 
 def solve_subset(topology, allowed: Iterable[int], k: int, f: int) -> Verdict:
@@ -638,7 +623,7 @@ def decide(spec: ProblemSpec, delta: ExactNumber, caps: Optional[Caps] = None) -
     carries a schedule that ``verify_schedule`` has accepted, and its
     witness; a missing or rejected schedule raises RuntimeError.
     """
-    if not is_finite(delta):
+    if delta is INFINITY:
         raise ValueError("the decision needs a finite time bound")
     if delta < 0:
         return Verdict(feasible=False, optimum=None)  # no walk finishes before time 0

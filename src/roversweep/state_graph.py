@@ -41,9 +41,6 @@ class State(NamedTuple):
     right: int
     side: int
 
-    def __str__(self):
-        return f"({self.left},{self.right},{'L' if self.side == LEFT else 'R'})"
-
 
 class Pull(NamedTuple):
     """A batch of states and, aligned with them, what sets their labels.

@@ -448,11 +448,14 @@ def layer_of(graph, uid):
 
 def graph_dump(graph):
     """One arc per line, for golden-file comparisons."""
+    def said(uid):
+        left, right, side = graph.state_of(uid)
+        return f"({left},{right},{'L' if side == LEFT else 'R'})"
+
     lines = []
     for u in range(graph.node_count):
-        su = graph.state_of(u)
         for v, weight, _ in arcs_from(graph, u):
-            lines.append(f"{su} -> {graph.state_of(v)} w={format_number(weight)}")
+            lines.append(f"{said(u)} -> {said(v)} w={format_number(weight)}")
     return "\n".join(lines)
 
 

@@ -18,7 +18,7 @@ from roversweep.fault_line import (
     least_feasible,
     plan_tables,
     resilience,
-    search_verdict,
+    search_plans,
     solve,
     solve_fixed_faulty,
     solve_free_faulty,
@@ -89,13 +89,19 @@ def test_decide_two_robots_one_fault():
 
 
 def test_decide_rejects_infinite_bound_and_bad_faults():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="the decision needs a finite time bound"):
         decide_fixed_faulty(PAIR, (0, 0), 1, INFINITY)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"need 0 <= f < k"):
         decide_fixed_faulty(PAIR, (0, 1), 2, 1)
+    # a bad team is reported before a bad bound
+    with pytest.raises(ValueError, match=r"need 0 <= f < k"):
+        decide_fixed_faulty(PAIR, (0, 1), 2, INFINITY)
+    with pytest.raises(ValueError, match="robot position out of range"):
+        decide_fixed_faulty(PAIR, (0, 2), 1, INFINITY)
 
 
-@pytest.mark.parametrize(
+# robots at positions p on a line and on a ring, up to one of which may crash
+FIXED_DOORS = pytest.mark.parametrize(
     "run",
     [
         lambda p: decide_fixed_faulty(UNIT3, p, 1, 5),
@@ -105,9 +111,19 @@ def test_decide_rejects_infinite_bound_and_bad_faults():
     ],
     ids=["decide_line", "solve_line", "decide_ring", "optimize_ring"],
 )
+
+
+@FIXED_DOORS
 @pytest.mark.parametrize("positions", [(0, 7), (-1, 1), (1, 3)])
 def test_positions_out_of_range_are_refused(run, positions):
     with pytest.raises(ValueError, match="robot position out of range"):
+        run(positions)
+
+
+@FIXED_DOORS
+@pytest.mark.parametrize("positions", [(0,), (2,), ()])
+def test_a_fault_budget_of_k_or_more_is_refused(run, positions):
+    with pytest.raises(ValueError, match=r"need 0 <= f < k"):
         run(positions)
 
 
@@ -120,42 +136,10 @@ def test_positions_out_of_range_are_refused(run, positions):
 def test_a_negative_bound_is_decided_no(topology, f):
     # no walk finishes before time 0; with f = 0 the reliable shortcut
     # would cap the deadlines at the bound, and a negative deadline is invalid
-    assert not decide_fixed_faulty(topology, (0, 2), f, Fraction(-1, 2)).feasible
-    assert not decide_fixed_faulty(topology, (0, 2), f, -1).feasible
+    for delta in (Fraction(-1, 2), -1):
+        verdict = decide_fixed_faulty(topology, (0, 2), f, delta)
+        assert (verdict.feasible, verdict.optimum, verdict.schedule) == (False, None, None)
 
-
-@pytest.mark.parametrize(
-    "run",
-    [lambda p, f: decide_fixed_faulty(UNIT3, p, f, 5), lambda p, f: solve_fixed_faulty(UNIT3, p, f)],
-    ids=["decide", "solve"],
-)
-def test_both_fixed_doors_check_the_team(run):
-    for positions, f in (((0, 1), 2), ((0, 1), 3), ((1,), -1), ((), 0)):
-        with pytest.raises(ValueError, match=r"need 0 <= f < k"):
-            run(positions, f)
-    with pytest.raises(ValueError, match="robot position out of range"):
-        run((0, 3), 1)
-
-
-def test_a_decision_checks_its_team_before_its_bound():
-    with pytest.raises(ValueError, match="the decision needs a finite time bound"):
-        decide_fixed_faulty(UNIT3, (0, 1), 1, INFINITY)
-    with pytest.raises(ValueError, match=r"need 0 <= f < k"):
-        decide_fixed_faulty(UNIT3, (0, 1), 2, INFINITY)
-    with pytest.raises(ValueError, match="robot position out of range"):
-        decide_fixed_faulty(UNIT3, (0, 5), 1, INFINITY)
-
-
-@pytest.mark.parametrize(
-    "positions, f",
-    [((0, 2), 0), ((0, 2), 1), ((1, 1), 0)],
-    ids=["reliable distinct", "search", "reliable shared"],
-)
-def test_a_negative_bound_answers_no_without_an_optimum(positions, f):
-    for topology in (UNIT3, RING3):
-        for delta in (-1, Fraction(-1, 1000)):
-            verdict = decide_fixed_faulty(topology, positions, f, delta)
-            assert (verdict.feasible, verdict.optimum, verdict.schedule) == (False, None, None)
 
 def test_decide_refuses_beyond_caps():
     big = LineInstance(tuple(range(60)), (INFINITY,) * 60)
@@ -314,7 +298,7 @@ def cover_costs(topology, positions):
 def assert_solve_reads_its_decisions(topology, positions, f, candidates):
     got = solve_fixed_faulty(topology, positions, f)
     found = least_feasible(
-        candidates, lambda delta: search_verdict(topology, positions, f, delta) or None
+        candidates, lambda delta: decide_fixed_faulty(topology, positions, f, delta) or None
     )
     want = (INFINITY, None) if found is None else (found[0], found[1].schedule)
     assert (got.optimum, got.schedule) == want
@@ -330,7 +314,7 @@ def test_single_robot_zero_faults_matches_single_solver():
         start = rng.randrange(line.n)
         found = least_feasible(
             fixed_faulty_candidates(line, (start,)),
-            lambda delta: search_verdict(line, (start,), 0, delta) or None,
+            lambda delta: search_plans(line, (start,), 0, delta, plan_tables(line, (start,), delta)),
         )
         searched = INFINITY if found is None else found[0]
         assert searched == solve_fixed_start(line, start).optimum
