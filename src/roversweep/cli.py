@@ -13,7 +13,8 @@ Subcommands:
 
 ``decide`` and ``resilience`` take the document's delta when --delta is
 not given.  --max-n and --max-k override the caps of the exact search
-for fixed robots on lines and rings (``oracle``: of the brute force).
+for fixed robots on lines and rings (``oracle``: of the brute force);
+on a star, which no capped search solves, they are refused.
 ``solve`` and ``oracle`` print their answer the same way; only
 ``solve --json`` adds the decimal.
 
@@ -77,9 +78,14 @@ def _say_number(value) -> str:
     return f"{format_number(value)} ({decimal_str(value)})"
 
 
-def _caps_from(args, topology=None) -> Caps:
+def _caps_from(args, topology=None) -> Optional[Caps]:
     """The exact-search caps of ``topology`` (the oracle's ``Caps()``
-    without one), with --max-n and --max-k applied."""
+    without one), with --max-n and --max-k applied; None on a star, which
+    no capped search solves, so it refuses both flags."""
+    if topology is not None and topology.kind == "star":
+        if args.max_n is not None or args.max_k is not None:
+            raise ValueError("--max-n and --max-k cap the exact search on lines and rings, not on stars")
+        return None
     default = Caps() if topology is None else fault_line.fixed_search_caps(topology)
     return Caps(
         max_n=args.max_n if args.max_n is not None else default.max_n,
@@ -237,7 +243,7 @@ def cmd_verify(args) -> int:
 def cmd_oracle(args) -> int:
     spec, c = read_instance(_read(args.instance))
     if spec.topology.kind == "star":
-        verdict = fault_line.solve(spec)
+        verdict = fault_line.solve(spec, _caps_from(args, spec.topology))
     else:
         verdict = brute_solve(spec, _caps_from(args))
     return _print_answer(args, verdict, c)

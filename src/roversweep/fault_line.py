@@ -57,6 +57,7 @@ from .instance import (
     InstanceError,
     ProblemSpec,
     RingInstance,
+    unrolled,
 )
 from .multi_line import least_feasible, solve_fixed, solve_free
 from .oracle import Caps, CapExceeded, witnessed
@@ -142,18 +143,16 @@ class Plan:
             self._track = self._track()
         return self._track
 
-    def __eq__(self, other):
-        return (self.mask, self.track) == (other.mask, other.track)
-
 
 def _arm_lengths(topology, p: int) -> tuple:
     """Distances from p to the node a steps clockwise (left, on a line) and
-    to the node b steps counterclockwise (right), for every such node."""
-    x, n, lap = topology.positions, topology.n, topology.lap
-    if lap is None:
-        return [x[p] - x[p - a] for a in range(p + 1)], [x[p + b] - x[p] for b in range(n - p)]
-    x += tuple(y + lap for y in x)  # two laps: p and p + n are the same node
-    return [x[p + n] - x[p + n - a] for a in range(n)], [x[p + b] - x[p] for b in range(n)]
+    to the node b steps counterclockwise (right), for every such node: up
+    to a line's ends, or n - 1 steps around a ring."""
+    x, n = unrolled(topology.positions, topology.lap, 2), topology.n
+    q = p + len(x) - n  # p on a line; on a ring p's copy on the second lap
+    cw = [x[q] - x[q - a] for a in range(min(q + 1, n))]
+    ccw = [x[p + b] - x[p] for b in range(min(len(x) - p, n))]
+    return cw, ccw
 
 
 def _grow(n: int, cw: list, ccw: list, p: int, a: int, b: int, side: int) -> tuple:
@@ -500,7 +499,7 @@ def _fixed_faulty(topology, positions: Iterable[int], f: int, caps: Optional[Cap
         )
     tables = plan_tables(topology, positions, INFINITY if delta is None else delta)
     found = least_feasible(
-        (delta,) if delta is not None else fixed_faulty_candidates(topology, positions, tables),
+        (delta,) if delta is not None else fixed_faulty_candidates(tables),
         lambda t: search_plans(topology, positions, f, t, tables),
     )
     if found is None:
@@ -543,17 +542,16 @@ def plan_tables(topology, positions: Iterable[int], bound=INFINITY) -> dict:
     return {p: PlanTable(topology, p, bound) for p in set(positions)}
 
 
-def fixed_faulty_candidates(topology, positions: Iterable[int], tables=None) -> tuple:
-    """All times at which the fixed-position decision can change.
+def fixed_faulty_candidates(tables: dict) -> tuple:
+    """All times at which the fixed-position decision can change, read off
+    the ``plan_tables`` of the robots' starts.
 
     These are the moments some robot's plan gains a node, the ``times``
-    of its table (from ``tables`` when given): arc cover costs without
-    deadlines, with them the on-time arrival times of the pairs its
-    ``PlanTable`` keeps.  A dropped pair adds none: its dominator, never
-    later, matches its whole subtree.
+    of its table: arc cover costs without deadlines, with them the on-time
+    arrival times of the pairs its ``PlanTable`` keeps.  A dropped pair
+    adds none: its dominator, never later, matches its whole subtree.
     """
-    tables = tables or plan_tables(topology, positions)
-    return tuple(sorted({0}.union(*(tables[p].times() for p in set(positions)))))
+    return tuple(sorted({0}.union(*(table.times() for table in tables.values()))))
 
 
 def solve_fixed_faulty(

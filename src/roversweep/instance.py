@@ -9,6 +9,7 @@ of its nodes on the track (a line's coordinates, a ring's arc lengths
 counterclockwise from node 0, a star's node indices), the ``lap`` of a
 ring (its circumference; None elsewhere: a line is a ring of one lap),
 and one deadline per node in ``deadlines`` (a star's center last).
+``unrolled`` lays a ring's positions out over laps, as a line.
 
 The instance file format is JSON:
 
@@ -208,6 +209,14 @@ def _scaled(topology: Topology, c) -> Topology:
         tuple(scale(v, c) for v in value) if isinstance(value, tuple) else scale(value, c)
         for value in values
     ))
+
+
+def unrolled(positions: tuple, lap: Optional[ExactNumber], laps: int) -> tuple:
+    """A line's ``positions`` (``lap`` None: one lap), or a ring's over ``laps``
+    laps, lap m shifted by m * ``lap``: an arc past node n - 1 keeps increasing."""
+    if lap is None:
+        return positions
+    return positions + tuple(x + m * lap for m in range(1, laps) for x in positions)
 
 
 @dataclass(frozen=True)

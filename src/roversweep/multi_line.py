@@ -40,11 +40,10 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import replace
-from itertools import accumulate
 from typing import Iterable, List, Optional, Sequence, Union
 
 from .exact import INFINITY
-from .instance import LineInstance, RingInstance
+from .instance import LineInstance, RingInstance, unrolled
 from .schedule import RobotTrack, Verdict, track_schedule
 from .single_robot import (
     TimeLabels,
@@ -173,11 +172,9 @@ def solve_fixed(topology: Union[LineInstance, RingInstance], positions: Iterable
         verdict = solve_fixed_start(topology, positions[0])
         return replace(verdict, idle_edges=()) if verdict.feasible else verdict
 
-    if ring:  # two laps of arc positions: an arc past node n - 1 stays increasing
-        x = list(accumulate(topology.edge_weights * 2, initial=0))
-        deadlines = topology.deadlines * 2
-    else:
-        x, deadlines = topology.coordinates, topology.deadlines
+    # two laps of a ring's positions: an arc past node n - 1 stays increasing
+    x = unrolled(topology.positions, topology.lap, 2)
+    deadlines = topology.deadlines * (len(x) // n)
     firsts: List[int] = []
     forests: List[TimeLabels] = []
     reads = []

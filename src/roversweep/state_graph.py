@@ -7,15 +7,15 @@ end (weight: one edge) or on the far end of the stretch (weight: the
 whole traverse plus one edge).  States with j - i = layer sit in layer
 order, so every arc joins one layer to the next.
 
-States are packed into dense integer ids laid out layer-major with the
-left index ascending and L before R, by one formula on lines and rings;
-one layout method reads the topology's ``kind``, ``n`` and
-``positions`` (``from_line`` and ``from_ring`` both call it).
-No arc is stored: each state of layer >= 1 has exactly two
-predecessors, the same stretch without its newly visited node with the
-robot at either end (``pulls`` lists them layer by layer, with arc
-weights read off the coordinates, for the states a finite label can
-reach).  A ring's full-coverage layer is no exception: the robot ends
+The graph reads only the topology's geometry: ``kind``, ``n``,
+``positions`` and ``lap``.  States are packed into dense integer ids
+laid out layer-major with the left index ascending and L before R, by
+one formula on lines and rings (``from_ring`` is ``from_line``).  No arc is stored: each state of layer >= 1
+has exactly two predecessors, the same stretch without its newly
+visited node with the robot at either end (``pulls`` lists them layer
+by layer, with arc weights read off the positions unrolled by
+``instance.unrolled``, for the states a finite label can reach).  A
+ring's full-coverage layer is no exception: the robot ends
 at p with [p, p + n - 1] at L or [p + 1, p + n] at R, so no two arcs
 join the same pair of states and the side of a state is the direction
 of the step that reached it.  The graph is immutable and may be shared
@@ -30,7 +30,7 @@ from operator import sub
 from typing import Iterator, NamedTuple, Sequence
 
 from .exact import INFINITY, ExactNumber
-from .instance import LineInstance, RingInstance
+from .instance import unrolled
 
 LEFT = 0   # robot at the left / clockwise end of the explored stretch
 RIGHT = 1  # robot at the right / counterclockwise end
@@ -85,7 +85,7 @@ def _live(time: list, base: int, stride: int, first: int, count: int, n: int):
 class StateGraph:
     """Immutable layered graph; build via ``from_line`` or ``from_ring``."""
 
-    __slots__ = ("kind", "n", "node_count", "_layer_offsets", "_positions", "_weights")
+    __slots__ = ("kind", "n", "node_count", "_layer_offsets", "_positions", "_lap")
 
     def __init__(self):
         raise TypeError("use StateGraph.from_line or StateGraph.from_ring")
@@ -100,25 +100,19 @@ class StateGraph:
         return cls.from_line(topology) if topology.lap is None else cls.from_ring(topology)
 
     @classmethod
-    def from_line(cls, line: LineInstance) -> "StateGraph":
-        return cls._laid_out(line, None)
-
-    @classmethod
-    def from_ring(cls, ring: RingInstance) -> "StateGraph":
-        return cls._laid_out(ring, ring.edge_weights)
-
-    @classmethod
-    def _laid_out(cls, topology, weights) -> "StateGraph":
-        """The graph of ``topology``, a ring's with its edge ``weights``."""
+    def from_line(cls, topology) -> "StateGraph":
+        """The graph of a line, or as ``from_ring`` of a ring: one layout."""
         self = object.__new__(cls)
         n = self.n = topology.n
-        self.kind, self._positions, self._weights = topology.kind, topology.positions, weights
+        self.kind, self._positions, self._lap = topology.kind, topology.positions, topology.lap
         # layer 0 holds n single-node states, and layer j >= 1 holds two per
         # stretch: n - j of them on a line, n on a ring
         sizes = (2 * (n - j if topology.lap is None else n) for j in range(1, n))
         self._layer_offsets = [0, *accumulate(sizes, initial=n)]
         self.node_count = self._layer_offsets[-1]
         return self
+
+    from_ring = from_line
 
     # ------------------------------------------------------------------
     # id <-> state mapping
@@ -158,7 +152,8 @@ class StateGraph:
     # ------------------------------------------------------------------
 
     def _ids(self, layer: int, first: int, count: int, side: int):
-        """Ids of the ring states (i, i + layer, side), i = first, first + 1, ..."""
+        """Ids of the states (i, i + layer, side), i = first, first + 1, ...
+        read mod n (a line's runs never wrap)."""
         if layer == 0:
             return _run(0, 1, first, count, self.n)
         return _run(self._layer_offsets[layer] + side, 2, first, count, self.n)
@@ -174,31 +169,21 @@ class StateGraph:
         i + layer only for i in [a, z].  The ends of the next range are
         the first and last finite labels of the batches just set, found
         by scanning in from both ends, so only the dead margins are read
-        twice.  On a line the ranges are plain arithmetic runs of ids; on
-        a ring they are cyclic.  The batches stop at the first layer with
-        no finite label.  ``deadlines`` is indexed by node.
+        twice.  The ranges are cyclic runs of ids, which on a line never
+        wrap.  The batches stop at the first layer with no finite label.
+        ``deadlines`` is indexed by node.
         """
         n = self.n
         offsets = self._layer_offsets
-        line = self.kind == "line"
-        if line:
-            x = self._positions
-            # coordinates are the prefix sums of the edge lengths
-            prefix, edge, dls = x, list(map(sub, x[1:], x)), deadlines
-
-            def ids(layer, first, count, side):
-                if layer == 0:
-                    return range(first, first + count)
-                base = offsets[layer] + 2 * first + side
-                return range(base, base + 2 * count, 2)
-        else:
-            # stretch indices i drift below 0 and are read mod n; slices
-            # start at i mod n and end under 3n, so three laps of each list
-            # keep them contiguous; prefix[k] is the arc length to node k
-            edge = self._weights * 3
-            prefix = list(accumulate(edge, initial=0))
-            dls = tuple(deadlines) * 3
-            ids = self._ids
+        line = self._lap is None
+        # a ring's stretch indices i drift below 0 and are read mod n;
+        # slices start at i mod n and end under 3n, so three laps keep them
+        # contiguous (a line's stay in its one lap); prefix[k] is the
+        # position of unrolled node k, and one deadline is kept per node
+        prefix = unrolled(self._positions, self._lap, 3)
+        edge = list(map(sub, prefix[1:], prefix))
+        dls = tuple(deadlines) * (len(prefix) // n)
+        ids = self._ids
 
         live = _live(time, 0, 1, 0, n, n)
         for layer in range(1, n):

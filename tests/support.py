@@ -46,12 +46,11 @@ def arcs_from(graph, uid):
     layer = (sj - si) % n
     if layer == n - 1:
         return
-    w = graph._weights
     here = si if side == LEFT else sj
     tgt = (si - 1) % n  # clockwise extension
-    yield offsets[layer + 1] + 2 * tgt + LEFT, _ccw(graph, si, here) + w[tgt], -1
+    yield offsets[layer + 1] + 2 * tgt + LEFT, _ccw(graph, tgt, here), -1
     tgt = (sj + 1) % n  # counterclockwise extension
-    yield offsets[layer + 1] + 2 * si + RIGHT, _ccw(graph, here, sj) + w[sj], 1
+    yield offsets[layer + 1] + 2 * si + RIGHT, _ccw(graph, here, tgt), 1
 
 
 def _ccw(graph, a, b):
@@ -59,7 +58,7 @@ def _ccw(graph, a, b):
     pos = graph._positions
     if b >= a:
         return pos[b] - pos[a]
-    return pos[-1] + graph._weights[-1] - (pos[a] - pos[b])
+    return graph._lap - (pos[a] - pos[b])
 
 
 def scaled_verdict(verdict, c):

@@ -159,6 +159,21 @@ def test_cap_refusal_exits_two(tmp_path, capsys):
     assert main(["decide", path, "--max-n", "50"]) == 1
 
 
+@pytest.mark.parametrize("command", ["solve", "decide", "resilience", "oracle"])
+@pytest.mark.parametrize("flag", ["--max-n", "--max-k"])
+def test_cap_flags_are_refused_on_stars(tmp_path, capsys, command, flag):
+    # no capped search solves a star, so a cap flag there would do nothing
+    doc = dict(STAR3, robots={"mode": "fixed", "positions": [0, 2]}, faults=0, delta="10")
+    path = write(tmp_path, "star.json", doc)
+    assert main([command, path]) in (0, 1)
+    plain = capsys.readouterr()
+    assert plain.out and plain.err == ""
+    assert main([command, path, flag, "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_resilience_free_line(tmp_path, capsys):
     doc = {
         "topology": "line",

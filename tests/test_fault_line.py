@@ -218,6 +218,10 @@ def test_one_free_robot_on_a_line_routes_to_the_brute_force_optimum():
     assert feasible > 20
 
 
+def _pairs(plans):
+    return [(pl.mask, pl.track) for pl in plans]
+
+
 def test_plan_tables_give_every_probe_its_bounded_plans():
     # one growth per start without a time bound lists, at every candidate
     # time, the plans a growth bounded by that time lists: masks, tracks
@@ -235,10 +239,10 @@ def test_plan_tables_give_every_probe_its_bounded_plans():
         k = rng.randint(2, 3)
         positions = fixed_positions(rng, topology.n, k, allow_duplicates=True)
         tables = plan_tables(topology, positions)
-        candidates = fixed_faulty_candidates(topology, positions, tables)
+        candidates = fixed_faulty_candidates(tables)
         for delta in candidates:
             for p in set(positions):
-                assert tables[p].plans(delta) == walk_plans(topology, p, delta)
+                assert _pairs(tables[p].plans(delta)) == _pairs(walk_plans(topology, p, delta))
         assert_solve_reads_its_decisions(topology, positions, 1, candidates)
         checked += 1
     assert checked > 30
@@ -255,7 +259,7 @@ def test_plan_tables_give_every_probe_its_bounded_plans():
         k = rng.randint(2, 4)
         positions = fixed_positions(rng, topology.n, k, allow_duplicates=True)
         tables = plan_tables(topology, positions)
-        candidates = fixed_faulty_candidates(topology, positions, tables)
+        candidates = fixed_faulty_candidates(tables)
         assert candidates == cover_costs(topology, positions)
         for delta in candidates:
             for p in set(positions):
@@ -313,7 +317,7 @@ def test_single_robot_zero_faults_matches_single_solver():
         line = random_line(rng, max_n=7)
         start = rng.randrange(line.n)
         found = least_feasible(
-            fixed_faulty_candidates(line, (start,)),
+            fixed_faulty_candidates(plan_tables(line, (start,))),
             lambda delta: search_plans(line, (start,), 0, delta, plan_tables(line, (start,), delta)),
         )
         searched = INFINITY if found is None else found[0]
@@ -383,7 +387,7 @@ def test_decision_is_tight_at_the_optimum():
             continue
         opt = verdict.optimum
         assert decide_fixed_faulty(line, positions, f, opt).feasible
-        candidates = fixed_faulty_candidates(line, positions)
+        candidates = fixed_faulty_candidates(plan_tables(line, positions))
         below = [c for c in candidates if c < opt]
         if below:
             assert not decide_fixed_faulty(line, positions, f, max(below)).feasible

@@ -30,7 +30,7 @@ from roversweep.instance import (
 )
 from roversweep.multi_line import solve_fixed as line_solve_fixed
 from roversweep.multi_line import solve_free as line_solve_free
-from roversweep.fault_line import decide_fixed_faulty, fixed_faulty_candidates, solve_subset
+from roversweep.fault_line import decide_fixed_faulty, fixed_faulty_candidates, plan_tables, solve_subset
 from roversweep.oracle import Caps, CapExceeded, brute_solve, enumerate_walks, verify_schedule
 from roversweep.reductions import line_from_n3dm
 from roversweep.ring import (
@@ -320,7 +320,7 @@ def test_optimize_ring_fixed_faulty_is_tight():
             continue
         opt = verdict.optimum
         assert decide_ring_fixed_faulty(ring, positions, f, opt).feasible
-        below = [c for c in fixed_faulty_candidates(ring, positions) if c < opt]
+        below = [c for c in fixed_faulty_candidates(plan_tables(ring, positions)) if c < opt]
         if below:
             assert not decide_ring_fixed_faulty(ring, positions, f, max(below)).feasible
         checked += 1
@@ -363,7 +363,7 @@ def test_walk_plans_and_candidates_match_walks():
                     if t is not None and t <= d
                 )
             if any(d is not INFINITY for d in topology.deadlines):
-                candidates = fixed_faulty_candidates(topology, (p,))
+                candidates = fixed_faulty_candidates(plan_tables(topology, (p,)))
                 assert set(candidates) <= times
                 for t in times:
                     below = max(c for c in candidates if c <= t)
