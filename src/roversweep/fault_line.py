@@ -386,11 +386,6 @@ class _FixedSearch:
 
     # ---- search ----------------------------------------------------------
 
-    def run(self) -> Optional[List[Optional[Plan]]]:
-        if self._rec():
-            return list(self.assigned)
-        return None
-
     def _leftmost_deficient(self) -> Optional[int]:
         """Rank in the node order of the first node still short of f+1."""
         short = self.covered[0] & ~self.covered[self.need]
@@ -416,8 +411,7 @@ class _FixedSearch:
                 opts = self._canonical_options(r, i)
                 if opts:
                     cand.append((r, opts))
-        if len(cand) < missing:
-            return False
+        # the slack prune above leaves at least `missing` candidates
         for subset in itertools.combinations(cand, missing):
             for combo in itertools.product(*(opts for _, opts in subset)):
                 robots = [r for r, _ in subset]
@@ -468,7 +462,8 @@ def search_plans(topology, positions: Sequence[int], f: int, delta, tables: dict
     """The exact search's plan per robot (None: the robot stays at its
     start) when the team can cover every node f+1 times by delta, reading
     each start's plans off ``tables``, else None."""
-    return _FixedSearch(topology, positions, f, delta, tables).run()
+    search = _FixedSearch(topology, positions, f, delta, tables)
+    return list(search.assigned) if search._rec() else None
 
 
 def _fixed_faulty(topology, positions: Iterable[int], f: int, caps: Optional[Caps], delta=None) -> Verdict:

@@ -383,7 +383,7 @@ def read_instance(text: str) -> tuple:
     is c times that of the document."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InstanceError("", f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise InstanceError("", "instance document must be a JSON object")

@@ -39,7 +39,6 @@ part may wrap past node n-1.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import replace
 from typing import Iterable, List, Optional, Sequence, Union
 
 from .exact import INFINITY
@@ -53,7 +52,6 @@ from .single_robot import (
     propagate,
     solve_fixed_start,
     solve_free_start,
-    solve_from,
     stretch_reader,
 )
 from .state_graph import StateGraph
@@ -155,8 +153,9 @@ def idle_edge_split(starts: Sequence[int], n: int, part_time) -> tuple:
 def solve_fixed(topology: Union[LineInstance, RingInstance], positions: Iterable[int]) -> Verdict:
     """Optimal exploration of a line or ring by robots at given distinct nodes.
 
-    Returns the optimum, the chosen idle edges, and one trajectory per
-    robot; INFINITY/infeasible when no deadline-respecting split exists.
+    Returns the optimum and one trajectory per robot; INFINITY/infeasible
+    when no deadline-respecting split exists.  The idle edges that
+    separate the robots' parts are the edges no track walks.
     """
     positions = tuple(sorted(positions))
     n = topology.n
@@ -165,12 +164,9 @@ def solve_fixed(topology: Union[LineInstance, RingInstance], positions: Iterable
     if any(not 0 <= p < n for p in positions):
         raise ValueError("robot position out of range")
     k = len(positions)
-    ring = topology.lap is not None
     if k == 1:
-        if ring:
-            return solve_from(topology, positions)
-        verdict = solve_fixed_start(topology, positions[0])
-        return replace(verdict, idle_edges=()) if verdict.feasible else verdict
+        return solve_fixed_start(topology, positions[0])
+    ring = topology.lap is not None
 
     # two laps of a ring's positions: an arc past node n - 1 stays increasing
     x = unrolled(topology.positions, topology.lap, 2)
@@ -204,33 +200,25 @@ def solve_fixed(topology: Union[LineInstance, RingInstance], positions: Iterable
         m = robots[r]
         return reads[m]((head + i - firsts[m]) % n, j - i)
 
-    best = (INFINITY, None, None)  # optimum, head, [(robot, first node, last node)]
+    best = (INFINITY, None)  # optimum, [(robot, first node, last node)]
     for head in heads:
         line_pos = sorted(((p - head) % n, m) for m, p in enumerate(positions))
         starts = [q for q, _ in line_pos]
         robots = [m for _, m in line_pos]
         value, parts = idle_edge_split(starts, n, part_time)
         if value < best[0]:
-            best = (value, head, [(robots[r], (head + i) % n, (head + j) % n) for r, i, j in parts])
+            best = (value, [(robots[r], (head + i) % n, (head + j) % n) for r, i, j in parts])
 
-    optimum, head, segments = best
+    optimum, segments = best
     if segments is None:
         return Verdict(feasible=False, optimum=INFINITY)
     tracks = [None] * k
-    idle = [((head - 1) % n, head)] if ring else []
     for robot, i, j in segments:
         labels, first = forests[robot], firsts[robot]
         target = best_target(labels, (i - first) % n, (j - first) % n)
         # a ring track that starts on the second lap goes back one in track_schedule
         tracks[robot] = RobotTrack(extract_trajectory(labels, target))
-        if i != head:
-            idle.append(((i - 1) % n, i))
-    return Verdict(
-        feasible=True,
-        optimum=optimum,
-        schedule=track_schedule(topology, tracks),
-        idle_edges=tuple(sorted(idle)),
-    )
+    return Verdict(feasible=True, optimum=optimum, schedule=track_schedule(topology, tracks))
 
 
 # --------------------------------------------------------------------------

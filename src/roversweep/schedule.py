@@ -119,7 +119,7 @@ def read_schedule(text: str, c: int = 1) -> tuple:
     pairs (``read_amount``); with c' = 1 no Fraction is built."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ScheduleError(None, f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("robots"), list):
         raise ScheduleError(None, "schedule document must be an object with a 'robots' list")
@@ -190,10 +190,6 @@ class Verdict:
     optimum: Optional[ExactNumber] = None
     schedule: Optional[Schedule] = None
     witness: Optional[dict] = None
-    idle_edges: Optional[tuple] = None
-
-    def __bool__(self):
-        return self.feasible
 
 
 @dataclass(frozen=True)
@@ -209,8 +205,8 @@ class VerificationReport:
     passed: bool
     makespan: ExactNumber
     nodes: tuple  # NodeCheck per node
-    failures: tuple  # NodeCheck per under-covered node, leftmost first
 
     @property
     def first_violation(self) -> Optional[NodeCheck]:
-        return self.failures[0] if self.failures else None
+        """The leftmost node with fewer on-time visitors than it needs."""
+        return next((c for c in self.nodes if c.covered < c.required), None)

@@ -203,9 +203,9 @@ def solve_from(topology, starts: Iterable[int]) -> Verdict:
     )
 
 
-def solve_fixed_start(line: LineInstance, start: int) -> Verdict:
-    """Optimal full-line exploration for one robot at a given node."""
-    return solve_free_start(line, [start])
+def solve_fixed_start(topology, start: int) -> Verdict:
+    """Optimal exploration of a whole line or ring by one robot at a given node."""
+    return solve_free_start(topology, [start])
 
 
 def solve_free_start(topology, allowed: Optional[Iterable[int]] = None) -> Verdict:

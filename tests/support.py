@@ -71,8 +71,30 @@ def scaled_verdict(verdict, c):
             node: tuple((robot, scale(t, c)) for robot, t in visits)
             for node, visits in verdict.witness.items()
         },
-        idle_edges=verdict.idle_edges,
     )
+
+
+def idle_edges(topology, schedule):
+    """The edges (u, u + 1 mod n) of a line or ring that no track of
+    ``schedule`` walks from end to end, sorted: a track walks the span
+    between its least and greatest coordinate, and on a ring an edge
+    counts at any of its lifts by whole laps."""
+    pos, lap, n = topology.positions, topology.lap, topology.n
+    spans = [(min(x for _, x in tr.waypoints), max(x for _, x in tr.waypoints))
+             for tr in schedule.tracks]
+
+    def walked(a, b):
+        for lo, hi in spans:
+            # on a ring, the least lift of the edge that starts at or after lo
+            shift = 0 if lap is None else -((a - lo) // lap) * lap
+            if lo <= a + shift and b + shift <= hi:
+                return True
+        return False
+
+    edges = [(u, u + 1, pos[u], pos[u + 1]) for u in range(n - 1)]
+    if lap is not None:
+        edges.append((n - 1, 0, pos[n - 1], pos[0] + lap))
+    return tuple((u, v) for u, v, a, b in edges if not walked(a, b))
 
 
 def random_line(rng, min_n=1, max_n=8, deadline_prob=0.5, integral=False):

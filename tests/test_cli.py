@@ -1029,3 +1029,120 @@ def test_cli_bytes_are_pinned(tmp_path, capsys, monkeypatch):
         captured = capsys.readouterr()
         helps[command] = (done.value.code, hashlib.sha256(captured.out.encode()).hexdigest(), captured.err)
     assert helps == {command: (0, digest, "") for command, digest in PINNED_HELP_DIGESTS.items()}
+
+
+# --------------------------------------------------------------------------
+# the answers and refusals that the pins above never reach
+# --------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv, code, out", [
+    (["decide", "--delta", "1", "--json"], 0, '{"answer": "YES"}\n'),
+    (["decide", "--delta", "1/2", "--json"], 1, '{"answer": "NO"}\n'),
+    (["resilience", "--delta", "3", "--json"], 0, '{"resilience": 1}\n'),
+    (["resilience", "--delta", "1", "--json"], 0, '{"resilience": 0}\n'),
+    (["resilience", "--delta", "1/2", "--json"], 1, '{"resilience": null}\n'),
+])
+def test_decide_and_resilience_json_bytes_are_pinned(tmp_path, capsys, argv, code, out):
+    # two free robots on SKEW3: one covers it by 3, two by 1
+    path = write(tmp_path, "inst.json", dict(SKEW3, robots={"mode": "free", "count": 2}))
+    assert main([argv[0], path, *argv[1:]]) == code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (out, "")
+
+
+@pytest.mark.parametrize("command", ["decide", "resilience"])
+def test_a_missing_delta_is_a_usage_error(tmp_path, capsys, command):
+    path = write(tmp_path, "inst.json", SKEW3)  # its delta is null
+    assert main([command, path]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"{command} needs --delta or a delta field in the instance\n")
+
+
+# sha256 of the stdout of ``generate`` with each argument list
+PINNED_GENERATE_DIGESTS = {
+    ("partition", "--values", "1", "1"): "b48cdc35b9dbb6a6d2124dc6b1df1bd0fde32077ffba767f8e3d2dcb013ebf70",
+    ("random",): "b370d30796299eb871fe870c716e3ed4541966aadf54f495767a178c6727ea31",
+    ("random", "--topology", "star"): "29dcb7a965012d79b5aac790a3fad231d0eee8952f37b5ee158178060e786552",
+    ("random", "--f", "1", "--k", "3"): "326093b0f4337369f910b61a02747a64f226b861e86a664f1e26b0b99ed4baa5",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(PINNED_GENERATE_DIGESTS))
+def test_generate_bytes_are_pinned(capsys, argv):
+    assert main(["generate", *argv]) == 0
+    captured = capsys.readouterr()
+    assert (hashlib.sha256(captured.out.encode()).hexdigest(), captured.err) == (PINNED_GENERATE_DIGESTS[argv], "")
+    parse_instance(captured.out)
+
+
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+BAD_INSTANCES = {  # document, the one line on stderr
+    "a negative coordinate": (
+        dict(SKEW3, coordinates=["-1", "1", "3"]), "coordinates[0]: must be a non-negative exact number"),
+    "a one-node ring": (
+        dict(MINIMAL_RING, edge_weights=["1"], deadlines=[None], robots={"mode": "fixed", "positions": [0]}),
+        "edge_weights: a ring needs at least two nodes"),
+    "a star with no leaves": (
+        dict(STAR1, leaf_weights=[], deadlines=[], robots={"mode": "free", "count": 1}),
+        "leaf_weights: a star needs at least one leaf"),
+    "a non-positive weight": (
+        dict(MINIMAL_RING, edge_weights=["1", "0"]), "edge_weights[1]: must be a positive exact number"),
+    "a deadline count that does not match": (
+        dict(SKEW3, deadlines=[None, None]), "deadlines: one deadline per node required"),
+    "a negative deadline": (
+        dict(SKEW3, deadlines=[None, "-1", None]),
+        "deadlines[1]: deadline must be a non-negative exact number or INFINITY"),
+    "a document that is not an object": ([SKEW3], "instance document must be a JSON object"),
+    "robots that is not an object": (dict(SKEW3, robots=[1]), "robots: expected an object"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INSTANCES))
+def test_solve_refuses_a_bad_instance_in_one_line(tmp_path, capsys, case):
+    doc, error = BAD_INSTANCES[case]
+    assert main(["solve", write(tmp_path, "inst.json", doc)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {error}\n")
+
+
+BAD_SCHEDULES = {  # instance, schedule document, the one line on stderr
+    "a first waypoint not at time 0": (
+        SKEW3, {"robots": [{"waypoints": [{"t": "1", "x": "1"}]}]},
+        "robot 0: first waypoint must be at time 0"),
+    "an unknown star node": (
+        STAR1, {"robots": [{"waypoints": [{"t": "0", "node": 1}, {"t": "2", "node": 5}]}]},
+        "robot 0: unknown node 5"),
+    "the wrong number of tracks": (
+        SKEW3, {"robots": [{"waypoints": [{"t": "0", "x": "1"}]}] * 2}, "expected 1 robot tracks, got 2"),
+    "invalid JSON": (
+        SKEW3, "{not json",
+        "invalid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    "a schedule that is not an object": (
+        SKEW3, [{"robots": []}], "schedule document must be an object with a 'robots' list"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SCHEDULES))
+def test_verify_refuses_a_bad_schedule_in_one_line(tmp_path, capsys, case):
+    instance, schedule, error = BAD_SCHEDULES[case]
+    path = write(tmp_path, "inst.json", instance)
+    sched = tmp_path / "sched.json"
+    sched.write_text(schedule if isinstance(schedule, str) else json.dumps(schedule), encoding="utf-8")
+    assert main(["verify", path, str(sched)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {error}\n")
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_deeply_nested_json_is_bad_input(tmp_path, capsys, command):
+    # json.loads raises RecursionError, a RuntimeError, not JSONDecodeError;
+    # it is still a document that cannot be read, so exit 2, not 3
+    deep = tmp_path / "deep.json"
+    deep.write_text(DEEP_JSON, encoding="utf-8")
+    if command == "solve":
+        argv = ["solve", str(deep)]
+    else:
+        argv = ["verify", write(tmp_path, "inst.json", SKEW3), str(deep)]
+    assert main(argv) == 2
+    _one_error_line(capsys.readouterr(), "error: invalid JSON: maximum recursion depth exceeded")

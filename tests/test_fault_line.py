@@ -300,10 +300,12 @@ def cover_costs(topology, positions):
 
 
 def assert_solve_reads_its_decisions(topology, positions, f, candidates):
+    def probe(delta):
+        verdict = decide_fixed_faulty(topology, positions, f, delta)
+        return verdict if verdict.feasible else None
+
     got = solve_fixed_faulty(topology, positions, f)
-    found = least_feasible(
-        candidates, lambda delta: decide_fixed_faulty(topology, positions, f, delta) or None
-    )
+    found = least_feasible(candidates, probe)
     want = (INFINITY, None) if found is None else (found[0], found[1].schedule)
     assert (got.optimum, got.schedule) == want
 

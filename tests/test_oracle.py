@@ -210,8 +210,8 @@ def test_witnessed_checks_the_time_the_verdict_claims():
     sweep = Schedule(kind="line", tracks=(RobotTrack(((0, 0), (3, 3))),))
     no = Verdict(feasible=False, optimum=INFINITY)
     assert witnessed(spec, no) is no
-    yes = witnessed(spec, Verdict(feasible=True, optimum=3, schedule=sweep, idle_edges=()))
-    assert (yes.optimum, yes.schedule, yes.idle_edges) == (3, sweep, ())
+    yes = witnessed(spec, Verdict(feasible=True, optimum=3, schedule=sweep))
+    assert (yes.optimum, yes.schedule) == (3, sweep)
     assert yes.witness == {0: ((0, 0),), 1: ((0, 1),), 2: ((0, 3),)}
     # a decision claims no optimum and is checked at the spec's bound
     assert witnessed(replace(spec, bound=3), Verdict(feasible=True, schedule=sweep)).witness == yes.witness
