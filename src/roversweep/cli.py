@@ -30,9 +30,10 @@ numbers printed (the optimum, the makespan and the schedule) are divided
 back by c, so the output is that of the documents as written.
 
 Exit codes: 0 success / YES / PASS, 1 infeasible / NO / FAIL, 2 usage
-errors, malformed input, or a refused exact search, 3 an internal error
-(a solver's answer failed the router's verification).  Output is
-deterministic: identical inputs produce identical bytes.
+errors, malformed input, a refused exact search, or an instance too large
+to hold in memory, 3 an internal error (a solver's answer failed the
+router's verification).  Output is deterministic: identical inputs
+produce identical bytes.
 """
 
 from __future__ import annotations
@@ -97,10 +98,12 @@ def _spec_and_delta(args) -> tuple:
     """(spec, delta): the instance read in integers, and the time bound
     (--delta, else the document's delta) in the same units."""
     spec, c = read_instance(_read(args.instance))
-    if args.delta is None:
-        return spec, spec.bound
-    spec, _, delta = widened(spec, c, read_amount(args.delta, "delta"))
-    return spec, delta
+    if args.delta is not None:
+        spec, _, delta = widened(spec, c, read_amount(args.delta, "delta"))
+        return spec, delta
+    if spec.bound is None:
+        raise ValueError(f"{args.command} needs --delta or a delta field in the instance")
+    return spec, spec.bound
 
 
 def _print_answer(args, verdict, c: int, decimal: bool = False) -> int:
@@ -128,9 +131,6 @@ def cmd_solve(args) -> int:
 
 def cmd_decide(args) -> int:
     spec, delta = _spec_and_delta(args)
-    if delta is None:
-        print("decide needs --delta or a delta field in the instance", file=sys.stderr)
-        return USAGE_ERROR
     answer = fault_line.decide(spec, delta, _caps_from(args, spec.topology)).feasible
     if args.json:
         print(json.dumps({"answer": "YES" if answer else "NO"}))
@@ -141,9 +141,6 @@ def cmd_decide(args) -> int:
 
 def cmd_resilience(args) -> int:
     spec, delta = _spec_and_delta(args)
-    if delta is None:
-        print("resilience needs --delta or a delta field in the instance", file=sys.stderr)
-        return USAGE_ERROR
     value = fault_line.resilience(spec, delta, _caps_from(args, spec.topology))
     if args.json:
         print(json.dumps({"resilience": value}))
@@ -330,6 +327,10 @@ def main(argv: Optional[list] = None) -> int:
         return args.func(args)
     except (InstanceError, ScheduleError, CapExceeded, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    except MemoryError:
+        # an instance too large to hold, such as a ring replicated many times
+        print("error: out of memory: the instance is too large to solve", file=sys.stderr)
         return USAGE_ERROR
     except RuntimeError as exc:
         # a solver's own answer failed verification: a bug, not bad input

@@ -35,9 +35,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields, replace
-from functools import cached_property
+from functools import cached_property, partial
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, repeat
+from operator import is_not, lt
 from typing import Iterable, Optional
 
 from .exact import ExactNumber, INFINITY, format_number, parse_ratio, scale
@@ -62,6 +63,36 @@ def _check_deadline(value, path):
         raise InstanceError(path, "deadline must be a non-negative exact number or INFINITY")
 
 
+# The lists of a topology are checked whole, by C-level passes over their
+# types and values; only a list that fails is walked element by element,
+# to raise at the first bad element.  Types other than exactly int and
+# Fraction (bool, subclasses) also take the walk, which decides for them.
+
+def _exact(values) -> bool:
+    """Whether every value's type is exactly int or Fraction."""
+    return set(map(type, values)) <= {int, Fraction}
+
+
+def _check_weights(values: tuple, path: str):
+    if _exact(values) and min(values) > 0:
+        return
+    for idx, w in enumerate(values):
+        if not isinstance(w, (int, Fraction)) or w <= 0:
+            raise InstanceError(f"{path}[{idx}]", "must be a positive exact number")
+
+
+def _check_deadlines(values: tuple):
+    finite = list(filter(partial(is_not, INFINITY), values))
+    if _exact(finite) and min(finite, default=0) >= 0:
+        return
+    for idx, d in enumerate(values):
+        _check_deadline(d, f"deadlines[{idx}]")
+
+
+def _capped(deadlines: tuple, delta: ExactNumber) -> tuple:
+    return tuple(map(min, deadlines, repeat(delta)))
+
+
 @dataclass(frozen=True)
 class LineInstance:
     """Nodes on the real line at strictly increasing coordinates."""
@@ -74,17 +105,18 @@ class LineInstance:
     def __post_init__(self):
         object.__setattr__(self, "coordinates", tuple(self.coordinates))
         object.__setattr__(self, "deadlines", tuple(self.deadlines))
-        if len(self.coordinates) < 1:
+        xs = self.coordinates
+        if len(xs) < 1:
             raise InstanceError("coordinates", "need at least one node")
-        for idx, x in enumerate(self.coordinates):
-            if not isinstance(x, (int, Fraction)) or x < 0:
-                raise InstanceError(f"coordinates[{idx}]", "must be a non-negative exact number")
-            if idx > 0 and self.coordinates[idx - 1] >= x:
-                raise InstanceError(f"coordinates[{idx}]", "coordinates must be strictly increasing")
-        if len(self.deadlines) != len(self.coordinates):
+        if not (_exact(xs) and min(xs) >= 0 and all(map(lt, xs, xs[1:]))):
+            for idx, x in enumerate(xs):
+                if not isinstance(x, (int, Fraction)) or x < 0:
+                    raise InstanceError(f"coordinates[{idx}]", "must be a non-negative exact number")
+                if idx > 0 and xs[idx - 1] >= x:
+                    raise InstanceError(f"coordinates[{idx}]", "coordinates must be strictly increasing")
+        if len(self.deadlines) != len(xs):
             raise InstanceError("deadlines", "one deadline per node required")
-        for idx, d in enumerate(self.deadlines):
-            _check_deadline(d, f"deadlines[{idx}]")
+        _check_deadlines(self.deadlines)
 
     @property
     def n(self) -> int:
@@ -96,7 +128,7 @@ class LineInstance:
 
     def capped(self, delta: ExactNumber) -> "LineInstance":
         """Same line with every deadline capped at ``delta``."""
-        return replace(self, deadlines=tuple(min(d, delta) for d in self.deadlines))
+        return replace(self, deadlines=_capped(self.deadlines, delta))
 
     def scaled(self, c) -> "LineInstance":
         """Same line with every coordinate and deadline multiplied by c > 0."""
@@ -116,13 +148,10 @@ class RingInstance:
         object.__setattr__(self, "deadlines", tuple(self.deadlines))
         if len(self.edge_weights) < 2:
             raise InstanceError("edge_weights", "a ring needs at least two nodes")
-        for idx, w in enumerate(self.edge_weights):
-            if not isinstance(w, (int, Fraction)) or w <= 0:
-                raise InstanceError(f"edge_weights[{idx}]", "must be a positive exact number")
+        _check_weights(self.edge_weights, "edge_weights")
         if len(self.deadlines) != len(self.edge_weights):
             raise InstanceError("deadlines", "one deadline per node required")
-        for idx, d in enumerate(self.deadlines):
-            _check_deadline(d, f"deadlines[{idx}]")
+        _check_deadlines(self.deadlines)
 
     @property
     def n(self) -> int:
@@ -137,7 +166,7 @@ class RingInstance:
         return self.positions[-1] + self.edge_weights[-1]
 
     def capped(self, delta: ExactNumber) -> "RingInstance":
-        return replace(self, deadlines=tuple(min(d, delta) for d in self.deadlines))
+        return replace(self, deadlines=_capped(self.deadlines, delta))
 
     def scaled(self, c) -> "RingInstance":
         return _scaled(self, c)
@@ -158,13 +187,10 @@ class StarInstance:
         object.__setattr__(self, "leaf_deadlines", tuple(self.leaf_deadlines))
         if len(self.leaf_weights) < 1:
             raise InstanceError("leaf_weights", "a star needs at least one leaf")
-        for idx, w in enumerate(self.leaf_weights):
-            if not isinstance(w, (int, Fraction)) or w <= 0:
-                raise InstanceError(f"leaf_weights[{idx}]", "must be a positive exact number")
+        _check_weights(self.leaf_weights, "leaf_weights")
         if len(self.leaf_deadlines) != len(self.leaf_weights):
             raise InstanceError("deadlines", "one deadline per leaf required")
-        for idx, d in enumerate(self.leaf_deadlines):
-            _check_deadline(d, f"deadlines[{idx}]")
+        _check_deadlines(self.leaf_deadlines)
         _check_deadline(self.center_deadline, "center_deadline")
 
     @property
@@ -190,7 +216,7 @@ class StarInstance:
     def capped(self, delta: ExactNumber) -> "StarInstance":
         return StarInstance(
             self.leaf_weights,
-            tuple(min(d, delta) for d in self.leaf_deadlines),
+            _capped(self.leaf_deadlines, delta),
             min(self.center_deadline, delta),
         )
 
@@ -316,12 +342,37 @@ def _read_deadline(value, path: str) -> tuple:
     return read_amount(value, path)
 
 
+def _read_digits(values: list, nulls: bool) -> Optional[tuple]:
+    """The numerators of a list of plain ASCII digit strings, each read
+    by one ``int``, with INFINITY for each null when ``nulls``; None for
+    any other list."""
+    strings = list(filter(partial(is_not, None), values)) if nulls else values
+    try:
+        text = "".join(strings)
+    except TypeError:  # an element that is not a string
+        return None
+    if "" in strings or not text.isascii() or text and not text.isdecimal():
+        return None
+    try:
+        ints = list(map(int, strings))
+    except ValueError:  # more digits than int reads
+        return None
+    if len(ints) == len(values):
+        return tuple(ints)
+    it = iter(ints)
+    return tuple([INFINITY if v is None else next(it) for v in values])
+
+
 def _read_list(values, path: str, read) -> tuple:
     """(numerators, denominators) of ``read`` applied to each element; an
     element's path, such as ``deadlines[3]``, is spelled out only for the
-    error it fails with."""
+    error it fails with.  Plain digit strings (and null deadlines) are
+    read whole (``_read_digits``), as ``read`` would read them."""
     if not isinstance(values, list):
         raise InstanceError(path, "expected a list")
+    nums = _read_digits(values, read is _read_deadline)
+    if nums is not None:
+        return nums, (1,) * len(nums)
     try:
         pairs = [read(v, "") for v in values]
     except InstanceError:
@@ -357,7 +408,7 @@ def _read_topology(doc: dict) -> tuple:
     if cls is StarInstance:
         p, q = _read_deadline(doc.get("center_deadline"), "center_deadline")
         columns.append(((p,), (q,)))
-    c = math.lcm(*{q for _, dens in columns for q in dens})
+    c = math.lcm(*set().union(*(dens for _, dens in columns)))
     values = [_lowered(column, c) for column in columns]
     if cls is StarInstance:
         values[2] = values[2][0]  # the center's deadline is one number

@@ -28,12 +28,15 @@ never falls as the part grows.  A bound therefore fits exactly when
 greedy parts cover the nodes, each the longest from the first uncovered
 node whose time fits, found by binary search (chains-on-chains
 partitioning: Nicol 1994; Pinar and Aykanat 2004).  Every part time is
-a label value or 0, so the optimum is the least of these candidates
-that fits, found by binary search: an O(n^2) label pass, O(n^2 log n)
-to sort the labels, and O(log n) probes of O(k log n) reads each.  A
-ring's probe tries the few nodes where some part of a fitting split
-must start.  Ring parts run on the doubled node order i .. i+n-2, so a
-part may wrap past node n-1.
+a label value (a one-node part's is 0, the label of every start), so
+the optimum is the least distinct finite label that fits, found by
+binary search: an O(n^2) label pass, O(n^2 log n) to sort the labels,
+and O(log n) probes of O(k log n) reads each.  A ring's probe tries the
+few nodes where some part of a fitting split must start, node 1 first.
+Greedy parts from any node number at most one more than the fewest that
+fit, so k + 2 of them from node 1 answer NO without trying the others.
+Ring parts run on the doubled node order i .. i+n-2, so a part may wrap
+past node n-1.
 """
 
 from __future__ import annotations
@@ -229,13 +232,16 @@ def solve_fixed(topology: Union[LineInstance, RingInstance], positions: Iterable
 def solve_free(topology: Union[LineInstance, RingInstance], k: int) -> Verdict:
     """Optimal exploration time and placement for k freely placed robots.
 
-    The optimum is the least candidate, 0 or a finite label, at which
-    greedy parts cover the nodes: from node 0 on a line; on a ring from
-    one of the nodes 1 .. e0 + 1, where [0, e0] is the longest part from
-    node 0 that fits, since the next part starts there.  An O(n^2) label
-    pass, O(n^2 log n) to sort the labels, and O(log n) probes of
-    O(k log n) reads each on a line.  The schedule is the greedy split
-    at the optimum; robots left over idle at its first node.
+    The optimum is the least candidate, a distinct finite label (0 among
+    them), at which greedy parts cover the nodes: from node 0 on a line;
+    on a ring from one of the nodes 1 .. e0 + 1, where [0, e0] is the
+    longest part from node 0 that fits, since the next part starts
+    there.  A ring probe whose greedy parts from node 1 number k + 2 or
+    more answers NO at once: from any node they number at most one more
+    than the fewest that fit.  An O(n^2) label pass, O(n^2 log n) to sort
+    the labels, and O(log n) probes of O(k log n) reads each on a line.
+    The schedule is the greedy split at the optimum; robots left over
+    idle at its first node.
     """
     if k < 1:
         raise ValueError("need at least one robot")
@@ -262,25 +268,35 @@ def solve_free(topology: Union[LineInstance, RingInstance], k: int) -> Verdict:
                 hi = mid - 1
         return lo
 
-    def split(i: int, delta):
+    def split(i: int, delta, parts: int = k):
         """Last nodes of the greedy parts of i .. i + n - 1 within delta, or
-        None if k parts do not cover them."""
+        None if ``parts`` parts do not cover them."""
         ends = []
         end = i + n - 1
         while i <= end:
-            if len(ends) == k:
+            if len(ends) == parts:
                 return None
             i = reach(i, end, delta) + 1
             ends.append(i - 1)
         return ends
 
     def head(delta):
-        for s in range(1, reach(0, n - 1, delta) + 2) if ring else (0,):
+        if not ring:
+            return 0 if split(0, delta) is not None else None
+        # greedy parts from any node number at most one more than the
+        # fewest that fit, so k + 2 of them from node 1 mean none fit
+        ends = split(1, delta, k + 1)
+        if ends is None:
+            return None
+        if len(ends) <= k:
+            return 1
+        for s in range(2, reach(0, n - 1, delta) + 2):
             if split(s, delta) is not None:
                 return s
         return None
 
-    values = sorted({0, *labels.finite_values()})
+    # every start is zeroed, so 0 is a label
+    values = sorted(set(labels.time) - {inf})
     optimum, first = least_feasible(values, head) or (inf, None)
     if optimum is inf:
         return Verdict(feasible=False, optimum=INFINITY)

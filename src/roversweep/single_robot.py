@@ -40,9 +40,6 @@ class TimeLabels:
         self.time = [INFINITY] * graph.node_count
         self.parent = array("q", [-1]) * graph.node_count
 
-    def finite_values(self) -> list:
-        return [t for t in self.time if t is not INFINITY]
-
 
 def init_start(graph: StateGraph, starts: Iterable[int]) -> TimeLabels:
     """Zero the counters of the permitted starting states (layer 0)."""

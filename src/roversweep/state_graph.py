@@ -151,13 +151,6 @@ class StateGraph:
     # the pull recurrence
     # ------------------------------------------------------------------
 
-    def _ids(self, layer: int, first: int, count: int, side: int):
-        """Ids of the states (i, i + layer, side), i = first, first + 1, ...
-        read mod n (a line's runs never wrap)."""
-        if layer == 0:
-            return _run(0, 1, first, count, self.n)
-        return _run(self._layer_offsets[layer] + side, 2, first, count, self.n)
-
     def pulls(self, time: list, deadlines: Sequence) -> Iterator[Pull]:
         """The live states of layers 1.. in layer order, with their predecessors.
 
@@ -183,13 +176,17 @@ class StateGraph:
         prefix = unrolled(self._positions, self._lap, 3)
         edge = list(map(sub, prefix[1:], prefix))
         dls = tuple(deadlines) * (len(prefix) // n)
-        ids = self._ids
+        new = tuple.__new__
 
         live = _live(time, 0, 1, 0, n, n)
         for layer in range(1, n):
             if live is None:
                 return
             a, z = live
+            base, below = offsets[layer], offsets[layer - 1]
+            # the layer below holds state (i, i + layer - 1, side) at id
+            # below + step * i + side * at_r: layer 0 holds one per node
+            step, at_r = (2, 1) if layer > 1 else (1, 0)
             # a new left node i needs stretch i + 1 live, a new right node
             # stretch i; a line's stretches also end by node n - 1, and a
             # ring has n stretches per side (the live range [a, z] may hold
@@ -197,29 +194,34 @@ class StateGraph:
             if line:
                 s, r = max(a - 1, 0), a
                 c, d = min(z, n - layer) - s, min(z + 1, n - layer) - r
+                # a line's runs never wrap: plain ranges
+                u, v = below + step * (s + 1), below + step * r
+                to_l = range(base + 2 * s, base + 2 * (s + c), 2)
+                from_l = range(u, u + step * c, step), range(u + at_r, u + at_r + step * c, step)
+                to_r = range(base + 1 + 2 * r, base + 1 + 2 * (r + d), 2)
+                from_r = range(v, v + step * d, step), range(v + at_r, v + at_r + step * d, step)
             else:
                 s, r = a - 1, a
                 c = d = min(z - a + 1, n)
+                to_l = _run(base, 2, s, c, n)
+                from_l = _run(below, step, s + 1, c, n), _run(below + at_r, step, s + 1, c, n)
+                to_r = _run(base + 1, 2, r, d, n)
+                from_r = _run(below, step, r, d, n), _run(below + at_r, step, r, d, n)
             s0, r0 = s % n, r % n  # where the slices start
             if c > 0:  # robot at L: the stretch grew at its left end i
-                yield Pull(
-                    ids(layer, s, c, LEFT),
-                    ids(layer - 1, s + 1, c, LEFT),
-                    ids(layer - 1, s + 1, c, RIGHT),
+                yield new(Pull, (
+                    to_l, *from_l,
                     edge[s0:s0 + c],
                     list(map(sub, prefix[s0 + layer:s0 + layer + c], prefix[s0:s0 + c])),
                     dls[s0:s0 + c],
-                )
+                ))
             if d > 0:  # robot at R: the stretch grew at its right end j
-                yield Pull(
-                    ids(layer, r, d, RIGHT),
-                    ids(layer - 1, r, d, LEFT),
-                    ids(layer - 1, r, d, RIGHT),
+                yield new(Pull, (
+                    to_r, *from_r,
                     list(map(sub, prefix[r0 + layer:r0 + layer + d], prefix[r0:r0 + d])),
                     edge[r0 + layer - 1:r0 + layer - 1 + d],
                     dls[r0 + layer:r0 + layer + d],
-                )
-            base = offsets[layer]
+                ))
             left = _live(time, base + LEFT, 2, s, c, n)
             right = _live(time, base + RIGHT, 2, r, d, n)
             if left is None or right is None:

@@ -326,7 +326,7 @@ def _ring_candidate_times(ring, positions, f, delta_cap):
     labels = propagate(
         graph, init_start(graph, replicated_starts(ring, f, positions)), rep.deadlines
     )
-    values = {0, *labels.finite_values()}
+    values = {0, *(t for t in labels.time if t is not INFINITY)}
     blank = (INFINITY,) * ring.n
     for p in set(positions):
         for walk in enumerate_walks(ring, p, delta_cap, blank):

@@ -1056,7 +1056,26 @@ def test_a_missing_delta_is_a_usage_error(tmp_path, capsys, command):
     path = write(tmp_path, "inst.json", SKEW3)  # its delta is null
     assert main([command, path]) == 2
     captured = capsys.readouterr()
-    assert (captured.out, captured.err) == ("", f"{command} needs --delta or a delta field in the instance\n")
+    assert (captured.out, captured.err) == ("", f"error: {command} needs --delta or a delta field in the instance\n")
+
+
+@pytest.mark.parametrize("command, argv", [
+    ("solve", []), ("decide", ["--delta", "3"]), ("resilience", ["--delta", "3"]),
+])
+def test_an_instance_too_large_to_hold_is_a_usage_error(tmp_path, capsys, monkeypatch, command, argv):
+    # resilience --delta 3 on this ring probes about 500,000 copies of it;
+    # the solver is patched to fail as that allocation would, without making it
+    doc = {"topology": "ring", "edge_weights": ["1", "1"], "deadlines": [None, None],
+           "robots": {"mode": "free", "count": 1_000_000}, "faults": 1}
+    path = write(tmp_path, "huge.json", doc)
+
+    def out_of_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(fault_line, command, out_of_memory)
+    assert main([command, path, *argv]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: out of memory: the instance is too large to solve\n")
 
 
 # sha256 of the stdout of ``generate`` with each argument list

@@ -145,6 +145,95 @@ def test_read_instance_lowers_every_number_by_the_least_common_denominator():
     assert (c, spec.topology) == (12, StarInstance((4, 24), (INFINITY, 6), 15))
 
 
+def _deep_document(kind: str) -> dict:
+    """A 200-node document of plain digit strings and null deadlines."""
+    lengths = {"line": "coordinates", "ring": "edge_weights", "star": "leaf_weights"}[kind]
+    values = [str(2 * i if kind == "line" else i % 7 + 1) for i in range(200)]
+    deadlines = [None if i % 3 else str(1000 + i) for i in range(200)]
+    doc = {"topology": kind, lengths: values, "deadlines": deadlines,
+           "robots": {"mode": "free", "count": 2}}
+    if kind == "star":
+        doc["center_deadline"] = None
+    return doc
+
+
+@pytest.mark.parametrize("kind, field, at, value, message", [
+    ("line", "coordinates", 137, "x", "cannot parse number 'x'"),
+    ("line", "coordinates", 150, 7, "numbers must be strings (decimal or p/q)"),
+    ("line", "coordinates", 163, "-1", "must be a non-negative exact number"),
+    ("line", "coordinates", 171, "3", "coordinates must be strictly increasing"),
+    ("line", "coordinates", 188, "", "cannot parse number ''"),
+    ("line", "deadlines", 120, True, "numbers must be strings (decimal or p/q)"),
+    ("ring", "edge_weights", 181, "0", "must be a positive exact number"),
+    ("ring", "deadlines", 144, "-5/2", "deadline must be a non-negative exact number or INFINITY"),
+    ("ring", "deadlines", 145, "9" * 5000, None),
+    ("star", "leaf_weights", 190, "-2", "must be a positive exact number"),
+    ("star", "leaf_weights", 131, "0/3", "must be a positive exact number"),
+    ("star", "deadlines", 199, " ", "cannot parse number ' '"),
+])
+def test_a_bad_element_deep_in_a_list_is_named_as_element_by_element(kind, field, at, value, message):
+    # whole-list reading and checking name the first bad element, at its
+    # path, with the message an element-by-element walk raises
+    doc = _deep_document(kind)
+    doc[field][at] = value
+    with pytest.raises(InstanceError) as err:
+        read_instance(json.dumps(doc))
+    assert err.value.path == f"{field}[{at}]"
+    if message is None:  # int() reads at most sys.get_int_max_str_digits() digits
+        assert str(err.value).startswith(f"{field}[{at}]: cannot parse number '999")
+    else:
+        assert str(err.value) == f"{field}[{at}]: {message}"
+
+
+def test_a_bad_value_deep_in_a_topology_is_named_as_element_by_element():
+    xs, ds = list(range(0, 400, 2)), [INFINITY] * 200
+    for field, at, bad, message in (
+        ("coordinates", 99, Fraction(-1, 2), "must be a non-negative exact number"),
+        ("coordinates", 120, 1.5, "must be a non-negative exact number"),
+        ("coordinates", 121, 240, "coordinates must be strictly increasing"),
+        ("deadlines", 150, 1.5, "deadline must be a non-negative exact number or INFINITY"),
+        ("deadlines", 151, float("inf"), "deadline must be a non-negative exact number or INFINITY"),
+        ("deadlines", 152, -3, "deadline must be a non-negative exact number or INFINITY"),
+    ):
+        values = {"coordinates": list(xs), "deadlines": list(ds)}
+        values[field][at] = bad
+        with pytest.raises(InstanceError) as err:
+            LineInstance(values["coordinates"], values["deadlines"])
+        assert str(err.value) == f"{field}[{at}]: {message}"
+    weights = [1] * 200
+    weights[177] = 0
+    with pytest.raises(InstanceError) as err:
+        RingInstance(weights, ds)
+    assert str(err.value) == "edge_weights[177]: must be a positive exact number"
+    with pytest.raises(InstanceError) as err:
+        StarInstance([1] * 199 + ["1"], ds, INFINITY)
+    assert str(err.value) == "leaf_weights[199]: must be a positive exact number"
+    # a type the whole-list checks do not know takes the element walk, which
+    # takes a bool as the int it is
+    assert LineInstance((0, True, 2), (INFINITY, False, 3)).coordinates == (0, 1, 2)
+
+
+def test_a_mixed_document_reads_as_its_numbers_do():
+    doc = {"topology": "line", "coordinates": ["0", "0.5", "5/2", " 3", "7", "008", "10"],
+           "deadlines": ["7", None, "5/2", "0.5", " 3", None, "12"],
+           "robots": {"mode": "free", "count": 2}}
+    spec, c = read_instance(json.dumps(doc))
+    assert c == 2
+    assert spec.topology == LineInstance((0, 1, 5, 6, 14, 16, 20), (14, INFINITY, 5, 1, 6, INFINITY, 24))
+    assert all(type(x) is int for x in spec.topology.coordinates)
+    # the plain digits alone read as ints, c = 1
+    doc["coordinates"] = ["0", "7", "008", "10"]
+    doc["deadlines"] = [None, "12", None, None]
+    spec, c = read_instance(json.dumps(doc))
+    assert (c, spec.topology) == (1, LineInstance((0, 7, 8, 10), (INFINITY, 12, INFINITY, INFINITY)))
+    doc["deadlines"] = [None] * 4
+    assert read_instance(json.dumps(doc))[0].topology.deadlines == (INFINITY,) * 4
+    star = {"topology": "star", "leaf_weights": ["3", "1/2"], "deadlines": [None, " 4"],
+            "center_deadline": "7", "robots": {"mode": "free", "count": 1}}
+    spec, c = read_instance(json.dumps(star))
+    assert (c, spec.topology) == (2, StarInstance((6, 1), (INFINITY, 8), 14))
+
+
 def test_an_integer_document_reads_as_written():
     rng = random.Random(17)
     for _ in range(40):

@@ -387,7 +387,7 @@ def test_free_optimum_is_zero_or_a_label_value():
             topology = random_line(rng, max_n=10, integral=trial % 4 == 0)
         graph = StateGraph.of(topology)
         labels = propagate(graph, init_start(graph, range(topology.n)), topology.deadlines)
-        want = tuple(sorted({0, *labels.finite_values()}))
+        want = tuple(sorted({0, *(t for t in labels.time if t is not INFINITY)}))
         for k in (2, 3, 5, 6):
             verdict = solve_free(topology, k)
             assert not verdict.feasible or verdict.optimum in want
@@ -560,23 +560,71 @@ def test_a_free_line_team_may_outnumber_the_recursion_limit():
     assert verify_schedule(replace(spec, bound=1), verdict.schedule).passed
 
 
-def test_a_large_free_team_reads_few_labels(monkeypatch):
-    # O(log n) probes of O(k log n) label reads each; a search whose every
-    # probe walks the greedy parts of the rest of the line reads ~500,000
-    reads = 0
+def _count_label_reads(monkeypatch) -> list:
+    """[reads]: the number of stretches that later solves read off their
+    label passes, kept up to date as they read."""
+    reads = [0]
     reader = multi_line.stretch_reader
 
     def counted(labels):
         read = reader(labels)
 
         def count(i, d):
-            nonlocal reads
-            reads += 1
+            reads[0] += 1
             return read(i, d)
 
         return count
 
     monkeypatch.setattr(multi_line, "stretch_reader", counted)
+    return reads
+
+
+def test_a_large_free_team_reads_few_labels(monkeypatch):
+    # O(log n) probes of O(k log n) label reads each; a search whose every
+    # probe walks the greedy parts of the rest of the line reads ~500,000
+    reads = _count_label_reads(monkeypatch)
     verdict = solve_free(LineInstance(tuple(range(300)), (INFINITY,) * 300), 260)
     assert verdict.optimum == 1
-    assert 0 < reads <= 20_000
+    assert 0 < reads[0] <= 20_000
+
+
+def test_a_free_ring_probe_answers_no_from_the_greedy_part_count(monkeypatch):
+    # greedy parts from any node number at most one more than the fewest
+    # that fit, so a probe whose greedy parts from its first start number
+    # k + 2 or more answers NO without trying the other starts; trying
+    # every start in each probe would read 2,445 stretches here
+    reads = _count_label_reads(monkeypatch)
+    ring = RingInstance(tuple(i % 9 + 1 for i in range(120)), (INFINITY,) * 120)
+    verdict = solve_free(ring, 12)
+    assert verdict.optimum == 45
+    assert 0 < reads[0] <= 1_200
+    spec = ProblemSpec(ring, RobotPlacement(FREE, count=12), 0, 45)
+    assert verify_schedule(spec, verdict.schedule).passed
+
+
+def test_the_ring_part_count_bound_holds_from_every_start():
+    # the bound behind a ring probe's NO: from any start, the greedy parts
+    # within a bound number at most one more than the fewest parts of any
+    # split of the ring whose every part fits it, which greedy parts from
+    # the first node of one of its parts attain
+    rng = random.Random(97)
+    for _ in range(40):
+        ring = random_ring(rng, min_n=3, max_n=8)
+        n = ring.n
+        graph = StateGraph.of(ring)
+        labels = propagate(graph, init_start(graph, range(n)), ring.deadlines)
+        read = multi_line.stretch_reader(labels)
+        for delta in sorted(set(labels.time) - {INFINITY}):
+            def greedy(s):
+                # parts of s .. s + n - 1, each the longest that fits; a
+                # single node fits (it is a start), a whole ring never does
+                count, i = 0, s
+                while i < s + n:
+                    j = i
+                    while j + 1 < s + n and j + 1 - i <= n - 2 and read(i % n, j + 1 - i) <= delta:
+                        j += 1
+                    count, i = count + 1, j + 1
+                return count
+
+            counts = [greedy(s) for s in range(n)]
+            assert max(counts) <= min(counts) + 1, (ring, delta, counts)
