@@ -194,30 +194,24 @@ class StateGraph:
             if line:
                 s, r = max(a - 1, 0), a
                 c, d = min(z, n - layer) - s, min(z + 1, n - layer) - r
-                # a line's runs never wrap: plain ranges
-                u, v = below + step * (s + 1), below + step * r
-                to_l = range(base + 2 * s, base + 2 * (s + c), 2)
-                from_l = range(u, u + step * c, step), range(u + at_r, u + at_r + step * c, step)
-                to_r = range(base + 1 + 2 * r, base + 1 + 2 * (r + d), 2)
-                from_r = range(v, v + step * d, step), range(v + at_r, v + at_r + step * d, step)
             else:
                 s, r = a - 1, a
                 c = d = min(z - a + 1, n)
-                to_l = _run(base, 2, s, c, n)
-                from_l = _run(below, step, s + 1, c, n), _run(below + at_r, step, s + 1, c, n)
-                to_r = _run(base + 1, 2, r, d, n)
-                from_r = _run(below, step, r, d, n), _run(below + at_r, step, r, d, n)
             s0, r0 = s % n, r % n  # where the slices start
             if c > 0:  # robot at L: the stretch grew at its left end i
                 yield new(Pull, (
-                    to_l, *from_l,
+                    _run(base, 2, s, c, n),
+                    _run(below, step, s + 1, c, n),
+                    _run(below + at_r, step, s + 1, c, n),
                     edge[s0:s0 + c],
                     list(map(sub, prefix[s0 + layer:s0 + layer + c], prefix[s0:s0 + c])),
                     dls[s0:s0 + c],
                 ))
             if d > 0:  # robot at R: the stretch grew at its right end j
                 yield new(Pull, (
-                    to_r, *from_r,
+                    _run(base + 1, 2, r, d, n),
+                    _run(below, step, r, d, n),
+                    _run(below + at_r, step, r, d, n),
                     list(map(sub, prefix[r0 + layer:r0 + layer + d], prefix[r0:r0 + d])),
                     edge[r0 + layer - 1:r0 + layer - 1 + d],
                     dls[r0 + layer:r0 + layer + d],
