@@ -42,7 +42,6 @@ from .fault_line import (
 from .ring import (
     decide_ring_fixed_faulty,
     optimize_ring_fixed_faulty,
-    replicate_ring,
     solve_ring_fixed,
     solve_ring_free,
     solve_ring_free_faulty,

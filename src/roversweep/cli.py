@@ -170,6 +170,9 @@ def _random_instance(args) -> ProblemSpec:
     n = args.n
     k = args.k
     f = args.f
+    least = 2 if args.topology == "ring" else 1
+    if n < least:
+        raise ValueError(f"--n must be at least {least} on a {args.topology}, got {n}")
     if args.topology == "line":
         coords = [0]
         for _ in range(n - 1):
@@ -329,7 +332,7 @@ def main(argv: Optional[list] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except MemoryError:
-        # an instance too large to hold, such as a ring replicated many times
+        # an instance too large to hold, such as a line with millions of nodes
         print("error: out of memory: the instance is too large to solve", file=sys.stderr)
         return USAGE_ERROR
     except RuntimeError as exc:

@@ -6,8 +6,9 @@ With f possible crashes every node must collect f+1 distinct on-time
 visitors.  Free placement on either topology goes through
 ``solve_free_faulty``, which replicates: on a line a reliable solve with
 floor(k / (f+1)) robots is repeated across f+1 groups, and on a ring k
-robots explore the ring made of f+1 concatenated copies, since visiting
-every copy once is the same as covering the original ring f+1 times.
+robots explore the ring made of f+1 concatenated copies (``solve_free``
+over f + 1 laps of the base ring's labels), since visiting every copy
+once is the same as covering the original ring f+1 times.
 Subset placements are solved for one reliable robot on a line or a
 ring (``solve_subset``).  Fixed placement goes through ``decide_fixed_faulty``
 and ``solve_fixed_faulty``, two doors onto one body that checks the team
@@ -56,7 +57,6 @@ from .instance import (
     FREE,
     InstanceError,
     ProblemSpec,
-    RingInstance,
     unrolled,
 )
 from .multi_line import least_feasible, solve_fixed, solve_free
@@ -79,14 +79,6 @@ def fixed_search_caps(topology) -> Caps:
     return FIXED_SEARCH_CAPS
 
 
-def replicate_ring(ring: RingInstance, f: int) -> RingInstance:
-    """f+1 copies of ``ring`` glued end to end, node i standing for node
-    i mod n: covering the base ring f+1 times equals exploring it once."""
-    if f < 0:
-        raise ValueError("fault budget must be non-negative")
-    return RingInstance(ring.edge_weights * (f + 1), ring.deadlines * (f + 1))
-
-
 def solve_free_faulty(topology, k: int, f: int) -> Verdict:
     """Replication solve for k freely placed robots on a line or a ring,
     up to f of which may crash; with f = 0 the reliable ``solve_free``.
@@ -94,31 +86,25 @@ def solve_free_faulty(topology, k: int, f: int) -> Verdict:
     Every node needs f+1 distinct on-time visitors.  On a line the value
     is the reliable optimum for floor(k/(f+1)) robots and the schedule
     replicates that group's trajectories across f+1 groups (surplus
-    robots double up on the first group).  On a ring it is the optimum of
-    k robots on ``replicate_ring(ring, f)``, whose tracks ``track_schedule``
-    moves back by whole laps onto the base ring.  Without finite node
-    deadlines this is exactly optimal: covers split into f+1 full covers.  Finite deadlines
-    can punch holes in coverage profiles, and then a schedule of another
-    shape may finish sooner.  The schedule is not verified here; the
-    router verifies it, and on a ring a rejection would mean that a
-    replication segment spanned more than one lap, so one robot would have
-    to cover some node twice.
+    robots double up on the first group).  On a ring it is
+    ``solve_free`` with f + 1 laps: k robots explore the ring made of f+1
+    copies, read off the base ring's labels, each part at most one lap,
+    and ``track_schedule`` moves the tracks back by whole laps.  Without
+    finite node deadlines this is exactly optimal: covers split into f+1
+    full covers.  Finite deadlines can punch holes in coverage profiles,
+    and then a schedule of another shape may finish sooner.  The schedule
+    is not verified here; the router verifies it.
     """
     if not 0 <= f < k:
         raise ValueError("need 0 <= f < k")
-    if f == 0:
-        return solve_free(topology, k)
-    ring = topology.lap is not None
+    if topology.lap is not None:
+        return solve_free(topology, k, laps=f + 1)
     group = k // (f + 1)
-    if ring:
-        base = solve_free(replicate_ring(topology, f), k)
-    else:
-        base = solve_free(topology, group)
-    if not base.feasible:
-        return Verdict(feasible=False, optimum=INFINITY)
+    base = solve_free(topology, group)
+    if f == 0 or not base.feasible:
+        return base
     tracks = base.schedule.tracks
-    if not ring:
-        tracks = tracks * (f + 1) + tuple(tracks[i % group] for i in range(k - group * (f + 1)))
+    tracks = tracks * (f + 1) + tuple(tracks[i % group] for i in range(k - group * (f + 1)))
     return Verdict(feasible=True, optimum=base.optimum, schedule=track_schedule(topology, tracks))
 
 

@@ -35,8 +35,9 @@ and O(log n) probes of O(k log n) reads each.  A ring's probe tries the
 few nodes where some part of a fitting split must start, node 1 first.
 Greedy parts from any node number at most one more than the fewest that
 fit, so k + 2 of them from node 1 answer NO without trying the others.
-Ring parts run on the doubled node order i .. i+n-2, so a part may wrap
-past node n-1.
+Ring parts run on unrolled positions, position i read at node i mod n,
+so a part may wrap past node n-1; covering the ring f+1 times (crash
+teams) unrolls f+1 laps, and a part may then be a whole lap.
 """
 
 from __future__ import annotations
@@ -229,7 +230,7 @@ def solve_fixed(topology: Union[LineInstance, RingInstance], positions: Iterable
 # --------------------------------------------------------------------------
 
 
-def solve_free(topology: Union[LineInstance, RingInstance], k: int) -> Verdict:
+def solve_free(topology: Union[LineInstance, RingInstance], k: int, laps: int = 1) -> Verdict:
     """Optimal exploration time and placement for k freely placed robots.
 
     The optimum is the least candidate, a distinct finite label (0 among
@@ -242,6 +243,12 @@ def solve_free(topology: Union[LineInstance, RingInstance], k: int) -> Verdict:
     the labels, and O(log n) probes of O(k log n) reads each on a line.
     The schedule is the greedy split at the optimum; robots left over
     idle at its first node.
+
+    On a ring the parts cover ``laps`` * n unrolled positions, position i
+    for node i mod n: the ring of ``laps`` copies glued end to end, read
+    off one copy's labels.  A part spans at most one lap (one robot
+    counts once for a node), less than a lap when ``laps`` is 1; starts
+    s and s + n give the same parts, so e0 + 1 <= n.
     """
     if k < 1:
         raise ValueError("need at least one robot")
@@ -252,7 +259,8 @@ def solve_free(topology: Union[LineInstance, RingInstance], k: int) -> Verdict:
     graph = StateGraph.of(topology)
     labels = propagate(graph, init_start(graph, range(n)), topology.deadlines)
     read = stretch_reader(labels)
-    widest = n - 2 if ring else n - 1  # one ring part never closes the ring
+    widest = n - 2 if ring and laps == 1 else n - 1
+    span = laps * n
     inf = INFINITY
 
     def reach(i: int, end: int, delta) -> int:
@@ -269,10 +277,10 @@ def solve_free(topology: Union[LineInstance, RingInstance], k: int) -> Verdict:
         return lo
 
     def split(i: int, delta, parts: int = k):
-        """Last nodes of the greedy parts of i .. i + n - 1 within delta, or
-        None if ``parts`` parts do not cover them."""
+        """Last positions of the greedy parts of i .. i + laps * n - 1 within
+        delta, or None if ``parts`` parts do not cover them."""
         ends = []
-        end = i + n - 1
+        end = i + span - 1
         while i <= end:
             if len(ends) == parts:
                 return None
@@ -290,7 +298,7 @@ def solve_free(topology: Union[LineInstance, RingInstance], k: int) -> Verdict:
             return None
         if len(ends) <= k:
             return 1
-        for s in range(2, reach(0, n - 1, delta) + 2):
+        for s in range(2, reach(0, span - 1, delta) + 2):
             if split(s, delta) is not None:
                 return s
         return None

@@ -7,8 +7,8 @@ take a line or a ring; fixed positions with crashes by
 whose branch and bound runs on rings as on lines and which send
 reliable robots at distinct nodes to ``solve_fixed``; free positions
 with crashes by ``fault_line.solve_free_faulty``, which explores the ring
-made of f+1 concatenated copies (``replicate_ring``).  The ring names
-below delegate to them.
+made of f+1 concatenated copies through ``solve_free`` with f + 1 laps,
+off the base ring's labels.  The ring names below delegate to them.
 
 The farthest-reach chain over the replicated ring, the polynomial
 procedure of the source material for fixed positions with crashes, lets
@@ -25,7 +25,6 @@ from typing import Iterable, Optional
 
 from .exact import ExactNumber
 from .fault_line import decide_fixed_faulty, solve_fixed_faulty, solve_free_faulty
-from .fault_line import replicate_ring  # noqa: F401  (re-exported under its ring name)
 from .instance import RingInstance
 from .multi_line import solve_fixed, solve_free
 from .oracle import Caps
@@ -48,7 +47,8 @@ def solve_ring_free(ring: RingInstance, k: int) -> Verdict:
 
 
 def solve_ring_free_faulty(ring: RingInstance, k: int, f: int) -> Verdict:
-    """``fault_line.solve_free_faulty`` on a ring: ring replication."""
+    """``fault_line.solve_free_faulty`` on a ring: k free robots, up to f
+    of which may crash, explore f+1 laps of it."""
     return solve_free_faulty(ring, k, f)
 
 

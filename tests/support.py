@@ -12,7 +12,6 @@ from roversweep.exact import INFINITY, format_number, scale
 from roversweep.fault_line import Plan, PlanTable, mask_antichain
 from roversweep.instance import FIXED, FREE, LineInstance, ProblemSpec, RingInstance, StarInstance
 from roversweep.oracle import CapExceeded, _placements, enumerate_walks, walk_track
-from roversweep.ring import replicate_ring
 from roversweep.schedule import RobotTrack, Verdict, track_schedule
 from roversweep.single_robot import (
     init_start,
@@ -546,6 +545,15 @@ def ring_visits_scan(nodes, total, track):
                 if v not in first or t < first[v]:
                     first[v] = t
     return first
+
+
+def replicate_ring(ring, f):
+    """f+1 copies of ``ring`` glued end to end, node i standing for node
+    i mod n: covering the base ring f+1 times equals exploring it once.
+    The reference for ``solve_free_faulty``'s laps on a ring."""
+    if f < 0:
+        raise ValueError("fault budget must be non-negative")
+    return RingInstance(ring.edge_weights * (f + 1), ring.deadlines * (f + 1))
 
 
 def copy_of(n, i):

@@ -20,6 +20,7 @@ from support import (
     random_line,
     random_ring,
     random_star,
+    replicate_ring,
     replicated_starts,
     star_single_robot,
 )
@@ -46,7 +47,6 @@ from roversweep.reductions import (
 )
 from roversweep.ring import (
     decide_ring_fixed_faulty,
-    replicate_ring,
     solve_ring_fixed,
 )
 from roversweep.single_robot import init_start, propagate, solve_fixed_start

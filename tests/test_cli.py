@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from roversweep import cli, fault_line, multi_line, oracle, reductions, ring
+from roversweep import cli, fault_line, multi_line, oracle, reductions, ring, single_robot
 from roversweep.cli import main
 from roversweep.exact import INFINITY, decimal_str, format_number
 from roversweep.instance import (
@@ -337,6 +337,36 @@ def test_generate_random_is_seeded_and_parseable(tmp_path, capsys):
 
     spec = parse_instance(first)
     assert spec.topology.n == 5
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--topology", "star", "--n", "0"], "--n must be at least 1 on a star, got 0"),
+    (["--n", "0"], "--n must be at least 1 on a line, got 0"),
+    (["--n", "-3"], "--n must be at least 1 on a line, got -3"),
+    (["--topology", "ring", "--n", "1"], "--n must be at least 2 on a ring, got 1"),
+])
+def test_generate_random_checks_the_node_count_before_drawing(capsys, argv, message):
+    assert main(["generate", "random", *argv]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+def test_free_crash_ring_label_passes_hold_the_base_ring(tmp_path, capsys, monkeypatch):
+    # resilience probes f up to 999 on a 2-node ring; every label pass runs
+    # on the base ring's n + 2n(n - 1) = 6 states, whatever f is
+    slots = []
+    init = single_robot.TimeLabels.__init__
+
+    def recorded(self, graph):
+        slots.append(graph.node_count)
+        init(self, graph)
+
+    monkeypatch.setattr(single_robot.TimeLabels, "__init__", recorded)
+    doc = {"topology": "ring", "edge_weights": ["1", "1"], "deadlines": [None, None],
+           "robots": {"mode": "free", "count": 1000}, "faults": 1}
+    assert main(["resilience", write(tmp_path, "team.json", doc), "--delta", "3"]) == 0
+    assert capsys.readouterr().out == "999\n"
+    assert slots and max(slots) == 6
 
 
 def test_usage_error_on_bad_instance(tmp_path, capsys):
@@ -1063,8 +1093,8 @@ def test_a_missing_delta_is_a_usage_error(tmp_path, capsys, command):
     ("solve", []), ("decide", ["--delta", "3"]), ("resilience", ["--delta", "3"]),
 ])
 def test_an_instance_too_large_to_hold_is_a_usage_error(tmp_path, capsys, monkeypatch, command, argv):
-    # resilience --delta 3 on this ring probes about 500,000 copies of it;
-    # the solver is patched to fail as that allocation would, without making it
+    # the solver is patched to fail as a solve too large for memory would,
+    # without running one: a million robots would take minutes on this ring
     doc = {"topology": "ring", "edge_weights": ["1", "1"], "deadlines": [None, None],
            "robots": {"mode": "free", "count": 1_000_000}, "faults": 1}
     path = write(tmp_path, "huge.json", doc)

@@ -14,6 +14,7 @@ from support import (
     random_line,
     random_ring,
     reach_chain_decide,
+    replicate_ring,
     replicated_starts,
     ring_from_line,
     walk_plans,
@@ -33,10 +34,10 @@ from roversweep.multi_line import solve_free as line_solve_free
 from roversweep.fault_line import decide_fixed_faulty, fixed_faulty_candidates, plan_tables, solve_subset
 from roversweep.oracle import Caps, CapExceeded, brute_solve, enumerate_walks, verify_schedule
 from roversweep.reductions import line_from_n3dm
+from roversweep.schedule import track_schedule
 from roversweep.ring import (
     decide_ring_fixed_faulty,
     optimize_ring_fixed_faulty,
-    replicate_ring,
     solve_ring_fixed,
     solve_ring_free,
     solve_ring_free_faulty,
@@ -231,22 +232,29 @@ def test_ring_free_faulty_projection_verifies():
 
 
 def test_replicated_schedule_projects_both_ways():
-    # exploring the replication once covers the base f+1 times, and the
-    # replicated instance accepts the unprojected schedule as-is
+    # solve_free_faulty reads f+1 laps off the base ring's labels; the
+    # reference explores the ring of f+1 copies once.  Both give the same
+    # verdict and, once track_schedule moves the reference's tracks back by
+    # whole laps, the same schedule bytes; the replicated instance accepts
+    # the unprojected schedule as-is
     rng = random.Random(67)
-    for _ in range(40):
-        ring = random_ring(rng, max_n=5)
-        k = rng.randint(2, 4)
-        f = rng.randint(1, min(2, k - 1))
+    compared = 0
+    for _ in range(500):
+        ring = random_ring(rng, max_n=8)
+        k = rng.randint(2, 6)
+        f = rng.randint(1, k - 1)
         rep = replicate_ring(ring, f)
-        big_verdict = solve_ring_free(rep, k)
-        if not big_verdict.feasible:
+        big = solve_ring_free(rep, k)
+        small = solve_ring_free_faulty(ring, k, f)
+        assert (small.feasible, small.optimum) == (big.feasible, big.optimum), (ring, k, f)
+        if not big.feasible:
             continue
         big_spec = ProblemSpec(rep, RobotPlacement(FREE, count=k), 0, None)
-        assert verify_schedule(big_spec, big_verdict.schedule).passed
-        small = solve_ring_free_faulty(ring, k, f)
-        assert small.feasible
-        assert small.optimum == big_verdict.optimum
+        assert verify_schedule(big_spec, big.schedule).passed
+        projected = track_schedule(ring, big.schedule.tracks)
+        assert small.schedule.to_json() == projected.to_json(), (ring, k, f)
+        compared += 1
+    assert compared > 200
 
 
 def test_decide_ring_fixed_faulty_examples():

@@ -9,9 +9,8 @@ find), and the package ``__init__`` imports are its public names.
 Answers are verified at one exit: ``oracle.witnessed`` is called only
 by the router, ``fault_line.solve`` and ``fault_line.decide``.  The
 solvers read a line or a ring through its shared geometry (``positions``
-and ``lap``): outside ``instance`` only ``fault_line.replicate_ring``,
-which glues copies of a ring's edges, and the independent reference
-``oracle.enumerate_walks`` read ``edge_weights`` or ``coordinates``.  Nothing
+and ``lap``): outside ``instance`` only the independent reference
+``oracle.enumerate_walks`` reads ``edge_weights`` or ``coordinates``.  Nothing
 ships that only tests need: every public function, class and method is
 read by some module other than the package ``__init__``, save the few
 names listed with the code outside the package that still reads them.
@@ -114,7 +113,7 @@ def test_only_the_router_verifies_answers():
     assert sorted(callers) == [("fault_line.py", "decide"), ("fault_line.py", "solve")]
 
 
-def test_only_the_reference_and_the_replicator_read_raw_lengths():
+def test_only_the_reference_reads_raw_lengths():
     readers = {
         (name, getattr(stmt, "name", None))
         for name, _, tree in _modules() if name != "instance.py"
@@ -122,7 +121,7 @@ def test_only_the_reference_and_the_replicator_read_raw_lengths():
         for node in ast.walk(stmt)
         if isinstance(node, ast.Attribute) and node.attr in ("edge_weights", "coordinates")
     }
-    assert readers == {("fault_line.py", "replicate_ring"), ("oracle.py", "enumerate_walks")}
+    assert readers == {("oracle.py", "enumerate_walks")}
 
 
 # Public names that no module of the package reads, each with the code
